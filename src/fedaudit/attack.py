@@ -19,6 +19,13 @@ The main attack scores a target record in three steps, per round:
      probability under that null, then average the per-round scores over
      all recorded rounds.
 
+``audit_cohort`` runs the steps for a whole cohort in one pass over the
+rounds, vectorised over (records x non-target clients); one gradient
+product per round feeds every measurement. A row whose 3-sigma test keeps
+every value takes the population fit as its null, exactly; rows with a
+drop, and all rows under leave-one-out, take the scalar rule
+(``estimate_out`` and ``score_round``), which is the reference.
+
 A record is declared a member when the aggregate score exceeds a
 threshold. Any record flagged by the aggregate score is necessarily
 flagged by at least one single-round score at the same threshold (the
@@ -37,6 +44,7 @@ behind a flag for larger cohorts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -46,12 +54,13 @@ from . import model as mdl
 from .errors import (
     ConfigError,
     ContractError,
+    DegenerateDistributionError,
     EmptySampleError,
     InsufficientClientsError,
+    ParameterError,
     ZeroVectorError,
 )
-from .fedsim import UpdateTrace
-from .model import LabeledSample
+from .fedsim import RoundRecord, UpdateTrace
 from .numstat import gaussian_cdf, summary
 
 MEASUREMENT_KINDS = ("cosine", "loss", "grad_norm", "grad_diff")
@@ -75,10 +84,22 @@ BASELINE_METHODS = (
 )
 FEDMIA_METHODS = ("fedmia_i", "fedmia_ii")
 ALL_METHODS = FEDMIA_METHODS + BASELINE_METHODS
+# The measurement each fedmia variant reads, and the methods reading each
+# target-client series.
+FEDMIA_KIND = {"fedmia_i": "loss", "fedmia_ii": "cosine"}
+SERIES_READERS = {
+    "loss_global": {"blackbox_loss", "loss_series"},
+    "cosine": {"grad_cosine", "avg_cosine"},
+    "grad_diff": {"grad_diff"},
+}
 
 # Relative floor applied to the null variance before the tail integral;
 # absorbs rounds where every kept measurement is identical.
 SIGMA_FLOOR_REL = 1e-8
+
+_SQRT2 = math.sqrt(2.0)
+# NumPy has no erf; math.erf elementwise gives gaussian_cdf's exact bits.
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -135,6 +156,62 @@ class DecisionSets:
     aggregate: frozenset
 
 
+@dataclass(frozen=True, eq=False)
+class CohortAudit:
+    """One pass over a trace: (n, T) per-round scores and target-client series."""
+
+    per_round: dict[str, np.ndarray]  # fedmia method -> per-round scores
+    series: dict[str, np.ndarray]  # SERIES_READERS key -> series, if read
+
+    def memberships(self, method: str, sample_ids: Sequence[int]) -> dict[int, MembershipScore]:
+        """Per-record scores of one fedmia method, keyed by sample id."""
+        per_round = self.per_round[method]
+        aggregate = per_round.mean(axis=1)  # row by row, as score_temporal
+        return {
+            int(sid): MembershipScore(per_round[i], float(aggregate[i]))
+            for i, sid in enumerate(sample_ids)
+        }
+
+
+def _cohort_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x, y = np.atleast_2d(np.asarray(x, dtype=np.float64)), np.asarray(y, dtype=np.int64)
+    if len(y) == 0:
+        raise EmptySampleError("no target records")
+    return x, y
+
+
+def _measure_round(
+    spec: mdl.ModelSpec, rec: RoundRecord, x: np.ndarray, y: np.ndarray, kinds: set[str]
+) -> dict[str, np.ndarray]:
+    """The requested (n, K) measurements of one round; cosine and grad_diff share one gemm."""
+    updates = rec.updates
+    out: dict[str, np.ndarray] = {}
+    if "grad_norm" in kinds:
+        out["grad_norm"] = np.broadcast_to(np.linalg.norm(updates, axis=1), (len(y), len(updates)))
+    if "loss" in kinds:
+        loss = np.empty((len(y), len(updates)))
+        for k in range(len(updates)):
+            local = rec.global_before - rec.lr_effective * updates[k]
+            loss[:, k] = mdl.loss_many(spec, local, x, y)
+        out["loss"] = loss
+    if kinds & {"cosine", "grad_diff"}:
+        grads = mdl.grad_samples(spec, rec.global_before, x, y)
+        dots = grads @ updates.T
+        out["grad_diff"] = dots
+        if "cosine" in kinds:
+            gnorm = np.linalg.norm(grads, axis=1)
+            if np.any(gnorm == 0.0):
+                raise ZeroVectorError(
+                    "target record has zero gradient at a recorded model (stationary point)"
+                )
+            unorm = np.linalg.norm(updates, axis=1)
+            cos = np.zeros_like(dots)
+            nz = unorm > 0.0
+            cos[:, nz] = dots[:, nz] / (gnorm[:, None] * unorm[None, nz])
+            out["cosine"] = cos
+    return out
+
+
 def measure_cohort(
     trace: UpdateTrace,
     x: np.ndarray,
@@ -154,50 +231,11 @@ def measure_cohort(
     """
     if kind not in MEASUREMENT_KINDS:
         raise ConfigError(f"unknown measurement kind {kind!r}")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
-    n = len(y)
-    spec = trace.model_spec
-    out = np.empty((n, trace.num_rounds, trace.num_clients))
+    x, y = _cohort_arrays(x, y)
+    out = np.empty((len(y), trace.num_rounds, trace.num_clients))
     for t, rec in enumerate(trace.rounds):
-        updates = rec.updates
-        if kind == "grad_norm":
-            out[:, t, :] = np.linalg.norm(updates, axis=1)[None, :]
-            continue
-        if kind == "loss":
-            for k in range(trace.num_clients):
-                local = rec.global_before - rec.lr_effective * updates[k]
-                out[:, t, k] = mdl.loss_many(spec, local, x, y)
-            continue
-        grads = mdl.grad_samples(spec, rec.global_before, x, y)
-        dots = grads @ updates.T
-        if kind == "grad_diff":
-            out[:, t, :] = dots
-            continue
-        gnorm = np.linalg.norm(grads, axis=1)
-        if np.any(gnorm == 0.0):
-            raise ZeroVectorError(
-                "target record has zero gradient at a recorded model (stationary point)"
-            )
-        unorm = np.linalg.norm(updates, axis=1)
-        cos = np.zeros_like(dots)
-        nz = unorm > 0.0
-        cos[:, nz] = dots[:, nz] / (gnorm[:, None] * unorm[None, nz])
-        out[:, t, :] = cos
+        out[:, t, :] = _measure_round(trace.model_spec, rec, x, y, {kind})[kind]
     return out
-
-
-def measure(
-    trace: UpdateTrace,
-    target: LabeledSample,
-    measurement: Measurement | str,
-    sample_id: int = 0,
-    target_client: int = 0,
-) -> MeasurementMatrix:
-    """Measurement matrix M[t][k] for a single target record."""
-    kind = measurement.kind if isinstance(measurement, Measurement) else measurement
-    values = measure_cohort(trace, target.x[None, :], np.array([target.y]), kind)[0]
-    return MeasurementMatrix(sample_id, target_client, values)
 
 
 def _round_out(
@@ -283,6 +321,99 @@ def score_temporal(per_round: Sequence[float] | np.ndarray) -> float:
     return float(arr.mean())
 
 
+def _score_rows(
+    values: np.ndarray,
+    target_client: int,
+    orientation: str,
+    round_index: int,
+    sigma_floor_rel: float,
+    leave_one_out: bool,
+) -> np.ndarray:
+    """Steps 2-3 for one round, (n, K) -> (n,): score_round after _round_out, per row.
+
+    Reducing the contiguous (n, K-1) rows uses the same pairwise summation
+    as ``summary``, with its constant-sample branch, so the bits match.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"non-finite measurement in round {round_index}")
+    others = np.delete(values, target_client, axis=1)
+    mu = others.mean(axis=1)
+    v = ((others - mu[:, None]) ** 2).mean(axis=1)
+    const = (others == others[:, :1]).all(axis=1)
+    mu[const], v[const] = others[const, 0], 0.0
+    bound = 3.0 * np.sqrt(v)
+    if orientation == "member_high":
+        keep = others <= (mu + bound)[:, None]
+    else:
+        keep = others >= (mu - bound)[:, None]
+    # A row that keeps every value has the population as its survivors, so
+    # its fit above is the null; the other rows take the scalar rule.
+    rows = range(len(values)) if leave_one_out else np.flatnonzero(~keep.all(axis=1))
+    for i in rows:
+        out = _round_out(values[i], target_client, orientation, round_index, leave_one_out)
+        mu[i], v[i] = out.mu_out, out.v_out
+    floor = sigma_floor_rel * (1.0 + np.abs(mu))
+    v = np.maximum(v, floor * floor)
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):
+        raise ParameterError(f"non-finite null estimate in round {round_index}")
+    if np.any(v <= 0.0):
+        raise DegenerateDistributionError(f"null variance must be > 0 in round {round_index}")
+    p = 0.5 * (1.0 + _erf((values[:, target_client] - mu) / np.sqrt(v) / _SQRT2).astype(float))
+    return p if orientation == "member_high" else 1.0 - p
+
+
+def audit_cohort(
+    trace: UpdateTrace,
+    x: np.ndarray,
+    y: np.ndarray,
+    target_client: int,
+    methods: Iterable[str],
+    sigma_floor_rel: float = SIGMA_FLOOR_REL,
+    leave_one_out: bool = False,
+    orientation: str | None = None,
+) -> CohortAudit:
+    """Steps 1-3 for every requested method in one pass over the rounds.
+
+    Each round measures only what the methods read and keeps only the
+    fedmia scores and the target client's series. ``orientation``
+    overrides the fedmia member side (default per measurement kind).
+    """
+    methods = list(dict.fromkeys(methods))
+    if set(methods) - set(ALL_METHODS):
+        raise ConfigError(f"unknown attack methods: {sorted(set(methods) - set(ALL_METHODS))}")
+    if orientation is not None and orientation not in ORIENTATIONS:
+        raise ConfigError(f"unknown orientation {orientation!r}")
+    if not (0 <= target_client < trace.num_clients):
+        raise ConfigError(f"target_client {target_client} out of range")
+    x, y = _cohort_arrays(x, y)
+    fedmia = [m for m in methods if m in FEDMIA_METHODS]
+    if fedmia and trace.num_clients < 3:
+        raise InsufficientClientsError(
+            f"need at least 3 clients for a null estimate, got {trace.num_clients}"
+        )
+    if fedmia and trace.num_rounds == 0:
+        raise EmptySampleError("no per-round scores to aggregate")
+    shape = (len(y), trace.num_rounds)
+    per_round = {m: np.empty(shape) for m in fedmia}
+    series = {k: np.empty(shape) for k, readers in SERIES_READERS.items() if readers & set(methods)}
+    kinds = {FEDMIA_KIND[m] for m in fedmia} | (series.keys() - {"loss_global"})
+    spec = trace.model_spec
+    for t, rec in enumerate(trace.rounds):
+        measured = _measure_round(spec, rec, x, y, kinds)
+        for m in fedmia:
+            kind = FEDMIA_KIND[m]
+            per_round[m][:, t] = _score_rows(
+                measured[kind], target_client, orientation or DEFAULT_ORIENTATION[kind],
+                t, sigma_floor_rel, leave_one_out,
+            )
+        for k, out in series.items():
+            if k == "loss_global":
+                out[:, t] = mdl.loss_many(spec, rec.global_before, x, y)
+            else:
+                out[:, t] = measured[k][:, target_client]
+    return CohortAudit(per_round, series)
+
+
 def fedmia_scores(
     trace: UpdateTrace,
     x: np.ndarray,
@@ -301,19 +432,12 @@ def fedmia_scores(
     """
     if variant not in ("I", "II"):
         raise ConfigError(f"unknown variant {variant!r}; expected 'I' or 'II'")
-    if not (0 <= target_client < trace.num_clients):
-        raise ConfigError(f"target_client {target_client} out of range")
-    kind = "loss" if variant == "I" else "cosine"
-    orient = orientation or DEFAULT_ORIENTATION[kind]
-    values = measure_cohort(trace, x, y, kind)  # (n, T, K)
-    scores: dict[int, MembershipScore] = {}
-    for i, sid in enumerate(sample_ids):
-        per_round = np.empty(trace.num_rounds)
-        for t in range(trace.num_rounds):
-            out = _round_out(values[i, t], target_client, orient, t, leave_one_out)
-            per_round[t] = score_round(values[i, t, target_client], out, orient, sigma_floor_rel)
-        scores[int(sid)] = MembershipScore(per_round, score_temporal(per_round))
-    return scores
+    method = "fedmia_i" if variant == "I" else "fedmia_ii"
+    audit = audit_cohort(
+        trace, x, y, target_client, [method],
+        sigma_floor_rel=sigma_floor_rel, leave_one_out=leave_one_out, orientation=orientation,
+    )
+    return audit.memberships(method, sample_ids)
 
 
 def decision_sets(scores: Mapping[int, MembershipScore], delta: float) -> DecisionSets:
@@ -328,35 +452,14 @@ def decision_sets(scores: Mapping[int, MembershipScore], delta: float) -> Decisi
     return DecisionSets(float(delta), per_round, aggregate)
 
 
-def fedmia(
-    trace: UpdateTrace,
-    targets: Sequence[LabeledSample],
-    target_client: int,
-    variant: str = "II",
-    delta: float = 0.5,
-    sample_ids: Sequence[int] | None = None,
-    sigma_floor_rel: float = SIGMA_FLOOR_REL,
-    leave_one_out: bool = False,
-) -> tuple[dict[int, MembershipScore], DecisionSets]:
-    """Score every target record and form decision sets at one threshold."""
-    if len(targets) == 0:
-        raise EmptySampleError("no target records")
-    ids = list(sample_ids) if sample_ids is not None else list(range(len(targets)))
-    x = np.stack([t.x for t in targets])
-    y = np.array([t.y for t in targets])
-    scores = fedmia_scores(
-        trace, x, y, ids, target_client, variant,
-        sigma_floor_rel=sigma_floor_rel, leave_one_out=leave_one_out,
-    )
-    return scores, decision_sets(scores, delta)
-
-
 def baselines(
     trace: UpdateTrace,
-    targets: Sequence[LabeledSample],
+    x: np.ndarray,
+    y: np.ndarray,
     target_client: int,
     sample_ids: Sequence[int] | None = None,
     methods: Iterable[str] = BASELINE_METHODS,
+    audit: CohortAudit | None = None,
 ) -> dict[str, dict[int, float]]:
     """Single-signal attack scores, each oriented so higher means member.
 
@@ -366,40 +469,35 @@ def baselines(
     loss_series   : -mean over rounds of the loss under each global model
     avg_cosine    : mean over rounds of the target-client cosine
     grad_diff     : mean over rounds of the raw inner product
+
+    ``audit`` is ``audit_cohort`` of the same inputs, made here if absent.
     """
     methods = list(methods)
     unknown = set(methods) - set(BASELINE_METHODS)
     if unknown:
         raise ConfigError(f"unknown baseline methods: {sorted(unknown)}")
-    if len(targets) == 0:
-        raise EmptySampleError("no target records")
-    ids = list(sample_ids) if sample_ids is not None else list(range(len(targets)))
-    x = np.stack([t.x for t in targets])
-    y = np.array([t.y for t in targets])
-    spec = trace.model_spec
+    x, y = _cohort_arrays(x, y)
+    ids = list(sample_ids) if sample_ids is not None else list(range(len(y)))
+    if audit is None:
+        audit = audit_cohort(trace, x, y, target_client, methods)
+    ser = audit.series
     results: dict[str, dict[int, float]] = {}
-
-    need_cos = any(m in methods for m in ("grad_cosine", "avg_cosine"))
-    cos = measure_cohort(trace, x, y, "cosine")[:, :, target_client] if need_cos else None
-    if "blackbox_loss" in methods:
-        vals = -mdl.loss_many(spec, trace.final_model, x, y)
-        results["blackbox_loss"] = dict(zip(ids, vals.tolist()))
-    if "grad_cosine" in methods:
-        results["grad_cosine"] = dict(zip(ids, cos[:, -1].tolist()))
-    if "avg_cosine" in methods:
-        results["avg_cosine"] = dict(zip(ids, cos.mean(axis=1).tolist()))
-    if "grad_norm" in methods:
-        n = -float(np.linalg.norm(trace.rounds[-1].updates[target_client]))
-        results["grad_norm"] = {sid: n for sid in ids}
-    if "loss_series" in methods:
-        per_round = np.stack(
-            [mdl.loss_many(spec, rec.global_before, x, y) for rec in trace.rounds], axis=1
-        )
-        results["loss_series"] = dict(zip(ids, (-per_round.mean(axis=1)).tolist()))
-    if "grad_diff" in methods:
-        gd = measure_cohort(trace, x, y, "grad_diff")[:, :, target_client]
-        results["grad_diff"] = dict(zip(ids, gd.mean(axis=1).tolist()))
-    return {m: results[m] for m in methods}
+    for m in methods:
+        if m == "grad_norm":
+            norm = float(np.linalg.norm(trace.rounds[-1].updates[target_client]))
+            vals = np.full(len(ids), -norm)
+        elif m == "blackbox_loss":
+            vals = -mdl.loss_many(trace.model_spec, trace.final_model, x, y)
+        elif m == "loss_series":
+            vals = -ser["loss_global"].mean(axis=1)
+        elif m == "grad_cosine":
+            vals = ser["cosine"][:, -1]
+        elif m == "avg_cosine":
+            vals = ser["cosine"].mean(axis=1)
+        else:
+            vals = ser["grad_diff"].mean(axis=1)
+        results[m] = dict(zip(ids, vals.tolist()))
+    return results
 
 
 def check_aggregate_inclusion(sets: DecisionSets, aggregate_from: DecisionSets | None = None) -> bool:

@@ -40,7 +40,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -514,6 +514,10 @@ def run_attacks(
 ) -> tuple[dict[str, dict[int, float]], dict]:
     """All configured attacks; returns scores per method and the audit sidecar."""
     ids = [int(i) for i in cohort.ids]
+    audit = atk.audit_cohort(
+        trace, cohort.x, cohort.y, ac.target_client, ac.methods,
+        sigma_floor_rel=ac.sigma_floor_rel, leave_one_out=ac.leave_one_out,
+    )
     scores: dict[str, dict[int, float]] = {}
     sidecar: dict = {
         "sample_ids": ids,
@@ -521,46 +525,33 @@ def run_attacks(
         "delta_grid": list(ac.delta_grid),
         "inclusion_checks": {},
     }
-    for method in ac.methods:
-        if method in atk.FEDMIA_METHODS:
-            variant = "I" if method == "fedmia_i" else "II"
-            ms = atk.fedmia_scores(
-                trace, cohort.x, cohort.y, ids, ac.target_client, variant,
-                sigma_floor_rel=ac.sigma_floor_rel, leave_one_out=ac.leave_one_out,
-            )
-            scores[method] = {sid: ms[sid].aggregate for sid in ids}
-            sidecar[method] = {"per_round": [ms[sid].per_round.tolist() for sid in ids]}
-            checks = {}
-            for delta in ac.delta_grid:
-                ds_ = atk.decision_sets(ms, delta)
-                checks[repr(float(delta))] = atk.check_aggregate_inclusion(ds_)
-            sidecar["inclusion_checks"][method] = checks
+    for method, per_round in audit.per_round.items():
+        ms = audit.memberships(method, ids)
+        scores[method] = {sid: ms[sid].aggregate for sid in ids}
+        sidecar[method] = {"per_round": per_round.tolist()}
+        checks = {}
+        for delta in ac.delta_grid:
+            ds_ = atk.decision_sets(ms, delta)
+            checks[repr(float(delta))] = atk.check_aggregate_inclusion(ds_)
+        sidecar["inclusion_checks"][method] = checks
     base_methods = [m for m in ac.methods if m in atk.BASELINE_METHODS]
     if base_methods:
-        targets = [mdl.LabeledSample(cohort.x[i], int(cohort.y[i])) for i in range(len(ids))]
-        base = atk.baselines(trace, targets, ac.target_client, ids, base_methods)
-        scores.update(base)
-    sidecar["series"] = _audit_series(trace, cohort, ac)
+        scores.update(atk.baselines(
+            trace, cohort.x, cohort.y, ac.target_client, ids, base_methods, audit=audit,
+        ))
+    sidecar["series"] = _audit_series(trace, audit, ac)
     return {m: scores[m] for m in ac.methods}, sidecar
 
 
-def _audit_series(trace: fed.UpdateTrace, cohort: TargetCohort, ac: AttackSuiteConfig) -> dict:
+# attack_rounds.json names of the audit's target-client series.
+SERIES_NAMES = {"loss_global": "loss_global", "cosine": "cosine_target",
+                "grad_diff": "grad_diff_target"}
+
+
+def _audit_series(trace: fed.UpdateTrace, audit: atk.CohortAudit, ac: AttackSuiteConfig) -> dict:
     """Per-round raw series needed to draw attack-strength-vs-round curves."""
-    series: dict = {}
-    methods = set(ac.methods)
-    if methods & {"blackbox_loss", "loss_series"}:
-        losses = np.stack(
-            [mdl.loss_many(trace.model_spec, r.global_before, cohort.x, cohort.y)
-             for r in trace.rounds], axis=1,
-        )
-        series["loss_global"] = losses.tolist()
-    if methods & {"grad_cosine", "avg_cosine"}:
-        cos = atk.measure_cohort(trace, cohort.x, cohort.y, "cosine")[:, :, ac.target_client]
-        series["cosine_target"] = cos.tolist()
-    if "grad_diff" in methods:
-        gd = atk.measure_cohort(trace, cohort.x, cohort.y, "grad_diff")[:, :, ac.target_client]
-        series["grad_diff_target"] = gd.tolist()
-    if "grad_norm" in methods:
+    series = {SERIES_NAMES[k]: v.tolist() for k, v in audit.series.items()}
+    if "grad_norm" in ac.methods:
         norms = [float(np.linalg.norm(r.updates[ac.target_client])) for r in trace.rounds]
         series["update_norm_target"] = norms
     return series
@@ -630,15 +621,14 @@ def _metric_rows(
     rows = []
     for method, per_id in scores.items():
         arr = np.array([per_id[int(sid)] for sid in cohort.ids])
-        sc = met.ScoredCohort(arr, cohort.is_member)
-        tpr, achieved = met.operating_point(sc, ac.fpr_cap)
+        auc, tpr, achieved = met.roc_metrics(met.ScoredCohort(arr, cohort.is_member), ac.fpr_cap)
         rows.append(
             {
                 "seed": seed,
                 "method": method,
                 "defense": defense_kind,
                 "param": _param_label(param),
-                "auc": met.auc(sc),
+                "auc": auc,
                 "tpr_at_fpr": tpr,
                 "fpr_cap": ac.fpr_cap,
                 "achieved_fpr": achieved,
@@ -704,8 +694,14 @@ def run_experiment(
     seed_override: int | None = None,
     jobs: int = 1,
 ) -> str:
-    """Execute the full sweep x seeds grid and write the report directory."""
-    seeds = (seed_override,) if seed_override is not None else config.seeds
+    """Execute the full sweep x seeds grid and write the report directory.
+
+    With ``seed_override`` the report records that seed as the only one,
+    so ``plots`` finds the runs that exist.
+    """
+    if seed_override is not None:
+        config = replace(config, seeds=(seed_override,))
+    seeds = config.seeds
     points = config.sweep.expand()
     os.makedirs(out_dir, exist_ok=True)
 
@@ -914,8 +910,9 @@ def emit_plots(report_dir: str) -> str:
                     for si, sidecar in enumerate(sidecars):
                         arr = _prefix_scores_for_round(method, sidecar, t)
                         sc = met.ScoredCohort(arr, np.array(sidecar["is_member"], dtype=bool))
-                        aucs.append(met.auc(sc))
-                        tprs.append(met.tpr_at_fpr(sc, config.attack.fpr_cap))
+                        auc, tpr, _ = met.roc_metrics(sc, config.attack.fpr_cap)
+                        aucs.append(auc)
+                        tprs.append(tpr)
                     fh.write(
                         f"{method},{t},{_fmt(float(np.mean(aucs)))},{_fmt(float(np.mean(tprs)))}\n"
                     )

@@ -49,16 +49,20 @@ class RocCurve:
 
 
 def roc(cohort: ScoredCohort) -> RocCurve:
-    """Sweep every distinct score as a threshold, classifying score > threshold."""
+    """Sweep every distinct score as a threshold, classifying score > threshold.
+
+    One descending sort: the point at a threshold counts the members and
+    non-members ranked before that score's tie group.
+    """
     pos = int(cohort.is_member.sum())
     neg = len(cohort.is_member) - pos
-    thresholds = np.unique(cohort.scores)[::-1]
+    order = np.argsort(-cohort.scores, kind="stable")
+    ranked = cohort.scores[order]
+    tp = np.concatenate(([0], np.cumsum(cohort.is_member[order])))
+    fp = np.arange(len(ranked) + 1) - tp
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     points: list[tuple[float, float]] = [(0.0, 0.0)]
-    for th in thresholds:
-        called = cohort.scores > th
-        tp = int(np.count_nonzero(called & cohort.is_member))
-        fp = int(np.count_nonzero(called & ~cohort.is_member))
-        pt = (fp / neg, tp / pos)
+    for pt in zip((fp[starts] / neg).tolist(), (tp[starts] / pos).tolist()):
         if pt != points[-1]:
             points.append(pt)
     if points[-1] != (1.0, 1.0):
@@ -66,13 +70,27 @@ def roc(cohort: ScoredCohort) -> RocCurve:
     return RocCurve(tuple(points))
 
 
-def auc(cohort: ScoredCohort) -> float:
-    """Trapezoidal area under the ROC (equals the pair statistic, ties at 1/2)."""
-    pts = roc(cohort).points
+def _area(curve: RocCurve) -> float:
+    pts = curve.points
     area = 0.0
     for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
         area += (x2 - x1) * (y1 + y2) / 2.0
     return area
+
+
+def _best_point(curve: RocCurve, fpr_cap: float) -> tuple[float, float]:
+    if not (0 <= fpr_cap < 1):
+        raise ParameterError(f"fpr_cap must be in [0, 1), got {fpr_cap}")
+    best = (0.0, 0.0)
+    for fpr, tpr in curve.points:
+        if fpr <= fpr_cap and (tpr > best[0] or (tpr == best[0] and fpr < best[1])):
+            best = (tpr, fpr)
+    return best
+
+
+def auc(cohort: ScoredCohort) -> float:
+    """Trapezoidal area under the ROC (equals the pair statistic, ties at 1/2)."""
+    return _area(roc(cohort))
 
 
 def tpr_at_fpr(cohort: ScoredCohort, fpr_cap: float) -> float:
@@ -87,13 +105,14 @@ def operating_point(cohort: ScoredCohort, fpr_cap: float) -> tuple[float, float]
     The achieved FPR is reported because small cohorts cannot realize
     very low caps exactly.
     """
-    if not (0 <= fpr_cap < 1):
-        raise ParameterError(f"fpr_cap must be in [0, 1), got {fpr_cap}")
-    best = (0.0, 0.0)
-    for fpr, tpr in roc(cohort).points:
-        if fpr <= fpr_cap and (tpr > best[0] or (tpr == best[0] and fpr < best[1])):
-            best = (tpr, fpr)
-    return best
+    return _best_point(roc(cohort), fpr_cap)
+
+
+def roc_metrics(cohort: ScoredCohort, fpr_cap: float) -> tuple[float, float, float]:
+    """(AUC, TPR, achieved FPR) of ``auc`` and ``operating_point`` from one ROC."""
+    curve = roc(cohort)
+    tpr, achieved = _best_point(curve, fpr_cap)
+    return _area(curve), tpr, achieved
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against the definitions, not the
 implementations under test: quadrature instead of erf, exhaustive pair
-counting instead of a threshold sweep, Monte Carlo instead of the sweep
-line, central differences instead of backprop.
+counting instead of a threshold sweep, a threshold-by-threshold ROC
+instead of one sort, Monte Carlo instead of the sweep line, central
+differences instead of backprop.
 """
 
 from __future__ import annotations
@@ -36,6 +37,23 @@ def pairwise_auc(scores: np.ndarray, is_member: np.ndarray) -> float:
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def roc_threshold_loop(scores: np.ndarray, is_member: np.ndarray) -> tuple:
+    """ROC points by re-classifying the cohort at every distinct score, O(n^2)."""
+    pos = int(is_member.sum())
+    neg = len(is_member) - pos
+    points: list[tuple[float, float]] = [(0.0, 0.0)]
+    for th in np.unique(scores)[::-1]:
+        called = scores > th
+        tp = int(np.count_nonzero(called & is_member))
+        fp = int(np.count_nonzero(called & ~is_member))
+        pt = (fp / neg, tp / pos)
+        if pt != points[-1]:
+            points.append(pt)
+    if points[-1] != (1.0, 1.0):
+        points.append((1.0, 1.0))
+    return tuple(points)
 
 
 def mc_hypervolume(

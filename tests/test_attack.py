@@ -9,6 +9,7 @@ from fedaudit.errors import (
     ConfigError,
     ContractError,
     InsufficientClientsError,
+    ParameterError,
     ZeroVectorError,
 )
 from fedaudit.numstat import RngStream
@@ -35,51 +36,56 @@ class TestMeasure:
     def _trace(self, updates):
         return make_toy_trace([np.stack(updates)], [self.params], SPEC2, lr_eff=0.1)
 
+    def _measure(self, trace, kind, sample=None):
+        """(T, K) measurements of one record."""
+        s = sample or self.sample
+        return atk.measure_cohort(trace, s.x[None, :], np.array([s.y]), kind)[0]
+
     def test_parallel_update_cosine_one(self):
         trace = self._trace([3.0 * self.g, self.orth])
-        m = atk.measure(trace, self.sample, "cosine")
-        assert m.values[0, 0] == pytest.approx(1.0, abs=1e-12)
+        m = self._measure(trace, "cosine")
+        assert m[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_update_cosine_zero(self):
         trace = self._trace([3.0 * self.g, self.orth])
-        m = atk.measure(trace, self.sample, "cosine")
-        assert m.values[0, 1] == pytest.approx(0.0, abs=1e-12)
+        m = self._measure(trace, "cosine")
+        assert m[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_45_degree_update(self):
         u = self.g / np.linalg.norm(self.g) + self.orth / np.linalg.norm(self.orth)
         trace = self._trace([u, self.g])
-        m = atk.measure(trace, self.sample, "cosine")
-        assert m.values[0, 0] == pytest.approx(0.707107, abs=1e-6)
+        m = self._measure(trace, "cosine")
+        assert m[0, 0] == pytest.approx(0.707107, abs=1e-6)
 
     def test_grad_norm_kind(self):
         trace = self._trace([3.0 * self.g, self.orth])
-        m = atk.measure(trace, self.sample, "grad_norm")
-        assert m.values[0, 0] == pytest.approx(3.0 * np.linalg.norm(self.g))
+        m = self._measure(trace, "grad_norm")
+        assert m[0, 0] == pytest.approx(3.0 * np.linalg.norm(self.g))
 
     def test_loss_kind_matches_reconstructed_model(self):
         u = 2.0 * self.g
         trace = self._trace([u, self.orth])
-        m = atk.measure(trace, self.sample, "loss")
+        m = self._measure(trace, "loss")
         local = self.params - 0.1 * u
-        assert m.values[0, 0] == pytest.approx(mdl.loss(SPEC2, local, self.sample), abs=1e-12)
+        assert m[0, 0] == pytest.approx(mdl.loss(SPEC2, local, self.sample), abs=1e-12)
 
     def test_grad_diff_kind(self):
         u = 2.0 * self.g
         trace = self._trace([u, self.orth])
-        m = atk.measure(trace, self.sample, "grad_diff")
-        assert m.values[0, 0] == pytest.approx(float(u @ self.g), rel=1e-12)
+        m = self._measure(trace, "grad_diff")
+        assert m[0, 0] == pytest.approx(float(u @ self.g), rel=1e-12)
 
     def test_zero_update_measures_zero_cosine(self):
         trace = self._trace([np.zeros_like(self.g), self.g])
-        m = atk.measure(trace, self.sample, "cosine")
-        assert m.values[0, 0] == 0.0
+        m = self._measure(trace, "cosine")
+        assert m[0, 0] == 0.0
 
     def test_zero_target_gradient_rejected(self):
         spec = mdl.ModelSpec("linear_softmax", input_dim=1, num_classes=2)
         saturated = np.array([1000.0, -1000.0, 0.0, 0.0])
         trace = make_toy_trace([np.ones((2, 4))], [saturated], spec)
         with pytest.raises(ZeroVectorError):
-            atk.measure(trace, mdl.LabeledSample(np.array([1.0]), 0), "cosine")
+            self._measure(trace, "cosine", mdl.LabeledSample(np.array([1.0]), 0))
 
     def test_grad_diff_equals_cosine_times_norms(self, tiny_trace):
         g = RngStream(2).generator()
@@ -187,6 +193,10 @@ class TestScoreRound:
         assert atk.score_temporal([0.7]) == 0.7
 
 
+def _arrays(targets):
+    return np.stack([t.x for t in targets]), np.array([t.y for t in targets])
+
+
 def _planted_trace_and_targets(num_targets=6, rounds=3, clients=4):
     """Target client's update IS the first target's gradient every round."""
     spec = mdl.ModelSpec("linear_softmax", input_dim=4, num_classes=3)
@@ -206,38 +216,45 @@ def _planted_trace_and_targets(num_targets=6, rounds=3, clients=4):
     return make_toy_trace(updates_, globals_, spec), targets
 
 
+def _fedmia(trace, targets, target_client, variant, delta):
+    """Scores and decision sets at one threshold for a list of records."""
+    ids = range(len(targets))
+    scores = atk.fedmia_scores(trace, *_arrays(targets), ids, target_client, variant)
+    return scores, atk.decision_sets(scores, delta)
+
+
 class TestFedmia:
     def test_planted_member_ranks_first(self):
         trace, targets = _planted_trace_and_targets()
-        scores, _ = atk.fedmia(trace, targets, target_client=0, variant="II", delta=0.5)
+        scores, _ = _fedmia(trace, targets, target_client=0, variant="II", delta=0.5)
         agg = [scores[i].aggregate for i in range(len(targets))]
         assert all(agg[0] > a for a in agg[1:])
 
     def test_delta_above_one_empty(self):
         trace, targets = _planted_trace_and_targets()
-        _, sets = atk.fedmia(trace, targets, 0, "II", delta=1.5)
+        _, sets = _fedmia(trace, targets, 0, "II", delta=1.5)
         assert sets.aggregate == frozenset()
 
     def test_delta_below_zero_all(self):
         trace, targets = _planted_trace_and_targets()
-        _, sets = atk.fedmia(trace, targets, 0, "II", delta=-0.5)
+        _, sets = _fedmia(trace, targets, 0, "II", delta=-0.5)
         assert sets.aggregate == frozenset(range(len(targets)))
 
     def test_aggregate_is_mean_of_rounds(self):
         trace, targets = _planted_trace_and_targets()
-        scores, _ = atk.fedmia(trace, targets, 0, "II", delta=0.5)
+        scores, _ = _fedmia(trace, targets, 0, "II", delta=0.5)
         for s in scores.values():
             assert s.aggregate == pytest.approx(float(np.mean(s.per_round)), abs=1e-12)
 
     def test_variant_i_runs_member_low(self):
         trace, targets = _planted_trace_and_targets()
-        scores, _ = atk.fedmia(trace, targets, 0, "I", delta=0.5)
+        scores, _ = _fedmia(trace, targets, 0, "I", delta=0.5)
         assert all(0.0 <= s.aggregate <= 1.0 for s in scores.values())
 
     def test_scale_invariance_of_variant_ii(self):
         trace, targets = _planted_trace_and_targets()
-        scores, sets = atk.fedmia(trace, targets, 0, "II", delta=0.6)
-        scaled_scores, scaled_sets = atk.fedmia(
+        scores, sets = _fedmia(trace, targets, 0, "II", delta=0.6)
+        scaled_scores, scaled_sets = _fedmia(
             trace.scaled_updates(3.7), targets, 0, "II", delta=0.6
         )
         for i in scores:
@@ -248,12 +265,85 @@ class TestFedmia:
     def test_bad_variant(self):
         trace, targets = _planted_trace_and_targets()
         with pytest.raises(ConfigError):
-            atk.fedmia(trace, targets, 0, "III", delta=0.5)
+            _fedmia(trace, targets, 0, "III", delta=0.5)
 
     def test_needs_three_clients(self):
         trace, targets = _planted_trace_and_targets(clients=2)
         with pytest.raises(InsufficientClientsError):
-            atk.fedmia(trace, targets, 0, "II", delta=0.5)
+            _fedmia(trace, targets, 0, "II", delta=0.5)
+
+
+def _filter_trace(nan_at=None, clients=14, rounds=4):
+    """K=14 trace on which the 3-sigma filter bites, plus its 8 records.
+
+    Non-target uploads share one direction, so their measurements are tight
+    and a planted upload along a record's gradient is an outlier: high for
+    cosine, low for loss (client 3), and the mirror image (client 7). Round
+    1 has a zero-norm upload (client 5). In round 2 every non-target upload
+    is the same, so the null collapses to the variance floor, and the
+    target's upload is within about one floor width of them. ``nan_at``
+    puts a NaN into round 1's "upload" of client 4 or its "global" model.
+    """
+    spec = mdl.ModelSpec("linear_softmax", input_dim=4, num_classes=3)
+    g = RngStream(91).generator()
+    x, y = g.standard_normal((8, 4)), g.integers(3, size=8)
+    globals_, updates_ = [], []
+    for t in range(rounds):
+        params = 0.3 * g.standard_normal(spec.param_count())
+        u = g.standard_normal(spec.param_count()) + 0.05 * g.standard_normal(
+            (clients, spec.param_count())
+        )
+        if t == 2:
+            u[1:] = u[1]
+            u[0] = u[1] + 1e-9 * g.standard_normal(spec.param_count())
+        else:
+            grads = mdl.grad_samples(spec, params, x, y)
+            u[3], u[7] = 5.0 * grads[t], -5.0 * grads[t + 4]
+        if t == 1:
+            u[5] = 0.0
+            if nan_at == "upload":
+                u[4, 0] = np.nan
+            elif nan_at == "global":
+                params[0] = np.nan
+        globals_.append(params)
+        updates_.append(u)
+    return make_toy_trace(updates_, globals_, spec), x, y
+
+
+class TestVectorisedNullMatchesScalar:
+    """fedmia_scores against estimate_out + score_round, record by record."""
+
+    @pytest.mark.parametrize("leave_one_out", [False, True])
+    @pytest.mark.parametrize("variant", ["I", "II"])
+    def test_bit_exact_where_the_filter_drops(self, variant, leave_one_out):
+        trace, x, y = _filter_trace()
+        kind, orient = ("loss", "member_low") if variant == "I" else ("cosine", "member_high")
+        got = atk.fedmia_scores(trace, x, y, range(len(y)), 0, variant, leave_one_out=leave_one_out)
+        values = atk.measure_cohort(trace, x, y, kind)
+        rows = len(y) * trace.num_rounds
+        dropped = floored = 0
+        for i in range(len(y)):
+            matrix = atk.MeasurementMatrix(i, 0, values[i])
+            ref = []
+            for t in range(trace.num_rounds):
+                out = atk.estimate_out(matrix, t, orient, leave_one_out)
+                dropped += len(out.kept_clients) < trace.num_clients - 1
+                floored += out.v_out == 0.0
+                ref.append(atk.score_round(values[i, t, 0], out, orient))
+            assert got[i].per_round.tobytes() == np.array(ref).tobytes()
+            assert got[i].aggregate == atk.score_temporal(ref)
+        assert 0 < dropped < rows  # rows on the fast path and rows with drops
+        assert floored >= len(y)  # round 2 collapses the null for every record
+
+    @pytest.mark.parametrize("variant,nan_at", [("I", "upload"), ("II", "global")])
+    def test_nan_measurement_rejected(self, variant, nan_at):
+        trace, x, y = _filter_trace(nan_at)
+        with pytest.raises(ParameterError):
+            atk.fedmia_scores(trace, x, y, range(len(y)), 0, variant)
+        kind = "loss" if variant == "I" else "cosine"
+        matrix = atk.MeasurementMatrix(0, 0, atk.measure_cohort(trace, x, y, kind)[0])
+        with pytest.raises(ParameterError):
+            atk.estimate_out(matrix, 1, atk.DEFAULT_ORIENTATION[kind])
 
 
 class TestDecisionSetsInclusion:
@@ -310,23 +400,24 @@ class TestBaselines:
         trace = make_toy_trace(
             [np.ones((3, 6)), np.ones((3, 6))], [params, params], spec, final_model=params
         )
-        deep = mdl.LabeledSample(np.array([50.0, 0.0]), 0)  # huge correct margin
-        shallow = mdl.LabeledSample(np.array([0.05, 0.0]), 0)
-        wrong = mdl.LabeledSample(np.array([-0.5, 0.0]), 0)
-        out = atk.baselines(trace, [deep, shallow, wrong], 0, methods=["loss_series"])
+        deep = [50.0, 0.0]  # huge correct margin
+        shallow = [0.05, 0.0]
+        wrong = [-0.5, 0.0]
+        x, y = np.array([deep, shallow, wrong]), np.zeros(3, dtype=int)
+        out = atk.baselines(trace, x, y, 0, methods=["loss_series"])
         scores = out["loss_series"]
         assert scores[0] == max(scores.values())
         assert scores[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_round_avg_equals_grad_cosine(self):
         trace, targets = _planted_trace_and_targets(rounds=1)
-        out = atk.baselines(trace, targets, 0, methods=["grad_cosine", "avg_cosine"])
+        out = atk.baselines(trace, *_arrays(targets), 0, methods=["grad_cosine", "avg_cosine"])
         for i in range(len(targets)):
             assert out["grad_cosine"][i] == pytest.approx(out["avg_cosine"][i], abs=1e-15)
 
     def test_grad_norm_is_record_independent(self):
         trace, targets = _planted_trace_and_targets()
-        out = atk.baselines(trace, targets, 0, methods=["grad_norm"])
+        out = atk.baselines(trace, *_arrays(targets), 0, methods=["grad_norm"])
         vals = set(out["grad_norm"].values())
         assert len(vals) == 1
         expected = -float(np.linalg.norm(trace.rounds[-1].updates[0]))
@@ -334,7 +425,7 @@ class TestBaselines:
 
     def test_blackbox_uses_final_model(self):
         trace, targets = _planted_trace_and_targets()
-        out = atk.baselines(trace, targets, 0, methods=["blackbox_loss"])
+        out = atk.baselines(trace, *_arrays(targets), 0, methods=["blackbox_loss"])
         for i, t in enumerate(targets):
             expected = -mdl.loss(trace.model_spec, trace.final_model, t)
             assert out["blackbox_loss"][i] == pytest.approx(expected, abs=1e-12)
@@ -342,11 +433,11 @@ class TestBaselines:
     def test_unknown_method(self):
         trace, targets = _planted_trace_and_targets()
         with pytest.raises(ConfigError):
-            atk.baselines(trace, targets, 0, methods=["shadow_model"])
+            atk.baselines(trace, *_arrays(targets), 0, methods=["shadow_model"])
 
     def test_requested_order_preserved(self):
         trace, targets = _planted_trace_and_targets()
-        out = atk.baselines(trace, targets, 0, methods=["grad_diff", "blackbox_loss"])
+        out = atk.baselines(trace, *_arrays(targets), 0, methods=["grad_diff", "blackbox_loss"])
         assert list(out) == ["grad_diff", "blackbox_loss"]
 
 

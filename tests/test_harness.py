@@ -169,6 +169,9 @@ class TestRunExperiment:
         out = hns.run_experiment(cfg, str(tmp_path / "out"), seed_override=7)
         rows = list(csv.DictReader(open(os.path.join(out, "metrics.csv"))))
         assert [r["seed"] for r in rows] == ["7"]
+        report = json.load(open(os.path.join(out, "report.json")))
+        assert report["config"]["seeds"] == [7]  # the seeds that ran
+        assert hns.main(["plots", out]) == 0
 
     def test_inclusion_checks_recorded(self, tmp_path):
         cfg = hns.ExperimentConfig.from_dict(micro_config_dict())

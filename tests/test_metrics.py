@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from fedaudit import metrics as met
 from fedaudit.errors import CohortError, EmptySampleError, ParameterError, ReferencePointError
-from helpers import mc_hypervolume, pairwise_auc
+from helpers import mc_hypervolume, pairwise_auc, roc_threshold_loop
 
 score_lists = st.lists(st.floats(-10, 10), min_size=1, max_size=30)
+# Few distinct values, signed zeros included: ROC sweeps full of ties.
+tied_lists = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 3.0]), min_size=1, max_size=40)
 
 
 def cohort(members, nonmembers):
@@ -64,6 +66,30 @@ class TestRoc:
         assert pts[-1] == (1.0, 1.0)
         for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
             assert x2 >= x1 and y2 >= y1
+
+
+    @given(members=score_lists | tied_lists, nonmembers=score_lists | tied_lists)
+    @settings(max_examples=300)
+    def test_sort_sweep_equals_threshold_loop(self, members, nonmembers):
+        c = cohort(members, nonmembers)
+        assert met.roc(c).points == roc_threshold_loop(c.scores, c.is_member)
+
+    def test_sort_sweep_equals_threshold_loop_large_cohorts(self):
+        for seed in range(100):
+            c = random_cohort(seed)
+            assert met.roc(c).points == roc_threshold_loop(c.scores, c.is_member)
+
+
+class TestRocMetrics:
+    def test_equals_separate_calls(self):
+        for seed in range(50):
+            c = random_cohort(seed)
+            for cap in (0.0, 0.01, 0.1, 0.5):
+                assert met.roc_metrics(c, cap) == (met.auc(c), *met.operating_point(c, cap))
+
+    def test_cap_out_of_range(self):
+        with pytest.raises(ParameterError):
+            met.roc_metrics(cohort([1.0], [0.0]), 1.0)
 
 
 class TestAuc:
