@@ -29,7 +29,7 @@ class ConfigError(FedAuditError, ValueError):
     """Invalid or inconsistent configuration."""
 
 
-class InsufficientDataError(FedAuditError, ValueError):
+class InsufficientDataError(ConfigError):
     """Not enough samples to satisfy the requested partition."""
 
 
@@ -37,8 +37,8 @@ class InsufficientClientsError(FedAuditError, ValueError):
     """Fewer clients than the attack statistics require."""
 
 
-class DataFormatError(FedAuditError, ValueError):
-    """A data file could not be parsed; the message names the line."""
+class DataFormatError(ConfigError):
+    """A data file could not be read or parsed; parse errors name the line."""
 
 
 class CohortError(FedAuditError, ValueError):

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .model import ModelSpec
 from .numstat import RngStream
+from .schema import Codec, check_keys, decode, dump, load
 
 UPDATE_DEFENSES = ("perturb", "quantize", "sparsify")
 DATA_DEFENSES = ("mixup", "augment", "sample", "augment_and_sample")
@@ -55,10 +56,12 @@ TAG_CLIENT = 2
 TAG_DEFENSE = 3
 
 TRACE_SCHEMA_VERSION = 1
+_META_KEYS = ("schema_version", "model", "num_clients", "num_rounds", "dim", "seed", "defense",
+              "lr_effective", "round_accuracy")
 
 
 @dataclass(frozen=True)
-class DefenseConfig:
+class DefenseConfig(Codec):
     """One defense and its parameters; ranges follow the evaluated grids."""
 
     kind: str = "none"
@@ -103,28 +106,7 @@ class DefenseConfig:
         return self.kind in DATA_DEFENSES
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        for name in ("clip_norm", "noise_std", "bits", "rate", "alpha", "portion"):
-            v = getattr(self, name)
-            if v is not None:
-                d[name] = v
-        if self.augment_ops is not None:
-            d["augment_ops"] = {
-                "flip_h": self.augment_ops.flip_h,
-                "shift": self.augment_ops.shift,
-                "noise_std": self.augment_ops.noise_std,
-            }
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DefenseConfig":
-        d = dict(d)
-        ops = d.pop("augment_ops", None)
-        known = {"kind", "clip_norm", "noise_std", "bits", "rate", "alpha", "portion"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown defense keys: {sorted(unknown)}")
-        return cls(augment_ops=AugmentOps(**ops) if ops is not None else None, **d)
+        return {k: v for k, v in super().to_dict().items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -411,26 +393,12 @@ def run_federation(
 # --------------------------------------------------------------------------
 
 
-def _model_spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "input_dim": spec.input_dim,
-        "hidden_dim": spec.hidden_dim,
-        "num_classes": spec.num_classes,
-        "init_std": spec.init_std,
-    }
-
-
-def _model_spec_from_dict(d: dict) -> ModelSpec:
-    return ModelSpec(**d)
-
-
 def save_trace(trace: UpdateTrace, trace_dir: str) -> None:
     """Persist a trace; formats documented above."""
     os.makedirs(trace_dir, exist_ok=True)
     meta = {
         "schema_version": TRACE_SCHEMA_VERSION,
-        "model": _model_spec_to_dict(trace.model_spec),
+        "model": dump(trace.model_spec),
         "num_clients": trace.num_clients,
         "num_rounds": trace.num_rounds,
         "dim": trace.dim,
@@ -470,14 +438,24 @@ def load_trace(trace_dir: str) -> UpdateTrace:
             meta = json.load(fh)
     except json.JSONDecodeError as exc:
         raise IntegrityError(f"corrupt trace file {meta_path}: {exc}") from exc
-    if meta.get("schema_version") != TRACE_SCHEMA_VERSION:
-        raise IntegrityError(f"unsupported trace schema: {meta.get('schema_version')}")
-    spec = _model_spec_from_dict(meta["model"])
-    k, t, d = meta["num_clients"], meta["num_rounds"], meta["dim"]
+    if not isinstance(meta, dict) or meta.get("schema_version") != TRACE_SCHEMA_VERSION:
+        raise IntegrityError(f"unsupported trace schema in {meta_path}")
+    try:
+        check_keys(meta, _META_KEYS, _META_KEYS, "trace_meta")
+        spec = load(ModelSpec, meta["model"], "model")
+        defense = DefenseConfig.from_dict(meta["defense"], "defense")
+        k, t, d, seed = (
+            decode(int, meta[key], key) for key in ("num_clients", "num_rounds", "dim", "seed")
+        )
+        lr_sched = decode(tuple[float, ...], meta["lr_effective"], "lr_effective")
+        accuracy = meta["round_accuracy"]  # NaN when the run had no holdout
+        if not isinstance(accuracy, list) or any(type(a) not in (int, float) for a in accuracy):
+            raise ConfigError(f"round_accuracy: must be a list of numbers, got {accuracy!r}")
+    except (ConfigError, ParameterError) as exc:
+        raise IntegrityError(f"corrupt trace file {meta_path}: {exc}") from exc
     if spec.param_count() != d:
         raise IntegrityError(f"model spec implies dim {spec.param_count()}, meta says {d}")
-    lr_sched = meta["lr_effective"]
-    if len(lr_sched) != t or len(meta["round_accuracy"]) != t:
+    if len(lr_sched) != t or len(accuracy) != t:
         raise IntegrityError("lr_effective/round_accuracy length does not match num_rounds")
     rounds = []
     for i in range(t):
@@ -489,7 +467,7 @@ def load_trace(trace_dir: str) -> UpdateTrace:
         model_spec=spec,
         rounds=rounds,
         final_model=final,
-        round_accuracy=[float(a) for a in meta["round_accuracy"]],
-        defense=DefenseConfig.from_dict(meta["defense"]),
-        seed=int(meta["seed"]),
+        round_accuracy=[float(a) for a in accuracy],
+        defense=defense,
+        seed=seed,
     )

@@ -22,10 +22,18 @@ Everything except report.json timestamps is a pure function of
 and replaying a persisted trace reproduces the inline attack results
 bit-exactly.
 
+Configs are strict JSON, decoded by ``fedaudit.schema`` against the
+config dataclasses below: a field without a default is a required key.
+Unknown or missing keys, wrong-typed values and NaN/Infinity (except
+``partition.beta: "inf"``) are config errors raised before any training,
+as are data inputs that cannot be read or that are too small for the
+partition.
+
 CLI: ``run <config>``, ``replay <trace_dir> <attack_config>``,
 ``report <report_dir>``, ``plots <report_dir>`` with ``--out``,
 ``--seed-override`` and ``--jobs``. Exit codes: 0 ok, 2 config error,
-3 integrity error, 4 runtime failure. The ``FEDAUDIT_OUT`` environment
+3 integrity error (missing, corrupt or malformed artifact, including
+trace metadata), 4 runtime failure. The ``FEDAUDIT_OUT`` environment
 variable supplies the default output root.
 """
 
@@ -36,7 +44,6 @@ import csv
 import datetime
 import hashlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +59,7 @@ from . import metrics as met
 from . import model as mdl
 from .errors import ConfigError, FedAuditError, IntegrityError
 from .numstat import RngStream
+from .schema import Codec, FloatOrInf, check_keys, decode, dump_value, field_types
 
 ENV_OUT = "FEDAUDIT_OUT"
 CONFIG_SCHEMA_VERSION = 1
@@ -69,22 +77,13 @@ METRICS_HEADER = (
 SCORES_HEADER = "method,sample_id,is_member_truth,score"
 
 
-def _require_keys(d: dict, path: str, allowed: set[str], required: set[str]) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    kind: str = "synthetic"
-    num_classes: int | None = 5
-    input_dim: int | None = 16
-    per_class: int | None = 130
-    class_sep: float | None = 1.0
+@dataclass(frozen=True, kw_only=True)
+class DatasetConfig(Codec):
+    kind: str
+    num_classes: int | None = None
+    input_dim: int | None = None
+    per_class: int | None = None
+    class_sep: float | None = None
     csv_path: str | None = None
     geometry: tuple[int, int] | None = None
 
@@ -99,43 +98,14 @@ class DatasetConfig:
             if not self.csv_path:
                 raise ConfigError("dataset.csv_path is required for csv data")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetConfig":
-        _require_keys(
-            d, "dataset",
-            {"kind", "num_classes", "input_dim", "per_class", "class_sep", "csv_path", "geometry"},
-            {"kind"},
-        )
-        geom = d.get("geometry")
-        return cls(
-            kind=d["kind"],
-            num_classes=d.get("num_classes"),
-            input_dim=d.get("input_dim"),
-            per_class=d.get("per_class"),
-            class_sep=d.get("class_sep"),
-            csv_path=d.get("csv_path"),
-            geometry=tuple(geom) if geom is not None else None,
-        )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "num_classes": self.num_classes,
-            "input_dim": self.input_dim,
-            "per_class": self.per_class,
-            "class_sep": self.class_sep,
-            "csv_path": self.csv_path,
-            "geometry": list(self.geometry) if self.geometry is not None else None,
-        }
-
-
-@dataclass(frozen=True)
-class PartitionConfig:
-    kind: str = "iid"
-    clients: int = 10
-    per_client: int | None = 100
-    holdout: int = 200
-    beta: float | None = None
+@dataclass(frozen=True, kw_only=True)
+class PartitionConfig(Codec):
+    kind: str
+    clients: int
+    per_client: int | None = None
+    holdout: int
+    beta: FloatOrInf | None = None
     nonmember_source: str = "holdout"
     holdout_fraction: float = 0.1
     others_fraction: float = 0.1
@@ -155,101 +125,32 @@ class PartitionConfig:
                 f"got {self.nonmember_source!r}"
             )
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PartitionConfig":
-        _require_keys(
-            d, "partition",
-            {"kind", "clients", "per_client", "holdout", "beta", "nonmember_source",
-             "holdout_fraction", "others_fraction"},
-            {"kind", "clients", "holdout"},
-        )
-        beta = d.get("beta")
-        if isinstance(beta, str):
-            if beta != "inf":
-                raise ConfigError(f"partition.beta string must be 'inf', got {beta!r}")
-            beta = math.inf
-        return cls(
-            kind=d["kind"],
-            clients=d["clients"],
-            per_client=d.get("per_client"),
-            holdout=d["holdout"],
-            beta=beta,
-            nonmember_source=d.get("nonmember_source", "holdout"),
-            holdout_fraction=d.get("holdout_fraction", 0.1),
-            others_fraction=d.get("others_fraction", 0.1),
-        )
 
-    def to_dict(self) -> dict:
-        beta = self.beta
-        if beta is not None and math.isinf(beta):
-            beta = "inf"
-        return {
-            "kind": self.kind,
-            "clients": self.clients,
-            "per_client": self.per_client,
-            "holdout": self.holdout,
-            "beta": beta,
-            "nonmember_source": self.nonmember_source,
-            "holdout_fraction": self.holdout_fraction,
-            "others_fraction": self.others_fraction,
-        }
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    kind: str = "mlp"
-    hidden_dim: int = 32
+@dataclass(frozen=True, kw_only=True)
+class ModelConfig(Codec):
+    kind: str
+    hidden_dim: int | None = None  # None: 32 for mlp, 0 otherwise
     init_std: float = 0.1
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        _require_keys(d, "model", {"kind", "hidden_dim", "init_std"}, {"kind"})
-        return cls(
-            kind=d["kind"],
-            hidden_dim=d.get("hidden_dim", 32 if d["kind"] == "mlp" else 0),
-            init_std=d.get("init_std", 0.1),
-        )
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "hidden_dim": self.hidden_dim, "init_std": self.init_std}
+    def __post_init__(self) -> None:
+        if self.hidden_dim is None:
+            object.__setattr__(self, "hidden_dim", 32 if self.kind == "mlp" else 0)
 
 
-@dataclass(frozen=True)
-class FederationConfig:
-    rounds: int = 50
+@dataclass(frozen=True, kw_only=True)
+class FederationConfig(Codec):
+    """The ``fed.FedConfig`` hyperparameters, under the same names."""
+
+    rounds: int
     local_epochs: int = 3
     lr: float = 0.1
     lr_decay: float = 0.99
     batch_size: int = 32
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FederationConfig":
-        _require_keys(
-            d, "federation",
-            {"rounds", "local_epochs", "lr", "lr_decay", "batch_size"},
-            {"rounds"},
-        )
-        return cls(
-            rounds=d["rounds"],
-            local_epochs=d.get("local_epochs", 3),
-            lr=d.get("lr", 0.1),
-            lr_decay=d.get("lr_decay", 0.99),
-            batch_size=d.get("batch_size", 32),
-        )
 
-    def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "local_epochs": self.local_epochs,
-            "lr": self.lr,
-            "lr_decay": self.lr_decay,
-            "batch_size": self.batch_size,
-        }
-
-
-@dataclass(frozen=True)
-class AttackSuiteConfig:
-    methods: tuple[str, ...] = ("fedmia_ii",)
+@dataclass(frozen=True, kw_only=True)
+class AttackSuiteConfig(Codec):
+    methods: tuple[str, ...]
     delta_grid: tuple[float, ...] = (0.5, 0.7, 0.9)
     fpr_cap: float = 0.01
     target_client: int = 0
@@ -268,71 +169,50 @@ class AttackSuiteConfig:
         if self.targets_per_class < 1:
             raise ConfigError("attack.targets_per_class must be >= 1")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttackSuiteConfig":
-        _require_keys(
-            d, "attack",
-            {"methods", "delta_grid", "fpr_cap", "target_client", "targets_per_class",
-             "sigma_floor_rel", "leave_one_out"},
-            {"methods"},
-        )
-        return cls(
-            methods=tuple(d["methods"]),
-            delta_grid=tuple(d.get("delta_grid", (0.5, 0.7, 0.9))),
-            fpr_cap=d.get("fpr_cap", 0.01),
-            target_client=d.get("target_client", 0),
-            targets_per_class=d.get("targets_per_class", 200),
-            sigma_floor_rel=d.get("sigma_floor_rel", atk.SIGMA_FLOOR_REL),
-            leave_one_out=d.get("leave_one_out", False),
-        )
 
-    def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "delta_grid": list(self.delta_grid),
-            "fpr_cap": self.fpr_cap,
-            "target_client": self.target_client,
-            "targets_per_class": self.targets_per_class,
-            "sigma_floor_rel": self.sigma_floor_rel,
-            "leave_one_out": self.leave_one_out,
-        }
-
-
-_SWEEP_KEYS = {
-    "defense", "clip_norm", "noise_std", "bits", "rate", "alpha", "portion",
-    "flip_h", "shift", "augment_noise_std",
-}
+def _sweep_types() -> dict[str, object]:
+    """Sweep key -> annotation of the DefenseConfig / AugmentOps field it sets."""
+    types = dict(field_types(fed.DefenseConfig))
+    ops = field_types(dat.AugmentOps)
+    types.update(defense=types.pop("kind"), flip_h=ops["flip_h"], shift=ops["shift"],
+                 augment_noise_std=ops["noise_std"])
+    del types["augment_ops"]
+    return types
 
 
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Codec):
     """A defense kind with at most one list-valued parameter (the sweep axis)."""
 
     defense: str = "none"
     params: tuple[tuple[str, object], ...] = ()
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SweepConfig":
-        _require_keys(d, "sweep", _SWEEP_KEYS, {"defense"})
-        kind = d["defense"]
+    def from_dict(cls, d: object, path: str = "sweep") -> "SweepConfig":
+        types = _sweep_types()
+        check_keys(d, types, {"defense"}, path)
+        kind = decode(str, d["defense"], f"{path}.defense")
         if kind not in fed.DEFENSE_KINDS:
-            raise ConfigError(f"sweep.defense: unknown kind {kind!r}")
-        params = tuple(sorted((k, v) for k, v in d.items() if k != "defense"))
-        axes = [k for k, v in params if isinstance(v, (list, tuple))]
+            raise ConfigError(f"{path}.defense: unknown kind {kind!r}")
+        params = tuple(
+            (k, decode(tuple[types[k], ...] if isinstance(v, (list, tuple)) else types[k], v,
+                       f"{path}.{k}"))
+            for k, v in sorted(d.items()) if k != "defense"
+        )
+        axes = [k for k, v in params if isinstance(v, tuple)]
         if len(axes) > 1:
-            raise ConfigError(f"sweep: at most one list-valued parameter, got {axes}")
+            raise ConfigError(f"{path}: at most one list-valued parameter, got {axes}")
+        if axes and not d[axes[0]]:
+            raise ConfigError(f"{path}.{axes[0]}: the sweep list must not be empty")
         return cls(defense=kind, params=params)
 
     def to_dict(self) -> dict:
-        out: dict = {"defense": self.defense}
-        for k, v in self.params:
-            out[k] = list(v) if isinstance(v, tuple) else v
-        return out
+        return {"defense": self.defense, **{k: dump_value(v) for k, v in self.params}}
 
     def expand(self) -> list[tuple[object, fed.DefenseConfig]]:
         """(sweep value, DefenseConfig) pairs; value None when nothing varies."""
         params = dict(self.params)
-        axis = next((k for k, v in params.items() if isinstance(v, (list, tuple))), None)
+        axis = next((k for k, v in params.items() if isinstance(v, tuple)), None)
         values = list(params[axis]) if axis else [None]
         out = []
         for v in values:
@@ -347,15 +227,10 @@ def _defense_from_params(kind: str, p: dict) -> fed.DefenseConfig:
     ops = None
     if kind in ("augment", "augment_and_sample"):
         ops = dat.AugmentOps(
-            flip_h=bool(p.pop("flip_h", False)),
-            shift=bool(p.pop("shift", False)),
+            flip_h=p.pop("flip_h", False),
+            shift=p.pop("shift", False),
             noise_std=float(p.pop("augment_noise_std", 0.0)),
         )
-    for stray in ("flip_h", "shift", "augment_noise_std"):
-        if stray in p:
-            raise ConfigError(f"sweep.{stray} only applies to augment defenses")
-    if kind == "none" and p:
-        raise ConfigError(f"sweep: defense 'none' takes no parameters, got {sorted(p)}")
     allowed = {
         "perturb": {"clip_norm", "noise_std"},
         "quantize": {"bits"},
@@ -372,17 +247,22 @@ def _defense_from_params(kind: str, p: dict) -> fed.DefenseConfig:
     return fed.DefenseConfig(kind=kind, augment_ops=ops, **p)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    partition: PartitionConfig = field(default_factory=PartitionConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    federation: FederationConfig = field(default_factory=FederationConfig)
-    attack: AttackSuiteConfig = field(default_factory=AttackSuiteConfig)
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(Codec):
+    schema_version: int
+    dataset: DatasetConfig
+    partition: PartitionConfig
+    model: ModelConfig
+    federation: FederationConfig
+    attack: AttackSuiteConfig
     sweep: SweepConfig = field(default_factory=SweepConfig)
-    seeds: tuple[int, ...] = (1,)
+    seeds: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.schema_version != CONFIG_SCHEMA_VERSION:
+            raise ConfigError(
+                f"schema_version must be {CONFIG_SCHEMA_VERSION}, got {self.schema_version}"
+            )
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
         needs_null = set(self.attack.methods) & set(atk.FEDMIA_METHODS)
@@ -391,51 +271,19 @@ class ExperimentConfig:
         if not (0 <= self.attack.target_client < self.partition.clients):
             raise ConfigError("attack.target_client out of range")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _require_keys(
-            d, "config",
-            {"schema_version", "dataset", "partition", "model", "federation",
-             "attack", "sweep", "seeds"},
-            {"schema_version", "dataset", "partition", "model", "federation",
-             "attack", "seeds"},
-        )
-        if d["schema_version"] != CONFIG_SCHEMA_VERSION:
-            raise ConfigError(
-                f"schema_version must be {CONFIG_SCHEMA_VERSION}, got {d['schema_version']}"
-            )
-        return cls(
-            dataset=DatasetConfig.from_dict(d["dataset"]),
-            partition=PartitionConfig.from_dict(d["partition"]),
-            model=ModelConfig.from_dict(d["model"]),
-            federation=FederationConfig.from_dict(d["federation"]),
-            attack=AttackSuiteConfig.from_dict(d["attack"]),
-            sweep=SweepConfig.from_dict(d.get("sweep", {"defense": "none"})),
-            seeds=tuple(d["seeds"]),
-        )
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "dataset": self.dataset.to_dict(),
-            "partition": self.partition.to_dict(),
-            "model": self.model.to_dict(),
-            "federation": self.federation.to_dict(),
-            "attack": self.attack.to_dict(),
-            "sweep": self.sweep.to_dict(),
-            "seeds": list(self.seeds),
-        }
+def _read_json(path: str) -> object:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(_read_json(path))
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -451,7 +299,10 @@ def config_hash(config: ExperimentConfig) -> str:
 def build_dataset(config: ExperimentConfig, seed: int) -> dat.Dataset:
     dc = config.dataset
     if dc.kind == "csv":
-        return dat.load_csv(dc.csv_path, dc.num_classes, dc.geometry)
+        try:
+            return dat.load_csv(dc.csv_path, dc.num_classes, dc.geometry)
+        except OSError as exc:
+            raise ConfigError(f"dataset.csv_path: cannot read {dc.csv_path}: {exc.strerror}") from None
     rng = RngStream(seed).derive(TAG_DATA)
     ds = dat.synth_blobs(rng, dc.num_classes, dc.input_dim, dc.per_class, dc.class_sep)
     if dc.geometry is not None:
@@ -655,16 +506,9 @@ def run_single(
         num_classes=dataset.num_classes,
         init_std=config.model.init_std,
     )
-    fc = config.federation
     fed_config = fed.FedConfig(
-        num_clients=config.partition.clients,
-        rounds=fc.rounds,
-        local_epochs=fc.local_epochs,
-        lr=fc.lr,
-        lr_decay=fc.lr_decay,
-        batch_size=fc.batch_size,
-        defense=defense,
-        seed=seed,
+        num_clients=config.partition.clients, defense=defense, seed=seed,
+        **config.federation.to_dict(),
     )
     cohort = select_targets(config, dataset, partition, seed)
     trace = fed.run_federation(dataset, partition, spec, fed_config)
@@ -1005,13 +849,7 @@ def main(argv: list[str] | None = None) -> int:
             run_experiment(config, out, args.seed_override, args.jobs)
             print(f"report written to {out}")
         elif args.command == "replay":
-            try:
-                with open(args.attack_config, "r", encoding="utf-8") as fh:
-                    ac = AttackSuiteConfig.from_dict(json.load(fh))
-            except FileNotFoundError:
-                raise ConfigError(f"attack config not found: {args.attack_config}") from None
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid attack config: {exc}") from exc
+            ac = AttackSuiteConfig.from_dict(_read_json(args.attack_config), "attack")
             rows = replay_attack(args.trace_dir, ac, args.out)
             for r in rows:
                 print(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -204,15 +203,6 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
     d1 = (delta @ w2) * (1.0 - a1 * a1)
     gw1 = d1.T @ x
     return np.concatenate([gw1.ravel(), d1.sum(axis=0), gw2.ravel(), delta.sum(axis=0)])
-
-
-def grad_batch_samples(spec: ModelSpec, params: np.ndarray, samples: Sequence[LabeledSample]) -> np.ndarray:
-    """grad_batch over a list of LabeledSample."""
-    if len(samples) == 0:
-        raise EmptySampleError("grad_batch of an empty batch")
-    x = np.stack([s.x for s in samples])
-    y = np.array([s.y for s in samples])
-    return grad_batch(spec, params, x, y)
 
 
 def sgd_epochs(

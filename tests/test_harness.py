@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedaudit import harness as hns
 from fedaudit.errors import ConfigError, IntegrityError
@@ -32,6 +38,9 @@ def micro_config_dict(**overrides):
         else:
             d[key] = value
     return d
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def write_config(tmp_path, d, name="config.json"):
@@ -95,6 +104,36 @@ class TestConfig:
         c = hns.ExperimentConfig.from_dict(micro_config_dict(seeds=[2]))
         assert hns.config_hash(c) != hns.config_hash(a)
 
+    @pytest.mark.parametrize("name, digest", [
+        ("default", "89c6d5bad003a7641a97ab3e4aa026088f7c92a1d1186ffadb6309b16e5a29da"),
+        ("perturb_sweep", "74f197b809b9350bbfe0152a94851feb096acb9e118bd0210ed8777267b92f30"),
+        ("quick", "f9f7b32ee1cd7b8b6cbd60e5fceb5fd647ce3eae739142c208b11ad09c1ce7ec"),
+        ("sparsify_sweep", "6111664611a3ec603fbd68a42a85cde6854b19e4fb8891dac3cc01a3b7e7a3c8"),
+    ])
+    def test_shipped_config_hash_pinned(self, name, digest):
+        cfg = hns.load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+        assert hns.config_hash(cfg) == digest
+        assert hns.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_int_stays_int_in_float_field(self):
+        d = micro_config_dict(federation={"lr": 1}, sweep={"defense": "perturb", "clip_norm": 1,
+                                                            "noise_std": [0, 0.5]})
+        cfg = hns.ExperimentConfig.from_dict(d)
+        assert cfg.to_dict()["federation"]["lr"] == 1
+        assert type(cfg.to_dict()["federation"]["lr"]) is int
+        assert [v for v, _ in cfg.sweep.expand()] == [0, 0.5]
+        assert hns._param_label(cfg.sweep.expand()[0][0]) == "0"
+
+    def test_model_hidden_dim_defaults_by_kind(self):
+        d = micro_config_dict(model={"kind": "linear_softmax"})
+        del d["model"]["hidden_dim"]
+        assert hns.ExperimentConfig.from_dict(d).model.hidden_dim == 0
+        del d["model"]["init_std"]
+        d["model"]["kind"] = "mlp"
+        assert hns.ExperimentConfig.from_dict(d).to_dict()["model"] == {
+            "kind": "mlp", "hidden_dim": 32, "init_std": 0.1,
+        }
+
 
 class TestSweep:
     def test_three_values_three_points(self):
@@ -114,6 +153,10 @@ class TestSweep:
             hns.SweepConfig.from_dict(
                 {"defense": "perturb", "clip_norm": [1.0, 2.0], "noise_std": [0.0, 0.1]}
             )
+
+    def test_empty_axis_rejected(self):
+        with pytest.raises(ConfigError, match="sweep.noise_std"):
+            hns.SweepConfig.from_dict({"defense": "perturb", "clip_norm": 1.0, "noise_std": []})
 
     def test_wrong_param_for_kind(self):
         with pytest.raises(ConfigError):
@@ -229,7 +272,7 @@ class TestReplay:
 
     def test_replay_missing_trace(self, tmp_path):
         with pytest.raises(IntegrityError):
-            hns.replay_attack(str(tmp_path / "nope"), hns.AttackSuiteConfig())
+            hns.replay_attack(str(tmp_path / "nope"), hns.AttackSuiteConfig(methods=("fedmia_ii",)))
 
     def test_replay_corrupt_trace(self, completed_run, tmp_path):
         cfg, out = completed_run
@@ -327,3 +370,191 @@ class TestCli:
         trace_dir = os.path.join(out, "runs", "none", "seed1", "trace")
         assert hns.main(["replay", trace_dir, str(ac)]) == 0
         assert "fedmia_ii" in capsys.readouterr().out
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = [NAN, INF, -INF]
+
+# Every settable config key and the JSON kind it takes. Sweep parameter
+# values are scalars or one list, so their wrong values differ.
+CONFIG_FIELDS = [
+    (("schema_version",), "int"),
+    (("seeds",), "int_list"),
+    (("dataset", "kind"), "str"),
+    (("dataset", "num_classes"), "int"),
+    (("dataset", "input_dim"), "int"),
+    (("dataset", "per_class"), "int"),
+    (("dataset", "class_sep"), "float"),
+    (("dataset", "csv_path"), "str"),
+    (("dataset", "geometry"), "int_pair"),
+    (("partition", "kind"), "str"),
+    (("partition", "clients"), "int"),
+    (("partition", "per_client"), "int"),
+    (("partition", "holdout"), "int"),
+    (("partition", "beta"), "beta"),
+    (("partition", "nonmember_source"), "str"),
+    (("partition", "holdout_fraction"), "float"),
+    (("partition", "others_fraction"), "float"),
+    (("model", "kind"), "str"),
+    (("model", "hidden_dim"), "int"),
+    (("model", "init_std"), "float"),
+    (("federation", "rounds"), "int"),
+    (("federation", "local_epochs"), "int"),
+    (("federation", "lr"), "float"),
+    (("federation", "lr_decay"), "float"),
+    (("federation", "batch_size"), "int"),
+    (("attack", "methods"), "str_list"),
+    (("attack", "delta_grid"), "float_list"),
+    (("attack", "fpr_cap"), "float"),
+    (("attack", "target_client"), "int"),
+    (("attack", "targets_per_class"), "int"),
+    (("attack", "sigma_floor_rel"), "float"),
+    (("attack", "leave_one_out"), "bool"),
+    (("sweep", "defense"), "str"),
+    (("sweep", "clip_norm"), "sweep_float"),
+    (("sweep", "bits"), "sweep_int"),
+    (("sweep", "augment_noise_std"), "sweep_float"),
+    (("sweep", "flip_h"), "sweep_bool"),
+]
+WRONG_VALUES = {
+    "int": ["5", 2.5, 2.0, True, [1], {"n": 1}, *NON_FINITE],
+    "float": ["0.1", True, [0.1], {"x": 0.1}, *NON_FINITE],
+    "beta": ["1.0", "Infinity", True, [1.0], *NON_FINITE],
+    "bool": ["yes", 1, 0.0, [True], NAN],
+    "str": [5, 2.5, True, ["x"], NAN],
+    "int_pair": [4, "4x4", [2], [2, 2.5], [2, True], [NAN, 2]],
+    "str_list": ["fedmia_ii", 5, [5], [NAN]],
+    "float_list": [0.5, "0.5", {"a": 0.5}, ["0.5"], [True], *[[v] for v in NON_FINITE]],
+    "int_list": [1, "1", [1.5], [True], [NAN], [INF]],
+    "sweep_float": ["0.1", True, {"x": 1}, ["0.1"], [True], *NON_FINITE, [NAN]],
+    "sweep_int": ["3", 2.5, True, [2.5], [INF], NAN],
+    "sweep_bool": ["yes", 1, [1], NAN],
+}
+TEXT_WRONG = {"int", "float", "beta", "bool", "sweep_float", "sweep_int", "sweep_bool"}
+
+
+def _wrong_value(kind):
+    fixed = st.sampled_from(WRONG_VALUES[kind])
+    if kind in TEXT_WRONG:
+        return st.one_of(fixed, st.text(max_size=6).filter(lambda t: t != "inf"))
+    return fixed
+
+
+def _wrong_field(fields):
+    """(key path, wrong value) for one of ``fields``."""
+    return st.sampled_from(fields).flatmap(lambda f: st.tuples(st.just(f[0]), _wrong_value(f[1])))
+
+
+def _set(d, path, value):
+    for key in path[:-1]:
+        d = d[key]
+    d[path[-1]] = value
+
+
+def _main_captured(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = hns.main(argv)
+    return rc, err.getvalue()
+
+
+def _assert_config_error(rc, err, key_path):
+    assert rc == 2, err
+    assert err.startswith("config error:"), err
+    assert key_path in err, err
+
+
+class TestExitCodeContract:
+    """2 config error (before any training), 3 integrity error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_wrong_field(CONFIG_FIELDS))
+    def test_run_wrong_typed_value_exits_2(self, mutation):
+        path, value = mutation
+        d = micro_config_dict()
+        _set(d, path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "config.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(d, fh)
+            out = os.path.join(tmp, "out")
+            rc, err = _main_captured(["run", cfg, "--out", out])
+            _assert_config_error(rc, err, ".".join(path))
+            assert not os.path.exists(os.path.join(out, "runs"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wrong_field([f for f in CONFIG_FIELDS if f[0][0] == "attack"]))
+    def test_replay_wrong_typed_value_exits_2(self, mutation):
+        path, value = mutation
+        attack = micro_config_dict()["attack"]
+        attack[path[1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            ac = os.path.join(tmp, "attack.json")
+            with open(ac, "w", encoding="utf-8") as fh:
+                json.dump(attack, fh)
+            out = os.path.join(tmp, "out")
+            # The trace does not exist: an accepted config would exit 3.
+            rc, err = _main_captured(["replay", os.path.join(tmp, "trace"), ac, "--out", out])
+            _assert_config_error(rc, err, ".".join(path))
+            assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("path, value, key_path", [
+        (("federation", "rounds"), "5", "federation.rounds"),
+        (("federation", "rounds"), 2.5, "federation.rounds"),
+        (("seeds",), [1.5], "seeds[0]"),
+        (("attack", "fpr_cap"), "0.1", "attack.fpr_cap"),
+        (("attack", "delta_grid"), 0.5, "attack.delta_grid"),
+        (("model", "hidden_dim"), "8", "model.hidden_dim"),
+        (("attack", "targets_per_class"), "5", "attack.targets_per_class"),
+        (("attack", "target_client"), 0.0, "attack.target_client"),
+        (("dataset", "geometry"), 4, "dataset.geometry"),
+        (("attack", "leave_one_out"), "yes", "attack.leave_one_out"),
+        (("federation", "lr"), NAN, "federation.lr"),
+    ], ids=["rounds_str", "rounds_float", "seed_float", "fpr_cap_str", "delta_grid_scalar",
+            "hidden_dim_str", "targets_per_class_str", "target_client_float", "geometry_scalar",
+            "leave_one_out_str", "lr_nan"])
+    def test_quick_config_mistyped_value_exits_2(self, tmp_path, capsys, path, value, key_path):
+        with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
+            d = json.load(fh)
+        _set(d, path, value)
+        out = tmp_path / "out"
+        assert hns.main(["run", write_config(tmp_path, d), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key_path in err, err
+        assert not (out / "runs").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"partition": {"per_client": 1000}},
+        {"dataset": {"kind": "csv", "csv_path": "no_such_dataset.csv"}},
+    ], ids=["too_few_samples", "missing_csv"])
+    def test_bad_data_input_exits_2_before_training(self, tmp_path, capsys, overrides):
+        d = micro_config_dict(**overrides)
+        out = tmp_path / "out"
+        assert hns.main(["run", write_config(tmp_path, d), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (out / "runs").exists()
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        cfg = hns.ExperimentConfig.from_dict(micro_config_dict())
+        out = hns.run_experiment(cfg, str(tmp_path_factory.mktemp("meta")))
+        return os.path.join(out, "runs", "none", "seed1")
+
+    @pytest.mark.parametrize("mangle", [
+        lambda m: m["model"].update(extra=1),
+        lambda m: m.pop("seed"),
+        lambda m: m["defense"].update(colour="blue"),
+        lambda m: m["model"].update(kind="cnn"),
+    ], ids=["model_extra_key", "missing_seed", "defense_unknown_key", "unknown_model_kind"])
+    def test_malformed_trace_meta_exits_3(self, run_dir, tmp_path, capsys, mangle):
+        copy = str(tmp_path / "run")
+        shutil.copytree(run_dir, copy)
+        meta_path = os.path.join(copy, "trace", "trace_meta.json")
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        mangle(meta)
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
+        assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
+        assert capsys.readouterr().err.startswith("integrity error:")
