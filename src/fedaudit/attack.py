@@ -102,24 +102,6 @@ _SQRT2 = math.sqrt(2.0)
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """A measurement kind plus the tail direction members fall on."""
-
-    kind: str
-    orientation: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in MEASUREMENT_KINDS:
-            raise ConfigError(f"unknown measurement kind {self.kind!r}")
-        if self.orientation is not None and self.orientation not in ORIENTATIONS:
-            raise ConfigError(f"unknown orientation {self.orientation!r}")
-
-    @property
-    def resolved_orientation(self) -> str:
-        return self.orientation or DEFAULT_ORIENTATION[self.kind]
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
     """Per-(round, client) measurements for one target record."""
@@ -200,9 +182,12 @@ def _measure_round(
         out["grad_diff"] = dots
         if "cosine" in kinds:
             gnorm = np.linalg.norm(grads, axis=1)
-            if np.any(gnorm == 0.0):
+            zero = np.flatnonzero(gnorm == 0.0)
+            if len(zero):
                 raise ZeroVectorError(
-                    "target record has zero gradient at a recorded model (stationary point)"
+                    f"round {rec.round_index}, cohort row {zero[0]}: target record has zero "
+                    "gradient at the round's global model (stationary point)",
+                    row=int(zero[0]),
                 )
             unorm = np.linalg.norm(updates, axis=1)
             cos = np.zeros_like(dots)

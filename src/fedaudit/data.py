@@ -2,9 +2,10 @@
 
 Partitions keep client datasets pairwise disjoint and disjoint from the
 holdout pool, which is what lets the attack treat non-target clients as
-clean null-hypothesis material. The three data-level defenses (mixup,
-augmentation, subsampling) transform training batches only; attack
-targets are always original records.
+clean null-hypothesis material. The three data-level defenses (``mixup``,
+``augment_batch``, ``subsample``) draw from the generator of a client's
+local epoch and are called by ``fedsim``'s local SGD loop; they transform
+training batches only, so attack targets are always original records.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
-from .model import LabeledSample
 from .numstat import RngStream
 
 
@@ -55,9 +55,6 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(self.features[i], int(self.labels[i]))
 
     def arrays(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.asarray(indices, dtype=np.int64)
@@ -355,18 +352,17 @@ def mix_with_lambda(
     return MixedBatch(mixed, y.copy(), y[partner].copy(), float(lam))
 
 
-def mixup(rng: RngStream, x: np.ndarray, y: np.ndarray, alpha: float) -> MixedBatch:
+def mixup(g: np.random.Generator, x: np.ndarray, y: np.ndarray, alpha: float) -> MixedBatch:
     """Mix a batch with a random in-batch partner, lam ~ Beta(alpha, alpha).
 
     One coefficient is drawn per batch (the convention of the original
-    mixup procedure).
+    mixup procedure), then the partner permutation.
     """
     if alpha <= 0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")
     x = np.asarray(x, dtype=np.float64)
     if len(x) < 2:
         raise ParameterError("mixup needs a batch of at least 2 samples")
-    g = rng.generator()
     lam = float(g.beta(alpha, alpha))
     partner = g.permutation(len(x))
     return mix_with_lambda(x, y, partner, lam)
@@ -408,27 +404,6 @@ def shift_grid(x: np.ndarray, geometry: tuple[int, int], dy: int, dx: int) -> np
     return out.ravel()
 
 
-def augment(
-    rng: RngStream,
-    sample: LabeledSample,
-    geometry: tuple[int, int] | None,
-    ops: AugmentOps,
-) -> LabeledSample:
-    """Random label-preserving transform: optional flip, +/-1 px shift, noise."""
-    if ops.needs_geometry and geometry is None:
-        raise ConfigError("flip/shift augmentation requires grid geometry")
-    g = rng.generator()
-    x = np.asarray(sample.x, dtype=np.float64).copy()
-    if ops.flip_h and g.integers(2):
-        x = flip_horizontal(x, geometry)
-    if ops.shift:
-        dy, dx = g.integers(-1, 2, size=2)
-        x = shift_grid(x, geometry, int(dy), int(dx))
-    if ops.noise_std > 0:
-        x = x + ops.noise_std * g.standard_normal(len(x))
-    return LabeledSample(x, sample.y)
-
-
 def augment_batch(
     g: np.random.Generator,
     x: np.ndarray,
@@ -453,10 +428,8 @@ def augment_batch(
     return out
 
 
-def subsample(rng: RngStream, indices: np.ndarray, portion: float) -> np.ndarray:
-    """ceil(portion * n) distinct indices drawn without replacement."""
+def subsample(g: np.random.Generator, n: int, portion: float) -> np.ndarray:
+    """ceil(portion * n) distinct indices of range(n), drawn without replacement."""
     if not (0 < portion <= 1):
         raise ParameterError(f"portion must be in (0, 1], got {portion}")
-    indices = np.asarray(indices, dtype=np.int64)
-    take = math.ceil(portion * len(indices))
-    return rng.generator().choice(indices, take, replace=False)
+    return g.choice(n, math.ceil(portion * n), replace=False)

@@ -18,7 +18,14 @@ class DegenerateDistributionError(FedAuditError, ValueError):
 
 
 class ZeroVectorError(FedAuditError, ValueError):
-    """A zero-norm operand where a direction is required (zero gradient)."""
+    """A zero-norm operand where a direction is required (zero gradient).
+
+    ``row`` is the cohort row of the offending record, when there is one.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class ParameterError(FedAuditError, ValueError):

@@ -29,13 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model as mdl
-from .data import (
-    AugmentOps,
-    Dataset,
-    Partition,
-    augment_batch,
-    mix_with_lambda,
-)
+from .data import AugmentOps, Dataset, Partition, augment_batch, mixup, subsample
 from .errors import (
     ConfigError,
     IntegrityError,
@@ -258,31 +252,33 @@ def _local_train(
     geometry: tuple[int, int] | None,
     rng: RngStream,
 ) -> np.ndarray:
-    """Local SGD with data-level defenses woven into the epoch loop."""
+    """Shuffled mini-batch SGD with the data-level defenses in the epoch loop.
+
+    Each epoch shuffles the records it trains on: all n, or a ``subsample``
+    under sample / augment_and_sample. Each batch is then augmented under
+    augment / augment_and_sample, and under mixup a batch of two or more
+    trains on its ``mixup``. With no data-level defense the loop applies no
+    transform. Every draw comes from one generator of ``rng``, so identical
+    inputs give bit-identical parameters.
+    """
     defense = config.defense
-    if not defense.is_data_level:
-        return mdl.sgd_epochs(spec, params, x, y, lr, config.local_epochs, config.batch_size, rng)
     g = rng.generator()
     w = np.array(params, dtype=np.float64, copy=True)
     n = len(y)
     for _ in range(config.local_epochs):
         if defense.kind in ("sample", "augment_and_sample"):
-            take = math.ceil(defense.portion * n)
-            pool = g.choice(n, take, replace=False)
+            perm = g.permutation(subsample(g, n, defense.portion))
         else:
-            pool = np.arange(n)
-        perm = g.permutation(pool)
+            perm = g.permutation(n)
         for start in range(0, len(perm), config.batch_size):
             batch = perm[start : start + config.batch_size]
             bx, by = x[batch], y[batch]
             if defense.kind in ("augment", "augment_and_sample"):
                 bx = augment_batch(g, bx, geometry, defense.augment_ops)
             if defense.kind == "mixup" and len(batch) >= 2:
-                lam = float(g.beta(defense.alpha, defense.alpha))
-                partner = g.permutation(len(batch))
-                mixed = mix_with_lambda(bx, by, partner, lam)
-                grad = lam * mdl.grad_batch(spec, w, mixed.features, mixed.labels_a)
-                grad += (1.0 - lam) * mdl.grad_batch(spec, w, mixed.features, mixed.labels_b)
+                mixed = mixup(g, bx, by, defense.alpha)
+                grad = mixed.lam * mdl.grad_batch(spec, w, mixed.features, mixed.labels_a)
+                grad += (1.0 - mixed.lam) * mdl.grad_batch(spec, w, mixed.features, mixed.labels_b)
             else:
                 grad = mdl.grad_batch(spec, w, bx, by)
             w -= lr * grad

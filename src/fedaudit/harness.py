@@ -24,10 +24,10 @@ bit-exactly.
 
 Configs are strict JSON, decoded by ``fedaudit.schema`` against the
 config dataclasses below: a field without a default is a required key.
-Unknown or missing keys, wrong-typed values and NaN/Infinity (except
-``partition.beta: "inf"``) are config errors raised before any training,
-as are data inputs that cannot be read or that are too small for the
-partition.
+Unknown or missing keys, wrong-typed or out-of-range values and
+NaN/Infinity (except ``partition.beta: "inf"``) are config errors raised
+before any training, as are data inputs that cannot be read or that are
+too small for the partition.
 
 CLI: ``run <config>``, ``replay <trace_dir> <attack_config>``,
 ``report <report_dir>``, ``plots <report_dir>`` with ``--out``,
@@ -57,7 +57,7 @@ from . import data as dat
 from . import fedsim as fed
 from . import metrics as met
 from . import model as mdl
-from .errors import ConfigError, FedAuditError, IntegrityError
+from .errors import ConfigError, FedAuditError, IntegrityError, ParameterError, ZeroVectorError
 from .numstat import RngStream
 from .schema import Codec, FloatOrInf, check_keys, decode, dump_value, field_types
 
@@ -94,6 +94,11 @@ class DatasetConfig(Codec):
             for name in ("num_classes", "input_dim", "per_class", "class_sep"):
                 if getattr(self, name) is None:
                     raise ConfigError(f"dataset.{name} is required for synthetic data")
+            for name in ("num_classes", "input_dim", "per_class"):
+                if getattr(self, name) < 1:
+                    raise ConfigError(f"dataset.{name}: must be >= 1, got {getattr(self, name)}")
+            if self.class_sep < 0:
+                raise ConfigError(f"dataset.class_sep: must be >= 0, got {self.class_sep}")
         else:
             if not self.csv_path:
                 raise ConfigError("dataset.csv_path is required for csv data")
@@ -117,6 +122,10 @@ class PartitionConfig(Codec):
             raise ConfigError("partition.per_client is required for iid")
         if self.kind == "dirichlet" and self.beta is None:
             raise ConfigError("partition.beta is required for dirichlet")
+        if self.per_client is not None and self.per_client < 1:
+            raise ConfigError(f"partition.per_client: must be >= 1, got {self.per_client}")
+        if self.beta is not None and self.beta <= 0:
+            raise ConfigError(f"partition.beta: must be > 0, got {self.beta}")
         if self.holdout < 1:
             raise ConfigError("partition.holdout must be >= 1 (non-member pool)")
         if self.nonmember_source not in ("holdout", "holdout+others"):
@@ -204,7 +213,9 @@ class SweepConfig(Codec):
             raise ConfigError(f"{path}: at most one list-valued parameter, got {axes}")
         if axes and not d[axes[0]]:
             raise ConfigError(f"{path}.{axes[0]}: the sweep list must not be empty")
-        return cls(defense=kind, params=params)
+        sweep = cls(defense=kind, params=params)
+        sweep.expand()  # every sweep point's range errors surface at load
+        return sweep
 
     def to_dict(self) -> dict:
         return {"defense": self.defense, **{k: dump_value(v) for k, v in self.params}}
@@ -226,11 +237,14 @@ class SweepConfig(Codec):
 def _defense_from_params(kind: str, p: dict) -> fed.DefenseConfig:
     ops = None
     if kind in ("augment", "augment_and_sample"):
-        ops = dat.AugmentOps(
-            flip_h=p.pop("flip_h", False),
-            shift=p.pop("shift", False),
-            noise_std=float(p.pop("augment_noise_std", 0.0)),
-        )
+        try:
+            ops = dat.AugmentOps(
+                flip_h=p.pop("flip_h", False),
+                shift=p.pop("shift", False),
+                noise_std=float(p.pop("augment_noise_std", 0.0)),
+            )
+        except ParameterError as exc:
+            raise ConfigError(f"sweep.augment_noise_std: {exc}") from None
     allowed = {
         "perturb": {"clip_norm", "noise_std"},
         "quantize": {"bits"},
@@ -365,10 +379,16 @@ def run_attacks(
 ) -> tuple[dict[str, dict[int, float]], dict]:
     """All configured attacks; returns scores per method and the audit sidecar."""
     ids = [int(i) for i in cohort.ids]
-    audit = atk.audit_cohort(
-        trace, cohort.x, cohort.y, ac.target_client, ac.methods,
-        sigma_floor_rel=ac.sigma_floor_rel, leave_one_out=ac.leave_one_out,
-    )
+    try:
+        audit = atk.audit_cohort(
+            trace, cohort.x, cohort.y, ac.target_client, ac.methods,
+            sigma_floor_rel=ac.sigma_floor_rel, leave_one_out=ac.leave_one_out,
+        )
+    except ZeroVectorError as exc:
+        raise ZeroVectorError(
+            f"seed {trace.seed}, defense {json.dumps(trace.defense.to_dict(), sort_keys=True)}, "
+            f"sample_id {ids[exc.row]}: {exc}"
+        ) from exc
     scores: dict[str, dict[int, float]] = {}
     sidecar: dict = {
         "sample_ids": ids,
@@ -438,10 +458,17 @@ def load_targets_csv(path: str) -> TargetCohort:
         if not header or header[:3] != ["sample_id", "is_member", "label"]:
             raise IntegrityError(f"corrupt targets file {path}: bad header")
         for row in reader:
-            ids.append(int(row[0]))
-            members.append(bool(int(row[1])))
-            labels.append(int(row[2]))
-            feats.append([float(v) for v in row[3:]])
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
+                ids.append(int(row[0]))
+                members.append(bool(int(row[1])))
+                labels.append(int(row[2]))
+                feats.append([float(v) for v in row[3:]])
+            except ValueError as exc:
+                raise IntegrityError(
+                    f"corrupt targets file {path}: line {reader.line_num}: {exc}"
+                ) from None
     if not ids:
         raise IntegrityError(f"corrupt targets file {path}: no rows")
     return TargetCohort(

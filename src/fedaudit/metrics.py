@@ -93,12 +93,6 @@ def auc(cohort: ScoredCohort) -> float:
     return _area(roc(cohort))
 
 
-def tpr_at_fpr(cohort: ScoredCohort, fpr_cap: float) -> float:
-    """Best TPR among thresholds whose achieved FPR does not exceed the cap."""
-    tpr, _ = operating_point(cohort, fpr_cap)
-    return tpr
-
-
 def operating_point(cohort: ScoredCohort, fpr_cap: float) -> tuple[float, float]:
     """(TPR, achieved FPR) at the best threshold with FPR <= fpr_cap.
 

@@ -6,6 +6,10 @@ live in a single flat float64 vector so that model updates, uploaded
 gradients, and per-sample gradients are all directly comparable. tanh is
 used in the hidden layer so finite-difference gradient checks are clean.
 
+Every routine takes a batch: per-sample losses (``loss_many``) and
+gradients (``grad_samples``) for the attack, the mean gradient
+(``grad_batch``) for local SGD, which lives in ``fedsim``.
+
 Layout of the flat parameter vector:
 
   linear_softmax : [W (C x d), b (C)]
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptySampleError, ParameterError, ShapeMismatchError
+from .errors import ConfigError, EmptySampleError, ShapeMismatchError
 from .numstat import RngStream
 
 MODEL_KINDS = ("linear_softmax", "mlp")
@@ -59,14 +63,6 @@ class ModelSpec:
         if self.kind == "linear_softmax":
             return c * d + c
         return h * d + h + c * h + c
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledSample:
-    """One (feature vector, class index) pair."""
-
-    x: np.ndarray
-    y: int
 
 
 def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
@@ -154,11 +150,6 @@ def loss_many(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray)
     return np.minimum(losses, _LOSS_CAP) + 0.0  # +0.0 normalizes -0.0
 
 
-def loss(spec: ModelSpec, params: np.ndarray, sample: LabeledSample) -> float:
-    """Cross-entropy -log softmax_y(logits) for a single sample."""
-    return float(loss_many(spec, params, sample.x, np.array([sample.y]))[0])
-
-
 def grad_samples(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample gradients, one flat row per sample (n x param_count)."""
     params = _check_params(spec, params)
@@ -176,11 +167,6 @@ def grad_samples(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarr
     d1 = (delta @ w2) * (1.0 - a1 * a1)
     gw1 = d1[:, :, None] * x[:, None, :]
     return np.concatenate([gw1.reshape(n, -1), d1, gw2.reshape(n, -1), delta], axis=1)
-
-
-def grad_sample(spec: ModelSpec, params: np.ndarray, sample: LabeledSample) -> np.ndarray:
-    """Analytic gradient of the cross-entropy loss at one sample."""
-    return grad_samples(spec, params, sample.x, np.array([sample.y]))[0]
 
 
 def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -203,42 +189,6 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
     d1 = (delta @ w2) * (1.0 - a1 * a1)
     gw1 = d1.T @ x
     return np.concatenate([gw1.ravel(), d1.sum(axis=0), gw2.ravel(), delta.sum(axis=0)])
-
-
-def sgd_epochs(
-    spec: ModelSpec,
-    params: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    lr: float,
-    epochs: int,
-    batch_size: int,
-    rng: RngStream,
-) -> np.ndarray:
-    """Shuffled mini-batch SGD; returns the updated parameter vector.
-
-    The per-epoch shuffle comes from ``rng`` alone, so identical inputs
-    give bit-identical results independent of thread scheduling.
-    """
-    if lr <= 0:
-        raise ParameterError(f"lr must be > 0, got {lr}")
-    if epochs < 1:
-        raise ParameterError(f"epochs must be >= 1, got {epochs}")
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-    params = _check_params(spec, params).copy()
-    x = _as_batch(spec, x)
-    y = np.asarray(y, dtype=np.int64)
-    n = len(y)
-    if n == 0:
-        raise EmptySampleError("sgd_epochs with no data")
-    g = rng.generator()
-    for _ in range(epochs):
-        perm = g.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = perm[start : start + batch_size]
-            params -= lr * grad_batch(spec, params, x[batch], y[batch])
-    return params
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:

@@ -2,10 +2,10 @@
 
 Counter-based RNG streams (Philox) keyed by ``(seed, stream_id)`` so that
 every client/round/sample draws from its own reproducible stream regardless
-of execution order, plus the small set of scalar and vector routines the
-rest of the simulator is built on: population summary statistics, the
-standard-normal CDF used by the one-tailed test, and inner-product /
-cosine helpers.
+of execution order, plus the scalar statistics that define the attack's
+scoring rule: population summary statistics and the standard-normal CDF
+used by the one-tailed test. The attack's vectorised engine reproduces
+both bit for bit.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDistributionError,
-    EmptySampleError,
-    ParameterError,
-    ShapeMismatchError,
-    ZeroVectorError,
-)
+from .errors import DegenerateDistributionError, EmptySampleError, ParameterError
 
 _MASK64 = (1 << 64) - 1
 _SQRT2 = math.sqrt(2.0)
@@ -102,70 +96,3 @@ def gaussian_cdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
         raise DegenerateDistributionError(f"variance must be > 0, got {variance}")
     z = (x - mean) / math.sqrt(variance)
     return 0.5 * (1.0 + math.erf(z / _SQRT2))
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_same_shape(a, b)
-    return float(np.dot(a, b))
-
-
-def norm(a: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    return float(np.sqrt(np.dot(a, a)))
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return ``y + alpha * x`` as a new vector."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_same_shape(x, y)
-    return y + alpha * x
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; both operands must have nonzero norm."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_same_shape(a, b)
-    na = norm(a)
-    nb = norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine of a zero-norm vector (zero gradient)")
-    return float(np.dot(a, b) / (na * nb))
-
-
-def sample_gaussian(rng: RngStream, mean: float, std: float, dim: int) -> np.ndarray:
-    """``dim`` i.i.d. Normal(mean, std^2) draws; std = 0 gives the constant vector."""
-    if std < 0.0:
-        raise ParameterError(f"std must be >= 0, got {std}")
-    if dim < 0:
-        raise ParameterError(f"dim must be >= 0, got {dim}")
-    if std == 0.0:
-        return np.full(dim, float(mean))
-    g = rng.generator()
-    return mean + std * g.standard_normal(dim)
-
-
-def sample_beta(rng: RngStream, alpha: float) -> float:
-    """One draw from the symmetric Beta(alpha, alpha) distribution."""
-    if alpha <= 0.0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
-    return float(rng.generator().beta(alpha, alpha))
-
-
-def sample_dirichlet(rng: RngStream, beta: float, dim: int) -> np.ndarray:
-    """One probability vector drawn from Dirichlet(beta * 1_dim)."""
-    if beta <= 0.0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    if dim == 1:
-        return np.ones(1)
-    return rng.generator().dirichlet(np.full(dim, float(beta)))

@@ -76,14 +76,14 @@ def mc_hypervolume(
 
 
 def finite_diff_grad(
-    spec: mdl.ModelSpec, params: np.ndarray, sample: mdl.LabeledSample, h: float = 1e-5
+    spec: mdl.ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray, h: float = 1e-5
 ) -> np.ndarray:
-    """Central-difference gradient of the per-sample loss."""
+    """Central-difference gradient of the loss of a one-row batch (x, y)."""
     out = np.empty_like(params)
     for i in range(len(params)):
         up = params.copy()
         up[i] += h
         down = params.copy()
         down[i] -= h
-        out[i] = (mdl.loss(spec, up, sample) - mdl.loss(spec, down, sample)) / (2 * h)
+        out[i] = (mdl.loss_many(spec, up, x, y)[0] - mdl.loss_many(spec, down, x, y)[0]) / (2 * h)
     return out

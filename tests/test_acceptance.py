@@ -162,9 +162,9 @@ def test_criterion_2_numeric_oracles():
         spec = specs[case % 2]
         g = RngStream(30_000 + case).generator()
         params = 0.5 * g.standard_normal(spec.param_count())
-        sample = mdl.LabeledSample(g.standard_normal(spec.input_dim), int(g.integers(3)))
-        analytic = mdl.grad_sample(spec, params, sample)
-        numeric = finite_diff_grad(spec, params, sample)
+        x, y = g.standard_normal(spec.input_dim)[None, :], np.array([g.integers(3)])
+        analytic = mdl.grad_samples(spec, params, x, y)[0]
+        numeric = finite_diff_grad(spec, params, x, y)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst = max(worst, rel)
     assert worst < 1e-4

@@ -18,9 +18,9 @@ from conftest import make_toy_trace
 SPEC2 = mdl.ModelSpec("linear_softmax", input_dim=2, num_classes=2)
 
 
-def _grad_and_orth(spec, params, sample):
-    """Target gradient plus a vector orthogonal to it."""
-    g = mdl.grad_sample(spec, params, sample)
+def _grad_and_orth(spec, params, x, y):
+    """Gradient of a one-record batch plus a vector orthogonal to it."""
+    g = mdl.grad_samples(spec, params, x, y)[0]
     e = np.zeros_like(g)
     e[int(np.argmin(np.abs(g)))] = 1.0
     orth = e - (e @ g) / (g @ g) * g
@@ -30,16 +30,17 @@ def _grad_and_orth(spec, params, sample):
 class TestMeasure:
     def setup_method(self):
         self.params = mdl.init_params(SPEC2, RngStream(1).derive(5))
-        self.sample = mdl.LabeledSample(np.array([1.0, -0.5]), 0)
-        self.g, self.orth = _grad_and_orth(SPEC2, self.params, self.sample)
+        self.x, self.y = np.array([[1.0, -0.5]]), np.array([0])
+        self.g, self.orth = _grad_and_orth(SPEC2, self.params, self.x, self.y)
 
     def _trace(self, updates):
         return make_toy_trace([np.stack(updates)], [self.params], SPEC2, lr_eff=0.1)
 
-    def _measure(self, trace, kind, sample=None):
-        """(T, K) measurements of one record."""
-        s = sample or self.sample
-        return atk.measure_cohort(trace, s.x[None, :], np.array([s.y]), kind)[0]
+    def _measure(self, trace, kind, x=None, y=None):
+        """(T, K) measurements of one record, given as a one-row batch."""
+        if x is None:
+            x, y = self.x, self.y
+        return atk.measure_cohort(trace, x, y, kind)[0]
 
     def test_parallel_update_cosine_one(self):
         trace = self._trace([3.0 * self.g, self.orth])
@@ -67,7 +68,7 @@ class TestMeasure:
         trace = self._trace([u, self.orth])
         m = self._measure(trace, "loss")
         local = self.params - 0.1 * u
-        assert m[0, 0] == pytest.approx(mdl.loss(SPEC2, local, self.sample), abs=1e-12)
+        assert m[0, 0] == pytest.approx(mdl.loss_many(SPEC2, local, self.x, self.y)[0], abs=1e-12)
 
     def test_grad_diff_kind(self):
         u = 2.0 * self.g
@@ -83,9 +84,12 @@ class TestMeasure:
     def test_zero_target_gradient_rejected(self):
         spec = mdl.ModelSpec("linear_softmax", input_dim=1, num_classes=2)
         saturated = np.array([1000.0, -1000.0, 0.0, 0.0])
-        trace = make_toy_trace([np.ones((2, 4))], [saturated], spec)
-        with pytest.raises(ZeroVectorError):
-            self._measure(trace, "cosine", mdl.LabeledSample(np.array([1.0]), 0))
+        trace = make_toy_trace([np.ones((2, 4))] * 2, [np.zeros(4), saturated], spec)
+        # the second record's softmax saturates at round 1's global model only
+        x, y = np.array([[-1.0], [1.0]]), np.array([0, 0])
+        with pytest.raises(ZeroVectorError, match="round 1, cohort row 1") as exc:
+            atk.measure_cohort(trace, x, y, "cosine")
+        assert exc.value.row == 1
 
     def test_grad_diff_equals_cosine_times_norms(self, tiny_trace):
         g = RngStream(2).generator()
@@ -193,33 +197,27 @@ class TestScoreRound:
         assert atk.score_temporal([0.7]) == 0.7
 
 
-def _arrays(targets):
-    return np.stack([t.x for t in targets]), np.array([t.y for t in targets])
-
-
 def _planted_trace_and_targets(num_targets=6, rounds=3, clients=4):
     """Target client's update IS the first target's gradient every round."""
     spec = mdl.ModelSpec("linear_softmax", input_dim=4, num_classes=3)
     g = RngStream(77).generator()
-    targets = [
-        mdl.LabeledSample(g.standard_normal(4), int(g.integers(3))) for _ in range(num_targets)
-    ]
+    x, y = g.standard_normal((num_targets, 4)), np.asarray(g.integers(3, size=num_targets))
     globals_, updates_ = [], []
     for t in range(rounds):
         params = 0.2 * RngStream(78).derive(t).generator().standard_normal(spec.param_count())
-        grad0 = mdl.grad_sample(spec, params, targets[0])
+        grad0 = mdl.grad_samples(spec, params, x[:1], y[:1])[0]
         others = 0.5 * RngStream(79).derive(t).generator().standard_normal(
             (clients - 1, spec.param_count())
         )
         globals_.append(params)
         updates_.append(np.vstack([grad0[None, :], others]))
-    return make_toy_trace(updates_, globals_, spec), targets
+    return make_toy_trace(updates_, globals_, spec), (x, y)
 
 
 def _fedmia(trace, targets, target_client, variant, delta):
-    """Scores and decision sets at one threshold for a list of records."""
-    ids = range(len(targets))
-    scores = atk.fedmia_scores(trace, *_arrays(targets), ids, target_client, variant)
+    """Scores and decision sets at one threshold for records (x, y)."""
+    ids = range(len(targets[1]))
+    scores = atk.fedmia_scores(trace, *targets, ids, target_client, variant)
     return scores, atk.decision_sets(scores, delta)
 
 
@@ -227,7 +225,7 @@ class TestFedmia:
     def test_planted_member_ranks_first(self):
         trace, targets = _planted_trace_and_targets()
         scores, _ = _fedmia(trace, targets, target_client=0, variant="II", delta=0.5)
-        agg = [scores[i].aggregate for i in range(len(targets))]
+        agg = [scores[i].aggregate for i in range(len(targets[1]))]
         assert all(agg[0] > a for a in agg[1:])
 
     def test_delta_above_one_empty(self):
@@ -238,7 +236,7 @@ class TestFedmia:
     def test_delta_below_zero_all(self):
         trace, targets = _planted_trace_and_targets()
         _, sets = _fedmia(trace, targets, 0, "II", delta=-0.5)
-        assert sets.aggregate == frozenset(range(len(targets)))
+        assert sets.aggregate == frozenset(range(len(targets[1])))
 
     def test_aggregate_is_mean_of_rounds(self):
         trace, targets = _planted_trace_and_targets()
@@ -411,13 +409,13 @@ class TestBaselines:
 
     def test_single_round_avg_equals_grad_cosine(self):
         trace, targets = _planted_trace_and_targets(rounds=1)
-        out = atk.baselines(trace, *_arrays(targets), 0, methods=["grad_cosine", "avg_cosine"])
-        for i in range(len(targets)):
+        out = atk.baselines(trace, *targets, 0, methods=["grad_cosine", "avg_cosine"])
+        for i in range(len(targets[1])):
             assert out["grad_cosine"][i] == pytest.approx(out["avg_cosine"][i], abs=1e-15)
 
     def test_grad_norm_is_record_independent(self):
         trace, targets = _planted_trace_and_targets()
-        out = atk.baselines(trace, *_arrays(targets), 0, methods=["grad_norm"])
+        out = atk.baselines(trace, *targets, 0, methods=["grad_norm"])
         vals = set(out["grad_norm"].values())
         assert len(vals) == 1
         expected = -float(np.linalg.norm(trace.rounds[-1].updates[0]))
@@ -425,34 +423,51 @@ class TestBaselines:
 
     def test_blackbox_uses_final_model(self):
         trace, targets = _planted_trace_and_targets()
-        out = atk.baselines(trace, *_arrays(targets), 0, methods=["blackbox_loss"])
-        for i, t in enumerate(targets):
-            expected = -mdl.loss(trace.model_spec, trace.final_model, t)
+        out = atk.baselines(trace, *targets, 0, methods=["blackbox_loss"])
+        x, y = targets
+        for i in range(len(y)):
+            one = (x[i : i + 1], y[i : i + 1])
+            expected = -mdl.loss_many(trace.model_spec, trace.final_model, *one)[0]
             assert out["blackbox_loss"][i] == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_method(self):
         trace, targets = _planted_trace_and_targets()
         with pytest.raises(ConfigError):
-            atk.baselines(trace, *_arrays(targets), 0, methods=["shadow_model"])
+            atk.baselines(trace, *targets, 0, methods=["shadow_model"])
 
     def test_requested_order_preserved(self):
         trace, targets = _planted_trace_and_targets()
-        out = atk.baselines(trace, *_arrays(targets), 0, methods=["grad_diff", "blackbox_loss"])
+        out = atk.baselines(trace, *targets, 0, methods=["grad_diff", "blackbox_loss"])
         assert list(out) == ["grad_diff", "blackbox_loss"]
 
 
 class TestMeasurementType:
+    """The member side each measurement's fedmia score reads, and its override."""
+
+    def _per_round(self, method, orientation=None):
+        trace, targets = _planted_trace_and_targets()
+        audit = atk.audit_cohort(trace, *targets, 0, [method], orientation=orientation)
+        return audit.per_round[method]
+
     def test_default_orientations(self):
-        assert atk.Measurement("cosine").resolved_orientation == "member_high"
-        assert atk.Measurement("loss").resolved_orientation == "member_low"
-        assert atk.Measurement("grad_norm").resolved_orientation == "member_low"
-        assert atk.Measurement("grad_diff").resolved_orientation == "member_high"
+        assert atk.DEFAULT_ORIENTATION == {
+            "cosine": "member_high",
+            "loss": "member_low",
+            "grad_norm": "member_low",
+            "grad_diff": "member_high",
+        }
+        for method, side in (("fedmia_ii", "member_high"), ("fedmia_i", "member_low")):
+            assert np.array_equal(self._per_round(method), self._per_round(method, side))
 
     def test_override(self):
-        assert atk.Measurement("loss", "member_high").resolved_orientation == "member_high"
+        # with 3 non-target clients the 3-sigma filter keeps every value on
+        # either side, so the override only mirrors the tail
+        low = self._per_round("fedmia_i")
+        assert np.array_equal(low, 1.0 - self._per_round("fedmia_i", "member_high"))
 
     def test_invalid(self):
+        trace, targets = _planted_trace_and_targets()
         with pytest.raises(ConfigError):
-            atk.Measurement("entropy")
+            atk.measure_cohort(trace, *targets, "entropy")
         with pytest.raises(ConfigError):
-            atk.Measurement("loss", "sideways")
+            atk.audit_cohort(trace, *targets, 0, ["fedmia_i"], orientation="sideways")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedaudit import data as dat
+from fedaudit import fedsim as fed
 from fedaudit import model as mdl
 from fedaudit.errors import (
     ConfigError,
@@ -18,12 +19,14 @@ from fedaudit.numstat import RngStream
 
 
 def train_linear_accuracy(dataset, eval_dataset=None, seed=0, epochs=30):
+    """Accuracy after a client's local SGD (no defense) on the whole dataset."""
     spec = mdl.ModelSpec(
         "linear_softmax", input_dim=dataset.input_dim, num_classes=dataset.num_classes
     )
-    params = np.zeros(spec.param_count())
-    params = mdl.sgd_epochs(
-        spec, params, dataset.features, dataset.labels, 0.1, epochs, 32, RngStream(seed)
+    config = fed.FedConfig(num_clients=2, rounds=1, local_epochs=epochs, lr=0.1, batch_size=32)
+    params = fed._local_train(
+        spec, np.zeros(spec.param_count()), dataset.features, dataset.labels, 0.1, config,
+        None, RngStream(seed),
     )
     ev = eval_dataset if eval_dataset is not None else dataset
     return mdl.accuracy(spec, params, ev.features, ev.labels)
@@ -226,18 +229,31 @@ class TestMixup:
 
     def test_concentrated_alpha_lambda_near_half(self):
         lams = [
-            dat.mixup(RngStream(29).derive(i), np.zeros((2, 2)), np.zeros(2, dtype=int), 1e5).lam
+            dat.mixup(
+                RngStream(29).derive(i).generator(), np.zeros((2, 2)), np.zeros(2, dtype=int), 1e5
+            ).lam
             for i in range(10_000)
         ]
         assert np.mean(lams) == pytest.approx(0.5, abs=0.01)
 
     def test_small_batch_rejected(self):
         with pytest.raises(ParameterError):
-            dat.mixup(RngStream(30), np.zeros((1, 2)), np.zeros(1, dtype=int), 1.0)
+            dat.mixup(RngStream(30).generator(), np.zeros((1, 2)), np.zeros(1, dtype=int), 1.0)
 
     def test_invalid_alpha(self):
         with pytest.raises(ParameterError):
-            dat.mixup(RngStream(31), np.zeros((2, 2)), np.zeros(2, dtype=int), 0.0)
+            dat.mixup(RngStream(31).generator(), np.zeros((2, 2)), np.zeros(2, dtype=int), 0.0)
+
+    def test_draws_lambda_then_partner(self):
+        g = RngStream(32).generator()
+        x, y = g.standard_normal((5, 3)), np.arange(5)
+        m = dat.mixup(RngStream(33).generator(), x, y, 0.7)
+        ref = RngStream(33).generator()
+        lam = float(ref.beta(0.7, 0.7))
+        expect = dat.mix_with_lambda(x, y, ref.permutation(5), lam)
+        assert m.lam == lam
+        assert np.array_equal(m.features, expect.features)
+        assert np.array_equal(m.labels_b, expect.labels_b)
 
 
 class TestAugment:
@@ -259,50 +275,50 @@ class TestAugment:
         assert np.array_equal(shifted.reshape(2, 3)[:, 0], [0.0, 0.0])
 
     def test_zero_noise_identity(self):
-        s = mdl.LabeledSample(np.arange(6.0), 1)
-        out = dat.augment(RngStream(32), s, self.GEOM, dat.AugmentOps())
-        assert np.array_equal(out.x, s.x)
-        assert out.y == 1
+        x = np.arange(12.0).reshape(2, 6)
+        out = dat.augment_batch(RngStream(32).generator(), x, self.GEOM, dat.AugmentOps())
+        assert np.array_equal(out, x)
+        assert out is not x
 
     def test_label_and_dim_preserved(self):
-        s = mdl.LabeledSample(np.arange(6.0), 1)
+        # labels are not an input: augmentation transforms features only
+        x = np.arange(12.0).reshape(2, 6)
         ops = dat.AugmentOps(flip_h=True, shift=True, noise_std=0.3)
         for i in range(10):
-            out = dat.augment(RngStream(33).derive(i), s, self.GEOM, ops)
-            assert out.y == s.y
-            assert out.x.shape == s.x.shape
+            out = dat.augment_batch(RngStream(33).derive(i).generator(), x, self.GEOM, ops)
+            assert out.shape == x.shape
 
     def test_flip_without_geometry(self):
-        s = mdl.LabeledSample(np.arange(6.0), 0)
         with pytest.raises(ConfigError):
-            dat.augment(RngStream(34), s, None, dat.AugmentOps(flip_h=True))
+            dat.augment_batch(
+                RngStream(34).generator(), np.zeros((1, 6)), None, dat.AugmentOps(flip_h=True)
+            )
 
 
 class TestSubsample:
     def test_full_portion_keeps_all(self):
-        idx = np.arange(10)
-        out = dat.subsample(RngStream(35), idx, 1.0)
+        out = dat.subsample(RngStream(35).generator(), 10, 1.0)
         assert sorted(out.tolist()) == list(range(10))
 
     def test_half_portion_ceil(self):
-        out = dat.subsample(RngStream(36), np.arange(10), 0.5)
+        out = dat.subsample(RngStream(36).generator(), 10, 0.5)
         assert len(out) == 5
         assert len(np.unique(out)) == 5
 
     def test_ceiling_rule(self):
-        out = dat.subsample(RngStream(37), np.arange(7), 0.3)
+        out = dat.subsample(RngStream(37).generator(), 7, 0.3)
         assert len(out) == math.ceil(0.3 * 7)
 
     def test_deterministic(self):
-        a = dat.subsample(RngStream(38), np.arange(20), 0.4)
-        b = dat.subsample(RngStream(38), np.arange(20), 0.4)
+        a = dat.subsample(RngStream(38).generator(), 20, 0.4)
+        b = dat.subsample(RngStream(38).generator(), 20, 0.4)
         assert np.array_equal(a, b)
 
     def test_invalid_portion(self):
         with pytest.raises(ParameterError):
-            dat.subsample(RngStream(39), np.arange(5), 0.0)
+            dat.subsample(RngStream(39).generator(), 5, 0.0)
         with pytest.raises(ParameterError):
-            dat.subsample(RngStream(39), np.arange(5), 1.1)
+            dat.subsample(RngStream(39).generator(), 5, 1.1)
 
 
 class TestPartitionType:

@@ -510,9 +510,15 @@ class TestExitCodeContract:
         (("dataset", "geometry"), 4, "dataset.geometry"),
         (("attack", "leave_one_out"), "yes", "attack.leave_one_out"),
         (("federation", "lr"), NAN, "federation.lr"),
+        (("dataset", "per_class"), 0, "dataset.per_class"),
+        (("dataset", "class_sep"), -1, "dataset.class_sep"),
+        (("partition",), {"kind": "dirichlet", "clients": 3, "beta": 0, "holdout": 60},
+         "partition.beta"),
+        (("sweep",), {"defense": "augment", "augment_noise_std": -1}, "sweep.augment_noise_std"),
     ], ids=["rounds_str", "rounds_float", "seed_float", "fpr_cap_str", "delta_grid_scalar",
             "hidden_dim_str", "targets_per_class_str", "target_client_float", "geometry_scalar",
-            "leave_one_out_str", "lr_nan"])
+            "leave_one_out_str", "lr_nan", "per_class_zero", "class_sep_negative",
+            "dirichlet_beta_zero", "augment_noise_std_negative"])
     def test_quick_config_mistyped_value_exits_2(self, tmp_path, capsys, path, value, key_path):
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
@@ -533,6 +539,13 @@ class TestExitCodeContract:
         assert hns.main(["run", write_config(tmp_path, d), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (out / "runs").exists()
+
+    def test_zero_gradient_error_names_run_and_record(self, tmp_path, capsys):
+        d = micro_config_dict(federation={"lr": 1000.0}, sweep={"defense": "sparsify", "rate": 0.1})
+        assert hns.main(["run", write_config(tmp_path, d), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        for part in ("seed 1", '"kind": "sparsify"', '"rate": 0.1', "sample_id ", "round "):
+            assert part in err, err
 
     @pytest.fixture(scope="class")
     def run_dir(self, tmp_path_factory):
@@ -558,3 +571,21 @@ class TestExitCodeContract:
         ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
         assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
         assert capsys.readouterr().err.startswith("integrity error:")
+
+    @pytest.mark.parametrize("mangle, line", [
+        (lambda rows: rows[1].__setitem__(0, "x"), 2),
+        (lambda rows: rows[2].__delitem__(slice(2, None)), 3),
+    ], ids=["first_id_not_int", "short_row"])
+    def test_malformed_targets_csv_exits_3(self, run_dir, tmp_path, capsys, mangle, line):
+        copy = str(tmp_path / "run")
+        shutil.copytree(run_dir, copy)
+        path = os.path.join(copy, "targets.csv")
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        mangle(rows)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
+        assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error:") and f"{path}: line {line}:" in err, err

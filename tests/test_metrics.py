@@ -119,18 +119,20 @@ class TestAuc:
 
 
 class TestTprAtFpr:
+    """The TPR of ``operating_point`` at a capped FPR."""
+
     def test_perfect_scores(self):
-        assert met.tpr_at_fpr(cohort([0.9, 0.8], [0.1, 0.2]), 0.4) == 1.0
+        assert met.operating_point(cohort([0.9, 0.8], [0.1, 0.2]), 0.4)[0] == 1.0
 
     def test_hand_enumeration(self):
         nonmembers = [round(0.1 * i, 1) for i in range(1, 11)]
         c = cohort([0.95, 0.85, 0.5], nonmembers)
         # cap 0.10 admits one false positive (the 1.0), TPR = 1/3
-        assert met.tpr_at_fpr(c, 0.10) == pytest.approx(1 / 3)
+        assert met.operating_point(c, 0.10)[0] == pytest.approx(1 / 3)
 
     def test_cap_zero(self):
         c = cohort([0.9, 0.4], [0.5, 0.1])
-        assert met.tpr_at_fpr(c, 0.0) == 0.5  # only the 0.9 member clears every non-member
+        assert met.operating_point(c, 0.0)[0] == 0.5  # only the 0.9 member clears every non-member
 
     def test_achieved_fpr_reported(self):
         nonmembers = [round(0.1 * i, 1) for i in range(1, 11)]
@@ -144,11 +146,11 @@ class TestTprAtFpr:
     def test_nondecreasing_in_cap(self, members, nonmembers, caps):
         c = cohort(members, nonmembers)
         lo, hi = min(caps), max(caps)
-        assert met.tpr_at_fpr(c, lo) <= met.tpr_at_fpr(c, hi)
+        assert met.operating_point(c, lo)[0] <= met.operating_point(c, hi)[0]
 
     def test_invalid_cap(self):
         with pytest.raises(ParameterError):
-            met.tpr_at_fpr(cohort([1.0], [0.0]), 1.0)
+            met.operating_point(cohort([1.0], [0.0]), 1.0)
 
 
 class TestParetoFront:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedaudit import fedsim as fed
 from fedaudit import model as mdl
-from fedaudit.errors import ConfigError, EmptySampleError, ParameterError, ShapeMismatchError
+from fedaudit.errors import ConfigError, EmptySampleError, ShapeMismatchError
 from fedaudit.numstat import RngStream
 from helpers import finite_diff_grad
 
@@ -15,10 +16,25 @@ MLP = mdl.ModelSpec("mlp", input_dim=3, hidden_dim=5, num_classes=4, init_std=0.
 
 
 def random_case(seed, spec):
+    """Random parameters and one record as a one-row batch (x, y)."""
     g = RngStream(seed).generator()
     params = 0.5 * g.standard_normal(spec.param_count())
-    sample = mdl.LabeledSample(g.standard_normal(spec.input_dim), int(g.integers(spec.num_classes)))
-    return params, sample
+    x = g.standard_normal(spec.input_dim)[None, :]
+    y = np.array([g.integers(spec.num_classes)])
+    return params, x, y
+
+
+def loss_one(spec, params, x, y):
+    """Loss of one record, given as a one-row batch."""
+    return float(mdl.loss_many(spec, params, x, y)[0])
+
+
+def local_sgd(spec, params, x, y, lr, epochs, batch_size, rng):
+    """A client's local SGD with no data-level defense."""
+    config = fed.FedConfig(
+        num_clients=2, rounds=1, local_epochs=epochs, lr=lr, batch_size=batch_size
+    )
+    return fed._local_train(spec, params, x, y, lr, config, None, rng)
 
 
 class TestModelSpec:
@@ -62,13 +78,13 @@ class TestLoss:
     def test_uniform_at_zero_params(self):
         params = np.zeros(LINEAR.param_count())
         for seed in range(5):
-            _, sample = random_case(seed, LINEAR)
-            assert mdl.loss(LINEAR, params, sample) == pytest.approx(math.log(4), abs=1e-12)
+            _, x, y = random_case(seed, LINEAR)
+            assert loss_one(LINEAR, params, x, y) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_ln2_binary(self):
         spec = mdl.ModelSpec("linear_softmax", input_dim=2, num_classes=2)
-        sample = mdl.LabeledSample(np.array([0.3, -0.7]), 1)
-        assert mdl.loss(spec, np.zeros(spec.param_count()), sample) == pytest.approx(
+        x, y = np.array([[0.3, -0.7]]), np.array([1])
+        assert loss_one(spec, np.zeros(spec.param_count()), x, y) == pytest.approx(
             0.693147, abs=1e-6
         )
 
@@ -76,37 +92,36 @@ class TestLoss:
         spec = mdl.ModelSpec("linear_softmax", input_dim=2, num_classes=2)
         # weight row of the true class points along x with a huge margin
         params = np.array([50.0, 0.0, -50.0, 0.0, 0.0, 0.0])
-        sample = mdl.LabeledSample(np.array([1.0, 0.0]), 0)
-        assert 0.0 <= mdl.loss(spec, params, sample) < 1e-3
+        x, y = np.array([[1.0, 0.0]]), np.array([0])
+        assert 0.0 <= loss_one(spec, params, x, y) < 1e-3
 
     def test_loss_nonnegative_and_capped(self):
         spec = mdl.ModelSpec("linear_softmax", input_dim=1, num_classes=2)
         params = np.array([1000.0, -1000.0, 0.0, 0.0])
-        wrong = mdl.LabeledSample(np.array([1.0]), 1)
-        val = mdl.loss(spec, params, wrong)
+        val = loss_one(spec, params, np.array([[1.0]]), np.array([1]))
         assert 0.0 <= val <= -math.log(1e-30) + 1e-9
 
     def test_shape_error(self):
         with pytest.raises(ShapeMismatchError):
-            mdl.loss(LINEAR, np.zeros(3), mdl.LabeledSample(np.zeros(3), 0))
+            mdl.loss_many(LINEAR, np.zeros(3), np.zeros((1, 3)), np.array([0]))
         with pytest.raises(ShapeMismatchError):
-            mdl.loss(LINEAR, np.zeros(LINEAR.param_count()), mdl.LabeledSample(np.zeros(5), 0))
+            mdl.loss_many(LINEAR, np.zeros(LINEAR.param_count()), np.zeros((1, 5)), np.array([0]))
 
 
 class TestGradients:
     def test_linear_gradient_hand_value(self):
         spec = mdl.ModelSpec("linear_softmax", input_dim=2, num_classes=2)
-        sample = mdl.LabeledSample(np.array([1.0, 0.0]), 0)
-        grad = mdl.grad_sample(spec, np.zeros(spec.param_count()), sample)
+        x, y = np.array([[1.0, 0.0]]), np.array([0])
+        grad = mdl.grad_samples(spec, np.zeros(spec.param_count()), x, y)[0]
         # softmax is uniform, so dlogits = [0.5 - 1, 0.5]; weight block is outer(dlogits, x)
         assert np.allclose(grad, [-0.5, 0.0, 0.5, 0.0, -0.5, 0.5], atol=1e-12)
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
     def test_finite_differences(self, spec):
         for seed in range(50):
-            params, sample = random_case(seed, spec)
-            analytic = mdl.grad_sample(spec, params, sample)
-            numeric = finite_diff_grad(spec, params, sample)
+            params, x, y = random_case(seed, spec)
+            analytic = mdl.grad_samples(spec, params, x, y)[0]
+            numeric = finite_diff_grad(spec, params, x, y)
             denom = max(np.linalg.norm(numeric), 1e-12)
             assert np.linalg.norm(analytic - numeric) / denom < 1e-4
 
@@ -124,17 +139,15 @@ class TestGradients:
         assert np.linalg.norm(mdl.grad_batch(spec, params, x, y)) < 1e-6
 
     def test_batch_of_one_equals_grad_sample(self):
-        params, sample = random_case(3, MLP)
-        batch = mdl.grad_batch(MLP, params, sample.x[None, :], np.array([sample.y]))
-        assert np.allclose(batch, mdl.grad_sample(MLP, params, sample), atol=1e-15)
+        params, x, y = random_case(3, MLP)
+        batch = mdl.grad_batch(MLP, params, x, y)
+        assert np.allclose(batch, mdl.grad_samples(MLP, params, x, y)[0], atol=1e-15)
 
     def test_duplicate_averaging(self):
-        params, sample = random_case(4, LINEAR)
-        x = np.stack([sample.x, sample.x])
-        y = np.array([sample.y, sample.y])
+        params, x, y = random_case(4, LINEAR)
         assert np.allclose(
-            mdl.grad_batch(LINEAR, params, x, y),
-            mdl.grad_sample(LINEAR, params, sample),
+            mdl.grad_batch(LINEAR, params, np.vstack([x, x]), np.concatenate([y, y])),
+            mdl.grad_samples(LINEAR, params, x, y)[0],
             atol=1e-15,
         )
 
@@ -170,7 +183,7 @@ class TestSgd:
         y = np.asarray(g.integers(4, size=8))
         start = np.zeros(LINEAR.param_count())
         lr = 0.5
-        out = mdl.sgd_epochs(LINEAR, start, x, y, lr, epochs=1, batch_size=8, rng=RngStream(12))
+        out = local_sgd(LINEAR, start, x, y, lr, epochs=1, batch_size=8, rng=RngStream(12))
         assert np.array_equal(out, start - lr * mdl.grad_batch(LINEAR, start, x, y))
 
     def test_full_batch_single_epoch_is_one_gd_step_general(self):
@@ -178,14 +191,15 @@ class TestSgd:
         x = g.standard_normal((8, 3))
         y = np.asarray(g.integers(4, size=8))
         start = 0.1 * g.standard_normal(LINEAR.param_count())
-        out = mdl.sgd_epochs(LINEAR, start, x, y, 0.3, epochs=1, batch_size=8, rng=RngStream(22))
+        out = local_sgd(LINEAR, start, x, y, 0.3, epochs=1, batch_size=8, rng=RngStream(22))
         expect = start - 0.3 * mdl.grad_batch(LINEAR, start, x, y)
         assert np.allclose(out, expect, atol=1e-14, rtol=0)
 
     def test_lr_zero_rejected(self):
-        with pytest.raises(ParameterError):
-            mdl.sgd_epochs(LINEAR, np.zeros(LINEAR.param_count()), np.zeros((2, 3)),
-                           np.zeros(2, dtype=int), 0.0, 1, 2, RngStream(1))
+        # local SGD takes its learning rate from a FedConfig, which rejects 0
+        with pytest.raises(ConfigError):
+            local_sgd(LINEAR, np.zeros(LINEAR.param_count()), np.zeros((2, 3)),
+                      np.zeros(2, dtype=int), 0.0, 1, 2, RngStream(1))
 
     def test_training_reduces_loss_on_separable_blobs(self):
         g = RngStream(13).generator()
@@ -196,7 +210,7 @@ class TestSgd:
         params = np.zeros(spec.param_count())
         losses = [float(mdl.loss_many(spec, params, x, y).mean())]
         for e in range(20):
-            params = mdl.sgd_epochs(spec, params, x, y, 0.1, 1, 16, RngStream(14).derive(e))
+            params = local_sgd(spec, params, x, y, 0.1, 1, 16, RngStream(14).derive(e))
             losses.append(float(mdl.loss_many(spec, params, x, y).mean()))
         drops = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
         assert drops >= 0.9 * (len(losses) - 1)
@@ -206,8 +220,8 @@ class TestSgd:
         x = g.standard_normal((30, 3))
         y = g.integers(4, size=30)
         start = mdl.init_params(MLP, RngStream(16))
-        a = mdl.sgd_epochs(MLP, start, x, y, 0.05, 3, 8, RngStream(17))
-        b = mdl.sgd_epochs(MLP, start, x, y, 0.05, 3, 8, RngStream(17))
+        a = local_sgd(MLP, start, x, y, 0.05, 3, 8, RngStream(17))
+        b = local_sgd(MLP, start, x, y, 0.05, 3, 8, RngStream(17))
         assert np.array_equal(a, b)
 
     def test_input_params_not_mutated(self):
@@ -216,7 +230,7 @@ class TestSgd:
         y = g.integers(4, size=10)
         start = mdl.init_params(LINEAR, RngStream(19))
         before = start.copy()
-        mdl.sgd_epochs(LINEAR, start, x, y, 0.1, 1, 4, RngStream(20))
+        local_sgd(LINEAR, start, x, y, 0.1, 1, 4, RngStream(20))
         assert np.array_equal(start, before)
 
 
@@ -249,5 +263,5 @@ class TestAccuracy:
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=30)
 def test_loss_nonnegative_property(seed):
-    params, sample = random_case(seed, MLP)
-    assert mdl.loss(MLP, params, sample) >= 0.0
+    params, x, y = random_case(seed, MLP)
+    assert loss_one(MLP, params, x, y) >= 0.0

@@ -3,14 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedaudit import attack as atk
+from fedaudit import data as dat
+from fedaudit import fedsim as fed
+from fedaudit import model as mdl
 from fedaudit import numstat as ns
 from fedaudit.errors import (
+    ConfigError,
     DegenerateDistributionError,
     EmptySampleError,
     ParameterError,
     ShapeMismatchError,
     ZeroVectorError,
 )
+from conftest import make_toy_trace
 from helpers import normal_cdf_quadrature
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -83,45 +89,62 @@ class TestSummary:
         assert ns.summary(values).variance >= 0.0
 
 
+# A linear-softmax record at zero parameters: x = [1], y = 0 has the unit
+# gradient G = [-0.5, 0.5, -0.5, 0.5], so hand-picked uploads give exact
+# inner products, norms and cosines.
+SPEC1 = mdl.ModelSpec("linear_softmax", input_dim=1, num_classes=2)
+G = np.array([-0.5, 0.5, -0.5, 0.5])
+
+
+def measure_uploads(uploads, kind, params=np.zeros(4)):
+    """The attack's (K,) measurements of the record against one round of uploads."""
+    trace = make_toy_trace([np.array(uploads, dtype=float)], [params], SPEC1, lr_eff=0.1)
+    return atk.measure_cohort(trace, np.array([[1.0]]), np.array([0]), kind)[0, 0]
+
+
 class TestVectorOps:
+    """Inner products, norms and cosines of the attack's measurements."""
+
     def test_dot_norm_axpy(self):
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([4.0, -5.0, 6.0])
-        assert ns.dot(a, b) == 4 - 10 + 18
-        assert ns.norm(np.array([3.0, 4.0])) == 5.0
-        assert np.array_equal(ns.axpy(2.0, a, b), b + 2 * a)
+        u = np.array([1.0, 2.0, 3.0, 4.0])
+        assert measure_uploads([u, u], "grad_diff")[0] == -0.5 + 1.0 - 1.5 + 2.0
+        assert measure_uploads([[3.0, 4.0, 0.0, 0.0], u], "grad_norm")[0] == 5.0
+        local = np.zeros(4) - 0.1 * u  # the client's model, rebuilt from its upload
+        expect = mdl.loss_many(SPEC1, local, np.array([[1.0]]), np.array([0]))[0]
+        assert measure_uploads([u, u], "loss")[0] == expect
 
     def test_cosine_parallel(self):
-        assert ns.cosine(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == pytest.approx(1.0)
+        assert measure_uploads([2.0 * G, G], "cosine")[0] == pytest.approx(1.0)
 
     def test_cosine_orthogonal(self):
-        assert ns.cosine(np.array([1.0, 0.0]), np.array([0.0, 3.0])) == 0.0
+        assert measure_uploads([[1.0, 1.0, 0.0, 0.0], G], "cosine")[0] == 0.0
 
     def test_cosine_45_degrees(self):
-        # frozen: 1/sqrt(2)
-        got = ns.cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        # frozen: 1/sqrt(2); [0.5, 0.5, 0.5, 0.5] is a unit vector orthogonal to G
+        got = measure_uploads([G + 0.5, G], "cosine")[0]
         assert got == pytest.approx(0.707107, abs=1e-6)
 
     def test_shape_mismatch(self):
+        trace = make_toy_trace([np.ones((2, 4))], [np.zeros(4)], SPEC1)
         with pytest.raises(ShapeMismatchError):
-            ns.dot(np.zeros(2), np.zeros(3))
-        with pytest.raises(ShapeMismatchError):
-            ns.axpy(1.0, np.zeros(2), np.zeros(3))
+            atk.measure_cohort(trace, np.zeros((1, 2)), np.array([0]), "cosine")
 
     def test_zero_norm(self):
+        assert measure_uploads([np.zeros(4), G], "cosine")[0] == 0.0  # zero upload
+        saturated = np.array([1000.0, -1000.0, 0.0, 0.0])  # zero record gradient
         with pytest.raises(ZeroVectorError):
-            ns.cosine(np.zeros(2), np.ones(2))
+            measure_uploads([G, G], "cosine", params=saturated)
 
     @given(
-        st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=8),
+        st.lists(st.floats(min_value=-100, max_value=100), min_size=4, max_size=4),
         st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_cosine_scale_invariance(self, values, c):
         a = np.array(values)
-        b = np.arange(1.0, len(values) + 1)
-        if ns.norm(a) < 1e-6:  # below this the squared norm loses precision
+        if np.linalg.norm(a) < 1e-6:  # below this the squared norm loses precision
             return
-        assert ns.cosine(c * a, b) == pytest.approx(ns.cosine(a, b), abs=1e-12)
+        cos = measure_uploads([c * a, a], "cosine")
+        assert cos[0] == pytest.approx(cos[1], abs=1e-12)
 
 
 class TestRngStream:
@@ -152,56 +175,76 @@ class TestRngStream:
 
 
 class TestSamplers:
+    """Laws of the pipeline's random draws: perturb noise, the mixup
+    coefficient and Dirichlet client shares."""
+
+    @staticmethod
+    def _noise(rng, std, dim):
+        d = fed.DefenseConfig(kind="perturb", clip_norm=1.0, noise_std=std)
+        return fed.defend_update(np.zeros(dim), d, rng)
+
+    @staticmethod
+    def _lam(rng, alpha):
+        return dat.mixup(rng.generator(), np.zeros((2, 2)), np.zeros(2, dtype=int), alpha).lam
+
+    @staticmethod
+    def _shares(seed, beta, clients, per_class=20, holdout=6):
+        ds = dat.synth_blobs(ns.RngStream(8), 3, 2, per_class, 1.0)
+        return ds, dat.partition_dirichlet(ns.RngStream(seed), ds, clients, beta, holdout)
+
     def test_gaussian_zero_std(self):
-        assert np.array_equal(ns.sample_gaussian(ns.RngStream(1), 0.0, 0.0, 3), np.zeros(3))
+        assert np.array_equal(self._noise(ns.RngStream(1), 0.0, 3), np.zeros(3))
 
     def test_gaussian_law_of_large_numbers(self):
-        draws = ns.sample_gaussian(ns.RngStream(2), 0.0, 1.0, 10**5)
+        draws = self._noise(ns.RngStream(2), 1.0, 10**5)
         assert abs(draws.mean()) <= 0.02  # 4/sqrt(n) ~ 0.0126
 
     def test_gaussian_variance(self):
-        draws = ns.sample_gaussian(ns.RngStream(3), 0.0, 0.5, 10**5)
+        draws = self._noise(ns.RngStream(3), 0.5, 10**5)
         assert np.mean(draws**2) == pytest.approx(0.25, abs=0.01)
 
     def test_gaussian_negative_std(self):
-        with pytest.raises(ParameterError):
-            ns.sample_gaussian(ns.RngStream(1), 0.0, -0.1, 3)
+        with pytest.raises(ConfigError):
+            self._noise(ns.RngStream(1), -0.1, 3)
 
     def test_beta_uniform(self):
         root = ns.RngStream(4)
         draws = root.generator().beta(1.0, 1.0, size=10**5)
         assert draws.mean() == pytest.approx(0.5, abs=0.01)
-        assert ns.sample_beta(root, 1.0) == draws[0]
+        assert self._lam(root, 1.0) == draws[0]
 
     def test_beta_concentrated(self):
-        draws = np.array([ns.sample_beta(ns.RngStream(5).derive(i), 1e5) for i in range(2000)])
+        draws = np.array([self._lam(ns.RngStream(5).derive(i), 1e5) for i in range(2000)])
         # Beta(a,a) std = sqrt(1/(4*(2a+1))) ~ 1.1e-3 at a=1e5
         assert draws.std() < 0.01
 
     def test_beta_bimodal(self):
-        draws = np.array([ns.sample_beta(ns.RngStream(6).derive(i), 1e-5) for i in range(2000)])
+        draws = np.array([self._lam(ns.RngStream(6).derive(i), 1e-5) for i in range(2000)])
         assert np.mean((draws > 0.1) & (draws < 0.9)) < 0.01
 
     def test_beta_invalid_alpha(self):
         with pytest.raises(ParameterError):
-            ns.sample_beta(ns.RngStream(1), 0.0)
+            self._lam(ns.RngStream(1), 0.0)
 
     def test_dirichlet_dim_one(self):
-        assert np.array_equal(ns.sample_dirichlet(ns.RngStream(1), 2.0, 1), np.array([1.0]))
+        ds, part = self._shares(1, 2.0, 1)
+        assert len(part.client_indices[0]) == len(ds) - 6
 
     def test_dirichlet_concentrated(self):
-        v = ns.sample_dirichlet(ns.RngStream(7), 1e6, 4)
-        assert np.all(np.abs(v - 0.25) <= 0.01)
+        ds, part = self._shares(7, 1e6, 4, per_class=400, holdout=0)
+        for idx in part.client_indices:
+            share = np.bincount(ds.labels[idx], minlength=3) / 400
+            assert np.all(np.abs(share - 0.25) <= 0.01)
 
     @given(beta=st.floats(min_value=1e-3, max_value=1e4), dim=st.integers(1, 12), seed=st.integers(0, 100))
     @settings(max_examples=50)
     def test_dirichlet_simplex(self, beta, dim, seed):
-        v = ns.sample_dirichlet(ns.RngStream(seed), beta, dim)
-        assert np.all(v >= 0)
-        assert abs(v.sum() - 1.0) <= 1e-12
+        ds, part = self._shares(seed, beta, dim)
+        seen = np.concatenate(part.client_indices + [part.holdout_indices])
+        assert np.array_equal(np.sort(seen), np.arange(len(ds)))
 
     def test_dirichlet_invalid(self):
         with pytest.raises(ParameterError):
-            ns.sample_dirichlet(ns.RngStream(1), 0.0, 3)
+            self._shares(1, 0.0, 3)
         with pytest.raises(ParameterError):
-            ns.sample_dirichlet(ns.RngStream(1), 1.0, 0)
+            self._shares(1, 1.0, 0)
