@@ -250,8 +250,10 @@ def partition_dirichlet(
         return partition_iid(rng, dataset, num_clients, per_client, holdout)
     if beta <= 0:
         raise ParameterError(f"beta must be > 0, got {beta}")
-    if num_clients < 1 or holdout < 0 or holdout >= len(dataset):
+    if num_clients < 1 or holdout < 0:
         raise ParameterError("invalid num_clients/holdout")
+    if holdout >= len(dataset):
+        raise InsufficientDataError(f"holdout {holdout} >= dataset size {len(dataset)}")
     g = rng.generator()
 
     # Reserve the holdout stratified by class (largest-remainder counts).
@@ -330,42 +332,44 @@ def make_eval_split(
 
 @dataclass(frozen=True, eq=False)
 class MixedBatch:
-    """Convex combinations of a batch with its in-batch permutation partner.
+    """K batches (K, b, d), each mixed with its in-batch permutation partner.
 
-    Training loss contract for row i with coefficient ``lam``:
-    ``lam * loss(features[i], labels_a[i]) + (1 - lam) * loss(features[i], labels_b[i])``.
+    Training loss contract for row i of batch k: ``lam[k] * loss(features[k, i],
+    labels_a[k, i]) + (1 - lam[k]) * loss(features[k, i], labels_b[k, i])``.
     """
 
     features: np.ndarray
     labels_a: np.ndarray
     labels_b: np.ndarray
-    lam: float
+    lam: np.ndarray
 
 
-def mix_with_lambda(
-    x: np.ndarray, y: np.ndarray, partner: np.ndarray, lam: float
-) -> MixedBatch:
-    """Deterministic core of mixup for a fixed coefficient and pairing."""
+def mix_with_lambda(x: np.ndarray, y: np.ndarray, partner: np.ndarray,
+                    lam: np.ndarray) -> MixedBatch:
+    """Deterministic core of mixup for fixed coefficients (K,) and pairings (K, b)."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    mixed = lam * x + (1.0 - lam) * x[partner]
-    return MixedBatch(mixed, y.copy(), y[partner].copy(), float(lam))
+    lam = np.asarray(lam, dtype=np.float64)
+    rows = np.arange(len(x))[:, None]
+    mixed = x[rows, partner]
+    mixed *= (1.0 - lam)[:, None, None]
+    mixed += lam[:, None, None] * x  # = lam * x + (1 - lam) * x[partner], bit for bit
+    return MixedBatch(mixed, y, y[rows, partner], lam)
 
 
-def mixup(g: np.random.Generator, x: np.ndarray, y: np.ndarray, alpha: float) -> MixedBatch:
-    """Mix a batch with a random in-batch partner, lam ~ Beta(alpha, alpha).
+def mixup(gens: list[np.random.Generator], x: np.ndarray, y: np.ndarray,
+          alpha: float) -> MixedBatch:
+    """Mix each batch of a (K, b, d) stack with a random in-batch partner.
 
-    One coefficient is drawn per batch (the convention of the original
-    mixup procedure), then the partner permutation.
+    Batch k draws from ``gens[k]``: one lam ~ Beta(alpha, alpha) per batch
+    (the convention of the original mixup procedure), then the partner
+    permutation.
     """
     if alpha <= 0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) < 2:
+    if x.shape[1] < 2:
         raise ParameterError("mixup needs a batch of at least 2 samples")
-    lam = float(g.beta(alpha, alpha))
-    partner = g.permutation(len(x))
-    return mix_with_lambda(x, y, partner, lam)
+    lam = np.array([g.beta(alpha, alpha) for g in gens])
+    return mix_with_lambda(x, y, np.stack([g.permutation(x.shape[1]) for g in gens]), lam)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ be persisted and replayed without retraining.
 
 Update-level defenses (perturb / quantize / sparsify) transform the
 uploaded vector; data-level defenses (mixup / augment / sample) act inside
-local training. All randomness is drawn from per-(round, client) streams,
-so client execution order cannot change the trace.
+local training, where clients of equal size train as one stack. All
+randomness is drawn from per-(round, client) streams, so client grouping
+and execution order cannot change the trace. A non-finite round stops
+the run.
 """
 
 from __future__ import annotations
@@ -94,10 +96,6 @@ class DefenseConfig(Codec):
     @property
     def is_update_level(self) -> bool:
         return self.kind in UPDATE_DEFENSES
-
-    @property
-    def is_data_level(self) -> bool:
-        return self.kind in DATA_DEFENSES
 
     def to_dict(self) -> dict:
         return {k: v for k, v in super().to_dict().items() if v is not None}
@@ -242,68 +240,48 @@ def defend_update(update: np.ndarray, defense: DefenseConfig, rng: RngStream) ->
     return out
 
 
-def _local_train(
-    spec: ModelSpec,
-    params: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    lr: float,
-    config: FedConfig,
-    geometry: tuple[int, int] | None,
-    rng: RngStream,
-) -> np.ndarray:
-    """Shuffled mini-batch SGD with the data-level defenses in the epoch loop.
+def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: np.ndarray,
+                  config: FedConfig, lr_eff: float, rngs: Sequence[RngStream],
+                  geometry: tuple[int, int] | None = None) -> np.ndarray:
+    """Pre-defense uploads (w_global - w_local_after) / lr_eff of equal-size clients.
 
-    Each epoch shuffles the records it trains on: all n, or a ``subsample``
-    under sample / augment_and_sample. Each batch is then augmented under
-    augment / augment_and_sample, and under mixup a batch of two or more
-    trains on its ``mixup``. With no data-level defense the loop applies no
-    transform. Every draw comes from one generator of ``rng``, so identical
-    inputs give bit-identical parameters.
+    The K clients, whose records are ``x`` (K, n, d) and ``y`` (K, n), run
+    shuffled mini-batch SGD as one stack. Each epoch shuffles the records a
+    client trains on: all n, or a ``subsample`` under sample /
+    augment_and_sample. Each batch is augmented under augment /
+    augment_and_sample, and under mixup a batch of two or more trains on its
+    ``mixup``. Client k draws only from ``rngs[k]``, in the order it would
+    alone, and ``model.sgd_step`` computes its row as it would alone, so its
+    upload is bit-identical to training it by itself. With one full-batch
+    epoch and no defense a row is exactly the mean training gradient.
     """
+    k, n = y.shape
+    if n == 0:
+        raise ConfigError("client has no training samples")
     defense = config.defense
-    g = rng.generator()
-    w = np.array(params, dtype=np.float64, copy=True)
-    n = len(y)
+    gens = [rng.generator() for rng in rngs]
+    w = np.repeat(np.asarray(global_params, dtype=np.float64)[None, :], k, axis=0)
+    rows = np.arange(k)[:, None]
     for _ in range(config.local_epochs):
         if defense.kind in ("sample", "augment_and_sample"):
-            perm = g.permutation(subsample(g, n, defense.portion))
+            perm = np.stack([g.permutation(subsample(g, n, defense.portion)) for g in gens])
         else:
-            perm = g.permutation(n)
-        for start in range(0, len(perm), config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            bx, by = x[batch], y[batch]
+            perm = np.stack([g.permutation(n) for g in gens])
+        for start in range(0, perm.shape[1], config.batch_size):
+            batch = perm[:, start : start + config.batch_size]
+            bx, by = x[rows, batch], y[rows, batch]
             if defense.kind in ("augment", "augment_and_sample"):
-                bx = augment_batch(g, bx, geometry, defense.augment_ops)
-            if defense.kind == "mixup" and len(batch) >= 2:
-                mixed = mixup(g, bx, by, defense.alpha)
-                grad = mixed.lam * mdl.grad_batch(spec, w, mixed.features, mixed.labels_a)
-                grad += (1.0 - mixed.lam) * mdl.grad_batch(spec, w, mixed.features, mixed.labels_b)
-            else:
-                grad = mdl.grad_batch(spec, w, bx, by)
-            w -= lr * grad
+                bx = np.stack([augment_batch(g, b, geometry, defense.augment_ops)
+                               for g, b in zip(gens, bx)])
+            labels, lam = by[None], None
+            if defense.kind == "mixup" and batch.shape[1] >= 2:
+                mixed = mixup(gens, bx, by, defense.alpha)
+                bx, lam = mixed.features, mixed.lam
+                labels = np.stack([mixed.labels_a, mixed.labels_b])
+            mdl.sgd_step(spec, w, bx, labels, lr_eff, lam)
+    np.subtract(global_params, w, out=w)
+    w /= lr_eff
     return w
-
-
-def client_update(
-    spec: ModelSpec,
-    x: np.ndarray,
-    y: np.ndarray,
-    global_params: np.ndarray,
-    config: FedConfig,
-    lr_eff: float,
-    rng: RngStream,
-    geometry: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """One client's pre-defense upload: (w_global - w_local_after) / lr_eff.
-
-    With one full-batch epoch and no defense this is exactly the mean
-    training gradient at the global model.
-    """
-    if len(y) == 0:
-        raise ConfigError("client has no training samples")
-    w_after = _local_train(spec, global_params, x, y, lr_eff, config, geometry, rng)
-    return (np.asarray(global_params, dtype=np.float64) - w_after) / lr_eff
 
 
 def aggregate(
@@ -339,12 +317,15 @@ def run_federation(
         raise ConfigError(
             f"partition has {partition.num_clients} clients, config says {config.num_clients}"
         )
+    groups: dict[int, list[int]] = {}  # clients of equal size train as one stack
     for k, idx in enumerate(partition.client_indices):
-        if len(idx) == 0:
-            raise ConfigError(f"client {k} has no training samples")
+        groups.setdefault(len(idx), []).append(k)
+    if 0 in groups:
+        raise ConfigError(f"client {groups[0][0]} has no training samples")
+    stacks = [(ks, *dataset.arrays(np.stack([partition.client_indices[k] for k in ks])))
+              for ks in groups.values()]
     root = RngStream(config.seed)
     omega = mdl.init_params(spec, root.derive(TAG_INIT))
-    client_arrays = [dataset.arrays(idx) for idx in partition.client_indices]
     have_holdout = len(partition.holdout_indices) > 0
     if have_holdout:
         hx, hy = dataset.arrays(partition.holdout_indices)
@@ -353,15 +334,17 @@ def run_federation(
     for t in range(config.rounds):
         lr_eff = lr_effective(config, t)
         updates = np.empty((config.num_clients, spec.param_count()))
-        for k, (cx, cy) in enumerate(client_arrays):
-            upd = client_update(
-                spec, cx, cy, omega, config, lr_eff,
-                root.derive(TAG_CLIENT, t, k), dataset.geometry,
-            )
-            if config.defense.is_update_level:
-                upd = defend_update(upd, config.defense, root.derive(TAG_DEFENSE, t, k))
-            updates[k] = upd
+        for ks, gx, gy in stacks:
+            rngs = [root.derive(TAG_CLIENT, t, k) for k in ks]
+            updates[ks] = client_update(spec, gx, gy, omega, config, lr_eff, rngs, dataset.geometry)
+        if config.defense.is_update_level:
+            for k, upd in enumerate(updates):
+                updates[k] = defend_update(upd, config.defense, root.derive(TAG_DEFENSE, t, k))
         new_omega = aggregate(updates, omega, lr_eff)
+        bad = np.flatnonzero(~np.isfinite(updates).all(axis=1))
+        if len(bad) or not np.isfinite(new_omega).all():
+            who = f"client {bad[0]}'s upload" if len(bad) else "the global model"
+            raise ParameterError(f"training diverged in round {t}: {who} is not finite")
         rounds.append(RoundRecord(t, omega, updates, lr_eff))
         accuracy.append(
             mdl.accuracy(spec, new_omega, hx, hy) if have_holdout else float("nan")

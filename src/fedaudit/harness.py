@@ -57,7 +57,14 @@ from . import data as dat
 from . import fedsim as fed
 from . import metrics as met
 from . import model as mdl
-from .errors import ConfigError, FedAuditError, IntegrityError, ParameterError, ZeroVectorError
+from .errors import (
+    ConfigError,
+    FedAuditError,
+    InsufficientDataError,
+    IntegrityError,
+    ParameterError,
+    ZeroVectorError,
+)
 from .numstat import RngStream
 from .schema import Codec, FloatOrInf, check_keys, decode, dump_value, field_types
 
@@ -329,7 +336,10 @@ def build_partition(config: ExperimentConfig, dataset: dat.Dataset, seed: int) -
     rng = RngStream(seed).derive(TAG_PARTITION)
     if pc.kind == "iid":
         return dat.partition_iid(rng, dataset, pc.clients, pc.per_client, pc.holdout)
-    return dat.partition_dirichlet(rng, dataset, pc.clients, pc.beta, pc.holdout)
+    try:
+        return dat.partition_dirichlet(rng, dataset, pc.clients, pc.beta, pc.holdout)
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"partition.holdout: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,9 +472,13 @@ def load_targets_csv(path: str) -> TargetCohort:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, header has {len(header)}")
                 ids.append(int(row[0]))
-                members.append(bool(int(row[1])))
+                if row[1] not in ("0", "1"):
+                    raise ValueError(f"is_member must be 0 or 1, got {row[1]!r}")
+                members.append(row[1] == "1")
                 labels.append(int(row[2]))
                 feats.append([float(v) for v in row[3:]])
+                if not np.all(np.isfinite(feats[-1])):
+                    raise ValueError("non-finite feature value")
             except ValueError as exc:
                 raise IntegrityError(
                     f"corrupt targets file {path}: line {reader.line_num}: {exc}"

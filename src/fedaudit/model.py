@@ -7,8 +7,12 @@ gradients, and per-sample gradients are all directly comparable. tanh is
 used in the hidden layer so finite-difference gradient checks are clean.
 
 Every routine takes a batch: per-sample losses (``loss_many``) and
-gradients (``grad_samples``) for the attack, the mean gradient
-(``grad_batch``) for local SGD, which lives in ``fedsim``.
+gradients (``grad_samples``) for the attack. Local SGD, which lives in
+``fedsim``, trains a group of clients as one stack: ``grad_batch`` takes
+(K, P) parameters and a (K, b, d) batch and runs each product as a
+stacked matmul, which NumPy executes as one 2-D gemm per client, so every
+client's gradient is bitwise what it would be alone; ``sgd_step`` applies
+it in place through per-layer views of the (K, P) buffer.
 
 Layout of the flat parameter vector:
 
@@ -65,85 +69,66 @@ class ModelSpec:
         return h * d + h + c * h + c
 
 
-def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
-    params = np.asarray(params, dtype=np.float64)
+def _inputs(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """One model's float64 params (P,), features (n, d) and int64 labels, checked."""
+    params, x = np.asarray(params, dtype=np.float64), np.asarray(x, dtype=np.float64)
     if params.shape != (spec.param_count(),):
-        raise ShapeMismatchError(
-            f"expected {spec.param_count()} parameters, got shape {params.shape}"
-        )
-    return params
-
-
-def _unpack(spec: ModelSpec, params: np.ndarray):
-    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    if spec.kind == "linear_softmax":
-        w = params[: c * d].reshape(c, d)
-        b = params[c * d :]
-        return w, b
-    o = 0
-    w1 = params[o : o + h * d].reshape(h, d)
-    o += h * d
-    b1 = params[o : o + h]
-    o += h
-    w2 = params[o : o + c * h].reshape(c, h)
-    o += c * h
-    b2 = params[o:]
-    return w1, b1, w2, b2
-
-
-def _as_batch(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+        raise ShapeMismatchError(f"expected {spec.param_count()} parameters, got {params.shape}")
     if x.shape[1] != spec.input_dim:
-        raise ShapeMismatchError(
-            f"feature dim {x.shape[1]} != input_dim {spec.input_dim}"
-        )
-    return x
+        raise ShapeMismatchError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
+    return params, x, np.asarray(y, dtype=np.int64)
+
+
+def _unpack(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
+    """Per-layer views of a flat parameter vector, or of every row of a (K, P) stack."""
+    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+    shapes = [(c, d), (c,)] if spec.kind == "linear_softmax" else [(h, d), (h,), (c, h), (c,)]
+    layers, o = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        layers.append(params[..., o : o + size].reshape(params.shape[:-1] + shape))
+        o += size
+    return layers
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Logits plus the hidden activation needed for backprop (None for linear)."""
+    """Logits and hidden activation (None for linear) of params (P,) on x (n, d),
+    or of a (K, P) stack on x (K, b, d)."""
+    layers = _unpack(spec, params)
     if spec.kind == "linear_softmax":
-        w, b = _unpack(spec, params)
-        return x @ w.T + b, None
-    w1, b1, w2, b2 = _unpack(spec, params)
-    a1 = np.tanh(x @ w1.T + b1)
-    return a1 @ w2.T + b2, a1
+        w, b = layers
+        return x @ np.swapaxes(w, -1, -2) + b[..., None, :], None
+    w1, b1, w2, b2 = layers
+    a1 = x @ np.swapaxes(w1, -1, -2)
+    a1 += b1[..., None, :]
+    np.tanh(a1, out=a1)
+    return a1 @ np.swapaxes(w2, -1, -2) + b2[..., None, :], a1
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     """Gaussian(0, init_std^2) weights, zero biases."""
     g = rng.generator()
     params = np.zeros(spec.param_count())
-    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    if spec.init_std == 0.0:
-        return params
-    if spec.kind == "linear_softmax":
-        params[: c * d] = spec.init_std * g.standard_normal(c * d)
-    else:
-        params[: h * d] = spec.init_std * g.standard_normal(h * d)
-        o = h * d + h
-        params[o : o + c * h] = spec.init_std * g.standard_normal(c * h)
+    if spec.init_std > 0.0:
+        for w in _unpack(spec, params)[::2]:  # the weight matrices; biases stay zero
+            w[...] = spec.init_std * g.standard_normal(w.size).reshape(w.shape)
     return params
 
 
 def loss_many(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample cross-entropy for a batch; clamped at -log(PROB_FLOOR)."""
-    params = _check_params(spec, params)
-    x = _as_batch(spec, x)
-    y = np.asarray(y, dtype=np.int64)
+    params, x, y = _inputs(spec, params, x, y)
     logits, _ = _forward(spec, params, x)
     logp = _log_softmax(logits)
     losses = -logp[np.arange(len(y)), y]
@@ -152,9 +137,7 @@ def loss_many(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray)
 
 def grad_samples(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample gradients, one flat row per sample (n x param_count)."""
-    params = _check_params(spec, params)
-    x = _as_batch(spec, x)
-    y = np.asarray(y, dtype=np.int64)
+    params, x, y = _inputs(spec, params, x, y)
     n = len(y)
     logits, a1 = _forward(spec, params, x)
     delta = _softmax(logits)
@@ -162,40 +145,69 @@ def grad_samples(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarr
     if spec.kind == "linear_softmax":
         gw = delta[:, :, None] * x[:, None, :]
         return np.concatenate([gw.reshape(n, -1), delta], axis=1)
-    w1, b1, w2, b2 = _unpack(spec, params)
+    w2 = _unpack(spec, params)[2]
     gw2 = delta[:, :, None] * a1[:, None, :]
     d1 = (delta @ w2) * (1.0 - a1 * a1)
     gw1 = d1[:, :, None] * x[:, None, :]
     return np.concatenate([gw1.reshape(n, -1), d1, gw2.reshape(n, -1), delta], axis=1)
 
 
-def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean per-sample gradient over a non-empty batch."""
-    params = _check_params(spec, params)
-    x = _as_batch(spec, x)
-    y = np.asarray(y, dtype=np.int64)
-    n = len(y)
+def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
+               lam: np.ndarray | None = None) -> list[np.ndarray]:
+    """Mean batch gradients of K stacked models, as ``_unpack`` layers with a leading K axis.
+
+    ``params`` is (K, P) and ``x`` (K, b, d). ``labels`` (L, K, b) holds one
+    label set, or under mixup two that share one forward pass and give
+    ``lam * g_a + (1 - lam) * g_b`` with ``lam`` (K,). Every product is a
+    stack of the 2-D gemms of a lone model, so each row is bitwise the
+    gradient that model computes alone.
+    """
+    k, n = labels.shape[1:]
+    if params.shape != (k, spec.param_count()) or x.shape != (k, n, spec.input_dim):
+        raise ShapeMismatchError(f"params {params.shape}, x {x.shape}, labels {labels.shape}")
     if n == 0:
         raise EmptySampleError("grad_batch of an empty batch")
+    if len(labels) != (1 if lam is None else 2):
+        raise ShapeMismatchError(f"{len(labels)} label sets with lam {lam!r}")
     logits, a1 = _forward(spec, params, x)
-    delta = _softmax(logits)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    if spec.kind == "linear_softmax":
-        gw = delta.T @ x
-        return np.concatenate([gw.ravel(), delta.sum(axis=0)])
-    w1, b1, w2, b2 = _unpack(spec, params)
-    gw2 = delta.T @ a1
-    d1 = (delta @ w2) * (1.0 - a1 * a1)
-    gw1 = d1.T @ x
-    return np.concatenate([gw1.ravel(), d1.sum(axis=0), gw2.ravel(), delta.sum(axis=0)])
+    probs = _softmax(logits)
+    if a1 is not None:
+        dtanh = a1 * a1
+        np.subtract(1.0, dtanh, out=dtanh)
+    grads: list[np.ndarray] = []
+    for i, y in enumerate(labels):
+        delta = probs.copy() if i + 1 < len(labels) else probs
+        delta[np.arange(k)[:, None], np.arange(n), y] -= 1.0
+        delta /= n
+        delta_t = np.swapaxes(delta, 1, 2)
+        if a1 is None:
+            layers = [delta_t @ x, delta.sum(axis=1)]
+        else:
+            d1 = delta @ _unpack(spec, params)[2]
+            d1 *= dtanh
+            layers = [np.swapaxes(d1, 1, 2) @ x, d1.sum(axis=1), delta_t @ a1, delta.sum(axis=1)]
+        if lam is None:
+            return layers
+        for j, g in enumerate(layers):
+            g *= (lam if i == 0 else 1.0 - lam).reshape((k,) + (1,) * (g.ndim - 1))
+            if i == 0:
+                grads.append(g)
+            else:
+                grads[j] += g
+    return grads
+
+
+def sgd_step(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray, lr: float,
+             lam: np.ndarray | None = None) -> None:
+    """``params -= lr * grad_batch(...)`` in place, through per-layer views."""
+    for w, g in zip(_unpack(spec, params), grad_batch(spec, params, x, labels, lam)):
+        g *= lr
+        w -= g
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class index."""
-    params = _check_params(spec, params)
-    x = _as_batch(spec, x)
-    y = np.asarray(y, dtype=np.int64)
+    params, x, y = _inputs(spec, params, x, y)
     if len(y) == 0:
         raise EmptySampleError("accuracy of an empty dataset")
     logits, _ = _forward(spec, params, x)

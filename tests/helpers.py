@@ -4,7 +4,8 @@ Everything here is deliberately written against the definitions, not the
 implementations under test: quadrature instead of erf, exhaustive pair
 counting instead of a threshold sweep, a threshold-by-threshold ROC
 instead of one sort, Monte Carlo instead of the sweep line, central
-differences instead of backprop.
+differences instead of backprop, and a client-by-client FedAvg loop of
+2-D products instead of the stacked group trainer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
+from fedaudit import data as dat
+from fedaudit import fedsim as fed
 from fedaudit import model as mdl
+from fedaudit.numstat import RngStream
 
 
 def normal_cdf_quadrature(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
@@ -87,3 +91,77 @@ def finite_diff_grad(
         down[i] -= h
         out[i] = (mdl.loss_many(spec, up, x, y)[0] - mdl.loss_many(spec, down, x, y)[0]) / (2 * h)
     return out
+
+
+def batch_grad_2d(
+    spec: mdl.ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Mean cross-entropy gradient of one model on one (n, d) batch, flat."""
+    d, h, c, n = spec.input_dim, spec.hidden_dim, spec.num_classes, len(y)
+    if spec.kind == "linear_softmax":
+        w, b = params[: c * d].reshape(c, d), params[c * d :]
+        logits = x @ w.T + b
+    else:
+        w1, b1 = params[: h * d].reshape(h, d), params[h * d : h * d + h]
+        w2, b2 = params[h * d + h : h * d + h + c * h].reshape(c, h), params[h * d + h + c * h :]
+        a1 = np.tanh(x @ w1.T + b1)
+        logits = a1 @ w2.T + b2
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    if spec.kind == "linear_softmax":
+        return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0)])
+    d1 = (delta @ w2) * (1.0 - a1 * a1)
+    return np.concatenate(
+        [(d1.T @ x).ravel(), d1.sum(axis=0), (delta.T @ a1).ravel(), delta.sum(axis=0)]
+    )
+
+
+def federation_loop(
+    dataset: dat.Dataset, partition: dat.Partition, spec: mdl.ModelSpec, config: fed.FedConfig
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """FedAvg one client at a time: ([(global_before, updates)] per round, final model).
+
+    Each client shuffles (a ``subsample`` of) its records every epoch and
+    takes one SGD step per batch of ``batch_grad_2d``; under mixup a batch
+    of two or more mixes with a partner after drawing lam, and is scored
+    against both label sets.
+    """
+    defense = config.defense
+    root = RngStream(config.seed)
+    omega = mdl.init_params(spec, root.derive(fed.TAG_INIT))
+    rounds = []
+    for t in range(config.rounds):
+        lr = fed.lr_effective(config, t)
+        updates = np.empty((config.num_clients, spec.param_count()))
+        for k, idx in enumerate(partition.client_indices):
+            x, y = dataset.arrays(idx)
+            g = root.derive(fed.TAG_CLIENT, t, k).generator()
+            w = omega.copy()
+            for _ in range(config.local_epochs):
+                if defense.kind in ("sample", "augment_and_sample"):
+                    perm = g.permutation(dat.subsample(g, len(y), defense.portion))
+                else:
+                    perm = g.permutation(len(y))
+                for start in range(0, len(perm), config.batch_size):
+                    batch = perm[start : start + config.batch_size]
+                    bx, by = x[batch], y[batch]
+                    if defense.kind in ("augment", "augment_and_sample"):
+                        bx = dat.augment_batch(g, bx, dataset.geometry, defense.augment_ops)
+                    if defense.kind == "mixup" and len(batch) >= 2:
+                        lam = float(g.beta(defense.alpha, defense.alpha))
+                        partner = g.permutation(len(batch))
+                        mixed = lam * bx + (1.0 - lam) * bx[partner]
+                        grad = lam * batch_grad_2d(spec, w, mixed, by)
+                        grad += (1.0 - lam) * batch_grad_2d(spec, w, mixed, by[partner])
+                    else:
+                        grad = batch_grad_2d(spec, w, bx, by)
+                    w -= lr * grad
+            upd = (omega - w) / lr
+            if defense.is_update_level:
+                upd = fed.defend_update(upd, defense, root.derive(fed.TAG_DEFENSE, t, k))
+            updates[k] = upd
+        rounds.append((omega, updates))
+        omega = omega - lr * updates.mean(axis=0)
+    return rounds, omega

@@ -24,10 +24,10 @@ def train_linear_accuracy(dataset, eval_dataset=None, seed=0, epochs=30):
         "linear_softmax", input_dim=dataset.input_dim, num_classes=dataset.num_classes
     )
     config = fed.FedConfig(num_clients=2, rounds=1, local_epochs=epochs, lr=0.1, batch_size=32)
-    params = fed._local_train(
-        spec, np.zeros(spec.param_count()), dataset.features, dataset.labels, 0.1, config,
-        None, RngStream(seed),
-    )
+    start = np.zeros(spec.param_count())
+    params = start - 0.1 * fed.client_update(
+        spec, dataset.features[None], dataset.labels[None], start, config, 0.1, [RngStream(seed)]
+    )[0]
     ev = eval_dataset if eval_dataset is not None else dataset
     return mdl.accuracy(spec, params, ev.features, ev.labels)
 
@@ -206,54 +206,56 @@ class TestEvalSplit:
             dat.make_eval_split(RngStream(28), part, 0, "everything")
 
 
+def mix_one(x, y, partner, lam):
+    """``mix_with_lambda`` on a stack of one batch."""
+    return dat.mix_with_lambda(x[None], y[None], np.asarray(partner)[None], np.array([lam]))
+
+
 class TestMixup:
     def test_lambda_one_is_identity(self):
         x = np.array([[0.0, 2.0], [2.0, 0.0]])
         y = np.array([0, 1])
-        m = dat.mix_with_lambda(x, y, np.array([1, 0]), 1.0)
-        assert np.array_equal(m.features, x)
-        assert np.array_equal(m.labels_a, y)
+        m = mix_one(x, y, [1, 0], 1.0)
+        assert np.array_equal(m.features[0], x)
+        assert np.array_equal(m.labels_a[0], y)
 
     def test_lambda_half_midpoint(self):
         x = np.array([[0.0, 2.0], [2.0, 0.0]])
         y = np.array([0, 1])
-        m = dat.mix_with_lambda(x, y, np.array([1, 0]), 0.5)
-        assert np.array_equal(m.features, np.array([[1.0, 1.0], [1.0, 1.0]]))
+        m = mix_one(x, y, [1, 0], 0.5)
+        assert np.array_equal(m.features[0], np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_lambda_zero_is_partner(self):
         x = np.array([[0.0, 2.0], [2.0, 0.0]])
         y = np.array([0, 1])
-        m = dat.mix_with_lambda(x, y, np.array([1, 0]), 0.0)
-        assert np.array_equal(m.features, x[[1, 0]])
-        assert np.array_equal(m.labels_b, y[[1, 0]])
+        m = mix_one(x, y, [1, 0], 0.0)
+        assert np.array_equal(m.features[0], x[[1, 0]])
+        assert np.array_equal(m.labels_b[0], y[[1, 0]])
 
     def test_concentrated_alpha_lambda_near_half(self):
-        lams = [
-            dat.mixup(
-                RngStream(29).derive(i).generator(), np.zeros((2, 2)), np.zeros(2, dtype=int), 1e5
-            ).lam
-            for i in range(10_000)
-        ]
+        gens = [RngStream(29).derive(i).generator() for i in range(10_000)]
+        lams = dat.mixup(gens, np.zeros((10_000, 2, 2)), np.zeros((10_000, 2), dtype=int), 1e5).lam
         assert np.mean(lams) == pytest.approx(0.5, abs=0.01)
 
     def test_small_batch_rejected(self):
         with pytest.raises(ParameterError):
-            dat.mixup(RngStream(30).generator(), np.zeros((1, 2)), np.zeros(1, dtype=int), 1.0)
+            dat.mixup([RngStream(30).generator()], np.zeros((1, 1, 2)), np.zeros((1, 1), int), 1.0)
 
     def test_invalid_alpha(self):
         with pytest.raises(ParameterError):
-            dat.mixup(RngStream(31).generator(), np.zeros((2, 2)), np.zeros(2, dtype=int), 0.0)
+            dat.mixup([RngStream(31).generator()], np.zeros((1, 2, 2)), np.zeros((1, 2), int), 0.0)
 
     def test_draws_lambda_then_partner(self):
         g = RngStream(32).generator()
-        x, y = g.standard_normal((5, 3)), np.arange(5)
-        m = dat.mixup(RngStream(33).generator(), x, y, 0.7)
-        ref = RngStream(33).generator()
-        lam = float(ref.beta(0.7, 0.7))
-        expect = dat.mix_with_lambda(x, y, ref.permutation(5), lam)
-        assert m.lam == lam
-        assert np.array_equal(m.features, expect.features)
-        assert np.array_equal(m.labels_b, expect.labels_b)
+        x, y = g.standard_normal((2, 5, 3)), np.arange(10).reshape(2, 5)
+        m = dat.mixup([RngStream(33).generator(), RngStream(34).generator()], x, y, 0.7)
+        for k, seed in enumerate((33, 34)):
+            ref = RngStream(seed).generator()
+            lam = float(ref.beta(0.7, 0.7))
+            expect = mix_one(x[k], y[k], ref.permutation(5), lam)
+            assert m.lam[k] == lam
+            assert np.array_equal(m.features[k], expect.features[0])
+            assert np.array_equal(m.labels_b[k], expect.labels_b[0])
 
 
 class TestAugment:

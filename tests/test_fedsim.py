@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from fedaudit import data as dat
 from fedaudit import fedsim as fed
 from fedaudit import model as mdl
-from fedaudit.errors import ConfigError, IntegrityError, ShapeMismatchError
+from fedaudit.errors import ConfigError, IntegrityError, ParameterError, ShapeMismatchError
 from fedaudit.numstat import RngStream
+from helpers import federation_loop
 
 
 class TestDefenseConfig:
@@ -148,6 +149,11 @@ class TestAggregate:
             fed.aggregate([np.zeros(2), np.zeros(2)], np.zeros(3), 0.1)
 
 
+def client_update(spec, x, y, omega, config, lr_eff, rng):
+    """One client's upload, trained as a group of one."""
+    return fed.client_update(spec, x[None], y[None], omega, config, lr_eff, [rng])[0]
+
+
 class TestClientUpdate:
     @pytest.fixture()
     def toy(self):
@@ -163,30 +169,31 @@ class TestClientUpdate:
         spec, x, y = toy
         config = fed.FedConfig(num_clients=2, rounds=1, local_epochs=1, lr=0.5, batch_size=64)
         omega = np.zeros(spec.param_count())
-        upd = fed.client_update(spec, x, y, omega, config, 0.5, RngStream(5))
-        assert np.array_equal(upd, mdl.grad_batch(spec, omega, x, y))
+        upd = client_update(spec, x, y, omega, config, 0.5, RngStream(5))
+        layers = mdl.grad_batch(spec, omega[None], x[None], y[None, None])
+        assert np.array_equal(upd, np.concatenate([g[0].ravel() for g in layers]))
 
     def test_tiny_lr_parameters_barely_move(self, toy):
         spec, x, y = toy
         config = fed.FedConfig(num_clients=2, rounds=1, local_epochs=3, lr=1e-8, batch_size=4)
         omega = mdl.init_params(spec, RngStream(6))
         lr_eff = 1e-8
-        upd = fed.client_update(spec, x, y, omega, config, lr_eff, RngStream(7))
+        upd = client_update(spec, x, y, omega, config, lr_eff, RngStream(7))
         assert lr_eff * np.linalg.norm(upd) < 1e-3
 
     def test_deterministic(self, toy):
         spec, x, y = toy
         config = fed.FedConfig(num_clients=2, rounds=1, local_epochs=2, lr=0.1, batch_size=4)
         omega = mdl.init_params(spec, RngStream(8))
-        a = fed.client_update(spec, x, y, omega, config, 0.1, RngStream(9))
-        b = fed.client_update(spec, x, y, omega, config, 0.1, RngStream(9))
+        a = client_update(spec, x, y, omega, config, 0.1, RngStream(9))
+        b = client_update(spec, x, y, omega, config, 0.1, RngStream(9))
         assert np.array_equal(a, b)
 
     def test_empty_client_rejected(self, toy):
         spec, x, y = toy
         config = fed.FedConfig(num_clients=2, rounds=1)
         with pytest.raises(ConfigError):
-            fed.client_update(spec, x[:0], y[:0], np.zeros(spec.param_count()), config, 0.1, RngStream(1))
+            client_update(spec, x[:0], y[:0], np.zeros(spec.param_count()), config, 0.1, RngStream(1))
 
     @pytest.mark.parametrize(
         "defense",
@@ -208,8 +215,8 @@ class TestClientUpdate:
             num_clients=2, rounds=1, local_epochs=2, lr=0.1, batch_size=4, defense=defense
         )
         omega = mdl.init_params(spec, RngStream(10))
-        plain = fed.client_update(spec, x, y, omega, base_cfg, 0.1, RngStream(11))
-        defended = fed.client_update(spec, x, y, omega, def_cfg, 0.1, RngStream(11))
+        plain = client_update(spec, x, y, omega, base_cfg, 0.1, RngStream(11))
+        defended = client_update(spec, x, y, omega, def_cfg, 0.1, RngStream(11))
         assert not np.array_equal(plain, defended)
 
 
@@ -260,6 +267,68 @@ class TestRunFederation:
         config = fed.FedConfig(num_clients=2, rounds=10, lr=0.1, lr_decay=0.9)
         assert fed.lr_effective(config, 0) == 0.1
         assert fed.lr_effective(config, 2) == pytest.approx(0.1 * 0.81)
+
+    def test_diverged_round_names_round_and_client(self, tiny_setup):
+        dataset, partition, spec = tiny_setup
+        config = fed.FedConfig(num_clients=4, rounds=3, lr=1e308, seed=1)
+        with pytest.raises(ParameterError, match=r"round \d+: client \d+'s upload is not finite"):
+            fed.run_federation(dataset, partition, spec, config)
+
+
+STACK_DEFENSES = [
+    fed.DefenseConfig(),
+    fed.DefenseConfig(kind="perturb", clip_norm=0.5, noise_std=0.1),
+    fed.DefenseConfig(kind="quantize", bits=3),
+    fed.DefenseConfig(kind="sparsify", rate=0.5),
+    fed.DefenseConfig(kind="mixup", alpha=0.5),
+    fed.DefenseConfig(
+        kind="augment", augment_ops=dat.AugmentOps(flip_h=True, shift=True, noise_std=0.1)
+    ),
+    fed.DefenseConfig(kind="sample", portion=0.68),
+    fed.DefenseConfig(
+        kind="augment_and_sample", portion=0.68,
+        augment_ops=dat.AugmentOps(flip_h=True, shift=True, noise_std=0.1),
+    ),
+]
+
+
+def _stack_partition(kind, dataset):
+    if kind == "iid":
+        return dat.partition_iid(RngStream(61), dataset, 5, 25, 20)
+    if kind == "dirichlet":
+        return dat.partition_dirichlet(RngStream(62), dataset, 5, 0.5, 20)
+    # two groups of two equal-size clients, interleaved, plus a lone client
+    perm = RngStream(63).generator().permutation(len(dataset))
+    cuts = np.cumsum([25, 17, 25, 17, 9])
+    return dat.Partition(np.split(perm[: cuts[-1]], cuts[:-1]), perm[cuts[-1] : cuts[-1] + 20])
+
+
+class TestStackedTrainerMatchesLoop:
+    """``run_federation`` trains clients of equal size as one stack; its trace
+    must equal the client-by-client loop of 2-D products bit for bit."""
+
+    @pytest.mark.parametrize("partition_kind", ["iid", "dirichlet", "grouped"])
+    @pytest.mark.parametrize("model_kind", ["mlp", "linear_softmax"])
+    @pytest.mark.parametrize("defense", STACK_DEFENSES, ids=lambda d: d.kind)
+    def test_trace_bits_equal_reference_loop(self, defense, model_kind, partition_kind):
+        ds = dat.synth_blobs(RngStream(60), 3, 4, 60, 1.5)
+        ds = dat.Dataset(ds.features, ds.labels, 3, (2, 2))
+        part = _stack_partition(partition_kind, ds)
+        sizes = [len(c) for c in part.client_indices]
+        assert min(sizes) > 0
+        # batch size 8: a client of 25 records (17 under sample) ends each
+        # epoch on a batch of one, the branch where mixup is skipped
+        spec = mdl.ModelSpec(model_kind, 4, 3 if model_kind == "mlp" else 0, 3, 0.1)
+        config = fed.FedConfig(
+            num_clients=5, rounds=2, local_epochs=2, lr=0.3, lr_decay=0.9, batch_size=8,
+            defense=defense, seed=64,
+        )
+        trace = fed.run_federation(ds, part, spec, config)
+        rounds, final = federation_loop(ds, part, spec, config)
+        for rec, (omega, updates) in zip(trace.rounds, rounds, strict=True):
+            assert rec.global_before.tobytes() == omega.tobytes()
+            assert rec.updates.tobytes() == updates.tobytes()
+        assert trace.final_model.tobytes() == final.tobytes()
 
 
 class TestTracePersistence:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 
@@ -515,10 +516,12 @@ class TestExitCodeContract:
         (("partition",), {"kind": "dirichlet", "clients": 3, "beta": 0, "holdout": 60},
          "partition.beta"),
         (("sweep",), {"defense": "augment", "augment_noise_std": -1}, "sweep.augment_noise_std"),
+        (("partition",), {"kind": "dirichlet", "clients": 3, "beta": 0.5, "holdout": 400},
+         "partition.holdout"),
     ], ids=["rounds_str", "rounds_float", "seed_float", "fpr_cap_str", "delta_grid_scalar",
             "hidden_dim_str", "targets_per_class_str", "target_client_float", "geometry_scalar",
             "leave_one_out_str", "lr_nan", "per_class_zero", "class_sep_negative",
-            "dirichlet_beta_zero", "augment_noise_std_negative"])
+            "dirichlet_beta_zero", "augment_noise_std_negative", "dirichlet_holdout_too_large"])
     def test_quick_config_mistyped_value_exits_2(self, tmp_path, capsys, path, value, key_path):
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
@@ -546,6 +549,16 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         for part in ("seed 1", '"kind": "sparsify"', '"rate": 0.1', "sample_id ", "round "):
             assert part in err, err
+
+    def test_diverged_training_exits_4_naming_round_and_client(self, tmp_path, capsys):
+        with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
+            d = json.load(fh)
+        d["federation"]["lr"] = 1e308
+        out = tmp_path / "out"
+        assert hns.main(["run", write_config(tmp_path, d), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert re.search(r"training diverged in round \d+: client \d+'s upload", err), err
+        assert not (out / "runs").exists()
 
     @pytest.fixture(scope="class")
     def run_dir(self, tmp_path_factory):
@@ -575,7 +588,9 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("mangle, line", [
         (lambda rows: rows[1].__setitem__(0, "x"), 2),
         (lambda rows: rows[2].__delitem__(slice(2, None)), 3),
-    ], ids=["first_id_not_int", "short_row"])
+        (lambda rows: rows[2].__setitem__(3, "nan"), 3),
+        (lambda rows: rows[1].__setitem__(1, "7"), 2),
+    ], ids=["first_id_not_int", "short_row", "nan_feature", "is_member_not_0_or_1"])
     def test_malformed_targets_csv_exits_3(self, run_dir, tmp_path, capsys, mangle, line):
         copy = str(tmp_path / "run")
         shutil.copytree(run_dir, copy)

@@ -30,11 +30,18 @@ def loss_one(spec, params, x, y):
 
 
 def local_sgd(spec, params, x, y, lr, epochs, batch_size, rng):
-    """A client's local SGD with no data-level defense."""
+    """A client's parameters after local SGD with no data-level defense,
+    rebuilt from its upload as a group of one (exact for dyadic values)."""
     config = fed.FedConfig(
         num_clients=2, rounds=1, local_epochs=epochs, lr=lr, batch_size=batch_size
     )
-    return fed._local_train(spec, params, x, y, lr, config, None, rng)
+    return params - lr * fed.client_update(spec, x[None], y[None], params, config, lr, [rng])[0]
+
+
+def batch_grad(spec, params, x, y):
+    """Mean gradient of one batch as a flat vector, from the stacked kernel."""
+    layers = mdl.grad_batch(spec, params[None], x[None], np.asarray(y)[None, None])
+    return np.concatenate([g[0].ravel() for g in layers])
 
 
 class TestModelSpec:
@@ -132,21 +139,21 @@ class TestGradients:
         y = np.array([0, 1])
         params = np.zeros(spec.param_count())
         for _ in range(50_000):
-            g = mdl.grad_batch(spec, params, x, y)
+            g = batch_grad(spec, params, x, y)
             if np.linalg.norm(g) < 1e-6:
                 break
             params -= 1.0 * g
-        assert np.linalg.norm(mdl.grad_batch(spec, params, x, y)) < 1e-6
+        assert np.linalg.norm(batch_grad(spec, params, x, y)) < 1e-6
 
     def test_batch_of_one_equals_grad_sample(self):
         params, x, y = random_case(3, MLP)
-        batch = mdl.grad_batch(MLP, params, x, y)
+        batch = batch_grad(MLP, params, x, y)
         assert np.allclose(batch, mdl.grad_samples(MLP, params, x, y)[0], atol=1e-15)
 
     def test_duplicate_averaging(self):
         params, x, y = random_case(4, LINEAR)
         assert np.allclose(
-            mdl.grad_batch(LINEAR, params, np.vstack([x, x]), np.concatenate([y, y])),
+            batch_grad(LINEAR, params, np.vstack([x, x]), np.concatenate([y, y])),
             mdl.grad_samples(LINEAR, params, x, y)[0],
             atol=1e-15,
         )
@@ -157,7 +164,7 @@ class TestGradients:
         y = g.integers(4, size=20)
         params = 0.3 * g.standard_normal(MLP.param_count())
         direct = mdl.grad_samples(MLP, params, x, y).mean(axis=0)
-        assert np.allclose(mdl.grad_batch(MLP, params, x, y), direct, atol=1e-12)
+        assert np.allclose(batch_grad(MLP, params, x, y), direct, atol=1e-12)
 
     def test_permutation_invariance(self):
         g = RngStream(10).generator()
@@ -165,13 +172,43 @@ class TestGradients:
         y = g.integers(4, size=15)
         params = 0.3 * g.standard_normal(LINEAR.param_count())
         perm = g.permutation(15)
-        a = mdl.grad_batch(LINEAR, params, x, y)
-        b = mdl.grad_batch(LINEAR, params, x[perm], y[perm])
+        a = batch_grad(LINEAR, params, x, y)
+        b = batch_grad(LINEAR, params, x[perm], y[perm])
         assert np.allclose(a, b, atol=1e-12)
 
     def test_empty_batch(self):
         with pytest.raises(EmptySampleError):
-            mdl.grad_batch(LINEAR, np.zeros(LINEAR.param_count()), np.zeros((0, 3)), np.zeros(0, dtype=int))
+            batch_grad(LINEAR, np.zeros(LINEAR.param_count()), np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("k, b", [(50, 32), (50, 4), (3, 1), (1, 7)])
+@pytest.mark.parametrize("spec", [
+    mdl.ModelSpec("mlp", input_dim=32, hidden_dim=32, num_classes=10),
+    mdl.ModelSpec("linear_softmax", input_dim=32, num_classes=10),
+], ids=["mlp", "linear_softmax"])
+def test_stacked_matmul_is_per_client_gemm(spec, k, b):
+    """Each slice of the kernel's stacked products is bitwise the 2-D product
+    a lone client computes, which is what keeps grouped training's traces
+    identical; a NumPy or BLAS that batches differently fails here."""
+    g = RngStream(23).generator()
+    w = g.standard_normal((k, spec.param_count()))
+    x = g.standard_normal((k, b, spec.input_dim))
+    width = spec.hidden_dim or spec.input_dim
+    a1, d1 = g.standard_normal((2, k, b, width))
+    delta = g.standard_normal((k, b, spec.num_classes))
+    t = lambda m: np.swapaxes(m, -1, -2)  # noqa: E731
+    stacked = [x @ t(mdl._unpack(spec, w)[0]), t(delta) @ x]
+    if spec.kind == "mlp":
+        w2 = mdl._unpack(spec, w)[2]
+        stacked += [a1 @ t(w2), delta @ w2, t(d1) @ x, t(delta) @ a1]
+    for i in range(k):
+        lone = mdl._unpack(spec, w[i].copy())
+        xi, ai, di, deli = x[i].copy(), a1[i].copy(), d1[i].copy(), delta[i].copy()
+        alone = [xi @ lone[0].T, deli.T @ xi]
+        if spec.kind == "mlp":
+            alone += [ai @ lone[2].T, deli @ lone[2], di.T @ xi, deli.T @ ai]
+        for s, a in zip(stacked, alone, strict=True):
+            assert s[i].tobytes() == a.tobytes()
 
 
 class TestSgd:
@@ -184,7 +221,7 @@ class TestSgd:
         start = np.zeros(LINEAR.param_count())
         lr = 0.5
         out = local_sgd(LINEAR, start, x, y, lr, epochs=1, batch_size=8, rng=RngStream(12))
-        assert np.array_equal(out, start - lr * mdl.grad_batch(LINEAR, start, x, y))
+        assert np.array_equal(out, start - lr * batch_grad(LINEAR, start, x, y))
 
     def test_full_batch_single_epoch_is_one_gd_step_general(self):
         g = RngStream(21).generator()
@@ -192,7 +229,7 @@ class TestSgd:
         y = np.asarray(g.integers(4, size=8))
         start = 0.1 * g.standard_normal(LINEAR.param_count())
         out = local_sgd(LINEAR, start, x, y, 0.3, epochs=1, batch_size=8, rng=RngStream(22))
-        expect = start - 0.3 * mdl.grad_batch(LINEAR, start, x, y)
+        expect = start - 0.3 * batch_grad(LINEAR, start, x, y)
         assert np.allclose(out, expect, atol=1e-14, rtol=0)
 
     def test_lr_zero_rejected(self):
