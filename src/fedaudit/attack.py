@@ -22,9 +22,12 @@ The main attack scores a target record in three steps, per round:
 ``audit_cohort`` runs the steps for a whole cohort in one pass over the
 rounds, vectorised over (records x non-target clients); one gradient
 product per round feeds every measurement. A row whose 3-sigma test keeps
-every value takes the population fit as its null, exactly; rows with a
-drop, and all rows under leave-one-out, take the scalar rule
-(``estimate_out`` and ``score_round``), which is the reference.
+every value takes the population fit as its null, exactly. Rows with a
+drop are grouped by survivor count, and each group's survivors, gathered
+in client order into one contiguous block, are fitted row by row with the
+same reductions; leave-one-out builds its keep mask one column at a time.
+No step loops over rows. The scalar rule, applied record by record, lives
+in ``tests/helpers.py`` as the reference the engine matches bit for bit.
 
 A record is declared a member when the aggregate score exceeds a
 threshold. Any record flagged by the aggregate score is necessarily
@@ -61,7 +64,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .fedsim import RoundRecord, UpdateTrace
-from .numstat import gaussian_cdf, summary
+from .numstat import gaussian_cdf
 
 MEASUREMENT_KINDS = ("cosine", "loss", "grad_norm", "grad_diff")
 ORIENTATIONS = ("member_high", "member_low")
@@ -103,25 +106,6 @@ _erf = np.frompyfunc(math.erf, 1, 1)
 
 
 @dataclass(frozen=True, eq=False)
-class MeasurementMatrix:
-    """Per-(round, client) measurements for one target record."""
-
-    sample_id: int
-    target_client: int
-    values: np.ndarray  # (T, K)
-
-
-@dataclass(frozen=True)
-class RoundOutDistribution:
-    """Gaussian null fitted to the filtered non-target measurements."""
-
-    round_index: int
-    kept_clients: tuple[int, ...]
-    mu_out: float
-    v_out: float
-
-
-@dataclass(frozen=True, eq=False)
 class MembershipScore:
     """Per-round tail probabilities and their mean for one target record."""
 
@@ -148,7 +132,7 @@ class CohortAudit:
     def memberships(self, method: str, sample_ids: Sequence[int]) -> dict[int, MembershipScore]:
         """Per-record scores of one fedmia method, keyed by sample id."""
         per_round = self.per_round[method]
-        aggregate = per_round.mean(axis=1)  # row by row, as score_temporal
+        aggregate = per_round.mean(axis=1)  # bit-equal to a 1-D mean of each row
         return {
             int(sid): MembershipScore(per_round[i], float(aggregate[i]))
             for i, sid in enumerate(sample_ids)
@@ -223,74 +207,19 @@ def measure_cohort(
     return out
 
 
-def _round_out(
-    values: np.ndarray,
-    target_client: int,
-    orientation: str,
-    round_index: int,
-    leave_one_out: bool = False,
-) -> RoundOutDistribution:
-    """Fit the null to the non-target values of one round (the 3-sigma step)."""
-    k = len(values)
-    if k < 3:
-        raise InsufficientClientsError(
-            f"need at least 3 clients for a null estimate, got {k}"
-        )
-    others = np.delete(np.arange(k), target_client)
-    vals = values[others]
-    if leave_one_out:
-        keep_mask = np.ones(len(vals), dtype=bool)
-        for j in range(len(vals)):
-            rest = np.delete(vals, j)
-            st = summary(rest)
-            bound = 3.0 * np.sqrt(st.variance)
-            if orientation == "member_high":
-                keep_mask[j] = vals[j] <= st.mean + bound
-            else:
-                keep_mask[j] = vals[j] >= st.mean - bound
-        if not keep_mask.any():
-            keep_mask[:] = True
-    else:
-        st = summary(vals)
-        bound = 3.0 * np.sqrt(st.variance)
-        if orientation == "member_high":
-            keep_mask = vals <= st.mean + bound
-        else:
-            keep_mask = vals >= st.mean - bound
-    kept = others[keep_mask]
-    st_out = summary(values[kept])
-    return RoundOutDistribution(round_index, tuple(int(c) for c in kept), st_out.mean, st_out.variance)
-
-
-def estimate_out(
-    matrix: MeasurementMatrix,
-    round_index: int,
-    orientation: str,
-    leave_one_out: bool = False,
-) -> RoundOutDistribution:
-    """Null distribution for one round of a target's measurement matrix."""
-    if orientation not in ORIENTATIONS:
-        raise ConfigError(f"unknown orientation {orientation!r}")
-    return _round_out(
-        matrix.values[round_index],
-        matrix.target_client,
-        orientation,
-        round_index,
-        leave_one_out,
-    )
-
-
 def score_round(
     m_target: float,
-    out: RoundOutDistribution,
+    out,
     orientation: str,
     sigma_floor_rel: float = SIGMA_FLOOR_REL,
 ) -> float:
     """One-sided Gaussian tail probability of the target measurement.
 
-    member_high scores P(X <= m) under the null, member_low the mirror
-    P(X >= m). The variance is floored at (sigma_floor_rel*(1+|mu|))^2 so
-    a collapsed null still yields a well-defined score.
+    ``out`` is a fitted null with ``mu_out`` and ``v_out``. member_high
+    scores P(X <= m) under the null, member_low the mirror P(X >= m). The
+    variance is floored at (sigma_floor_rel*(1+|mu|))^2 so a collapsed
+    null still yields a well-defined score. The scalar form of step 3;
+    ``_score_rows`` computes it for a whole round.
     """
     floor = sigma_floor_rel * (1.0 + abs(out.mu_out))
     v = max(out.v_out, floor * floor)
@@ -298,12 +227,26 @@ def score_round(
     return p if orientation == "member_high" else 1.0 - p
 
 
-def score_temporal(per_round: Sequence[float] | np.ndarray) -> float:
-    """Mean of the per-round scores (the aggregate membership score)."""
-    arr = np.asarray(per_round, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptySampleError("no per-round scores to aggregate")
-    return float(arr.mean())
+def _row_fit(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise population mean and variance of a contiguous (m, c) block.
+
+    Each row reduces with the same pairwise summation as a 1-D sample, and
+    a constant row gets its value and variance exactly 0, so every row's
+    bits are those of the scalar fit of that row.
+    """
+    mu = block.mean(axis=1)
+    v = ((block - mu[:, None]) ** 2).mean(axis=1)
+    const = (block == block[:, :1]).all(axis=1)
+    mu[const], v[const] = block[const, 0], 0.0
+    return mu, v
+
+
+def _keep(values: np.ndarray, mu: np.ndarray, v: np.ndarray, orientation: str) -> np.ndarray:
+    """The 3-sigma test: values within three standard deviations on the member side."""
+    bound = 3.0 * np.sqrt(v)
+    if orientation == "member_high":
+        return values <= mu + bound
+    return values >= mu - bound
 
 
 def _score_rows(
@@ -314,29 +257,32 @@ def _score_rows(
     sigma_floor_rel: float,
     leave_one_out: bool,
 ) -> np.ndarray:
-    """Steps 2-3 for one round, (n, K) -> (n,): score_round after _round_out, per row.
+    """Steps 2-3 for one round, (n, K) -> (n,), with no loop over rows.
 
-    Reducing the contiguous (n, K-1) rows uses the same pairwise summation
-    as ``summary``, with its constant-sample branch, so the bits match.
+    The 3-sigma test compares each non-target value with the fit of its
+    row (under leave-one-out, of its row without it: one contiguous
+    (n, K-2) block per column). A row that keeps every value takes the
+    population fit as its null. The other rows are grouped by survivor
+    count c, and each group's survivors, in client order, form one (m, c)
+    block fitted by ``_row_fit``. A leave-one-out row that flags every
+    value keeps them all.
     """
     if not np.all(np.isfinite(values)):
         raise ParameterError(f"non-finite measurement in round {round_index}")
     others = np.delete(values, target_client, axis=1)
-    mu = others.mean(axis=1)
-    v = ((others - mu[:, None]) ** 2).mean(axis=1)
-    const = (others == others[:, :1]).all(axis=1)
-    mu[const], v[const] = others[const, 0], 0.0
-    bound = 3.0 * np.sqrt(v)
-    if orientation == "member_high":
-        keep = others <= (mu + bound)[:, None]
+    mu, v = _row_fit(others)
+    if leave_one_out:
+        keep = np.empty(others.shape, dtype=bool)
+        for j in range(others.shape[1]):
+            keep[:, j] = _keep(others[:, j], *_row_fit(np.delete(others, j, axis=1)), orientation)
+        keep[~keep.any(axis=1)] = True
     else:
-        keep = others >= (mu - bound)[:, None]
-    # A row that keeps every value has the population as its survivors, so
-    # its fit above is the null; the other rows take the scalar rule.
-    rows = range(len(values)) if leave_one_out else np.flatnonzero(~keep.all(axis=1))
-    for i in rows:
-        out = _round_out(values[i], target_client, orientation, round_index, leave_one_out)
-        mu[i], v[i] = out.mu_out, out.v_out
+        keep = _keep(others, mu[:, None], v[:, None], orientation)
+    rows = np.flatnonzero(~keep.all(axis=1))
+    survivors = keep[rows].sum(axis=1)
+    for c in np.unique(survivors):
+        group = rows[survivors == c]
+        mu[group], v[group] = _row_fit(others[group][keep[group]].reshape(len(group), c))
     floor = sigma_floor_rel * (1.0 + np.abs(mu))
     v = np.maximum(v, floor * floor)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):

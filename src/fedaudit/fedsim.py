@@ -334,13 +334,17 @@ def run_federation(
     for t in range(config.rounds):
         lr_eff = lr_effective(config, t)
         updates = np.empty((config.num_clients, spec.param_count()))
-        for ks, gx, gy in stacks:
-            rngs = [root.derive(TAG_CLIENT, t, k) for k in ks]
-            updates[ks] = client_update(spec, gx, gy, omega, config, lr_eff, rngs, dataset.geometry)
-        if config.defense.is_update_level:
-            for k, upd in enumerate(updates):
-                updates[k] = defend_update(upd, config.defense, root.derive(TAG_DEFENSE, t, k))
-        new_omega = aggregate(updates, omega, lr_eff)
+        # A diverging round overflows; the finiteness check below reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ks, gx, gy in stacks:
+                rngs = [root.derive(TAG_CLIENT, t, k) for k in ks]
+                updates[ks] = client_update(
+                    spec, gx, gy, omega, config, lr_eff, rngs, dataset.geometry
+                )
+            if config.defense.is_update_level:
+                for k, upd in enumerate(updates):
+                    updates[k] = defend_update(upd, config.defense, root.derive(TAG_DEFENSE, t, k))
+            new_omega = aggregate(updates, omega, lr_eff)
         bad = np.flatnonzero(~np.isfinite(updates).all(axis=1))
         if len(bad) or not np.isfinite(new_omega).all():
             who = f"client {bad[0]}'s upload" if len(bad) else "the global model"

@@ -561,8 +561,7 @@ def run_single(
     scores, sidecar = run_attacks(trace, cohort, config.attack)
     _write_scores_csv(os.path.join(run_dir, "attack_scores.csv"), cohort, scores)
     with open(os.path.join(run_dir, "attack_rounds.json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh)
-        fh.write("\n")
+        fh.write(json.dumps(sidecar) + "\n")  # dumps uses the C encoder, dump does not
 
     utility_loss = 1.0 - trace.round_accuracy[-1]
     rows = _metric_rows(seed, defense.kind, param, utility_loss, cohort, scores, config.attack)
@@ -689,8 +688,7 @@ def replay_attack(trace_dir: str, ac: AttackSuiteConfig, out_dir: str | None = N
         os.makedirs(out_dir, exist_ok=True)
         _write_scores_csv(os.path.join(out_dir, "attack_scores.csv"), cohort, scores)
         with open(os.path.join(out_dir, "attack_rounds.json"), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh)
-            fh.write("\n")
+            fh.write(json.dumps(sidecar) + "\n")  # dumps uses the C encoder, dump does not
         _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
     return rows
 

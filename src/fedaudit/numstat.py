@@ -2,10 +2,8 @@
 
 Counter-based RNG streams (Philox) keyed by ``(seed, stream_id)`` so that
 every client/round/sample draws from its own reproducible stream regardless
-of execution order, plus the scalar statistics that define the attack's
-scoring rule: population summary statistics and the standard-normal CDF
-used by the one-tailed test. The attack's vectorised engine reproduces
-both bit for bit.
+of execution order. ``summary`` and ``gaussian_cdf`` are the scalar forms of
+the attack's null fit and tail score, which the attack computes vectorised.
 """
 
 from __future__ import annotations

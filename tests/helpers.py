@@ -4,19 +4,25 @@ Everything here is deliberately written against the definitions, not the
 implementations under test: quadrature instead of erf, exhaustive pair
 counting instead of a threshold sweep, a threshold-by-threshold ROC
 instead of one sort, Monte Carlo instead of the sweep line, central
-differences instead of backprop, and a client-by-client FedAvg loop of
-2-D products instead of the stacked group trainer.
+differences instead of backprop, a client-by-client FedAvg loop of 2-D
+products instead of the stacked group trainer, and the attack's null fit
+applied record by record and round by round instead of the grouped fit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import mpmath
 import numpy as np
 
+from fedaudit import attack as atk
 from fedaudit import data as dat
 from fedaudit import fedsim as fed
 from fedaudit import model as mdl
-from fedaudit.numstat import RngStream
+from fedaudit.errors import ConfigError, EmptySampleError, InsufficientClientsError
+from fedaudit.numstat import RngStream, summary
 
 
 def normal_cdf_quadrature(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
@@ -165,3 +171,104 @@ def federation_loop(
         rounds.append((omega, updates))
         omega = omega - lr * updates.mean(axis=0)
     return rounds, omega
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementMatrix:
+    """Per-(round, client) measurements for one target record."""
+
+    sample_id: int
+    target_client: int
+    values: np.ndarray  # (T, K)
+
+
+@dataclass(frozen=True)
+class RoundOutDistribution:
+    """Gaussian null fitted to the filtered non-target measurements."""
+
+    round_index: int
+    kept_clients: tuple[int, ...]
+    mu_out: float
+    v_out: float
+
+
+def round_out(
+    values: np.ndarray,
+    target_client: int,
+    orientation: str,
+    round_index: int,
+    leave_one_out: bool = False,
+) -> RoundOutDistribution:
+    """The 3-sigma null fit of one round's (K,) values, one value at a time."""
+    k = len(values)
+    if k < 3:
+        raise InsufficientClientsError(
+            f"need at least 3 clients for a null estimate, got {k}"
+        )
+    others = np.delete(np.arange(k), target_client)
+    vals = values[others]
+    if leave_one_out:
+        keep_mask = np.ones(len(vals), dtype=bool)
+        for j in range(len(vals)):
+            st = summary(np.delete(vals, j))
+            bound = 3.0 * np.sqrt(st.variance)
+            if orientation == "member_high":
+                keep_mask[j] = vals[j] <= st.mean + bound
+            else:
+                keep_mask[j] = vals[j] >= st.mean - bound
+        if not keep_mask.any():
+            keep_mask[:] = True
+    else:
+        st = summary(vals)
+        bound = 3.0 * np.sqrt(st.variance)
+        if orientation == "member_high":
+            keep_mask = vals <= st.mean + bound
+        else:
+            keep_mask = vals >= st.mean - bound
+    kept = others[keep_mask]
+    st_out = summary(values[kept])
+    return RoundOutDistribution(round_index, tuple(int(c) for c in kept), st_out.mean, st_out.variance)
+
+
+def estimate_out(
+    matrix: MeasurementMatrix,
+    round_index: int,
+    orientation: str,
+    leave_one_out: bool = False,
+) -> RoundOutDistribution:
+    """Null distribution for one round of a target's measurement matrix."""
+    if orientation not in atk.ORIENTATIONS:
+        raise ConfigError(f"unknown orientation {orientation!r}")
+    return round_out(
+        matrix.values[round_index], matrix.target_client, orientation, round_index, leave_one_out
+    )
+
+
+def score_temporal(per_round: Sequence[float] | np.ndarray) -> float:
+    """Mean of the per-round scores (the aggregate membership score)."""
+    arr = np.asarray(per_round, dtype=np.float64)
+    if arr.size == 0:
+        raise EmptySampleError("no per-round scores to aggregate")
+    return float(arr.mean())
+
+
+def scalar_fedmia(
+    values: np.ndarray, target_client: int, orientation: str, leave_one_out: bool = False
+) -> tuple[np.ndarray, np.ndarray, list[list[RoundOutDistribution]]]:
+    """Steps 2-3 record by record on (n, T, K) measurements: the reference.
+
+    Returns the (n, T) per-round scores, the (n,) aggregates and every
+    fitted null.
+    """
+    n, rounds, _ = values.shape
+    per_round, aggregate, fits = np.empty((n, rounds)), np.empty(n), []
+    for i in range(n):
+        matrix = MeasurementMatrix(i, target_client, values[i])
+        outs = [estimate_out(matrix, t, orientation, leave_one_out) for t in range(rounds)]
+        per_round[i] = [
+            atk.score_round(values[i, t, target_client], out, orientation)
+            for t, out in enumerate(outs)
+        ]
+        aggregate[i] = score_temporal(per_round[i])
+        fits.append(outs)
+    return per_round, aggregate, fits

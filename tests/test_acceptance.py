@@ -21,7 +21,14 @@ from fedaudit import metrics as met
 from fedaudit import harness as hns
 from fedaudit.numstat import RngStream, gaussian_cdf
 from fedaudit import model as mdl
-from helpers import finite_diff_grad, mc_hypervolume, normal_cdf_quadrature, pairwise_auc
+from helpers import (
+    MeasurementMatrix,
+    estimate_out,
+    finite_diff_grad,
+    mc_hypervolume,
+    normal_cdf_quadrature,
+    pairwise_auc,
+)
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
 
@@ -282,14 +289,14 @@ def test_criterion_8_determinism_and_replay(tmp_path_factory, default_config):
 def test_criterion_9_small_cohort_filter_property():
     # 9 non-target values with one arbitrary outlier: nothing can be removed
     # because the max standardized deviation (n-1)/sqrt(n) < 3 for n <= 10
-    m9 = atk.MeasurementMatrix(0, 0, np.array([[99.0] + [0.1] * 8 + [5.0]]))
-    out9 = atk.estimate_out(m9, 0, "member_high")
+    m9 = MeasurementMatrix(0, 0, np.array([[99.0] + [0.1] * 8 + [5.0]]))
+    out9 = estimate_out(m9, 0, "member_high")
     assert len(out9.kept_clients) == 9
     assert out9.mu_out == pytest.approx(5.8 / 9, abs=1e-12)
 
     # 16 values with the fixture outlier: exactly the outlier goes
-    m16 = atk.MeasurementMatrix(0, 0, np.array([[99.0] + [0.0] * 15 + [1.0]]))
-    out16 = atk.estimate_out(m16, 0, "member_high")
+    m16 = MeasurementMatrix(0, 0, np.array([[99.0] + [0.0] * 15 + [1.0]]))
+    out16 = estimate_out(m16, 0, "member_high")
     assert len(out16.kept_clients) == 15
     assert 16 not in out16.kept_clients
     assert out16.mu_out == 0.0 and out16.v_out == 0.0

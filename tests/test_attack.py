@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,13 @@ from fedaudit.errors import (
 )
 from fedaudit.numstat import RngStream
 from conftest import make_toy_trace
+from helpers import (
+    MeasurementMatrix,
+    RoundOutDistribution,
+    estimate_out,
+    scalar_fedmia,
+    score_temporal,
+)
 
 SPEC2 = mdl.ModelSpec("linear_softmax", input_dim=2, num_classes=2)
 
@@ -112,11 +121,11 @@ class TestEstimateOut:
     def _matrix(self, non_target_values, target_value=99.0):
         # target client at index 0
         row = np.array([target_value] + list(non_target_values))
-        return atk.MeasurementMatrix(0, 0, row[None, :])
+        return MeasurementMatrix(0, 0, row[None, :])
 
     def test_sixteen_values_outlier_removed(self):
         m = self._matrix([0.0] * 15 + [1.0])
-        out = atk.estimate_out(m, 0, "member_high")
+        out = estimate_out(m, 0, "member_high")
         # mean 1/16, population std sqrt(15)/16 ~ 0.2421, bound ~ 0.7887 < 1
         assert len(out.kept_clients) == 15
         assert 16 not in out.kept_clients
@@ -125,7 +134,7 @@ class TestEstimateOut:
 
     def test_nine_values_outlier_survives(self):
         m = self._matrix([0.1] * 8 + [5.0])
-        out = atk.estimate_out(m, 0, "member_high")
+        out = estimate_out(m, 0, "member_high")
         # mean 0.6444, std 1.5399; bound 5.2642 exceeds the outlier at 5.0
         assert len(out.kept_clients) == 9
         assert out.mu_out == pytest.approx(5.8 / 9, abs=1e-12)
@@ -133,42 +142,42 @@ class TestEstimateOut:
 
     def test_constant_values(self):
         m = self._matrix([0.25] * 6)
-        out = atk.estimate_out(m, 0, "member_high")
+        out = estimate_out(m, 0, "member_high")
         assert len(out.kept_clients) == 6
         assert out.mu_out == 0.25
         assert out.v_out == 0.0
 
     def test_member_low_mirrored_filter(self):
         m = self._matrix([0.0] * 15 + [-1.0])
-        out = atk.estimate_out(m, 0, "member_low")
+        out = estimate_out(m, 0, "member_low")
         assert len(out.kept_clients) == 15
         assert out.mu_out == 0.0
 
     def test_member_low_keeps_high_outlier(self):
         m = self._matrix([0.0] * 15 + [1.0])
-        out = atk.estimate_out(m, 0, "member_low")
+        out = estimate_out(m, 0, "member_low")
         assert len(out.kept_clients) == 16
 
     def test_target_never_used(self):
-        a = atk.estimate_out(self._matrix([0.1] * 8 + [5.0], target_value=1e9), 0, "member_high")
-        b = atk.estimate_out(self._matrix([0.1] * 8 + [5.0], target_value=-1e9), 0, "member_high")
+        a = estimate_out(self._matrix([0.1] * 8 + [5.0], target_value=1e9), 0, "member_high")
+        b = estimate_out(self._matrix([0.1] * 8 + [5.0], target_value=-1e9), 0, "member_high")
         assert a == b
         assert 0 not in a.kept_clients
 
     def test_insufficient_clients(self):
-        m = atk.MeasurementMatrix(0, 0, np.array([[1.0, 2.0]]))
+        m = MeasurementMatrix(0, 0, np.array([[1.0, 2.0]]))
         with pytest.raises(InsufficientClientsError):
-            atk.estimate_out(m, 0, "member_high")
+            estimate_out(m, 0, "member_high")
 
     def test_leave_one_out_removes_small_cohort_outlier(self):
         m = self._matrix([0.1] * 8 + [5.0])
-        out = atk.estimate_out(m, 0, "member_high", leave_one_out=True)
+        out = estimate_out(m, 0, "member_high", leave_one_out=True)
         assert len(out.kept_clients) == 8
         assert out.mu_out == pytest.approx(0.1)
 
 
 class TestScoreRound:
-    OUT = atk.RoundOutDistribution(0, (1, 2, 3), 0.3, 0.04)
+    OUT = RoundOutDistribution(0, (1, 2, 3), 0.3, 0.04)
 
     def test_at_mean_half(self):
         assert atk.score_round(0.3, self.OUT, "member_high") == pytest.approx(0.5)
@@ -179,7 +188,7 @@ class TestScoreRound:
         assert got == pytest.approx(0.841345, abs=1e-6)
 
     def test_degenerate_null_saturates(self):
-        out = atk.RoundOutDistribution(0, (1,), 0.0, 0.0)
+        out = RoundOutDistribution(0, (1,), 0.0, 0.0)
         floor = atk.SIGMA_FLOOR_REL * 1.0
         assert atk.score_round(10 * floor, out, "member_high") >= 1 - 1e-9
         assert atk.score_round(-10 * floor, out, "member_high") <= 1e-9
@@ -192,9 +201,9 @@ class TestScoreRound:
         )
 
     def test_temporal_mean(self):
-        assert atk.score_temporal([0.5, 0.5, 0.5]) == 0.5
-        assert atk.score_temporal([0.9, 0.6]) == pytest.approx(0.75)
-        assert atk.score_temporal([0.7]) == 0.7
+        assert score_temporal([0.5, 0.5, 0.5]) == 0.5
+        assert score_temporal([0.9, 0.6]) == pytest.approx(0.75)
+        assert score_temporal([0.7]) == 0.7
 
 
 def _planted_trace_and_targets(num_targets=6, rounds=3, clients=4):
@@ -308,8 +317,20 @@ def _filter_trace(nan_at=None, clients=14, rounds=4):
     return make_toy_trace(updates_, globals_, spec), x, y
 
 
+def _rows_against_reference(values, orient, leave_one_out, target=0):
+    """One round's (n, K) values scored by the engine and by the scalar rule,
+    bit for bit; returns the scalar rule's null fit of every row."""
+    got = atk._score_rows(values, target, orient, 0, atk.SIGMA_FLOOR_REL, leave_one_out)
+    ref, _, fits = scalar_fedmia(values[:, None, :], target, orient, leave_one_out)
+    assert got.tobytes() == ref[:, 0].tobytes()
+    return [f[0] for f in fits]
+
+
+ORIENTS = ["member_high", "member_low"]
+
+
 class TestVectorisedNullMatchesScalar:
-    """fedmia_scores against estimate_out + score_round, record by record."""
+    """The grouped null fit against the scalar rule of tests/helpers.py, bit for bit."""
 
     @pytest.mark.parametrize("leave_one_out", [False, True])
     @pytest.mark.parametrize("variant", ["I", "II"])
@@ -318,20 +339,14 @@ class TestVectorisedNullMatchesScalar:
         kind, orient = ("loss", "member_low") if variant == "I" else ("cosine", "member_high")
         got = atk.fedmia_scores(trace, x, y, range(len(y)), 0, variant, leave_one_out=leave_one_out)
         values = atk.measure_cohort(trace, x, y, kind)
-        rows = len(y) * trace.num_rounds
-        dropped = floored = 0
+        per_round, aggregate, fits = scalar_fedmia(values, 0, orient, leave_one_out)
         for i in range(len(y)):
-            matrix = atk.MeasurementMatrix(i, 0, values[i])
-            ref = []
-            for t in range(trace.num_rounds):
-                out = atk.estimate_out(matrix, t, orient, leave_one_out)
-                dropped += len(out.kept_clients) < trace.num_clients - 1
-                floored += out.v_out == 0.0
-                ref.append(atk.score_round(values[i, t, 0], out, orient))
-            assert got[i].per_round.tobytes() == np.array(ref).tobytes()
-            assert got[i].aggregate == atk.score_temporal(ref)
-        assert 0 < dropped < rows  # rows on the fast path and rows with drops
-        assert floored >= len(y)  # round 2 collapses the null for every record
+            assert got[i].per_round.tobytes() == per_round[i].tobytes()
+            assert got[i].aggregate == aggregate[i]
+        outs = [out for row in fits for out in row]
+        dropped = sum(len(out.kept_clients) < trace.num_clients - 1 for out in outs)
+        assert 0 < dropped < len(outs)  # rows on the fast path and rows with drops
+        assert sum(out.v_out == 0.0 for out in outs) >= len(y)  # round 2 hits the floor
 
     @pytest.mark.parametrize("variant,nan_at", [("I", "upload"), ("II", "global")])
     def test_nan_measurement_rejected(self, variant, nan_at):
@@ -339,9 +354,65 @@ class TestVectorisedNullMatchesScalar:
         with pytest.raises(ParameterError):
             atk.fedmia_scores(trace, x, y, range(len(y)), 0, variant)
         kind = "loss" if variant == "I" else "cosine"
-        matrix = atk.MeasurementMatrix(0, 0, atk.measure_cohort(trace, x, y, kind)[0])
+        matrix = MeasurementMatrix(0, 0, atk.measure_cohort(trace, x, y, kind)[0])
         with pytest.raises(ParameterError):
-            atk.estimate_out(matrix, 1, atk.DEFAULT_ORIENTATION[kind])
+            estimate_out(matrix, 1, atk.DEFAULT_ORIENTATION[kind])
+
+    @pytest.mark.parametrize("orient", ORIENTS)
+    def test_several_survivor_counts_in_one_round(self, orient):
+        # 59 non-target values; row i plants i % 4 outliers near 10 on the
+        # member side, so rows drop zero to three values.
+        g = RngStream(93).generator()
+        values = g.standard_normal((24, 60))
+        sign = 1.0 if orient == "member_high" else -1.0
+        for i in range(len(values)):
+            values[i, 1 : 1 + i % 4] = sign * (10.0 + g.random(i % 4))
+        fits = _rows_against_reference(values, orient, leave_one_out=False)
+        counts = {len(out.kept_clients) for out in fits}
+        assert len(counts - {59}) >= 3, counts
+
+    @pytest.mark.parametrize("orient", ORIENTS)
+    @pytest.mark.parametrize("level", [0.25, 0.1])
+    def test_constant_survivors_hit_the_variance_floor(self, orient, level):
+        sign = 1.0 if orient == "member_high" else -1.0
+        values = np.full((3, 30), level)
+        values[:, 0] = [level, level + 1e-9, level - 3e-9]  # target near the collapsed null
+        values[:2, 29] = sign * 5.0  # dropped; the 28 survivors are constant
+        values[2, 1:] += np.linspace(0.0, 0.01, 29)  # a non-constant row, nothing drops
+        fits = _rows_against_reference(values, orient, leave_one_out=False)
+        assert [len(out.kept_clients) for out in fits] == [28, 28, 29]
+        assert [out.v_out for out in fits[:2]] == [0.0, 0.0]
+        assert all(out.mu_out == level for out in fits[:2])
+
+    @pytest.mark.parametrize("orient", ORIENTS)
+    @pytest.mark.parametrize("clients", [14, 20])
+    def test_leave_one_out_at_fourteen_clients_and_more(self, orient, clients):
+        g = RngStream(94).generator()
+        values = g.standard_normal((30, clients))
+        sign = 1.0 if orient == "member_high" else -1.0
+        for i in range(len(values)):
+            values[i, 1 : 1 + i % 3] = sign * (4.0 + g.random(i % 3))
+        values[-1, 1:] = 0.5  # constant row: every rest is constant
+        fits = _rows_against_reference(values, orient, leave_one_out=True)
+        counts = [len(out.kept_clients) for out in fits]
+        assert clients - 1 in counts and min(counts) < clients - 1, counts
+
+    @pytest.mark.parametrize(
+        "orient,base,ulps",
+        [
+            ("member_low", "-0x1.614b309f1b756p-996", [0, -1, 0, 0]),
+            ("member_high", "-0x1.d37b63ce71d4cp-966",
+             [0, -1, -1, 2, -1, 1, 4, 0, 0, 0, 4, 0, 3, 0, 3]),
+        ],
+    )
+    def test_leave_one_out_flags_every_value_and_keeps_all(self, orient, base, ulps):
+        # Values a few ulps apart near 1e-300: squared deviations underflow,
+        # so every rest has variance 0, and rounding puts each value beyond
+        # the mean of its rest on the member side.
+        x = float.fromhex(base)
+        row = np.concatenate([[0.0], x + np.array(ulps) * math.ulp(x)])
+        fits = _rows_against_reference(row[None, :], orient, leave_one_out=True)
+        assert fits[0].kept_clients == tuple(range(1, len(row)))
 
 
 class TestDecisionSetsInclusion:

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -559,6 +560,18 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert re.search(r"training diverged in round \d+: client \d+'s upload", err), err
         assert not (out / "runs").exists()
+
+    def test_diverged_training_prints_only_its_error(self, tmp_path):
+        with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
+            d = json.load(fh)
+        d["federation"]["lr"] = 1e308
+        argv = ["run", write_config(tmp_path, d), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, err = _main_captured(argv)
+        assert rc == 4, err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert err.startswith("error: training diverged in round ") and err.count("\n") == 1, err
 
     @pytest.fixture(scope="class")
     def run_dir(self, tmp_path_factory):

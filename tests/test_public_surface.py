@@ -14,9 +14,8 @@ PACKAGE = ROOT / "src" / "fedaudit"
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
 TEST_REFERENCES = {
-    "estimate_out": "scalar null fit; tests compare the vectorised engine against it",
-    "score_round": "scalar tail score; tests compare the vectorised engine against it",
-    "score_temporal": "scalar aggregate; tests compare the vectorised engine against it",
+    "score_round": "declared per-layer metric of the benchmark (attack.score_round.s)",
+    "summary": "declared per-layer metric of the benchmark (numstat.summary.calls)",
     "fedmia_scores": "declared per-layer metric of the benchmark (attack.fedmia_scores.*)",
     "auc": "declared per-layer metric of the benchmark (metrics.auc.calls)",
     "operating_point": "declared per-layer metric of the benchmark (metrics.operating_point.calls)",
