@@ -36,7 +36,9 @@ aggregate is a mean); ``check_aggregate_inclusion`` verifies this on
 concrete decision sets.
 
 Six single-signal attacks against the same trace are provided for
-comparison, every score oriented so that higher means member.
+comparison, every score oriented so that higher means member. Each
+method's score from rounds 0..t is defined once, by ``CohortAudit.scores``:
+the final scores read it at the last round, the round curves at every round.
 
 With K - 1 = n non-target values the standardized deviation of a single
 outlier is at most (n - 1) / sqrt(n), which stays below 3 for n <= 10: at
@@ -77,23 +79,26 @@ DEFAULT_ORIENTATION = {
     "grad_diff": "member_high",
 }
 
-BASELINE_METHODS = (
-    "blackbox_loss",
-    "grad_cosine",
-    "grad_norm",
-    "loss_series",
-    "avg_cosine",
-    "grad_diff",
-)
+# Each baseline's score at round t: the target-client series it reads,
+# whether it averages rounds 0..t (else it reads round t alone), and
+# whether it is negated so that higher means member.
+BASELINE_SCORES = {
+    "blackbox_loss": ("loss_global", False, True),
+    "grad_cosine": ("cosine", False, False),
+    "grad_norm": ("update_norm", False, True),
+    "loss_series": ("loss_global", True, True),
+    "avg_cosine": ("cosine", True, False),
+    "grad_diff": ("grad_diff", True, False),
+}
+BASELINE_METHODS = tuple(BASELINE_SCORES)
 FEDMIA_METHODS = ("fedmia_i", "fedmia_ii")
 ALL_METHODS = FEDMIA_METHODS + BASELINE_METHODS
 # The measurement each fedmia variant reads, and the methods reading each
-# target-client series.
+# target-client series (in the order the audit stores them).
 FEDMIA_KIND = {"fedmia_i": "loss", "fedmia_ii": "cosine"}
 SERIES_READERS = {
-    "loss_global": {"blackbox_loss", "loss_series"},
-    "cosine": {"grad_cosine", "avg_cosine"},
-    "grad_diff": {"grad_diff"},
+    k: {m for m, (series, _, _) in BASELINE_SCORES.items() if series == k}
+    for k in ("loss_global", "cosine", "grad_diff", "update_norm")
 }
 
 # Relative floor applied to the null variance before the tail integral;
@@ -129,10 +134,22 @@ class CohortAudit:
     per_round: dict[str, np.ndarray]  # fedmia method -> per-round scores
     series: dict[str, np.ndarray]  # SERIES_READERS key -> series, if read
 
+    def scores(self, method: str, t: int) -> np.ndarray:
+        """(n,) scores of ``method`` from rounds 0..t, higher meaning member.
+
+        fedmia averages its per-round scores, a baseline reads ``BASELINE_SCORES``.
+        """
+        if method in FEDMIA_METHODS:
+            return self.per_round[method][:, : t + 1].mean(axis=1)
+        name, averaged, negated = BASELINE_SCORES[method]
+        series = self.series[name]
+        vals = series[:, : t + 1].mean(axis=1) if averaged else series[:, t]
+        return -vals if negated else vals
+
     def memberships(self, method: str, sample_ids: Sequence[int]) -> dict[int, MembershipScore]:
         """Per-record scores of one fedmia method, keyed by sample id."""
         per_round = self.per_round[method]
-        aggregate = per_round.mean(axis=1)  # bit-equal to a 1-D mean of each row
+        aggregate = self.scores(method, per_round.shape[1] - 1)
         return {
             int(sid): MembershipScore(per_round[i], float(aggregate[i]))
             for i, sid in enumerate(sample_ids)
@@ -327,7 +344,7 @@ def audit_cohort(
     shape = (len(y), trace.num_rounds)
     per_round = {m: np.empty(shape) for m in fedmia}
     series = {k: np.empty(shape) for k, readers in SERIES_READERS.items() if readers & set(methods)}
-    kinds = {FEDMIA_KIND[m] for m in fedmia} | (series.keys() - {"loss_global"})
+    kinds = {FEDMIA_KIND[m] for m in fedmia} | (series.keys() - {"loss_global", "update_norm"})
     spec = trace.model_spec
     for t, rec in enumerate(trace.rounds):
         measured = _measure_round(spec, rec, x, y, kinds)
@@ -340,6 +357,8 @@ def audit_cohort(
         for k, out in series.items():
             if k == "loss_global":
                 out[:, t] = mdl.loss_many(spec, rec.global_before, x, y)
+            elif k == "update_norm":
+                out[:, t] = np.linalg.norm(rec.updates[target_client])
             else:
                 out[:, t] = measured[k][:, target_client]
     return CohortAudit(per_round, series)
@@ -401,7 +420,9 @@ def baselines(
     avg_cosine    : mean over rounds of the target-client cosine
     grad_diff     : mean over rounds of the raw inner product
 
-    ``audit`` is ``audit_cohort`` of the same inputs, made here if absent.
+    All but ``blackbox_loss`` are ``audit.scores(method, T - 1)``, which the
+    round curves share. ``audit`` is ``audit_cohort`` of the same inputs,
+    made here if absent.
     """
     methods = list(methods)
     unknown = set(methods) - set(BASELINE_METHODS)
@@ -411,22 +432,12 @@ def baselines(
     ids = list(sample_ids) if sample_ids is not None else list(range(len(y)))
     if audit is None:
         audit = audit_cohort(trace, x, y, target_client, methods)
-    ser = audit.series
     results: dict[str, dict[int, float]] = {}
     for m in methods:
-        if m == "grad_norm":
-            norm = float(np.linalg.norm(trace.rounds[-1].updates[target_client]))
-            vals = np.full(len(ids), -norm)
-        elif m == "blackbox_loss":
+        if m == "blackbox_loss":
             vals = -mdl.loss_many(trace.model_spec, trace.final_model, x, y)
-        elif m == "loss_series":
-            vals = -ser["loss_global"].mean(axis=1)
-        elif m == "grad_cosine":
-            vals = ser["cosine"][:, -1]
-        elif m == "avg_cosine":
-            vals = ser["cosine"].mean(axis=1)
         else:
-            vals = ser["grad_diff"].mean(axis=1)
+            vals = audit.scores(m, trace.num_rounds - 1)
         results[m] = dict(zip(ids, vals.tolist()))
     return results
 

@@ -167,38 +167,6 @@ class UpdateTrace:
     def dim(self) -> int:
         return self.rounds[0].updates.shape[1]
 
-    def prefix(self, num_rounds: int) -> "UpdateTrace":
-        """Trace truncated to its first ``num_rounds`` rounds."""
-        if not (1 <= num_rounds <= self.num_rounds):
-            raise ParameterError(f"prefix length {num_rounds} out of range")
-        if num_rounds == self.num_rounds:
-            final = self.final_model
-        else:
-            final = self.rounds[num_rounds].global_before
-        return UpdateTrace(
-            model_spec=self.model_spec,
-            rounds=self.rounds[:num_rounds],
-            final_model=final,
-            round_accuracy=self.round_accuracy[:num_rounds],
-            defense=self.defense,
-            seed=self.seed,
-        )
-
-    def scaled_updates(self, factor: float) -> "UpdateTrace":
-        """Copy of the trace with every uploaded update multiplied by ``factor``."""
-        rounds = [
-            RoundRecord(r.round_index, r.global_before, factor * r.updates, r.lr_effective)
-            for r in self.rounds
-        ]
-        return UpdateTrace(
-            model_spec=self.model_spec,
-            rounds=rounds,
-            final_model=self.final_model,
-            round_accuracy=list(self.round_accuracy),
-            defense=self.defense,
-            seed=self.seed,
-        )
-
 
 def defend_update(update: np.ndarray, defense: DefenseConfig, rng: RngStream) -> np.ndarray:
     """Apply an update-level defense to one uploaded vector.
@@ -334,7 +302,8 @@ def run_federation(
     for t in range(config.rounds):
         lr_eff = lr_effective(config, t)
         updates = np.empty((config.num_clients, spec.param_count()))
-        # A diverging round overflows; the finiteness check below reports it.
+        # A diverging round overflows; the finiteness check reports it. A
+        # finite but huge global model still overflows when evaluated.
         with np.errstate(over="ignore", invalid="ignore"):
             for ks, gx, gy in stacks:
                 rngs = [root.derive(TAG_CLIENT, t, k) for k in ks]
@@ -345,14 +314,14 @@ def run_federation(
                 for k, upd in enumerate(updates):
                     updates[k] = defend_update(upd, config.defense, root.derive(TAG_DEFENSE, t, k))
             new_omega = aggregate(updates, omega, lr_eff)
-        bad = np.flatnonzero(~np.isfinite(updates).all(axis=1))
-        if len(bad) or not np.isfinite(new_omega).all():
-            who = f"client {bad[0]}'s upload" if len(bad) else "the global model"
-            raise ParameterError(f"training diverged in round {t}: {who} is not finite")
+            bad = np.flatnonzero(~np.isfinite(updates).all(axis=1))
+            if len(bad) or not np.isfinite(new_omega).all():
+                who = f"client {bad[0]}'s upload" if len(bad) else "the global model"
+                raise ParameterError(f"training diverged in round {t}: {who} is not finite")
+            accuracy.append(
+                mdl.accuracy(spec, new_omega, hx, hy) if have_holdout else float("nan")
+            )
         rounds.append(RoundRecord(t, omega, updates, lr_eff))
-        accuracy.append(
-            mdl.accuracy(spec, new_omega, hx, hy) if have_holdout else float("nan")
-        )
         omega = new_omega
     return UpdateTrace(
         model_spec=spec,

@@ -293,14 +293,15 @@ class ExperimentConfig(Codec):
             raise ConfigError("attack.target_client out of range")
 
 
-def _read_json(path: str) -> object:
+def _read_json(path: str, error: type[FedAuditError] = ConfigError) -> object:
+    """A JSON file; one that cannot be read or parsed raises ``error`` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        raise error(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise error(f"{path} is not valid JSON: {exc}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -386,8 +387,8 @@ def run_attacks(
     trace: fed.UpdateTrace,
     cohort: TargetCohort,
     ac: AttackSuiteConfig,
-) -> tuple[dict[str, dict[int, float]], dict]:
-    """All configured attacks; returns scores per method and the audit sidecar."""
+) -> tuple[dict[str, dict[int, float]], atk.CohortAudit, dict]:
+    """All configured attacks: scores per method, the audit, its inclusion checks."""
     ids = [int(i) for i in cohort.ids]
     try:
         audit = atk.audit_cohort(
@@ -400,42 +401,91 @@ def run_attacks(
             f"sample_id {ids[exc.row]}: {exc}"
         ) from exc
     scores: dict[str, dict[int, float]] = {}
-    sidecar: dict = {
-        "sample_ids": ids,
-        "is_member": [bool(b) for b in cohort.is_member],
-        "delta_grid": list(ac.delta_grid),
-        "inclusion_checks": {},
-    }
-    for method, per_round in audit.per_round.items():
+    checks: dict = {}
+    for method in audit.per_round:
         ms = audit.memberships(method, ids)
         scores[method] = {sid: ms[sid].aggregate for sid in ids}
-        sidecar[method] = {"per_round": per_round.tolist()}
-        checks = {}
-        for delta in ac.delta_grid:
-            ds_ = atk.decision_sets(ms, delta)
-            checks[repr(float(delta))] = atk.check_aggregate_inclusion(ds_)
-        sidecar["inclusion_checks"][method] = checks
+        checks[method] = {
+            repr(float(delta)): atk.check_aggregate_inclusion(atk.decision_sets(ms, delta))
+            for delta in ac.delta_grid
+        }
     base_methods = [m for m in ac.methods if m in atk.BASELINE_METHODS]
     if base_methods:
         scores.update(atk.baselines(
             trace, cohort.x, cohort.y, ac.target_client, ids, base_methods, audit=audit,
         ))
-    sidecar["series"] = _audit_series(trace, audit, ac)
-    return {m: scores[m] for m in ac.methods}, sidecar
+    return {m: scores[m] for m in ac.methods}, audit, checks
 
 
-# attack_rounds.json names of the audit's target-client series.
+# --------------------------------------------------------------------------
+# attack_rounds.json: the audit of one run, written and read back here only
+# --------------------------------------------------------------------------
+
+SIDECAR = "attack_rounds.json"
+# The sidecar's names for the audit's target-client series.
 SERIES_NAMES = {"loss_global": "loss_global", "cosine": "cosine_target",
-                "grad_diff": "grad_diff_target"}
+                "grad_diff": "grad_diff_target", "update_norm": "update_norm_target"}
+# Record-independent series, stored as their (T,) first row.
+SHARED_SERIES = {"update_norm"}
 
 
-def _audit_series(trace: fed.UpdateTrace, audit: atk.CohortAudit, ac: AttackSuiteConfig) -> dict:
-    """Per-round raw series needed to draw attack-strength-vs-round curves."""
-    series = {SERIES_NAMES[k]: v.tolist() for k, v in audit.series.items()}
-    if "grad_norm" in ac.methods:
-        norms = [float(np.linalg.norm(r.updates[ac.target_client])) for r in trace.rounds]
-        series["update_norm_target"] = norms
-    return series
+def _write_sidecar(
+    run_dir: str, audit: atk.CohortAudit, cohort: TargetCohort, delta_grid: tuple, checks: dict
+) -> None:
+    """The cohort, the inclusion checks, the fedmia per-round scores and the series."""
+    sidecar: dict = {
+        "sample_ids": [int(i) for i in cohort.ids],
+        "is_member": [bool(b) for b in cohort.is_member],
+        "delta_grid": list(delta_grid),
+        "inclusion_checks": checks,
+    }
+    for method, per_round in audit.per_round.items():
+        sidecar[method] = {"per_round": per_round.tolist()}
+    sidecar["series"] = {
+        SERIES_NAMES[k]: (v[0] if k in SHARED_SERIES else v).tolist()
+        for k, v in audit.series.items()
+    }
+    with open(os.path.join(run_dir, SIDECAR), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(sidecar) + "\n")  # dumps uses the C encoder, dump does not
+
+
+def _read_sidecar(
+    run_dir: str, methods: tuple[str, ...], num_rounds: int
+) -> tuple[atk.CohortAudit, np.ndarray]:
+    """The audit of ``methods`` and the membership truth that ``_write_sidecar`` stored.
+
+    A missing or unreadable file, a missing key, or an array whose shape
+    is not (len(sample_ids), num_rounds) raises IntegrityError naming the path.
+    """
+    path = os.path.join(run_dir, SIDECAR)
+    sidecar = _read_json(path, IntegrityError)
+    try:
+        shape = (len(sidecar["sample_ids"]), num_rounds)
+        is_member = _stored(sidecar["is_member"], "is_member", shape[:1], bool)
+        per_round = {m: _stored(sidecar[m]["per_round"], m, shape)
+                     for m in methods if m in atk.FEDMIA_METHODS}
+        series = {
+            k: np.broadcast_to(_stored(sidecar["series"][SERIES_NAMES[k]], SERIES_NAMES[k],
+                                       shape[1:] if k in SHARED_SERIES else shape), shape)
+            for k, readers in atk.SERIES_READERS.items() if readers & set(methods)
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"corrupt audit sidecar {path}: {exc!r}") from None
+    return atk.CohortAudit(per_round, series), is_member
+
+
+def _stored(value: object, name: str, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
+    arr = np.array(value, dtype=dtype)
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _read_report(path: str) -> dict:
+    report = _read_json(path, IntegrityError)
+    if not isinstance(report, dict) or not {"config", "per_method"} <= report.keys():
+        raise IntegrityError(f"corrupt report file {path}: no config or per_method")
+    return report
 
 
 def _fmt(x: float) -> str:
@@ -558,14 +608,13 @@ def run_single(
     fed.save_trace(trace, os.path.join(run_dir, "trace"))
     _write_targets_csv(os.path.join(run_dir, "targets.csv"), dataset.input_dim, cohort)
 
-    scores, sidecar = run_attacks(trace, cohort, config.attack)
+    scores, audit, checks = run_attacks(trace, cohort, config.attack)
     _write_scores_csv(os.path.join(run_dir, "attack_scores.csv"), cohort, scores)
-    with open(os.path.join(run_dir, "attack_rounds.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(sidecar) + "\n")  # dumps uses the C encoder, dump does not
+    _write_sidecar(run_dir, audit, cohort, config.attack.delta_grid, checks)
 
     utility_loss = 1.0 - trace.round_accuracy[-1]
     rows = _metric_rows(seed, defense.kind, param, utility_loss, cohort, scores, config.attack)
-    return rows, sidecar.get("inclusion_checks", {})
+    return rows, checks
 
 
 def _job(args: tuple) -> tuple[list[dict], dict]:
@@ -681,14 +730,13 @@ def replay_attack(trace_dir: str, ac: AttackSuiteConfig, out_dir: str | None = N
     """Re-run attacks on a persisted trace; equals the inline results bit-exactly."""
     trace = fed.load_trace(trace_dir)
     cohort = load_targets_csv(os.path.join(os.path.dirname(trace_dir.rstrip("/")), "targets.csv"))
-    scores, sidecar = run_attacks(trace, cohort, ac)
+    scores, audit, checks = run_attacks(trace, cohort, ac)
     utility_loss = 1.0 - trace.round_accuracy[-1]
     rows = _metric_rows(trace.seed, trace.defense.kind, None, utility_loss, cohort, scores, ac)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_scores_csv(os.path.join(out_dir, "attack_scores.csv"), cohort, scores)
-        with open(os.path.join(out_dir, "attack_rounds.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(sidecar) + "\n")  # dumps uses the C encoder, dump does not
+        _write_sidecar(out_dir, audit, cohort, ac.delta_grid, checks)
         _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
     return rows
 
@@ -705,35 +753,9 @@ def _read_metrics_csv(path: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _prefix_scores_for_round(method: str, sidecar: dict, t: int) -> np.ndarray:
-    """Cohort scores for one method using only the first t+1 rounds."""
-    if method in atk.FEDMIA_METHODS:
-        pr = np.array(sidecar[method]["per_round"])
-        return pr[:, : t + 1].mean(axis=1)
-    series = sidecar["series"]
-    if method == "blackbox_loss":
-        return -np.array(series["loss_global"])[:, t]
-    if method == "loss_series":
-        return -np.array(series["loss_global"])[:, : t + 1].mean(axis=1)
-    if method == "grad_cosine":
-        return np.array(series["cosine_target"])[:, t]
-    if method == "avg_cosine":
-        return np.array(series["cosine_target"])[:, : t + 1].mean(axis=1)
-    if method == "grad_diff":
-        return np.array(series["grad_diff_target"])[:, : t + 1].mean(axis=1)
-    if method == "grad_norm":
-        n = len(sidecar["sample_ids"])
-        return np.full(n, -series["update_norm_target"][t])
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def emit_plots(report_dir: str) -> str:
     """Write plot-ready CSV series (histograms, round curves, Pareto fronts)."""
-    report_path = os.path.join(report_dir, "report.json")
-    if not os.path.exists(report_path):
-        raise IntegrityError(f"missing report file: {report_path}")
-    with open(report_path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = _read_report(os.path.join(report_dir, "report.json"))
     config = ExperimentConfig.from_dict(report["config"])
     plots_dir = os.path.join(report_dir, "plots")
     os.makedirs(plots_dir, exist_ok=True)
@@ -742,31 +764,22 @@ def emit_plots(report_dir: str) -> str:
     seeds = config.seeds
     for value, defense in points:
         label = f"{defense.kind}_{_param_label(value)}" if value is not None else defense.kind
-        per_seed_scores: dict[str, list[np.ndarray]] = {m: [] for m in config.attack.methods}
-        members: list[np.ndarray] = []
-        sidecars = []
+        final: dict[str, list[float]] = {m: [] for m in config.attack.methods}
+        runs = []  # (audit, is_member) per seed
         for seed in seeds:
             run_dir = os.path.join(report_dir, "runs", label, f"seed{seed}")
             spath = os.path.join(run_dir, "attack_scores.csv")
             if not os.path.exists(spath):
                 raise IntegrityError(f"missing run artifact: {spath}")
-            by_method: dict[str, list[tuple[int, float]]] = {}
-            mem: dict[int, bool] = {}
             with open(spath, "r", encoding="utf-8", newline="") as fh:
                 for row in csv.DictReader(fh):
-                    sid = int(row["sample_id"])
-                    by_method.setdefault(row["method"], []).append((sid, float(row["score"])))
-                    mem[sid] = bool(int(row["is_member_truth"]))
-            for m, pairs in by_method.items():
-                per_seed_scores[m].append(np.array([s for _, s in pairs]))
-            members.append(np.array([mem[sid] for sid, _ in by_method[config.attack.methods[0]]]))
-            with open(os.path.join(run_dir, "attack_rounds.json"), "r", encoding="utf-8") as fh:
-                sidecars.append(json.load(fh))
+                    final[row["method"]].append(float(row["score"]))
+            runs.append(_read_sidecar(run_dir, config.attack.methods, config.federation.rounds))
+        is_mem = np.concatenate([is_member for _, is_member in runs])
 
         # Score histograms: one row per (bin, class).
         for method in config.attack.methods:
-            scores = np.concatenate(per_seed_scores[method])
-            is_mem = np.concatenate(members)
+            scores = np.array(final[method])
             lo, hi = float(scores.min()), float(scores.max())
             if lo == hi:
                 hi = lo + 1.0
@@ -790,9 +803,8 @@ def emit_plots(report_dir: str) -> str:
             for method in config.attack.methods:
                 for t in range(num_rounds):
                     aucs, tprs = [], []
-                    for si, sidecar in enumerate(sidecars):
-                        arr = _prefix_scores_for_round(method, sidecar, t)
-                        sc = met.ScoredCohort(arr, np.array(sidecar["is_member"], dtype=bool))
+                    for audit, is_member in runs:
+                        sc = met.ScoredCohort(audit.scores(method, t), is_member)
                         auc, tpr, _ = met.roc_metrics(sc, config.attack.fpr_cap)
                         aucs.append(auc)
                         tprs.append(tpr)
@@ -822,8 +834,7 @@ def summarize_report(report_dir: str) -> str:
     report_path = os.path.join(report_dir, "report.json")
     hv_lines = []
     if os.path.exists(report_path):
-        with open(report_path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = _read_report(report_path)
         checks = [
             ok for per_method in report.get("inclusion_checks", {}).values()
             for per_delta in per_method.values() for ok in per_delta.values()
@@ -832,7 +843,7 @@ def summarize_report(report_dir: str) -> str:
             hv_lines.append(
                 f"aggregate-decision inclusion checks: {sum(checks)}/{len(checks)} passed"
             )
-        for method, block in sorted(report.get("per_method", {}).items()):
+        for method, block in sorted(report["per_method"].items()):
             hv_lines.append(f"hypervolume[{method}] = {block['hypervolume']:.4f}")
     groups: dict[tuple, list[dict]] = {}
     for r in rows:

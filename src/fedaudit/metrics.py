@@ -10,7 +10,7 @@ leakage up and shrinks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,11 +34,6 @@ class ScoredCohort:
         pos = int(self.is_member.sum())
         if pos == 0 or pos == len(self.is_member):
             raise CohortError("cohort needs at least one member and one non-member")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, bool]]) -> "ScoredCohort":
-        pairs = list(pairs)
-        return cls(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
 
 
 @dataclass(frozen=True)

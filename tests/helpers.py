@@ -7,11 +7,12 @@ instead of one sort, Monte Carlo instead of the sweep line, central
 differences instead of backprop, a client-by-client FedAvg loop of 2-D
 products instead of the stacked group trainer, and the attack's null fit
 applied record by record and round by round instead of the grouped fit.
+Also the trace and cohort builders that only the tests use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import mpmath
@@ -20,8 +21,9 @@ import numpy as np
 from fedaudit import attack as atk
 from fedaudit import data as dat
 from fedaudit import fedsim as fed
+from fedaudit import metrics as met
 from fedaudit import model as mdl
-from fedaudit.errors import ConfigError, EmptySampleError, InsufficientClientsError
+from fedaudit.errors import ConfigError, EmptySampleError, InsufficientClientsError, ParameterError
 from fedaudit.numstat import RngStream, summary
 
 
@@ -64,6 +66,28 @@ def roc_threshold_loop(scores: np.ndarray, is_member: np.ndarray) -> tuple:
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
     return tuple(points)
+
+
+def cohort_from_pairs(pairs: Sequence[tuple[float, bool]]) -> met.ScoredCohort:
+    """A scored cohort from (score, is_member) pairs."""
+    return met.ScoredCohort(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+
+
+def trace_prefix(trace: fed.UpdateTrace, num_rounds: int) -> fed.UpdateTrace:
+    """The trace truncated to its first ``num_rounds`` rounds."""
+    if not (1 <= num_rounds <= trace.num_rounds):
+        raise ParameterError(f"prefix length {num_rounds} out of range")
+    final = (trace.final_model if num_rounds == trace.num_rounds
+             else trace.rounds[num_rounds].global_before)
+    return replace(trace, rounds=trace.rounds[:num_rounds], final_model=final,
+                   round_accuracy=trace.round_accuracy[:num_rounds])
+
+
+def scaled_updates(trace: fed.UpdateTrace, factor: float) -> fed.UpdateTrace:
+    """Copy of the trace with every uploaded update multiplied by ``factor``."""
+    rounds = [fed.RoundRecord(r.round_index, r.global_before, factor * r.updates, r.lr_effective)
+              for r in trace.rounds]
+    return replace(trace, rounds=rounds, round_accuracy=list(trace.round_accuracy))
 
 
 def mc_hypervolume(

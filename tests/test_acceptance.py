@@ -28,6 +28,7 @@ from helpers import (
     mc_hypervolume,
     normal_cdf_quadrature,
     pairwise_auc,
+    scaled_updates,
 )
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
@@ -252,7 +253,7 @@ def test_criterion_7_scale_invariance(baseline_report, default_config):
     cohort = hns.load_targets_csv(os.path.join(run_dir, "targets.csv"))
     ids = [int(i) for i in cohort.ids]
     base = atk.fedmia_scores(trace, cohort.x, cohort.y, ids, 0, "II")
-    scaled = atk.fedmia_scores(trace.scaled_updates(7.3), cohort.x, cohort.y, ids, 0, "II")
+    scaled = atk.fedmia_scores(scaled_updates(trace, 7.3), cohort.x, cohort.y, ids, 0, "II")
     worst = max(
         max(abs(base[i].aggregate - scaled[i].aggregate),
             float(np.max(np.abs(base[i].per_round - scaled[i].per_round))))

@@ -21,6 +21,7 @@ from helpers import (
     RoundOutDistribution,
     estimate_out,
     scalar_fedmia,
+    scaled_updates,
     score_temporal,
 )
 
@@ -262,7 +263,7 @@ class TestFedmia:
         trace, targets = _planted_trace_and_targets()
         scores, sets = _fedmia(trace, targets, 0, "II", delta=0.6)
         scaled_scores, scaled_sets = _fedmia(
-            trace.scaled_updates(3.7), targets, 0, "II", delta=0.6
+            scaled_updates(trace, 3.7), targets, 0, "II", delta=0.6
         )
         for i in scores:
             assert abs(scores[i].aggregate - scaled_scores[i].aggregate) <= 1e-9

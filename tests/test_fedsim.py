@@ -11,7 +11,7 @@ from fedaudit import fedsim as fed
 from fedaudit import model as mdl
 from fedaudit.errors import ConfigError, IntegrityError, ParameterError, ShapeMismatchError
 from fedaudit.numstat import RngStream
-from helpers import federation_loop
+from helpers import federation_loop, scaled_updates, trace_prefix
 
 
 class TestDefenseConfig:
@@ -359,13 +359,13 @@ class TestTracePersistence:
             fed.load_trace(str(tmp_path / "t"))
 
     def test_prefix(self, tiny_trace):
-        p = tiny_trace.prefix(3)
+        p = trace_prefix(tiny_trace, 3)
         assert p.num_rounds == 3
         assert np.array_equal(p.final_model, tiny_trace.rounds[3].global_before)
-        full = tiny_trace.prefix(tiny_trace.num_rounds)
+        full = trace_prefix(tiny_trace, tiny_trace.num_rounds)
         assert np.array_equal(full.final_model, tiny_trace.final_model)
 
     def test_scaled_updates(self, tiny_trace):
-        s = tiny_trace.scaled_updates(2.0)
+        s = scaled_updates(tiny_trace, 2.0)
         assert np.array_equal(s.rounds[0].updates, 2.0 * tiny_trace.rounds[0].updates)
         assert np.array_equal(s.rounds[0].global_before, tiny_trace.rounds[0].global_before)

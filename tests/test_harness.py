@@ -466,6 +466,25 @@ def _assert_config_error(rc, err, key_path):
     assert key_path in err, err
 
 
+def _write_text(text):
+    """An artifact mangler that overwrites the file with ``text``."""
+    def mangle(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return mangle
+
+
+def _edit_json(edit):
+    """An artifact mangler that applies ``edit`` to the parsed JSON in place."""
+    def mangle(path):
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        edit(obj)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    return mangle
+
+
 class TestExitCodeContract:
     """2 config error (before any training), 3 integrity error."""
 
@@ -617,3 +636,55 @@ class TestExitCodeContract:
         assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
         err = capsys.readouterr().err
         assert err.startswith("integrity error:") and f"{path}: line {line}:" in err, err
+
+    @pytest.fixture(scope="class")
+    def report_dir(self, tmp_path_factory):
+        d = micro_config_dict(attack={"methods": ["fedmia_ii", "grad_norm", "avg_cosine"]})
+        return hns.run_experiment(hns.ExperimentConfig.from_dict(d),
+                                  str(tmp_path_factory.mktemp("report")))
+
+    @pytest.mark.parametrize("command, artifact, mangle", [
+        ("plots", "runs/none/seed1/attack_rounds.json", os.remove),
+        ("plots", "runs/none/seed1/attack_rounds.json", _write_text("{")),
+        ("plots", "runs/none/seed1/attack_rounds.json", _write_text("{}")),
+        ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
+            lambda s: s["fedmia_ii"]["per_round"][0].pop())),
+        ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
+            lambda s: s["series"]["cosine_target"].pop())),
+        ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
+            lambda s: s["series"]["update_norm_target"].append(1.0))),
+        ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
+            lambda s: s["series"].pop("update_norm_target"))),
+        ("plots", "report.json", _write_text("not json")),
+        ("plots", "report.json", _write_text("{}")),
+        ("report", "report.json", _write_text("not json")),
+    ], ids=["sidecar_missing", "sidecar_not_json", "sidecar_empty_object",
+            "per_round_short_row", "series_missing_record", "update_norm_extra_round",
+            "series_key_missing", "plots_report_not_json", "plots_report_empty_object",
+            "report_not_json"])
+    def test_missing_or_corrupt_artifact_exits_3(self, report_dir, tmp_path, command,
+                                                  artifact, mangle):
+        copy = str(tmp_path / "report")
+        shutil.copytree(report_dir, copy)
+        path = os.path.join(copy, *artifact.split("/"))
+        mangle(path)
+        rc, err = _main_captured([command, copy])
+        assert rc == 3, err
+        assert err.startswith("integrity error:") and path in err, err
+
+
+def test_final_scores_are_the_last_round_of_the_curve(tmp_path):
+    """Every method but blackbox_loss scores the run and its last round alike."""
+    out = str(tmp_path / "out")
+    assert hns.main(["run", os.path.join(CONFIG_DIR, "quick.json"), "--out", out]) == 0
+    assert hns.main(["plots", out]) == 0
+    cfg = hns.load_config(os.path.join(CONFIG_DIR, "quick.json"))
+    assert cfg.seeds == (1,)  # a one-seed mean is the run's own AUC
+    last = cfg.federation.rounds - 1
+    with open(os.path.join(out, "plots", "rounds_none.csv"), encoding="utf-8") as fh:
+        curve = {r["method"]: r["auc"] for r in csv.DictReader(fh) if int(r["round"]) == last}
+    with open(os.path.join(out, "metrics.csv"), encoding="utf-8") as fh:
+        final = {r["method"]: r["auc"] for r in csv.DictReader(fh)}
+    methods = [m for m in cfg.attack.methods if m != "blackbox_loss"]
+    assert len(methods) == 7
+    assert {m: curve[m] for m in methods} == {m: final[m] for m in methods}

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fedaudit import metrics as met
 from fedaudit.errors import CohortError, EmptySampleError, ParameterError, ReferencePointError
-from helpers import mc_hypervolume, pairwise_auc, roc_threshold_loop
+from helpers import cohort_from_pairs, mc_hypervolume, pairwise_auc, roc_threshold_loop
 
 score_lists = st.lists(st.floats(-10, 10), min_size=1, max_size=30)
 # Few distinct values, signed zeros included: ROC sweeps full of ties.
@@ -39,7 +39,7 @@ class TestCohort:
             met.ScoredCohort(np.array([np.nan, 1.0]), np.array([True, False]))
 
     def test_from_pairs(self):
-        c = met.ScoredCohort.from_pairs([(0.5, True), (0.2, False)])
+        c = cohort_from_pairs([(0.5, True), (0.2, False)])
         assert c.scores.tolist() == [0.5, 0.2]
 
 

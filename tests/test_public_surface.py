@@ -1,8 +1,10 @@
-"""Every public function and class of the package has a caller outside the tests.
+"""Every public function, class and method of the package has a caller outside the tests.
 
 A public top-level name defined in ``src/fedaudit/`` must be referenced from
 ``src/``, ``scripts/`` or ``perfbench/``, so a twin that only the tests
-exercise cannot come back unnoticed. The names below are the exceptions,
+exercise cannot come back unnoticed. So must a public method of a public
+class, through an attribute (``obj.name``): a bare name of the same
+spelling may be an unrelated local. The names below are the exceptions,
 each kept for a reason.
 """
 
@@ -32,10 +34,24 @@ def _public_definitions() -> dict[str, str]:
     return defs
 
 
+def _public_methods() -> set[tuple[str, str]]:
+    """("module.Class", name) of every public method of a public class."""
+    methods = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                methods.update(
+                    (f"{path.stem}.{cls.name}", node.name) for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                )
+    return methods
+
+
 def _references() -> set[tuple[str, str]]:
     """(scope, name) pairs. A bare name counts only in the file that loads it
-    (scope: its module name for package files); an attribute such as
-    ``mdl.loss_many`` or an imported name counts everywhere (scope "*")."""
+    (scope: its module name for package files); an imported name counts
+    everywhere (scope "*"), and so does an attribute such as ``mdl.loss_many``
+    (scope ".")."""
     refs = set()
     for d in CALLER_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
@@ -44,7 +60,7 @@ def _references() -> set[tuple[str, str]]:
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     refs.add((scope, node.id))
                 elif isinstance(node, ast.Attribute):
-                    refs.add(("*", node.attr))
+                    refs.add((".", node.attr))
                 elif isinstance(node, ast.alias):
                     refs.add(("*", node.name))
     return refs
@@ -54,7 +70,15 @@ def test_every_public_name_has_a_caller():
     refs = _references()
     unreferenced = {
         name for name, module in _public_definitions().items()
-        if ("*", name) not in refs and (module, name) not in refs
+        if not {("*", name), (".", name), (module, name)} & refs
     }
     assert unreferenced - set(TEST_REFERENCES) == set(), "public names with no caller"
     assert set(TEST_REFERENCES) - unreferenced == set(), "exceptions that have a caller or are gone"
+
+
+def test_every_public_method_has_a_caller():
+    refs = _references()
+    unreferenced = {
+        f"{owner}.{name}" for owner, name in _public_methods() if (".", name) not in refs
+    }
+    assert unreferenced == set(), "public methods with no caller"
