@@ -29,11 +29,13 @@ same reductions; leave-one-out builds its keep mask one column at a time.
 No step loops over rows. The scalar rule, applied record by record, lives
 in ``tests/helpers.py`` as the reference the engine matches bit for bit.
 
-A record is declared a member when the aggregate score exceeds a
+Every score is a NumPy array aligned with the cohort: row i scores the
+i-th record of ``x``/``y``, (n, T) per round or (n,) in aggregate. A
+record is declared a member when the aggregate score exceeds a
 threshold. Any record flagged by the aggregate score is necessarily
 flagged by at least one single-round score at the same threshold (the
-aggregate is a mean); ``check_aggregate_inclusion`` verifies this on
-concrete decision sets.
+aggregate is a mean); ``check_aggregate_inclusion`` verifies this on the
+boolean decision masks of ``decision_sets``.
 
 Six single-signal attacks against the same trace are provided for
 comparison, every score oriented so that higher means member. Each
@@ -51,14 +53,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import model as mdl
 from .errors import (
     ConfigError,
-    ContractError,
     DegenerateDistributionError,
     EmptySampleError,
     InsufficientClientsError,
@@ -111,23 +112,6 @@ _erf = np.frompyfunc(math.erf, 1, 1)
 
 
 @dataclass(frozen=True, eq=False)
-class MembershipScore:
-    """Per-round tail probabilities and their mean for one target record."""
-
-    per_round: np.ndarray  # (T,) values in [0, 1]
-    aggregate: float
-
-
-@dataclass(frozen=True)
-class DecisionSets:
-    """Members called at threshold delta, per round and by the aggregate score."""
-
-    delta: float
-    per_round: tuple[frozenset, ...]
-    aggregate: frozenset
-
-
-@dataclass(frozen=True, eq=False)
 class CohortAudit:
     """One pass over a trace: (n, T) per-round scores and target-client series."""
 
@@ -145,15 +129,6 @@ class CohortAudit:
         series = self.series[name]
         vals = series[:, : t + 1].mean(axis=1) if averaged else series[:, t]
         return -vals if negated else vals
-
-    def memberships(self, method: str, sample_ids: Sequence[int]) -> dict[int, MembershipScore]:
-        """Per-record scores of one fedmia method, keyed by sample id."""
-        per_round = self.per_round[method]
-        aggregate = self.scores(method, per_round.shape[1] - 1)
-        return {
-            int(sid): MembershipScore(per_round[i], float(aggregate[i]))
-            for i, sid in enumerate(sample_ids)
-        }
 
 
 def _cohort_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,17 +343,17 @@ def fedmia_scores(
     trace: UpdateTrace,
     x: np.ndarray,
     y: np.ndarray,
-    sample_ids: Sequence[int],
     target_client: int,
     variant: str = "II",
     orientation: str | None = None,
     sigma_floor_rel: float = SIGMA_FLOOR_REL,
     leave_one_out: bool = False,
-) -> dict[int, MembershipScore]:
-    """Steps 1-3 for a cohort of target records.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-3 for a cohort of target records: (n, T) per-round scores and their (n,) mean.
 
-    Variant I measures per-client loss (members score on the low tail),
-    variant II measures update/gradient cosine (high tail).
+    Row i scores record i of ``x``/``y``. Variant I measures per-client
+    loss (members score on the low tail), variant II measures
+    update/gradient cosine (high tail).
     """
     if variant not in ("I", "II"):
         raise ConfigError(f"unknown variant {variant!r}; expected 'I' or 'II'")
@@ -387,19 +362,18 @@ def fedmia_scores(
         trace, x, y, target_client, [method],
         sigma_floor_rel=sigma_floor_rel, leave_one_out=leave_one_out, orientation=orientation,
     )
-    return audit.memberships(method, sample_ids)
+    return audit.per_round[method], audit.scores(method, trace.num_rounds - 1)
 
 
-def decision_sets(scores: Mapping[int, MembershipScore], delta: float) -> DecisionSets:
-    """Members called at threshold delta (strict: score > delta)."""
-    ids = list(scores)
-    num_rounds = len(next(iter(scores.values())).per_round) if scores else 0
-    per_round = tuple(
-        frozenset(sid for sid in ids if scores[sid].per_round[t] > delta)
-        for t in range(num_rounds)
-    )
-    aggregate = frozenset(sid for sid in ids if scores[sid].aggregate > delta)
-    return DecisionSets(float(delta), per_round, aggregate)
+def decision_sets(
+    per_round: np.ndarray, aggregate: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Members called at threshold delta (strict: score > delta).
+
+    Boolean masks aligned with the score rows: (n, T) per round and (n,) by
+    the aggregate score.
+    """
+    return per_round > delta, aggregate > delta
 
 
 def baselines(
@@ -407,11 +381,10 @@ def baselines(
     x: np.ndarray,
     y: np.ndarray,
     target_client: int,
-    sample_ids: Sequence[int] | None = None,
     methods: Iterable[str] = BASELINE_METHODS,
     audit: CohortAudit | None = None,
-) -> dict[str, dict[int, float]]:
-    """Single-signal attack scores, each oriented so higher means member.
+) -> dict[str, np.ndarray]:
+    """Single-signal attack scores, (n,) per method, each oriented so higher means member.
 
     blackbox_loss : -loss under the final global model
     grad_cosine   : final-round cosine measurement of the target client
@@ -420,41 +393,24 @@ def baselines(
     avg_cosine    : mean over rounds of the target-client cosine
     grad_diff     : mean over rounds of the raw inner product
 
-    All but ``blackbox_loss`` are ``audit.scores(method, T - 1)``, which the
-    round curves share. ``audit`` is ``audit_cohort`` of the same inputs,
-    made here if absent.
+    Row i scores record i of ``x``/``y``. All but ``blackbox_loss`` are
+    ``audit.scores(method, T - 1)``, which the round curves share.
+    ``audit`` is ``audit_cohort`` of the same inputs, made here if absent.
     """
     methods = list(methods)
     unknown = set(methods) - set(BASELINE_METHODS)
     if unknown:
         raise ConfigError(f"unknown baseline methods: {sorted(unknown)}")
     x, y = _cohort_arrays(x, y)
-    ids = list(sample_ids) if sample_ids is not None else list(range(len(y)))
     if audit is None:
         audit = audit_cohort(trace, x, y, target_client, methods)
-    results: dict[str, dict[int, float]] = {}
-    for m in methods:
-        if m == "blackbox_loss":
-            vals = -mdl.loss_many(trace.model_spec, trace.final_model, x, y)
-        else:
-            vals = audit.scores(m, trace.num_rounds - 1)
-        results[m] = dict(zip(ids, vals.tolist()))
-    return results
+    return {
+        m: (-mdl.loss_many(trace.model_spec, trace.final_model, x, y) if m == "blackbox_loss"
+            else audit.scores(m, trace.num_rounds - 1))
+        for m in methods
+    }
 
 
-def check_aggregate_inclusion(sets: DecisionSets, aggregate_from: DecisionSets | None = None) -> bool:
-    """True iff every aggregate-flagged record is flagged in some round.
-
-    When ``aggregate_from`` is given, its aggregate set is checked against
-    ``sets``' per-round sets; both must share the same threshold.
-    """
-    if aggregate_from is None:
-        aggregate_from = sets
-    elif aggregate_from.delta != sets.delta:
-        raise ContractError(
-            f"decision sets use different thresholds: {sets.delta} vs {aggregate_from.delta}"
-        )
-    union: set = set()
-    for v in sets.per_round:
-        union |= v
-    return aggregate_from.aggregate <= union
+def check_aggregate_inclusion(per_round_mask: np.ndarray, aggregate_mask: np.ndarray) -> bool:
+    """True iff every aggregate-flagged record is flagged in some round."""
+    return bool(np.all(per_round_mask.any(axis=1) | ~aggregate_mask))

@@ -56,9 +56,5 @@ class ReferencePointError(FedAuditError, ValueError):
     """A point is not dominated by the hypervolume reference point."""
 
 
-class ContractError(FedAuditError, ValueError):
-    """Two artifacts that must agree (e.g. on a threshold) do not."""
-
-
 class IntegrityError(FedAuditError, RuntimeError):
     """A persisted artifact is missing, truncated, or inconsistent."""

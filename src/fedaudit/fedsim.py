@@ -388,7 +388,7 @@ def load_trace(trace_dir: str) -> UpdateTrace:
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:
         raise IntegrityError(f"corrupt trace file {meta_path}: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("schema_version") != TRACE_SCHEMA_VERSION:
         raise IntegrityError(f"unsupported trace schema in {meta_path}")

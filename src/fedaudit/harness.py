@@ -81,6 +81,7 @@ TAG_TARGETS = 13
 METRICS_HEADER = (
     "seed,method,defense,param,auc,tpr_at_fpr,fpr_cap,achieved_fpr,utility_loss"
 )
+SCORES_CSV = "attack_scores.csv"
 SCORES_HEADER = "method,sample_id,is_member_truth,score"
 
 
@@ -387,9 +388,9 @@ def run_attacks(
     trace: fed.UpdateTrace,
     cohort: TargetCohort,
     ac: AttackSuiteConfig,
-) -> tuple[dict[str, dict[int, float]], atk.CohortAudit, dict]:
-    """All configured attacks: scores per method, the audit, its inclusion checks."""
-    ids = [int(i) for i in cohort.ids]
+) -> tuple[dict[str, np.ndarray], atk.CohortAudit, dict]:
+    """All configured attacks: (n,) scores per method, row i that of
+    ``cohort.ids[i]``; the audit; its inclusion checks."""
     try:
         audit = atk.audit_cohort(
             trace, cohort.x, cohort.y, ac.target_client, ac.methods,
@@ -398,21 +399,21 @@ def run_attacks(
     except ZeroVectorError as exc:
         raise ZeroVectorError(
             f"seed {trace.seed}, defense {json.dumps(trace.defense.to_dict(), sort_keys=True)}, "
-            f"sample_id {ids[exc.row]}: {exc}"
+            f"sample_id {int(cohort.ids[exc.row])}: {exc}"
         ) from exc
-    scores: dict[str, dict[int, float]] = {}
+    scores: dict[str, np.ndarray] = {}
     checks: dict = {}
-    for method in audit.per_round:
-        ms = audit.memberships(method, ids)
-        scores[method] = {sid: ms[sid].aggregate for sid in ids}
+    for method, per_round in audit.per_round.items():
+        scores[method] = audit.scores(method, trace.num_rounds - 1)
         checks[method] = {
-            repr(float(delta)): atk.check_aggregate_inclusion(atk.decision_sets(ms, delta))
+            repr(float(delta)): atk.check_aggregate_inclusion(
+                *atk.decision_sets(per_round, scores[method], delta))
             for delta in ac.delta_grid
         }
     base_methods = [m for m in ac.methods if m in atk.BASELINE_METHODS]
     if base_methods:
         scores.update(atk.baselines(
-            trace, cohort.x, cohort.y, ac.target_client, ids, base_methods, audit=audit,
+            trace, cohort.x, cohort.y, ac.target_client, base_methods, audit=audit,
         ))
     return {m: scores[m] for m in ac.methods}, audit, checks
 
@@ -451,8 +452,9 @@ def _write_sidecar(
 
 def _read_sidecar(
     run_dir: str, methods: tuple[str, ...], num_rounds: int
-) -> tuple[atk.CohortAudit, np.ndarray]:
-    """The audit of ``methods`` and the membership truth that ``_write_sidecar`` stored.
+) -> tuple[atk.CohortAudit, np.ndarray, np.ndarray]:
+    """The audit of ``methods``, the sample ids and the membership truth that
+    ``_write_sidecar`` stored.
 
     A missing or unreadable file, a missing key, or an array whose shape
     is not (len(sample_ids), num_rounds) raises IntegrityError naming the path.
@@ -461,6 +463,7 @@ def _read_sidecar(
     sidecar = _read_json(path, IntegrityError)
     try:
         shape = (len(sidecar["sample_ids"]), num_rounds)
+        ids = _stored(sidecar["sample_ids"], "sample_ids", shape[:1], np.int64)
         is_member = _stored(sidecar["is_member"], "is_member", shape[:1], bool)
         per_round = {m: _stored(sidecar[m]["per_round"], m, shape)
                      for m in methods if m in atk.FEDMIA_METHODS}
@@ -471,13 +474,15 @@ def _read_sidecar(
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"corrupt audit sidecar {path}: {exc!r}") from None
-    return atk.CohortAudit(per_round, series), is_member
+    return atk.CohortAudit(per_round, series), ids, is_member
 
 
 def _stored(value: object, name: str, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
     arr = np.array(value, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if dtype is not np.float64 and arr.tolist() != value:  # the cast changed a value
+        raise ValueError(f"{name} holds values that are not {np.dtype(dtype).name}")
     return arr
 
 
@@ -498,6 +503,16 @@ def _param_label(value: object) -> str:
     return _fmt(value) if isinstance(value, float) else str(value)
 
 
+def _run_grid(config: ExperimentConfig, report_dir: str):
+    """(sweep value, defense, label, {seed: run dir}) per sweep point: the one
+    place the layout ``runs/<defense>[_<param>]/seed<seed>`` is spelled."""
+    for value, defense in config.sweep.expand():
+        label = f"{defense.kind}_{_param_label(value)}" if value is not None else defense.kind
+        yield value, defense, label, {
+            seed: os.path.join(report_dir, "runs", label, f"seed{seed}") for seed in config.seeds
+        }
+
+
 def _write_targets_csv(path: str, dataset_dim: int, cohort: TargetCohort) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
@@ -512,7 +527,9 @@ def load_targets_csv(path: str) -> TargetCohort:
     if not os.path.exists(path):
         raise IntegrityError(f"missing targets file: {path}")
     ids, members, labels, feats = [], [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # A byte that is not UTF-8 reads as a lone surrogate, which no field
+    # parser below accepts, so it is reported with its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[:3] != ["sample_id", "is_member", "label"]:
@@ -541,43 +558,46 @@ def load_targets_csv(path: str) -> TargetCohort:
     )
 
 
-def _write_scores_csv(path: str, cohort: TargetCohort, scores: dict[str, dict[int, float]]) -> None:
+def _scores_keys(methods, ids: np.ndarray, is_member: np.ndarray) -> list[str]:
+    """The ``method,sample_id,is_member_truth,`` prefix of every attack_scores.csv row."""
+    rows = list(zip(ids.tolist(), is_member.tolist()))
+    return [f"{m},{sid},{int(t)}," for m in methods for sid, t in rows]
+
+
+def _write_scores_csv(path: str, cohort: TargetCohort, scores: dict[str, np.ndarray]) -> None:
+    values = np.concatenate(list(scores.values()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(SCORES_HEADER + "\n")
-        truth = dict(zip((int(i) for i in cohort.ids), cohort.is_member))
-        for method, per_id in scores.items():
-            for sid in cohort.ids:
-                sid = int(sid)
-                fh.write(f"{method},{sid},{int(truth[sid])},{_fmt(per_id[sid])}\n")
+        for key, v in zip(_scores_keys(scores, cohort.ids, cohort.is_member), values):
+            fh.write(f"{key}{_fmt(v)}\n")
 
 
-def _metric_rows(
-    seed: int,
-    defense_kind: str,
-    param: object,
-    utility_loss: float,
-    cohort: TargetCohort,
-    scores: dict[str, dict[int, float]],
-    ac: AttackSuiteConfig,
-) -> list[dict]:
-    rows = []
-    for method, per_id in scores.items():
-        arr = np.array([per_id[int(sid)] for sid in cohort.ids])
-        auc, tpr, achieved = met.roc_metrics(met.ScoredCohort(arr, cohort.is_member), ac.fpr_cap)
-        rows.append(
-            {
-                "seed": seed,
-                "method": method,
-                "defense": defense_kind,
-                "param": _param_label(param),
-                "auc": auc,
-                "tpr_at_fpr": tpr,
-                "fpr_cap": ac.fpr_cap,
-                "achieved_fpr": achieved,
-                "utility_loss": utility_loss,
-            }
-        )
-    return rows
+def _read_scores_csv(
+    path: str, methods: tuple[str, ...], ids: np.ndarray, is_member: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The (n,) scores of each of ``methods`` that ``_write_scores_csv`` stored,
+    row i for the record ``ids[i]``. A missing or unreadable file, a bad header,
+    a row other than the one written there (method, sample id and truth, in
+    order) or a non-finite score raises IntegrityError naming the path."""
+    if not os.path.exists(path):
+        raise IntegrityError(f"missing run artifact: {path}")
+    keys = _scores_keys(methods, ids, is_member)
+    values = np.empty(len(keys))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
+        if lines[:1] != [SCORES_HEADER] or len(lines) != len(keys) + 1:
+            raise ValueError(f"expected the header and {len(keys)} rows")
+        for i, (line, key) in enumerate(zip(lines[1:], keys)):
+            if not line.startswith(key):
+                raise ValueError(f"line {i + 2} does not start with {key!r}")
+            values[i] = float(line[len(key):])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"line {bad[0] + 2}: non-finite score")
+    except (OSError, ValueError) as exc:
+        raise IntegrityError(f"corrupt scores file {path}: {exc}") from None
+    return dict(zip(methods, values.reshape(len(methods), len(ids))))
 
 
 def run_single(
@@ -607,13 +627,39 @@ def run_single(
     os.makedirs(run_dir, exist_ok=True)
     fed.save_trace(trace, os.path.join(run_dir, "trace"))
     _write_targets_csv(os.path.join(run_dir, "targets.csv"), dataset.input_dim, cohort)
+    return _attack_and_score(trace, cohort, config.attack, param, run_dir)
 
-    scores, audit, checks = run_attacks(trace, cohort, config.attack)
-    _write_scores_csv(os.path.join(run_dir, "attack_scores.csv"), cohort, scores)
-    _write_sidecar(run_dir, audit, cohort, config.attack.delta_grid, checks)
 
-    utility_loss = 1.0 - trace.round_accuracy[-1]
-    rows = _metric_rows(seed, defense.kind, param, utility_loss, cohort, scores, config.attack)
+def _attack_and_score(
+    trace: fed.UpdateTrace,
+    cohort: TargetCohort,
+    ac: AttackSuiteConfig,
+    param: object,
+    out_dir: str | None,
+) -> tuple[list[dict], dict]:
+    """Attack ``trace``, write attack_scores.csv and the sidecar to ``out_dir``
+    (if any), and return the metric rows and the inclusion checks."""
+    scores, audit, checks = run_attacks(trace, cohort, ac)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_scores_csv(os.path.join(out_dir, SCORES_CSV), cohort, scores)
+        _write_sidecar(out_dir, audit, cohort, ac.delta_grid, checks)
+    rows = []
+    for method, values in scores.items():
+        auc, tpr, achieved = met.roc_metrics(met.ScoredCohort(values, cohort.is_member), ac.fpr_cap)
+        rows.append(
+            {
+                "seed": trace.seed,
+                "method": method,
+                "defense": trace.defense.kind,
+                "param": _param_label(param),
+                "auc": auc,
+                "tpr_at_fpr": tpr,
+                "fpr_cap": ac.fpr_cap,
+                "achieved_fpr": achieved,
+                "utility_loss": 1.0 - trace.round_accuracy[-1],
+            }
+        )
     return rows, checks
 
 
@@ -634,16 +680,12 @@ def run_experiment(
     """
     if seed_override is not None:
         config = replace(config, seeds=(seed_override,))
-    seeds = config.seeds
-    points = config.sweep.expand()
     os.makedirs(out_dir, exist_ok=True)
-
-    job_args = []
-    for value, defense in points:
-        label = f"{defense.kind}_{_param_label(value)}" if value is not None else defense.kind
-        for seed in seeds:
-            run_dir = os.path.join(out_dir, "runs", label, f"seed{seed}")
-            job_args.append((config, defense, value, seed, run_dir))
+    job_args = [
+        (config, defense, value, seed, run_dir)
+        for value, defense, _, run_dirs in _run_grid(config, out_dir)
+        for seed, run_dir in run_dirs.items()
+    ]
 
     results: list[tuple[list[dict], dict]] = []
     if jobs > 1:
@@ -730,13 +772,8 @@ def replay_attack(trace_dir: str, ac: AttackSuiteConfig, out_dir: str | None = N
     """Re-run attacks on a persisted trace; equals the inline results bit-exactly."""
     trace = fed.load_trace(trace_dir)
     cohort = load_targets_csv(os.path.join(os.path.dirname(trace_dir.rstrip("/")), "targets.csv"))
-    scores, audit, checks = run_attacks(trace, cohort, ac)
-    utility_loss = 1.0 - trace.round_accuracy[-1]
-    rows = _metric_rows(trace.seed, trace.defense.kind, None, utility_loss, cohort, scores, ac)
+    rows, _ = _attack_and_score(trace, cohort, ac, None, out_dir)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_scores_csv(os.path.join(out_dir, "attack_scores.csv"), cohort, scores)
-        _write_sidecar(out_dir, audit, cohort, ac.delta_grid, checks)
         _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
     return rows
 
@@ -747,10 +784,24 @@ def replay_attack(trace_dir: str, ac: AttackSuiteConfig, out_dir: str | None = N
 
 
 def _read_metrics_csv(path: str) -> list[dict]:
+    """The rows of metrics.csv, the fields after ``param`` as floats. A missing or
+    unreadable file, a bad header, a row of another width or a numeric field
+    that does not parse raises IntegrityError naming the path."""
     if not os.path.exists(path):
         raise IntegrityError(f"missing metrics file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+    header = METRICS_HEADER.split(",")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+        if table[:1] != [header]:
+            raise ValueError("bad header")
+        for line, row in enumerate(table[1:], 2):
+            if len(row) != len(header):
+                raise ValueError(f"line {line}: {len(row)} fields, header has {len(header)}")
+            row[4:] = map(float, row[4:])
+    except (OSError, ValueError) as exc:
+        raise IntegrityError(f"corrupt metrics file {path}: {exc}") from None
+    return [dict(zip(header, row)) for row in table[1:]]
 
 
 def emit_plots(report_dir: str) -> str:
@@ -760,26 +811,18 @@ def emit_plots(report_dir: str) -> str:
     plots_dir = os.path.join(report_dir, "plots")
     os.makedirs(plots_dir, exist_ok=True)
 
-    points = config.sweep.expand()
-    seeds = config.seeds
-    for value, defense in points:
-        label = f"{defense.kind}_{_param_label(value)}" if value is not None else defense.kind
-        final: dict[str, list[float]] = {m: [] for m in config.attack.methods}
-        runs = []  # (audit, is_member) per seed
-        for seed in seeds:
-            run_dir = os.path.join(report_dir, "runs", label, f"seed{seed}")
-            spath = os.path.join(run_dir, "attack_scores.csv")
-            if not os.path.exists(spath):
-                raise IntegrityError(f"missing run artifact: {spath}")
-            with open(spath, "r", encoding="utf-8", newline="") as fh:
-                for row in csv.DictReader(fh):
-                    final[row["method"]].append(float(row["score"]))
-            runs.append(_read_sidecar(run_dir, config.attack.methods, config.federation.rounds))
-        is_mem = np.concatenate([is_member for _, is_member in runs])
+    methods = config.attack.methods
+    for _, _, label, run_dirs in _run_grid(config, report_dir):
+        runs = []  # (audit, is_member, final scores) per seed
+        for run_dir in run_dirs.values():
+            audit, ids, is_member = _read_sidecar(run_dir, methods, config.federation.rounds)
+            spath = os.path.join(run_dir, SCORES_CSV)
+            runs.append((audit, is_member, _read_scores_csv(spath, methods, ids, is_member)))
+        is_mem = np.concatenate([is_member for _, is_member, _ in runs])
 
         # Score histograms: one row per (bin, class).
-        for method in config.attack.methods:
-            scores = np.array(final[method])
+        for method in methods:
+            scores = np.concatenate([final[method] for _, _, final in runs])
             lo, hi = float(scores.min()), float(scores.max())
             if lo == hi:
                 hi = lo + 1.0
@@ -800,10 +843,10 @@ def emit_plots(report_dir: str) -> str:
             os.path.join(plots_dir, f"rounds_{label}.csv"), "w", encoding="utf-8", newline=""
         ) as fh:
             fh.write("method,round,auc,tpr_at_fpr\n")
-            for method in config.attack.methods:
+            for method in methods:
                 for t in range(num_rounds):
                     aucs, tprs = [], []
-                    for audit, is_member in runs:
+                    for audit, is_member, _ in runs:
                         sc = met.ScoredCohort(audit.scores(method, t), is_member)
                         auc, tpr, _ = met.roc_metrics(sc, config.attack.fpr_cap)
                         aucs.append(auc)
@@ -850,7 +893,7 @@ def summarize_report(report_dir: str) -> str:
         groups.setdefault((r["defense"], r["param"], r["method"]), []).append(r)
     lines = [f"{'defense':<20}{'param':<10}{'method':<16}{'auc':>8}{'tpr':>8}{'util_loss':>11}"]
     for (defense, param, method), grp in sorted(groups.items()):
-        mean = lambda k: float(np.mean([float(g[k]) for g in grp]))  # noqa: E731
+        mean = lambda k: float(np.mean([g[k] for g in grp]))  # noqa: E731
         lines.append(
             f"{defense:<20}{param:<10}{method:<16}"
             f"{mean('auc'):>8.3f}{mean('tpr_at_fpr'):>8.3f}{mean('utility_loss'):>11.3f}"

@@ -109,10 +109,7 @@ def test_criterion_1_aggregate_inclusion(baseline_report, sweep_reports):
         rounds = int(g.integers(1, 11))
         delta = float(g.uniform(-0.1, 1.1))
         mat = g.uniform(size=(50, rounds))
-        scores = {
-            i: atk.MembershipScore(mat[i], float(mat[i].mean())) for i in range(50)
-        }
-        assert atk.check_aggregate_inclusion(atk.decision_sets(scores, delta))
+        assert atk.check_aggregate_inclusion(*atk.decision_sets(mat, mat.mean(axis=1), delta))
         checked += 1
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"randomized inclusion took {elapsed:.1f}s"
@@ -251,19 +248,15 @@ def test_criterion_7_scale_invariance(baseline_report, default_config):
     run_dir = os.path.join(report_dir, "runs", "none", "seed1")
     trace = fed.load_trace(os.path.join(run_dir, "trace"))
     cohort = hns.load_targets_csv(os.path.join(run_dir, "targets.csv"))
-    ids = [int(i) for i in cohort.ids]
-    base = atk.fedmia_scores(trace, cohort.x, cohort.y, ids, 0, "II")
-    scaled = atk.fedmia_scores(scaled_updates(trace, 7.3), cohort.x, cohort.y, ids, 0, "II")
-    worst = max(
-        max(abs(base[i].aggregate - scaled[i].aggregate),
-            float(np.max(np.abs(base[i].per_round - scaled[i].per_round))))
-        for i in ids
-    )
+    base = atk.fedmia_scores(trace, cohort.x, cohort.y, 0, "II")
+    scaled = atk.fedmia_scores(scaled_updates(trace, 7.3), cohort.x, cohort.y, 0, "II")
+    worst = max(float(np.max(np.abs(b - s))) for b, s in zip(base, scaled))
     assert worst <= 1e-9
     deltas = list(default_config.attack.delta_grid)
     deltas += [float(d) for d in RngStream(555).generator().uniform(size=20)]
     for delta in deltas:
-        assert atk.decision_sets(base, delta) == atk.decision_sets(scaled, delta)
+        for b, s in zip(atk.decision_sets(*base, delta), atk.decision_sets(*scaled, delta)):
+            assert np.array_equal(b, s)
     _report(7, f"max score shift {worst:.2e} after x7.3; decision sets identical "
                f"at {len(deltas)} thresholds")
 

@@ -9,7 +9,6 @@ from fedaudit import attack as atk
 from fedaudit import model as mdl
 from fedaudit.errors import (
     ConfigError,
-    ContractError,
     InsufficientClientsError,
     ParameterError,
     ZeroVectorError,
@@ -225,50 +224,51 @@ def _planted_trace_and_targets(num_targets=6, rounds=3, clients=4):
 
 
 def _fedmia(trace, targets, target_client, variant, delta):
-    """Scores and decision sets at one threshold for records (x, y)."""
-    ids = range(len(targets[1]))
-    scores = atk.fedmia_scores(trace, *targets, ids, target_client, variant)
-    return scores, atk.decision_sets(scores, delta)
+    """(per-round, aggregate) scores and their decision masks at one threshold
+    for records (x, y)."""
+    scores = atk.fedmia_scores(trace, *targets, target_client, variant)
+    return scores, atk.decision_sets(*scores, delta)
 
 
 class TestFedmia:
     def test_planted_member_ranks_first(self):
         trace, targets = _planted_trace_and_targets()
-        scores, _ = _fedmia(trace, targets, target_client=0, variant="II", delta=0.5)
-        agg = [scores[i].aggregate for i in range(len(targets[1]))]
+        (_, agg), _ = _fedmia(trace, targets, target_client=0, variant="II", delta=0.5)
+        assert agg.shape == (len(targets[1]),)
         assert all(agg[0] > a for a in agg[1:])
 
     def test_delta_above_one_empty(self):
         trace, targets = _planted_trace_and_targets()
-        _, sets = _fedmia(trace, targets, 0, "II", delta=1.5)
-        assert sets.aggregate == frozenset()
+        _, (_, flagged) = _fedmia(trace, targets, 0, "II", delta=1.5)
+        assert not flagged.any()
 
     def test_delta_below_zero_all(self):
         trace, targets = _planted_trace_and_targets()
-        _, sets = _fedmia(trace, targets, 0, "II", delta=-0.5)
-        assert sets.aggregate == frozenset(range(len(targets[1])))
+        _, (_, flagged) = _fedmia(trace, targets, 0, "II", delta=-0.5)
+        assert flagged.shape == (len(targets[1]),) and flagged.all()
 
     def test_aggregate_is_mean_of_rounds(self):
         trace, targets = _planted_trace_and_targets()
-        scores, _ = _fedmia(trace, targets, 0, "II", delta=0.5)
-        for s in scores.values():
-            assert s.aggregate == pytest.approx(float(np.mean(s.per_round)), abs=1e-12)
+        (per_round, agg), _ = _fedmia(trace, targets, 0, "II", delta=0.5)
+        assert per_round.shape == (len(targets[1]), trace.num_rounds)
+        for row, a in zip(per_round, agg):
+            assert a == pytest.approx(float(np.mean(row)), abs=1e-12)
 
     def test_variant_i_runs_member_low(self):
         trace, targets = _planted_trace_and_targets()
-        scores, _ = _fedmia(trace, targets, 0, "I", delta=0.5)
-        assert all(0.0 <= s.aggregate <= 1.0 for s in scores.values())
+        (_, agg), _ = _fedmia(trace, targets, 0, "I", delta=0.5)
+        assert all(0.0 <= a <= 1.0 for a in agg)
 
     def test_scale_invariance_of_variant_ii(self):
         trace, targets = _planted_trace_and_targets()
-        scores, sets = _fedmia(trace, targets, 0, "II", delta=0.6)
-        scaled_scores, scaled_sets = _fedmia(
+        (per_round, agg), sets = _fedmia(trace, targets, 0, "II", delta=0.6)
+        (scaled_per_round, scaled_agg), scaled_sets = _fedmia(
             scaled_updates(trace, 3.7), targets, 0, "II", delta=0.6
         )
-        for i in scores:
-            assert abs(scores[i].aggregate - scaled_scores[i].aggregate) <= 1e-9
-            assert np.max(np.abs(scores[i].per_round - scaled_scores[i].per_round)) <= 1e-9
-        assert sets == scaled_sets
+        for i in range(len(agg)):
+            assert abs(agg[i] - scaled_agg[i]) <= 1e-9
+            assert np.max(np.abs(per_round[i] - scaled_per_round[i])) <= 1e-9
+        assert all(np.array_equal(a, b) for a, b in zip(sets, scaled_sets))
 
     def test_bad_variant(self):
         trace, targets = _planted_trace_and_targets()
@@ -338,12 +338,11 @@ class TestVectorisedNullMatchesScalar:
     def test_bit_exact_where_the_filter_drops(self, variant, leave_one_out):
         trace, x, y = _filter_trace()
         kind, orient = ("loss", "member_low") if variant == "I" else ("cosine", "member_high")
-        got = atk.fedmia_scores(trace, x, y, range(len(y)), 0, variant, leave_one_out=leave_one_out)
+        got = atk.fedmia_scores(trace, x, y, 0, variant, leave_one_out=leave_one_out)
         values = atk.measure_cohort(trace, x, y, kind)
         per_round, aggregate, fits = scalar_fedmia(values, 0, orient, leave_one_out)
-        for i in range(len(y)):
-            assert got[i].per_round.tobytes() == per_round[i].tobytes()
-            assert got[i].aggregate == aggregate[i]
+        assert got[0].tobytes() == per_round.tobytes()
+        assert got[1].tobytes() == aggregate.tobytes()
         outs = [out for row in fits for out in row]
         dropped = sum(len(out.kept_clients) < trace.num_clients - 1 for out in outs)
         assert 0 < dropped < len(outs)  # rows on the fast path and rows with drops
@@ -353,7 +352,7 @@ class TestVectorisedNullMatchesScalar:
     def test_nan_measurement_rejected(self, variant, nan_at):
         trace, x, y = _filter_trace(nan_at)
         with pytest.raises(ParameterError):
-            atk.fedmia_scores(trace, x, y, range(len(y)), 0, variant)
+            atk.fedmia_scores(trace, x, y, 0, variant)
         kind = "loss" if variant == "I" else "cosine"
         matrix = MeasurementMatrix(0, 0, atk.measure_cohort(trace, x, y, kind)[0])
         with pytest.raises(ParameterError):
@@ -418,29 +417,25 @@ class TestVectorisedNullMatchesScalar:
 
 class TestDecisionSetsInclusion:
     def _scores(self, rows):
-        return {
-            i: atk.MembershipScore(np.array(row), float(np.mean(row)))
-            for i, row in enumerate(rows)
-        }
+        per_round = np.array(rows, dtype=float)
+        return per_round, per_round.mean(axis=1)
 
     def test_hand_fixture(self):
-        scores = self._scores([[0.9, 0.6]])
-        sets = atk.decision_sets(scores, 0.7)
-        assert sets.aggregate == frozenset({0})  # mean 0.75 > 0.7
-        assert sets.per_round[0] == frozenset({0})
-        assert sets.per_round[1] == frozenset()
-        assert atk.check_aggregate_inclusion(sets)
+        per_round, aggregate = atk.decision_sets(*self._scores([[0.9, 0.6]]), 0.7)
+        assert aggregate.tolist() == [True]  # mean 0.75 > 0.7
+        assert per_round.tolist() == [[True, False]]
+        assert atk.check_aggregate_inclusion(per_round, aggregate)
+        # an aggregate flag on a record that no round flags breaks inclusion
+        assert atk.check_aggregate_inclusion(np.zeros_like(per_round), aggregate) is False
 
     def test_single_round_equality(self):
-        scores = self._scores([[0.9], [0.2]])
-        sets = atk.decision_sets(scores, 0.5)
-        assert sets.aggregate == sets.per_round[0]
-        assert atk.check_aggregate_inclusion(sets)
+        per_round, aggregate = atk.decision_sets(*self._scores([[0.9], [0.2]]), 0.5)
+        assert np.array_equal(aggregate, per_round[:, 0])
+        assert atk.check_aggregate_inclusion(per_round, aggregate)
 
     def test_strict_threshold(self):
-        scores = self._scores([[0.5, 0.5]])
-        sets = atk.decision_sets(scores, 0.5)
-        assert sets.aggregate == frozenset()  # boundary equality is non-member
+        _, aggregate = atk.decision_sets(*self._scores([[0.5, 0.5]]), 0.5)
+        assert not aggregate.any()  # boundary equality is non-member
 
     @given(
         seed=st.integers(0, 10_000),
@@ -451,16 +446,8 @@ class TestDecisionSetsInclusion:
     @settings(max_examples=100, deadline=None)
     def test_inclusion_randomized(self, seed, rounds, samples, delta):
         g = RngStream(seed).generator()
-        scores = self._scores(g.uniform(size=(samples, rounds)).tolist())
-        assert atk.check_aggregate_inclusion(atk.decision_sets(scores, delta))
-
-    def test_mismatched_delta_contract(self):
-        scores = self._scores([[0.9, 0.6]])
-        a = atk.decision_sets(scores, 0.5)
-        b = atk.decision_sets(scores, 0.7)
-        with pytest.raises(ContractError):
-            atk.check_aggregate_inclusion(a, b)
-        assert atk.check_aggregate_inclusion(a, atk.decision_sets(scores, 0.5))
+        scores = self._scores(g.uniform(size=(samples, rounds)))
+        assert atk.check_aggregate_inclusion(*atk.decision_sets(*scores, delta))
 
 
 class TestBaselines:
@@ -476,7 +463,7 @@ class TestBaselines:
         x, y = np.array([deep, shallow, wrong]), np.zeros(3, dtype=int)
         out = atk.baselines(trace, x, y, 0, methods=["loss_series"])
         scores = out["loss_series"]
-        assert scores[0] == max(scores.values())
+        assert scores[0] == max(scores)
         assert scores[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_round_avg_equals_grad_cosine(self):
@@ -488,7 +475,7 @@ class TestBaselines:
     def test_grad_norm_is_record_independent(self):
         trace, targets = _planted_trace_and_targets()
         out = atk.baselines(trace, *targets, 0, methods=["grad_norm"])
-        vals = set(out["grad_norm"].values())
+        vals = set(out["grad_norm"].tolist())
         assert len(vals) == 1
         expected = -float(np.linalg.norm(trace.rounds[-1].updates[0]))
         assert vals.pop() == expected

@@ -467,10 +467,10 @@ def _assert_config_error(rc, err, key_path):
 
 
 def _write_text(text):
-    """An artifact mangler that overwrites the file with ``text``."""
+    """An artifact mangler that overwrites the file with ``text`` (str or bytes)."""
     def mangle(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
     return mangle
 
 
@@ -483,6 +483,22 @@ def _edit_json(edit):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
     return mangle
+
+
+def _edit_csv(edit):
+    """An artifact mangler that applies ``edit`` to the list of CSV rows in place."""
+    def mangle(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return mangle
+
+
+def _swap_first_member_and_nonmember(rows):
+    j = next(i for i, r in enumerate(rows) if r[2] == "0")
+    rows[1], rows[j] = rows[j], rows[1]
 
 
 class TestExitCodeContract:
@@ -599,20 +615,17 @@ class TestExitCodeContract:
         return os.path.join(out, "runs", "none", "seed1")
 
     @pytest.mark.parametrize("mangle", [
-        lambda m: m["model"].update(extra=1),
-        lambda m: m.pop("seed"),
-        lambda m: m["defense"].update(colour="blue"),
-        lambda m: m["model"].update(kind="cnn"),
-    ], ids=["model_extra_key", "missing_seed", "defense_unknown_key", "unknown_model_kind"])
+        _edit_json(lambda m: m["model"].update(extra=1)),
+        _edit_json(lambda m: m.pop("seed")),
+        _edit_json(lambda m: m["defense"].update(colour="blue")),
+        _edit_json(lambda m: m["model"].update(kind="cnn")),
+        _write_text(b"\xff\xfe"),
+    ], ids=["model_extra_key", "missing_seed", "defense_unknown_key", "unknown_model_kind",
+            "not_utf8"])
     def test_malformed_trace_meta_exits_3(self, run_dir, tmp_path, capsys, mangle):
         copy = str(tmp_path / "run")
         shutil.copytree(run_dir, copy)
-        meta_path = os.path.join(copy, "trace", "trace_meta.json")
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        mangle(meta)
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh)
+        mangle(os.path.join(copy, "trace", "trace_meta.json"))
         ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
         assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
         assert capsys.readouterr().err.startswith("integrity error:")
@@ -622,7 +635,9 @@ class TestExitCodeContract:
         (lambda rows: rows[2].__delitem__(slice(2, None)), 3),
         (lambda rows: rows[2].__setitem__(3, "nan"), 3),
         (lambda rows: rows[1].__setitem__(1, "7"), 2),
-    ], ids=["first_id_not_int", "short_row", "nan_feature", "is_member_not_0_or_1"])
+        (lambda rows: rows[2].__setitem__(4, rows[2][4] + "\udcff"), 3),
+    ], ids=["first_id_not_int", "short_row", "nan_feature", "is_member_not_0_or_1",
+            "feature_not_utf8"])
     def test_malformed_targets_csv_exits_3(self, run_dir, tmp_path, capsys, mangle, line):
         copy = str(tmp_path / "run")
         shutil.copytree(run_dir, copy)
@@ -630,7 +645,8 @@ class TestExitCodeContract:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         mangle(rows)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        # surrogateescape writes a lone surrogate as the raw byte it stands for
+        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             csv.writer(fh).writerows(rows)
         ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
         assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
@@ -642,6 +658,8 @@ class TestExitCodeContract:
         d = micro_config_dict(attack={"methods": ["fedmia_ii", "grad_norm", "avg_cosine"]})
         return hns.run_experiment(hns.ExperimentConfig.from_dict(d),
                                   str(tmp_path_factory.mktemp("report")))
+
+    SCORES = "runs/none/seed1/attack_scores.csv"
 
     @pytest.mark.parametrize("command, artifact, mangle", [
         ("plots", "runs/none/seed1/attack_rounds.json", os.remove),
@@ -655,13 +673,32 @@ class TestExitCodeContract:
             lambda s: s["series"]["update_norm_target"].append(1.0))),
         ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
             lambda s: s["series"].pop("update_norm_target"))),
+        ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
+            lambda s: s["sample_ids"].__setitem__(0, s["sample_ids"][0] + 0.5))),
         ("plots", "report.json", _write_text("not json")),
         ("plots", "report.json", _write_text("{}")),
         ("report", "report.json", _write_text("not json")),
+        ("plots", SCORES, os.remove),
+        ("plots", SCORES, _write_text(b"\xff")),
+        ("plots", SCORES, _edit_csv(lambda rows: rows[0].__setitem__(3, "value"))),
+        ("plots", SCORES, _edit_csv(lambda rows: rows[1].__setitem__(3, "x"))),
+        ("plots", SCORES, _edit_csv(lambda rows: rows[1].__setitem__(3, "nan"))),
+        ("plots", SCORES, _edit_csv(lambda rows: rows[1].__setitem__(0, "bogus"))),
+        ("plots", SCORES, _edit_csv(lambda rows: rows.pop())),
+        ("plots", SCORES, _edit_csv(lambda rows: rows.append(rows[-1]))),
+        ("plots", SCORES, _edit_csv(_swap_first_member_and_nonmember)),
+        ("plots", SCORES, _edit_csv(lambda rows: rows[1].__setitem__(2, "0"))),
+        ("report", "metrics.csv", _edit_csv(lambda rows: rows[0].reverse())),
+        ("report", "metrics.csv", _edit_csv(lambda rows: rows[1].__setitem__(4, "zz"))),
+        ("report", "metrics.csv", _edit_csv(lambda rows: rows[1].pop())),
     ], ids=["sidecar_missing", "sidecar_not_json", "sidecar_empty_object",
             "per_round_short_row", "series_missing_record", "update_norm_extra_round",
-            "series_key_missing", "plots_report_not_json", "plots_report_empty_object",
-            "report_not_json"])
+            "series_key_missing", "sample_id_not_int", "plots_report_not_json",
+            "plots_report_empty_object", "report_not_json", "scores_missing",
+            "scores_not_utf8", "scores_bad_header", "score_not_a_number", "score_nan",
+            "scores_unknown_method", "scores_last_row_missing", "scores_extra_row",
+            "scores_rows_swapped", "scores_truth_disagrees", "metrics_bad_header",
+            "metrics_auc_not_a_number", "metrics_short_row"])
     def test_missing_or_corrupt_artifact_exits_3(self, report_dir, tmp_path, command,
                                                   artifact, mangle):
         copy = str(tmp_path / "report")
