@@ -18,11 +18,13 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out/baseline")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (default: one per job, up to the usable cores)")
     args = parser.parse_args()
 
     config = os.path.join(CONFIGS, "default.json")
-    rc = harness.main(["run", config, "--out", args.out, "--jobs", str(args.jobs)])
+    jobs = ["--jobs", str(args.jobs)] if args.jobs is not None else []
+    rc = harness.main(["run", config, "--out", args.out, *jobs])
     if rc != 0:
         return rc
     harness.main(["plots", args.out])

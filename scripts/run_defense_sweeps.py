@@ -18,13 +18,15 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (default: one per job, up to the usable cores)")
     args = parser.parse_args()
 
+    jobs = ["--jobs", str(args.jobs)] if args.jobs is not None else []
     for name in ("perturb_sweep", "sparsify_sweep"):
         config = os.path.join(CONFIGS, f"{name}.json")
         out = os.path.join(args.out, name)
-        rc = harness.main(["run", config, "--out", out, "--jobs", str(args.jobs)])
+        rc = harness.main(["run", config, "--out", out, *jobs])
         if rc != 0:
             return rc
         harness.main(["plots", out])

@@ -44,6 +44,7 @@ import csv
 import datetime
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -486,11 +487,36 @@ def _stored(value: object, name: str, shape: tuple[int, ...], dtype: type = np.f
     return arr
 
 
-def _read_report(path: str) -> dict:
+def _read_report(path: str) -> tuple[ExperimentConfig, dict]:
+    """The config and the contents of report.json.
+
+    A missing or unreadable file, a config that does not decode, a
+    ``per_method`` block per configured method without a list of number
+    pairs as ``pareto_front`` or a number as ``hypervolume``, or an
+    inclusion check that is not true or false raises IntegrityError
+    naming the path.
+    """
     report = _read_json(path, IntegrityError)
-    if not isinstance(report, dict) or not {"config", "per_method"} <= report.keys():
-        raise IntegrityError(f"corrupt report file {path}: no config or per_method")
-    return report
+    required = {"config", "per_method", "inclusion_checks"}
+    try:
+        if not isinstance(report, dict) or not required <= report.keys():
+            raise ConfigError("no config, per_method or inclusion_checks")
+        config = ExperimentConfig.from_dict(report["config"], "config")
+        decode(dict[str, dict[str, dict[str, bool]]], report["inclusion_checks"],
+               "inclusion_checks")
+        per_method = report["per_method"]
+        if not isinstance(per_method, dict) or set(per_method) != set(config.attack.methods):
+            raise ConfigError(f"per_method: must hold one block per method of "
+                              f"{list(config.attack.methods)}")
+        for method, block in per_method.items():
+            where = f"per_method.{method}"
+            check_keys(block, ("points", "pareto_front", "hypervolume"),
+                       ("pareto_front", "hypervolume"), where)
+            decode(tuple[tuple[float, float], ...], block["pareto_front"], f"{where}.pareto_front")
+            decode(float, block["hypervolume"], f"{where}.hypervolume")
+    except ConfigError as exc:
+        raise IntegrityError(f"corrupt report file {path}: {exc}") from None
+    return config, report
 
 
 def _fmt(x: float) -> str:
@@ -667,17 +693,36 @@ def _job(args: tuple) -> tuple[list[dict], dict]:
     return run_single(*args)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on (its affinity mask, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str,
     seed_override: int | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> str:
     """Execute the full sweep x seeds grid and write the report directory.
 
     With ``seed_override`` the report records that seed as the only one,
     so ``plots`` finds the runs that exist.
+
+    The (defense, seed) jobs are independent. They run in up to ``jobs``
+    worker processes (default: the usable cores), never more than there
+    are jobs; with one worker they run in this process. Results merge in
+    grid order, so every artifact is the same whatever the worker count.
+    Workers are spawned, not forked (fork is unsafe once BLAS threads
+    exist), and inherit this process's environment, BLAS thread count
+    included, on which the attack_scores.csv bytes depend. The first
+    failed job's error is raised, as in a serial run, and jobs not yet
+    started are cancelled.
     """
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if seed_override is not None:
         config = replace(config, seeds=(seed_override,))
     os.makedirs(out_dir, exist_ok=True)
@@ -687,10 +732,15 @@ def run_experiment(
         for seed, run_dir in run_dirs.items()
     ]
 
-    results: list[tuple[list[dict], dict]] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_job, job_args))
+    workers = min(len(job_args), jobs or _usable_cores())
+    if workers > 1:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            try:
+                results = list(pool.map(_job, job_args))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         results = [_job(a) for a in job_args]
 
@@ -771,7 +821,13 @@ def _build_report(config: ExperimentConfig, rows: list[dict], inclusion: dict) -
 def replay_attack(trace_dir: str, ac: AttackSuiteConfig, out_dir: str | None = None) -> list[dict]:
     """Re-run attacks on a persisted trace; equals the inline results bit-exactly."""
     trace = fed.load_trace(trace_dir)
-    cohort = load_targets_csv(os.path.join(os.path.dirname(trace_dir.rstrip("/")), "targets.csv"))
+    path = os.path.join(os.path.dirname(trace_dir.rstrip("/")), "targets.csv")
+    cohort = load_targets_csv(path)
+    if cohort.x.shape[1] != trace.model_spec.input_dim:
+        raise IntegrityError(
+            f"corrupt targets file {path}: {cohort.x.shape[1]} features, "
+            f"the trace's model takes {trace.model_spec.input_dim}"
+        )
     rows, _ = _attack_and_score(trace, cohort, ac, None, out_dir)
     if out_dir is not None:
         _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
@@ -806,8 +862,7 @@ def _read_metrics_csv(path: str) -> list[dict]:
 
 def emit_plots(report_dir: str) -> str:
     """Write plot-ready CSV series (histograms, round curves, Pareto fronts)."""
-    report = _read_report(os.path.join(report_dir, "report.json"))
-    config = ExperimentConfig.from_dict(report["config"])
+    config, report = _read_report(os.path.join(report_dir, "report.json"))
     plots_dir = os.path.join(report_dir, "plots")
     os.makedirs(plots_dir, exist_ok=True)
 
@@ -877,9 +932,9 @@ def summarize_report(report_dir: str) -> str:
     report_path = os.path.join(report_dir, "report.json")
     hv_lines = []
     if os.path.exists(report_path):
-        report = _read_report(report_path)
+        _, report = _read_report(report_path)
         checks = [
-            ok for per_method in report.get("inclusion_checks", {}).values()
+            ok for per_method in report["inclusion_checks"].values()
             for per_delta in per_method.values() for ok in per_delta.values()
         ]
         if checks:
@@ -918,7 +973,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config")
     run.add_argument("--out", default=None, help=f"output dir (default ${ENV_OUT} or ./fedaudit_out)")
     run.add_argument("--seed-override", type=int, default=None)
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=int, default=None,
+                     help="worker processes (default: one per job, up to the usable cores)")
 
     rp = sub.add_parser("replay", help="re-run attacks against a persisted trace")
     rp.add_argument("trace_dir")

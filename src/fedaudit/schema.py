@@ -61,7 +61,8 @@ def decode(tp: object, value: object, path: str) -> object:
     ``bool`` takes only true/false. ``int`` takes only JSON integers (not
     ``2.0``, not ``true``). ``float`` takes finite numbers and keeps them as
     given, so an int stays an int. ``X | None`` also takes null;
-    ``tuple[...]`` takes a list; a dataclass takes an object and recurses.
+    ``tuple[...]`` takes a list; ``dict[str, X]`` and a dataclass take an
+    object and recurse.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
@@ -95,6 +96,10 @@ def decode(tp: object, value: object, path: str) -> object:
                 decode(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(item_types, value))
             )
         expected = "a list" if variadic else f"a list of {len(args)} items"
+    elif origin is dict:
+        if isinstance(value, dict):
+            return {k: decode(args[1], v, f"{path}.{k}") for k, v in value.items()}
+        expected = "an object"
     elif dataclasses.is_dataclass(tp):
         return tp.from_dict(value, path) if issubclass(tp, Codec) else load(tp, value, path)
     else:

@@ -3,10 +3,12 @@ import csv
 import io
 import json
 import os
+import pathlib
 import re
 import shutil
 import tempfile
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -49,6 +51,14 @@ def write_config(tmp_path, d, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(d))
     return str(p)
+
+
+def _tree_bytes(root):
+    """{path relative to ``root``: bytes} of every file under ``root``."""
+    return {
+        os.path.relpath(os.path.join(d, f), root): pathlib.Path(d, f).read_bytes()
+        for d, _, files in os.walk(root) for f in files
+    }
 
 
 class TestConfig:
@@ -227,13 +237,64 @@ class TestRunExperiment:
         assert all(checks.values())
 
     def test_parallel_jobs_identical_output(self, tmp_path):
+        """Every file of the default and of a 2-worker pool equals --jobs 1's,
+        report.json apart from its timestamp (a 1-core default is serial)."""
         cfg = hns.ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2]))
-        a = hns.run_experiment(cfg, str(tmp_path / "a"), jobs=1)
-        b = hns.run_experiment(cfg, str(tmp_path / "b"), jobs=2)
-        assert (
-            open(os.path.join(a, "metrics.csv"), "rb").read()
-            == open(os.path.join(b, "metrics.csv"), "rb").read()
-        )
+        created = re.compile(rb'\n  "created_utc": "[^"]*",')
+        trees = []
+        for jobs in (1, None, 2):
+            tree = _tree_bytes(hns.run_experiment(cfg, str(tmp_path / str(jobs)), jobs=jobs))
+            assert len(tree) == 2 + 2 * 9  # per seed: 3 run files and 6 trace files
+            assert created.search(tree["report.json"])
+            tree["report.json"] = created.sub(b"", tree["report.json"])
+            trees.append(tree)
+        assert trees[1] == trees[0]
+        assert trees[2] == trees[0]
+
+    @pytest.mark.parametrize("cores, jobs, workers", [(8, None, 3), (2, None, 2), (8, 2, 2)])
+    def test_pool_is_spawned_with_one_worker_per_job_up_to_the_cores(
+            self, tmp_path, monkeypatch, cores, jobs, workers):
+        seen = {}
+
+        class Recorder(ThreadPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                seen.update(workers=max_workers, start=mp_context.get_start_method())
+                super().__init__(max_workers)
+        monkeypatch.setattr(hns, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(hns, "_usable_cores", lambda: cores)
+        cfg = hns.ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2, 3]))
+        hns.run_experiment(cfg, str(tmp_path / "out"), jobs=jobs)
+        assert seen == {"workers": workers, "start": "spawn"}
+
+    @pytest.mark.parametrize("jobs", [None, 4])
+    def test_one_job_grid_builds_no_pool(self, tmp_path, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-job grid built a process pool")
+        monkeypatch.setattr(hns, "ProcessPoolExecutor", no_pool)
+        cfg = hns.ExperimentConfig.from_dict(micro_config_dict())
+        out = hns.run_experiment(cfg, str(tmp_path / "out"), jobs=jobs)
+        assert os.path.exists(os.path.join(out, "metrics.csv"))
+
+    @pytest.mark.parametrize("edit, rc, needle", [
+        (lambda d: d["federation"].update(lr=1e308), 4, "error: training diverged in round "),
+        (lambda d: d.update(partition={"kind": "dirichlet", "clients": 3, "beta": 0.5,
+                                       "holdout": 400}), 2, "config error: partition.holdout"),
+    ], ids=["diverged", "dirichlet_holdout_too_large"])
+    def test_failed_job_in_a_worker_reports_as_serial(self, tmp_path, capfd, edit, rc, needle):
+        """Workers write to the same stderr, so capfd sees all of it."""
+        with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
+            d = json.load(fh)
+        d["seeds"] = [1, 2]
+        edit(d)
+        cfg = write_config(tmp_path, d)
+        errs = []
+        for name, jobs in (("serial", ["--jobs", "1"]), ("pool", [])):
+            out = tmp_path / name
+            assert hns.main(["run", cfg, "--out", str(out), *jobs]) == rc
+            errs.append(capfd.readouterr().err)
+            assert not (out / "runs").exists()
+        assert errs[0].startswith(needle) and errs[0].count("\n") == 1, errs[0]
+        assert errs[1] == errs[0]
 
 
 class TestReplay:
@@ -362,6 +423,14 @@ class TestCli:
         path = write_config(tmp_path, micro_config_dict())
         assert hns.main(["run", path]) == 0
         assert os.path.exists(tmp_path / "env_out" / "metrics.csv")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        path = write_config(tmp_path, micro_config_dict(seeds=[1, 2]))
+        out = tmp_path / "out"
+        assert hns.main(["run", path, "--out", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"config error: jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
 
     def test_replay_cli(self, tmp_path, capsys):
         path = write_config(tmp_path, micro_config_dict())
@@ -653,6 +722,17 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert err.startswith("integrity error:") and f"{path}: line {line}:" in err, err
 
+    def test_targets_csv_feature_count_differs_exits_3(self, run_dir, tmp_path, capsys):
+        copy = str(tmp_path / "run")
+        shutil.copytree(run_dir, copy)
+        path = os.path.join(copy, "targets.csv")
+        _edit_csv(lambda rows: [row.pop() for row in rows])(path)
+        ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
+        assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"integrity error: corrupt targets file {path}: 5 features, "
+                       f"the trace's model takes 6\n"), err
+
     @pytest.fixture(scope="class")
     def report_dir(self, tmp_path_factory):
         d = micro_config_dict(attack={"methods": ["fedmia_ii", "grad_norm", "avg_cosine"]})
@@ -678,6 +758,17 @@ class TestExitCodeContract:
         ("plots", "report.json", _write_text("not json")),
         ("plots", "report.json", _write_text("{}")),
         ("report", "report.json", _write_text("not json")),
+        ("report", "report.json", _edit_json(
+            lambda r: r["per_method"]["grad_norm"].update(hypervolume="x"))),
+        ("report", "report.json", _edit_json(lambda r: r["per_method"].pop("grad_norm"))),
+        ("report", "report.json", _edit_json(
+            lambda r: r["inclusion_checks"]["none::seed1"]["fedmia_ii"].update({"0.5": 1}))),
+        ("report", "report.json", _edit_json(lambda r: r.pop("inclusion_checks"))),
+        ("plots", "report.json", _edit_json(
+            lambda r: r["per_method"]["fedmia_ii"].update(pareto_front=[["x"]]))),
+        ("plots", "report.json", _edit_json(
+            lambda r: r["per_method"]["fedmia_ii"].update(pareto_front=[[0.5]]))),
+        ("plots", "report.json", _edit_json(lambda r: r["config"].update(seeds="1"))),
         ("plots", SCORES, os.remove),
         ("plots", SCORES, _write_text(b"\xff")),
         ("plots", SCORES, _edit_csv(lambda rows: rows[0].__setitem__(3, "value"))),
@@ -694,7 +785,10 @@ class TestExitCodeContract:
     ], ids=["sidecar_missing", "sidecar_not_json", "sidecar_empty_object",
             "per_round_short_row", "series_missing_record", "update_norm_extra_round",
             "series_key_missing", "sample_id_not_int", "plots_report_not_json",
-            "plots_report_empty_object", "report_not_json", "scores_missing",
+            "plots_report_empty_object", "report_not_json", "hypervolume_not_a_number",
+            "per_method_block_missing", "inclusion_check_not_bool", "inclusion_checks_missing",
+            "pareto_front_not_numbers", "pareto_front_short_point", "report_config_mistyped",
+            "scores_missing",
             "scores_not_utf8", "scores_bad_header", "score_not_a_number", "score_nan",
             "scores_unknown_method", "scores_last_row_missing", "scores_extra_row",
             "scores_rows_swapped", "scores_truth_disagrees", "metrics_bad_header",
