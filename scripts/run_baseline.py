@@ -24,11 +24,10 @@ def main() -> int:
 
     config = os.path.join(CONFIGS, "default.json")
     jobs = ["--jobs", str(args.jobs)] if args.jobs is not None else []
-    rc = harness.main(["run", config, "--out", args.out, *jobs])
-    if rc != 0:
-        return rc
-    harness.main(["plots", args.out])
-    return harness.main(["report", args.out])
+    # Each step runs only when the one before it exited 0.
+    return (harness.main(["run", config, "--out", args.out, *jobs])
+            or harness.main(["plots", args.out])
+            or harness.main(["report", args.out]))
 
 
 if __name__ == "__main__":

@@ -26,12 +26,10 @@ def main() -> int:
     for name in ("perturb_sweep", "sparsify_sweep"):
         config = os.path.join(CONFIGS, f"{name}.json")
         out = os.path.join(args.out, name)
-        rc = harness.main(["run", config, "--out", out, *jobs])
-        if rc != 0:
-            return rc
-        harness.main(["plots", out])
-        print(f"== {name} ==")
-        rc = harness.main(["report", out])
+        rc = harness.main(["run", config, "--out", out, *jobs]) or harness.main(["plots", out])
+        if rc == 0:
+            print(f"== {name} ==")
+            rc = harness.main(["report", out])
         if rc != 0:
             return rc
     return 0

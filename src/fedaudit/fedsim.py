@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,11 +40,20 @@ from .errors import (
 )
 from .model import ModelSpec
 from .numstat import RngStream
-from .schema import Codec, check_keys, decode, dump, load
+from .schema import Codec, check_keys, decode, dump, field_types, load
 
+# The parameters each defense kind takes: exactly these, and no other.
+DEFENSE_PARAMS = {
+    "none": (),
+    "perturb": ("clip_norm", "noise_std"),
+    "quantize": ("bits",),
+    "sparsify": ("rate",),
+    "mixup": ("alpha",),
+    "augment": ("augment_ops",),
+    "sample": ("portion",),
+    "augment_and_sample": ("portion", "augment_ops"),
+}
 UPDATE_DEFENSES = ("perturb", "quantize", "sparsify")
-DATA_DEFENSES = ("mixup", "augment", "sample", "augment_and_sample")
-DEFENSE_KINDS = ("none",) + UPDATE_DEFENSES + DATA_DEFENSES
 
 # Stream tags for deriving per-purpose RNG streams from the run seed.
 TAG_INIT = 1
@@ -58,7 +67,7 @@ _META_KEYS = ("schema_version", "model", "num_clients", "num_rounds", "dim", "se
 
 @dataclass(frozen=True)
 class DefenseConfig(Codec):
-    """One defense and its parameters; ranges follow the evaluated grids."""
+    """One defense and the parameters its kind takes; ranges follow the evaluated grids."""
 
     kind: str = "none"
     clip_norm: float | None = None
@@ -70,28 +79,25 @@ class DefenseConfig(Codec):
     augment_ops: AugmentOps | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in DEFENSE_KINDS:
-            raise ConfigError(f"unknown defense kind {self.kind!r}")
-        if self.kind == "perturb":
-            if self.clip_norm is None or self.clip_norm <= 0:
-                raise ConfigError("perturb requires clip_norm > 0")
-            if self.noise_std is None or self.noise_std < 0:
-                raise ConfigError("perturb requires noise_std >= 0")
-        if self.kind == "quantize":
-            if self.bits is None or not (1 <= self.bits <= 10):
-                raise ConfigError("quantize requires bits in [1, 10]")
-        if self.kind == "sparsify":
-            if self.rate is None or not (0 <= self.rate <= 0.99):
-                raise ConfigError("sparsify requires rate in [0, 0.99]")
-        if self.kind == "mixup":
-            if self.alpha is None or self.alpha <= 0:
-                raise ConfigError("mixup requires alpha > 0")
-        if self.kind in ("sample", "augment_and_sample"):
-            if self.portion is None or not (0 < self.portion <= 1):
-                raise ConfigError("sample requires portion in (0, 1]")
-        if self.kind in ("augment", "augment_and_sample"):
-            if self.augment_ops is None:
-                raise ConfigError("augment requires an AugmentOps block")
+        if self.kind not in DEFENSE_PARAMS:
+            raise ConfigError(f"kind: unknown defense {self.kind!r}")
+        for name in field_types(DefenseConfig):
+            takes, given = name in DEFENSE_PARAMS[self.kind], getattr(self, name) is not None
+            if name != "kind" and takes != given:
+                rule = "required by" if takes else "not a parameter of"
+                raise ConfigError(f"{name}: {rule} defense {self.kind!r}")
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ConfigError(f"clip_norm: must be > 0, got {self.clip_norm}")
+        if self.noise_std is not None and self.noise_std < 0:
+            raise ConfigError(f"noise_std: must be >= 0, got {self.noise_std}")
+        if self.bits is not None and not (1 <= self.bits <= 10):
+            raise ConfigError(f"bits: must be in [1, 10], got {self.bits}")
+        if self.rate is not None and not (0 <= self.rate <= 0.99):
+            raise ConfigError(f"rate: must be in [0, 0.99], got {self.rate}")
+        if self.alpha is not None and self.alpha <= 0:
+            raise ConfigError(f"alpha: must be > 0, got {self.alpha}")
+        if self.portion is not None and not (0 < self.portion <= 1):
+            raise ConfigError(f"portion: must be in (0, 1], got {self.portion}")
 
     @property
     def is_update_level(self) -> bool:
@@ -101,32 +107,27 @@ class DefenseConfig(Codec):
         return {k: v for k, v in super().to_dict().items() if v is not None}
 
 
-@dataclass(frozen=True)
-class FedConfig:
-    """Federation hyperparameters for one run."""
+@dataclass(frozen=True, kw_only=True)
+class FedConfig(Codec):
+    """The ``federation`` config block: the hyperparameters of local SGD and FedAvg."""
 
-    num_clients: int
     rounds: int
-    local_epochs: int = 1
+    local_epochs: int = 3
     lr: float = 0.1
-    lr_decay: float = 1.0
+    lr_decay: float = 0.99
     batch_size: int = 32
-    defense: DefenseConfig = field(default_factory=DefenseConfig)
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_clients < 2:
-            raise ConfigError("num_clients must be >= 2")
         if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
+            raise ConfigError(f"rounds: must be >= 1, got {self.rounds}")
         if self.local_epochs < 1:
-            raise ConfigError("local_epochs must be >= 1")
+            raise ConfigError(f"local_epochs: must be >= 1, got {self.local_epochs}")
         if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
+            raise ConfigError(f"lr: must be > 0, got {self.lr}")
         if not (0 < self.lr_decay <= 1):
-            raise ConfigError("lr_decay must be in (0, 1]")
+            raise ConfigError(f"lr_decay: must be in (0, 1], got {self.lr_decay}")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
 
 
 def lr_effective(config: FedConfig, round_index: int) -> float:
@@ -209,8 +210,8 @@ def defend_update(update: np.ndarray, defense: DefenseConfig, rng: RngStream) ->
 
 
 def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: np.ndarray,
-                  config: FedConfig, lr_eff: float, rngs: Sequence[RngStream],
-                  geometry: tuple[int, int] | None = None) -> np.ndarray:
+                  config: FedConfig, defense: DefenseConfig, lr_eff: float,
+                  rngs: Sequence[RngStream], geometry: tuple[int, int] | None = None) -> np.ndarray:
     """Pre-defense uploads (w_global - w_local_after) / lr_eff of equal-size clients.
 
     The K clients, whose records are ``x`` (K, n, d) and ``y`` (K, n), run
@@ -226,7 +227,6 @@ def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: 
     k, n = y.shape
     if n == 0:
         raise ConfigError("client has no training samples")
-    defense = config.defense
     gens = [rng.generator() for rng in rngs]
     w = np.repeat(np.asarray(global_params, dtype=np.float64)[None, :], k, axis=0)
     rows = np.arange(k)[:, None]
@@ -274,17 +274,15 @@ def run_federation(
     partition: Partition,
     spec: ModelSpec,
     config: FedConfig,
+    defense: DefenseConfig,
+    seed: int,
 ) -> UpdateTrace:
     """Run the synchronous loop and record the complete observation trace.
 
     Per-round utility is the holdout accuracy of the freshly aggregated
     model (NaN when the partition has no holdout). Deterministic in
-    ``config.seed`` regardless of client execution order.
+    ``seed`` regardless of client execution order.
     """
-    if partition.num_clients != config.num_clients:
-        raise ConfigError(
-            f"partition has {partition.num_clients} clients, config says {config.num_clients}"
-        )
     groups: dict[int, list[int]] = {}  # clients of equal size train as one stack
     for k, idx in enumerate(partition.client_indices):
         groups.setdefault(len(idx), []).append(k)
@@ -292,7 +290,7 @@ def run_federation(
         raise ConfigError(f"client {groups[0][0]} has no training samples")
     stacks = [(ks, *dataset.arrays(np.stack([partition.client_indices[k] for k in ks])))
               for ks in groups.values()]
-    root = RngStream(config.seed)
+    root = RngStream(seed)
     omega = mdl.init_params(spec, root.derive(TAG_INIT))
     have_holdout = len(partition.holdout_indices) > 0
     if have_holdout:
@@ -301,18 +299,18 @@ def run_federation(
     accuracy: list[float] = []
     for t in range(config.rounds):
         lr_eff = lr_effective(config, t)
-        updates = np.empty((config.num_clients, spec.param_count()))
+        updates = np.empty((partition.num_clients, spec.param_count()))
         # A diverging round overflows; the finiteness check reports it. A
         # finite but huge global model still overflows when evaluated.
         with np.errstate(over="ignore", invalid="ignore"):
             for ks, gx, gy in stacks:
                 rngs = [root.derive(TAG_CLIENT, t, k) for k in ks]
                 updates[ks] = client_update(
-                    spec, gx, gy, omega, config, lr_eff, rngs, dataset.geometry
+                    spec, gx, gy, omega, config, defense, lr_eff, rngs, dataset.geometry
                 )
-            if config.defense.is_update_level:
+            if defense.is_update_level:
                 for k, upd in enumerate(updates):
-                    updates[k] = defend_update(upd, config.defense, root.derive(TAG_DEFENSE, t, k))
+                    updates[k] = defend_update(upd, defense, root.derive(TAG_DEFENSE, t, k))
             new_omega = aggregate(updates, omega, lr_eff)
             bad = np.flatnonzero(~np.isfinite(updates).all(axis=1))
             if len(bad) or not np.isfinite(new_omega).all():
@@ -328,8 +326,8 @@ def run_federation(
         rounds=rounds,
         final_model=omega,
         round_accuracy=accuracy,
-        defense=config.defense,
-        seed=config.seed,
+        defense=defense,
+        seed=seed,
     )
 
 

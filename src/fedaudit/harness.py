@@ -67,7 +67,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .numstat import RngStream
-from .schema import Codec, FloatOrInf, check_keys, decode, dump_value, field_types
+from .schema import Codec, FloatOrInf, check_keys, decode, dump_value, field_types, under
 
 ENV_OUT = "FEDAUDIT_OUT"
 CONFIG_SCHEMA_VERSION = 1
@@ -98,19 +98,17 @@ class DatasetConfig(Codec):
 
     def __post_init__(self) -> None:
         if self.kind not in ("synthetic", "csv"):
-            raise ConfigError(f"dataset.kind must be synthetic or csv, got {self.kind!r}")
+            raise ConfigError(f"kind: must be synthetic or csv, got {self.kind!r}")
         if self.kind == "synthetic":
-            for name in ("num_classes", "input_dim", "per_class", "class_sep"):
-                if getattr(self, name) is None:
-                    raise ConfigError(f"dataset.{name} is required for synthetic data")
-            for name in ("num_classes", "input_dim", "per_class"):
-                if getattr(self, name) < 1:
-                    raise ConfigError(f"dataset.{name}: must be >= 1, got {getattr(self, name)}")
-            if self.class_sep < 0:
-                raise ConfigError(f"dataset.class_sep: must be >= 0, got {self.class_sep}")
-        else:
-            if not self.csv_path:
-                raise ConfigError("dataset.csv_path is required for csv data")
+            for name, least in (("num_classes", 2), ("input_dim", 1), ("per_class", 1),
+                                ("class_sep", 0)):
+                value = getattr(self, name)
+                if value is None:
+                    raise ConfigError(f"{name}: required for synthetic data")
+                if value < least:
+                    raise ConfigError(f"{name}: must be >= {least}, got {value}")
+        elif not self.csv_path:
+            raise ConfigError("csv_path: required for csv data")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -126,26 +124,28 @@ class PartitionConfig(Codec):
 
     def __post_init__(self) -> None:
         if self.kind not in ("iid", "dirichlet"):
-            raise ConfigError(f"partition.kind must be iid or dirichlet, got {self.kind!r}")
+            raise ConfigError(f"kind: must be iid or dirichlet, got {self.kind!r}")
+        if self.clients < 2:
+            raise ConfigError(f"clients: must be >= 2, got {self.clients}")
         if self.kind == "iid" and self.per_client is None:
-            raise ConfigError("partition.per_client is required for iid")
+            raise ConfigError("per_client: required for iid")
         if self.kind == "dirichlet" and self.beta is None:
-            raise ConfigError("partition.beta is required for dirichlet")
+            raise ConfigError("beta: required for dirichlet")
         if self.per_client is not None and self.per_client < 1:
-            raise ConfigError(f"partition.per_client: must be >= 1, got {self.per_client}")
+            raise ConfigError(f"per_client: must be >= 1, got {self.per_client}")
         if self.beta is not None and self.beta <= 0:
-            raise ConfigError(f"partition.beta: must be > 0, got {self.beta}")
+            raise ConfigError(f"beta: must be > 0, got {self.beta}")
         if self.holdout < 1:
-            raise ConfigError("partition.holdout must be >= 1 (non-member pool)")
+            raise ConfigError(f"holdout: must be >= 1 (non-member pool), got {self.holdout}")
         if self.nonmember_source not in ("holdout", "holdout+others"):
-            raise ConfigError(
-                f"partition.nonmember_source must be holdout or holdout+others, "
-                f"got {self.nonmember_source!r}"
-            )
+            raise ConfigError(f"nonmember_source: must be holdout or holdout+others, "
+                              f"got {self.nonmember_source!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
 class ModelConfig(Codec):
+    """The ``model.ModelSpec`` fields that do not come from the dataset."""
+
     kind: str
     hidden_dim: int | None = None  # None: 32 for mlp, 0 otherwise
     init_std: float = 0.1
@@ -153,17 +153,10 @@ class ModelConfig(Codec):
     def __post_init__(self) -> None:
         if self.hidden_dim is None:
             object.__setattr__(self, "hidden_dim", 32 if self.kind == "mlp" else 0)
+        self.spec(input_dim=1, num_classes=2)  # ModelSpec's checks of these fields
 
-
-@dataclass(frozen=True, kw_only=True)
-class FederationConfig(Codec):
-    """The ``fed.FedConfig`` hyperparameters, under the same names."""
-
-    rounds: int
-    local_epochs: int = 3
-    lr: float = 0.1
-    lr_decay: float = 0.99
-    batch_size: int = 32
+    def spec(self, input_dim: int, num_classes: int) -> mdl.ModelSpec:
+        return mdl.ModelSpec(self.kind, input_dim, self.hidden_dim, num_classes, self.init_std)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -179,21 +172,27 @@ class AttackSuiteConfig(Codec):
     def __post_init__(self) -> None:
         unknown = set(self.methods) - set(atk.ALL_METHODS)
         if unknown:
-            raise ConfigError(f"attack.methods: unknown methods {sorted(unknown)}")
+            raise ConfigError(f"methods: unknown methods {sorted(unknown)}")
         if not self.methods:
-            raise ConfigError("attack.methods must not be empty")
+            raise ConfigError("methods: must not be empty")
         if not (0 <= self.fpr_cap < 1):
-            raise ConfigError("attack.fpr_cap must be in [0, 1)")
+            raise ConfigError(f"fpr_cap: must be in [0, 1), got {self.fpr_cap}")
         if self.targets_per_class < 1:
-            raise ConfigError("attack.targets_per_class must be >= 1")
+            raise ConfigError(f"targets_per_class: must be >= 1, got {self.targets_per_class}")
+        if self.sigma_floor_rel <= 0:
+            raise ConfigError(f"sigma_floor_rel: must be > 0, got {self.sigma_floor_rel}")
+
+
+# Sweep keys that set a field of the ``augment_ops`` block -> that field.
+AUGMENT_KEYS = {"flip_h": "flip_h", "shift": "shift", "augment_noise_std": "noise_std"}
 
 
 def _sweep_types() -> dict[str, object]:
     """Sweep key -> annotation of the DefenseConfig / AugmentOps field it sets."""
     types = dict(field_types(fed.DefenseConfig))
     ops = field_types(dat.AugmentOps)
-    types.update(defense=types.pop("kind"), flip_h=ops["flip_h"], shift=ops["shift"],
-                 augment_noise_std=ops["noise_std"])
+    types.update({key: ops[name] for key, name in AUGMENT_KEYS.items()})
+    types["defense"] = types.pop("kind")
     del types["augment_ops"]
     return types
 
@@ -210,7 +209,7 @@ class SweepConfig(Codec):
         types = _sweep_types()
         check_keys(d, types, {"defense"}, path)
         kind = decode(str, d["defense"], f"{path}.defense")
-        if kind not in fed.DEFENSE_KINDS:
+        if kind not in fed.DEFENSE_PARAMS:
             raise ConfigError(f"{path}.defense: unknown kind {kind!r}")
         params = tuple(
             (k, decode(tuple[types[k], ...] if isinstance(v, (list, tuple)) else types[k], v,
@@ -223,7 +222,8 @@ class SweepConfig(Codec):
         if axes and not d[axes[0]]:
             raise ConfigError(f"{path}.{axes[0]}: the sweep list must not be empty")
         sweep = cls(defense=kind, params=params)
-        sweep.expand()  # every sweep point's range errors surface at load
+        with under(path):
+            sweep.expand()  # every sweep point's checks run at load
         return sweep
 
     def to_dict(self) -> dict:
@@ -244,30 +244,19 @@ class SweepConfig(Codec):
 
 
 def _defense_from_params(kind: str, p: dict) -> fed.DefenseConfig:
-    ops = None
-    if kind in ("augment", "augment_and_sample"):
+    """The DefenseConfig of one sweep point; the AUGMENT_KEYS form its ``augment_ops``."""
+    if "augment_ops" in fed.DEFENSE_PARAMS[kind]:
         try:
-            ops = dat.AugmentOps(
-                flip_h=p.pop("flip_h", False),
-                shift=p.pop("shift", False),
-                noise_std=float(p.pop("augment_noise_std", 0.0)),
+            p["augment_ops"] = dat.AugmentOps(
+                flip_h=p.pop("flip_h", False), shift=p.pop("shift", False),
+                noise_std=float(p.pop("augment_noise_std", 0.0)),  # a float in trace_meta.json
             )
         except ParameterError as exc:
-            raise ConfigError(f"sweep.augment_noise_std: {exc}") from None
-    allowed = {
-        "perturb": {"clip_norm", "noise_std"},
-        "quantize": {"bits"},
-        "sparsify": {"rate"},
-        "mixup": {"alpha"},
-        "sample": {"portion"},
-        "augment": set(),
-        "augment_and_sample": {"portion"},
-        "none": set(),
-    }[kind]
-    unknown = set(p) - allowed
-    if unknown:
-        raise ConfigError(f"sweep: {sorted(unknown)} not valid for defense {kind!r}")
-    return fed.DefenseConfig(kind=kind, augment_ops=ops, **p)
+            raise ConfigError(f"augment_noise_std: {exc}") from None
+    stray = sorted(set(p) & set(AUGMENT_KEYS))
+    if stray:
+        raise ConfigError(f"{stray[0]}: not a parameter of defense {kind!r}")
+    return fed.DefenseConfig(kind=kind, **p)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -276,7 +265,7 @@ class ExperimentConfig(Codec):
     dataset: DatasetConfig
     partition: PartitionConfig
     model: ModelConfig
-    federation: FederationConfig
+    federation: fed.FedConfig
     attack: AttackSuiteConfig
     sweep: SweepConfig = field(default_factory=SweepConfig)
     seeds: tuple[int, ...]
@@ -284,15 +273,19 @@ class ExperimentConfig(Codec):
     def __post_init__(self) -> None:
         if self.schema_version != CONFIG_SCHEMA_VERSION:
             raise ConfigError(
-                f"schema_version must be {CONFIG_SCHEMA_VERSION}, got {self.schema_version}"
+                f"schema_version: must be {CONFIG_SCHEMA_VERSION}, got {self.schema_version}"
             )
         if not self.seeds:
-            raise ConfigError("seeds must not be empty")
-        needs_null = set(self.attack.methods) & set(atk.FEDMIA_METHODS)
-        if needs_null and self.partition.clients < 3:
-            raise ConfigError("fedmia methods need at least 3 clients")
+            raise ConfigError("seeds: must not be empty")
+        if set(self.attack.methods) & set(atk.FEDMIA_METHODS) and self.partition.clients < 3:
+            raise ConfigError("partition.clients: fedmia methods need at least 3 clients")
         if not (0 <= self.attack.target_client < self.partition.clients):
-            raise ConfigError("attack.target_client out of range")
+            raise ConfigError("attack.target_client: must be in [0, partition.clients)")
+        for _, defense in self.sweep.expand():
+            ops = defense.augment_ops
+            if ops is not None and ops.needs_geometry and self.dataset.geometry is None:
+                key = "flip_h" if ops.flip_h else "shift"
+                raise ConfigError(f"sweep.{key}: needs dataset.geometry, which is null")
 
 
 def _read_json(path: str, error: type[FedAuditError] = ConfigError) -> object:
@@ -636,19 +629,9 @@ def run_single(
     """One (defense, seed) job: train, persist, attack, score."""
     dataset = build_dataset(config, seed)
     partition = build_partition(config, dataset, seed)
-    spec = mdl.ModelSpec(
-        kind=config.model.kind,
-        input_dim=dataset.input_dim,
-        hidden_dim=config.model.hidden_dim if config.model.kind == "mlp" else 0,
-        num_classes=dataset.num_classes,
-        init_std=config.model.init_std,
-    )
-    fed_config = fed.FedConfig(
-        num_clients=config.partition.clients, defense=defense, seed=seed,
-        **config.federation.to_dict(),
-    )
+    spec = config.model.spec(dataset.input_dim, dataset.num_classes)
     cohort = select_targets(config, dataset, partition, seed)
-    trace = fed.run_federation(dataset, partition, spec, fed_config)
+    trace = fed.run_federation(dataset, partition, spec, config.federation, defense, seed)
 
     os.makedirs(run_dir, exist_ok=True)
     fed.save_trace(trace, os.path.join(run_dir, "trace"))

@@ -50,17 +50,17 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}")
+            raise ConfigError(f"kind: must be one of {list(MODEL_KINDS)}, got {self.kind!r}")
         if self.input_dim < 1:
-            raise ConfigError("input_dim must be >= 1")
+            raise ConfigError(f"input_dim: must be >= 1, got {self.input_dim}")
         if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
+            raise ConfigError(f"num_classes: must be >= 2, got {self.num_classes}")
         if self.kind == "linear_softmax" and self.hidden_dim != 0:
-            raise ConfigError("linear_softmax requires hidden_dim == 0")
+            raise ConfigError(f"hidden_dim: must be 0 for linear_softmax, got {self.hidden_dim}")
         if self.kind == "mlp" and self.hidden_dim < 1:
-            raise ConfigError("mlp requires hidden_dim >= 1")
+            raise ConfigError(f"hidden_dim: must be >= 1 for mlp, got {self.hidden_dim}")
         if self.init_std < 0:
-            raise ConfigError("init_std must be >= 0")
+            raise ConfigError(f"init_std: must be >= 0, got {self.init_std}")
 
     def param_count(self) -> int:
         d, h, c = self.input_dim, self.hidden_dim, self.num_classes

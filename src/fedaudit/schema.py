@@ -1,12 +1,15 @@
 """The JSON <-> dataclass codec of config blocks and trace metadata.
 
 A block is a dataclass whose field annotations are its schema; a field
-without a default is a required key. Every error is a ``ConfigError``
-that names the key path, e.g. ``attack.delta_grid[1]``.
+without a default is a required key. A block checks its own values when
+it is built and names the field (``rounds: must be >= 1``); ``load``
+prefixes the block's path. So every error is a ``ConfigError`` that
+names the key path, e.g. ``attack.delta_grid[1]`` or ``federation.rounds``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -52,7 +55,20 @@ def load(cls: type, d: object, path: str = "") -> object:
                 if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     check_keys(d, fields, required, path)
     prefix = f"{path}." if path else ""
-    return cls(**{k: decode(fields[k], v, prefix + k) for k, v in d.items()})
+    values = {k: decode(fields[k], v, prefix + k) for k, v in d.items()}
+    with under(path):
+        return cls(**values)
+
+
+@contextlib.contextmanager
+def under(path: str):
+    """Prefix ``path`` to a ``ConfigError`` that a block's own checks raise."""
+    try:
+        yield
+    except ConfigError as exc:
+        if not path:
+            raise
+        raise type(exc)(f"{path}.{exc}") from None
 
 
 def decode(tp: object, value: object, path: str) -> object:

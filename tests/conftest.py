@@ -20,10 +20,8 @@ def tiny_setup():
 @pytest.fixture(scope="session")
 def tiny_trace(tiny_setup):
     dataset, partition, spec = tiny_setup
-    config = fed.FedConfig(
-        num_clients=4, rounds=6, local_epochs=2, lr=0.1, lr_decay=0.99, batch_size=16, seed=42
-    )
-    return fed.run_federation(dataset, partition, spec, config)
+    config = fed.FedConfig(rounds=6, local_epochs=2, lr=0.1, lr_decay=0.99, batch_size=16)
+    return fed.run_federation(dataset, partition, spec, config, fed.DefenseConfig(), 42)
 
 
 def make_toy_trace(updates_per_round, global_models, spec, lr_eff=0.1, final_model=None):

@@ -149,7 +149,8 @@ def batch_grad_2d(
 
 
 def federation_loop(
-    dataset: dat.Dataset, partition: dat.Partition, spec: mdl.ModelSpec, config: fed.FedConfig
+    dataset: dat.Dataset, partition: dat.Partition, spec: mdl.ModelSpec, config: fed.FedConfig,
+    defense: fed.DefenseConfig, seed: int,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """FedAvg one client at a time: ([(global_before, updates)] per round, final model).
 
@@ -158,13 +159,12 @@ def federation_loop(
     of two or more mixes with a partner after drawing lam, and is scored
     against both label sets.
     """
-    defense = config.defense
-    root = RngStream(config.seed)
+    root = RngStream(seed)
     omega = mdl.init_params(spec, root.derive(fed.TAG_INIT))
     rounds = []
     for t in range(config.rounds):
         lr = fed.lr_effective(config, t)
-        updates = np.empty((config.num_clients, spec.param_count()))
+        updates = np.empty((partition.num_clients, spec.param_count()))
         for k, idx in enumerate(partition.client_indices):
             x, y = dataset.arrays(idx)
             g = root.derive(fed.TAG_CLIENT, t, k).generator()

@@ -23,10 +23,11 @@ def train_linear_accuracy(dataset, eval_dataset=None, seed=0, epochs=30):
     spec = mdl.ModelSpec(
         "linear_softmax", input_dim=dataset.input_dim, num_classes=dataset.num_classes
     )
-    config = fed.FedConfig(num_clients=2, rounds=1, local_epochs=epochs, lr=0.1, batch_size=32)
+    config = fed.FedConfig(rounds=1, local_epochs=epochs, lr=0.1, lr_decay=1.0, batch_size=32)
     start = np.zeros(spec.param_count())
     params = start - 0.1 * fed.client_update(
-        spec, dataset.features[None], dataset.labels[None], start, config, 0.1, [RngStream(seed)]
+        spec, dataset.features[None], dataset.labels[None], start, config, fed.DefenseConfig(),
+        0.1, [RngStream(seed)],
     )[0]
     ev = eval_dataset if eval_dataset is not None else dataset
     return mdl.accuracy(spec, params, ev.features, ev.labels)

@@ -29,6 +29,16 @@ class TestDefenseConfig:
         with pytest.raises(ConfigError):
             fed.DefenseConfig(kind="banish")
 
+    def test_takes_exactly_the_parameters_of_its_kind(self):
+        with pytest.raises(ConfigError, match="^noise_std: required by defense 'perturb'$"):
+            fed.DefenseConfig(kind="perturb", clip_norm=1.0)
+        with pytest.raises(ConfigError, match="^augment_ops: required by defense 'augment'$"):
+            fed.DefenseConfig(kind="augment")
+        with pytest.raises(ConfigError, match="^rate: not a parameter of defense 'none'$"):
+            fed.DefenseConfig(rate=0.5)
+        with pytest.raises(ConfigError, match="^portion: not a parameter of defense 'mixup'$"):
+            fed.DefenseConfig(kind="mixup", alpha=1.0, portion=0.5)
+
     def test_dict_roundtrip(self):
         d = fed.DefenseConfig(kind="perturb", clip_norm=1.0, noise_std=0.05)
         assert fed.DefenseConfig.from_dict(d.to_dict()) == d
@@ -149,9 +159,9 @@ class TestAggregate:
             fed.aggregate([np.zeros(2), np.zeros(2)], np.zeros(3), 0.1)
 
 
-def client_update(spec, x, y, omega, config, lr_eff, rng):
+def client_update(spec, x, y, omega, config, lr_eff, rng, defense=fed.DefenseConfig()):
     """One client's upload, trained as a group of one."""
-    return fed.client_update(spec, x[None], y[None], omega, config, lr_eff, [rng])[0]
+    return fed.client_update(spec, x[None], y[None], omega, config, defense, lr_eff, [rng])[0]
 
 
 class TestClientUpdate:
@@ -167,7 +177,7 @@ class TestClientUpdate:
 
     def test_one_epoch_full_batch_equals_grad_batch(self, toy):
         spec, x, y = toy
-        config = fed.FedConfig(num_clients=2, rounds=1, local_epochs=1, lr=0.5, batch_size=64)
+        config = fed.FedConfig(rounds=1, local_epochs=1, lr=0.5, lr_decay=1.0, batch_size=64)
         omega = np.zeros(spec.param_count())
         upd = client_update(spec, x, y, omega, config, 0.5, RngStream(5))
         layers = mdl.grad_batch(spec, omega[None], x[None], y[None, None])
@@ -175,7 +185,7 @@ class TestClientUpdate:
 
     def test_tiny_lr_parameters_barely_move(self, toy):
         spec, x, y = toy
-        config = fed.FedConfig(num_clients=2, rounds=1, local_epochs=3, lr=1e-8, batch_size=4)
+        config = fed.FedConfig(rounds=1, local_epochs=3, lr=1e-8, lr_decay=1.0, batch_size=4)
         omega = mdl.init_params(spec, RngStream(6))
         lr_eff = 1e-8
         upd = client_update(spec, x, y, omega, config, lr_eff, RngStream(7))
@@ -183,7 +193,7 @@ class TestClientUpdate:
 
     def test_deterministic(self, toy):
         spec, x, y = toy
-        config = fed.FedConfig(num_clients=2, rounds=1, local_epochs=2, lr=0.1, batch_size=4)
+        config = fed.FedConfig(rounds=1, local_epochs=2, lr=0.1, lr_decay=1.0, batch_size=4)
         omega = mdl.init_params(spec, RngStream(8))
         a = client_update(spec, x, y, omega, config, 0.1, RngStream(9))
         b = client_update(spec, x, y, omega, config, 0.1, RngStream(9))
@@ -191,7 +201,7 @@ class TestClientUpdate:
 
     def test_empty_client_rejected(self, toy):
         spec, x, y = toy
-        config = fed.FedConfig(num_clients=2, rounds=1)
+        config = fed.FedConfig(rounds=1, local_epochs=1, lr_decay=1.0)
         with pytest.raises(ConfigError):
             client_update(spec, x[:0], y[:0], np.zeros(spec.param_count()), config, 0.1, RngStream(1))
 
@@ -210,21 +220,18 @@ class TestClientUpdate:
     )
     def test_data_defenses_change_training(self, toy, defense):
         spec, x, y = toy
-        base_cfg = fed.FedConfig(num_clients=2, rounds=1, local_epochs=2, lr=0.1, batch_size=4)
-        def_cfg = fed.FedConfig(
-            num_clients=2, rounds=1, local_epochs=2, lr=0.1, batch_size=4, defense=defense
-        )
+        config = fed.FedConfig(rounds=1, local_epochs=2, lr=0.1, lr_decay=1.0, batch_size=4)
         omega = mdl.init_params(spec, RngStream(10))
-        plain = client_update(spec, x, y, omega, base_cfg, 0.1, RngStream(11))
-        defended = client_update(spec, x, y, omega, def_cfg, 0.1, RngStream(11))
+        plain = client_update(spec, x, y, omega, config, 0.1, RngStream(11))
+        defended = client_update(spec, x, y, omega, config, 0.1, RngStream(11), defense)
         assert not np.array_equal(plain, defended)
 
 
 class TestRunFederation:
     def test_trace_shape(self, tiny_setup):
         dataset, partition, spec = tiny_setup
-        config = fed.FedConfig(num_clients=4, rounds=1, seed=1)
-        trace = fed.run_federation(dataset, partition, spec, config)
+        config = fed.FedConfig(rounds=1, local_epochs=1, lr_decay=1.0)
+        trace = fed.run_federation(dataset, partition, spec, config, fed.DefenseConfig(), 1)
         assert trace.num_rounds == 1
         assert trace.rounds[0].updates.shape == (4, spec.param_count())
         assert len(trace.round_accuracy) == 1
@@ -233,46 +240,40 @@ class TestRunFederation:
         ds = dat.synth_blobs(RngStream(40), 2, 4, 200, 6.0)
         part = dat.partition_iid(RngStream(41), ds, 3, 80, 80)
         spec = mdl.ModelSpec("linear_softmax", input_dim=4, num_classes=2, init_std=0.1)
-        config = fed.FedConfig(num_clients=3, rounds=8, local_epochs=2, lr=0.2, seed=5)
-        trace = fed.run_federation(ds, part, spec, config)
+        config = fed.FedConfig(rounds=8, local_epochs=2, lr=0.2, lr_decay=1.0)
+        trace = fed.run_federation(ds, part, spec, config, fed.DefenseConfig(), 5)
         assert trace.round_accuracy[-1] > 0.9
 
     def test_rerun_identical_trace_bytes(self, tiny_setup, tmp_path):
         dataset, partition, spec = tiny_setup
-        config = fed.FedConfig(num_clients=4, rounds=3, seed=11)
+        config = fed.FedConfig(rounds=3, local_epochs=1, lr_decay=1.0)
         for name in ("a", "b"):
-            trace = fed.run_federation(dataset, partition, spec, config)
+            trace = fed.run_federation(dataset, partition, spec, config, fed.DefenseConfig(), 11)
             fed.save_trace(trace, str(tmp_path / name))
         files = sorted(os.listdir(tmp_path / "a"))
         assert files == sorted(os.listdir(tmp_path / "b"))
         for f in files:
             assert filecmp.cmp(tmp_path / "a" / f, tmp_path / "b" / f, shallow=False), f
 
-    def test_partition_mismatch(self, tiny_setup):
-        dataset, partition, spec = tiny_setup
-        config = fed.FedConfig(num_clients=5, rounds=1)
-        with pytest.raises(ConfigError):
-            fed.run_federation(dataset, partition, spec, config)
-
     def test_aggregation_is_model_averaging(self, tiny_setup):
         # with the delta/lr convention, the new global model is the client mean
         dataset, partition, spec = tiny_setup
-        config = fed.FedConfig(num_clients=4, rounds=1, local_epochs=1, lr=0.1, seed=3)
-        trace = fed.run_federation(dataset, partition, spec, config)
+        config = fed.FedConfig(rounds=1, local_epochs=1, lr=0.1, lr_decay=1.0)
+        trace = fed.run_federation(dataset, partition, spec, config, fed.DefenseConfig(), 3)
         rec = trace.rounds[0]
         locals_ = [rec.global_before - rec.lr_effective * u for u in rec.updates]
         assert np.allclose(trace.final_model, np.mean(locals_, axis=0), atol=1e-12)
 
     def test_lr_effective_schedule(self):
-        config = fed.FedConfig(num_clients=2, rounds=10, lr=0.1, lr_decay=0.9)
+        config = fed.FedConfig(rounds=10, local_epochs=1, lr=0.1, lr_decay=0.9)
         assert fed.lr_effective(config, 0) == 0.1
         assert fed.lr_effective(config, 2) == pytest.approx(0.1 * 0.81)
 
     def test_diverged_round_names_round_and_client(self, tiny_setup):
         dataset, partition, spec = tiny_setup
-        config = fed.FedConfig(num_clients=4, rounds=3, lr=1e308, seed=1)
+        config = fed.FedConfig(rounds=3, local_epochs=1, lr=1e308, lr_decay=1.0)
         with pytest.raises(ParameterError, match=r"round \d+: client \d+'s upload is not finite"):
-            fed.run_federation(dataset, partition, spec, config)
+            fed.run_federation(dataset, partition, spec, config, fed.DefenseConfig(), 1)
 
 
 STACK_DEFENSES = [
@@ -319,12 +320,9 @@ class TestStackedTrainerMatchesLoop:
         # batch size 8: a client of 25 records (17 under sample) ends each
         # epoch on a batch of one, the branch where mixup is skipped
         spec = mdl.ModelSpec(model_kind, 4, 3 if model_kind == "mlp" else 0, 3, 0.1)
-        config = fed.FedConfig(
-            num_clients=5, rounds=2, local_epochs=2, lr=0.3, lr_decay=0.9, batch_size=8,
-            defense=defense, seed=64,
-        )
-        trace = fed.run_federation(ds, part, spec, config)
-        rounds, final = federation_loop(ds, part, spec, config)
+        config = fed.FedConfig(rounds=2, local_epochs=2, lr=0.3, lr_decay=0.9, batch_size=8)
+        trace = fed.run_federation(ds, part, spec, config, defense, 64)
+        rounds, final = federation_loop(ds, part, spec, config, defense, 64)
         for rec, (omega, updates) in zip(trace.rounds, rounds, strict=True):
             assert rec.global_before.tobytes() == omega.tobytes()
             assert rec.updates.tobytes() == updates.tobytes()

@@ -1,11 +1,13 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import os
 import pathlib
 import re
 import shutil
+import sys
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedaudit import fedsim as fed
 from fedaudit import harness as hns
 from fedaudit.errors import ConfigError, IntegrityError
 
@@ -135,6 +138,13 @@ class TestConfig:
         assert type(cfg.to_dict()["federation"]["lr"]) is int
         assert [v for v, _ in cfg.sweep.expand()] == [0, 0.5]
         assert hns._param_label(cfg.sweep.expand()[0][0]) == "0"
+
+    def test_federation_block_is_fedconfig_with_its_defaults(self):
+        d = micro_config_dict()
+        d["federation"] = {"rounds": 2}
+        assert hns.ExperimentConfig.from_dict(d).federation == fed.FedConfig(
+            rounds=2, local_epochs=3, lr=0.1, lr_decay=0.99, batch_size=32
+        )
 
     def test_model_hidden_dim_defaults_by_kind(self):
         d = micro_config_dict(model={"kind": "linear_softmax"})
@@ -442,6 +452,23 @@ class TestCli:
         assert hns.main(["replay", trace_dir, str(ac)]) == 0
         assert "fedmia_ii" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("script", ["run_baseline", "run_defense_sweeps"])
+    def test_script_returns_a_failed_plots_exit_code(self, tmp_path, monkeypatch, script):
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts", f"{script}.py")
+        spec = importlib.util.spec_from_file_location(script, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        commands = []
+
+        def fake_main(argv):
+            commands.append(argv[0])
+            return 3 if argv[0] == "plots" else 0
+
+        monkeypatch.setattr(hns, "main", fake_main)
+        monkeypatch.setattr(sys, "argv", [script, "--out", str(tmp_path)])
+        assert module.main() == 3
+        assert commands == ["run", "plots"]
+
 
 NAN, INF = float("nan"), float("inf")
 NON_FINITE = [NAN, INF, -INF]
@@ -623,10 +650,24 @@ class TestExitCodeContract:
         (("sweep",), {"defense": "augment", "augment_noise_std": -1}, "sweep.augment_noise_std"),
         (("partition",), {"kind": "dirichlet", "clients": 3, "beta": 0.5, "holdout": 400},
          "partition.holdout"),
+        (("federation", "rounds"), 0, "federation.rounds"),
+        (("federation", "batch_size"), 0, "federation.batch_size"),
+        (("model", "kind"), "cnn", "model.kind"),
+        (("model",), {"kind": "linear_softmax", "hidden_dim": 16}, "model.hidden_dim"),
+        (("sweep",), {"defense": "none", "rate": 0.5}, "sweep.rate"),
+        (("sweep",), {"defense": "perturb", "clip_norm": 1.0}, "sweep.noise_std"),
+        (("sweep",), {"defense": "augment", "flip_h": [False, True]}, "sweep.flip_h"),
+        (("attack", "sigma_floor_rel"), 0, "attack.sigma_floor_rel"),
+        (("attack", "sigma_floor_rel"), -1, "attack.sigma_floor_rel"),
+        (("dataset", "num_classes"), 1, "dataset.num_classes"),
+        (("partition", "clients"), 1, "partition.clients"),
     ], ids=["rounds_str", "rounds_float", "seed_float", "fpr_cap_str", "delta_grid_scalar",
             "hidden_dim_str", "targets_per_class_str", "target_client_float", "geometry_scalar",
             "leave_one_out_str", "lr_nan", "per_class_zero", "class_sep_negative",
-            "dirichlet_beta_zero", "augment_noise_std_negative", "dirichlet_holdout_too_large"])
+            "dirichlet_beta_zero", "augment_noise_std_negative", "dirichlet_holdout_too_large",
+            "rounds_zero", "batch_size_zero", "unknown_model_kind", "linear_softmax_hidden_dim",
+            "none_with_rate", "perturb_without_noise_std", "flip_h_without_geometry",
+            "sigma_floor_rel_zero", "sigma_floor_rel_negative", "one_class", "one_client"])
     def test_quick_config_mistyped_value_exits_2(self, tmp_path, capsys, path, value, key_path):
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
@@ -634,8 +675,10 @@ class TestExitCodeContract:
         out = tmp_path / "out"
         assert hns.main(["run", write_config(tmp_path, d), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and key_path in err, err
-        assert not (out / "runs").exists()
+        assert err.startswith(f"config error: {key_path}: "), err
+        # The holdout is checked against the dataset size once the dataset
+        # exists; every other value is checked at load, before --out is made.
+        assert not (out / "runs").exists() if key_path == "partition.holdout" else not out.exists()
 
     @pytest.mark.parametrize("overrides", [
         {"partition": {"per_client": 1000}},
@@ -688,9 +731,10 @@ class TestExitCodeContract:
         _edit_json(lambda m: m.pop("seed")),
         _edit_json(lambda m: m["defense"].update(colour="blue")),
         _edit_json(lambda m: m["model"].update(kind="cnn")),
+        _edit_json(lambda m: m["defense"].update(rate=0.5)),
         _write_text(b"\xff\xfe"),
     ], ids=["model_extra_key", "missing_seed", "defense_unknown_key", "unknown_model_kind",
-            "not_utf8"])
+            "defense_stray_parameter", "not_utf8"])
     def test_malformed_trace_meta_exits_3(self, run_dir, tmp_path, capsys, mangle):
         copy = str(tmp_path / "run")
         shutil.copytree(run_dir, copy)

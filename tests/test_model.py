@@ -33,9 +33,11 @@ def local_sgd(spec, params, x, y, lr, epochs, batch_size, rng):
     """A client's parameters after local SGD with no data-level defense,
     rebuilt from its upload as a group of one (exact for dyadic values)."""
     config = fed.FedConfig(
-        num_clients=2, rounds=1, local_epochs=epochs, lr=lr, batch_size=batch_size
+        rounds=1, local_epochs=epochs, lr=lr, lr_decay=1.0, batch_size=batch_size
     )
-    return params - lr * fed.client_update(spec, x[None], y[None], params, config, lr, [rng])[0]
+    return params - lr * fed.client_update(
+        spec, x[None], y[None], params, config, fed.DefenseConfig(), lr, [rng]
+    )[0]
 
 
 def batch_grad(spec, params, x, y):
