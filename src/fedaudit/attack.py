@@ -58,27 +58,14 @@ from typing import Iterable
 import numpy as np
 
 from . import model as mdl
-from .errors import (
-    ConfigError,
-    DegenerateDistributionError,
-    EmptySampleError,
-    InsufficientClientsError,
-    ParameterError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, FedAuditError, ZeroVectorError
 from .fedsim import RoundRecord, UpdateTrace
 from .numstat import gaussian_cdf
 
-MEASUREMENT_KINDS = ("cosine", "loss", "grad_norm", "grad_diff")
-ORIENTATIONS = ("member_high", "member_low")
+MEASUREMENT_KINDS = ("cosine", "loss", "grad_diff")
 
-# Which side of the null a member lands on, per measurement.
-DEFAULT_ORIENTATION = {
-    "cosine": "member_high",
-    "loss": "member_low",
-    "grad_norm": "member_low",
-    "grad_diff": "member_high",
-}
+# Which side of the null a member lands on, per measurement that fedmia scores.
+DEFAULT_ORIENTATION = {"cosine": "member_high", "loss": "member_low"}
 
 # Each baseline's score at round t: the target-client series it reads,
 # whether it averages rounds 0..t (else it reads round t alone), and
@@ -134,7 +121,7 @@ class CohortAudit:
 def _cohort_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x, y = np.atleast_2d(np.asarray(x, dtype=np.float64)), np.asarray(y, dtype=np.int64)
     if len(y) == 0:
-        raise EmptySampleError("no target records")
+        raise FedAuditError("no target records")
     return x, y
 
 
@@ -144,8 +131,6 @@ def _measure_round(
     """The requested (n, K) measurements of one round; cosine and grad_diff share one gemm."""
     updates = rec.updates
     out: dict[str, np.ndarray] = {}
-    if "grad_norm" in kinds:
-        out["grad_norm"] = np.broadcast_to(np.linalg.norm(updates, axis=1), (len(y), len(updates)))
     if "loss" in kinds:
         loss = np.empty((len(y), len(updates)))
         for k in range(len(updates)):
@@ -184,7 +169,6 @@ def measure_cohort(
     cosine     : cos(update_k_t, grad of record at that round's global model)
     loss       : record loss under client k's reconstructed local model
                  (global_t - lr_eff_t * update_k_t)
-    grad_norm  : ||update_k_t||, identical for every record
     grad_diff  : raw inner product <update_k_t, grad of record>
 
     A zero record gradient (stationary point) raises ZeroVectorError; a
@@ -260,7 +244,7 @@ def _score_rows(
     value keeps them all.
     """
     if not np.all(np.isfinite(values)):
-        raise ParameterError(f"non-finite measurement in round {round_index}")
+        raise FedAuditError(f"non-finite measurement in round {round_index}")
     others = np.delete(values, target_client, axis=1)
     mu, v = _row_fit(others)
     if leave_one_out:
@@ -278,9 +262,9 @@ def _score_rows(
     floor = sigma_floor_rel * (1.0 + np.abs(mu))
     v = np.maximum(v, floor * floor)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):
-        raise ParameterError(f"non-finite null estimate in round {round_index}")
+        raise FedAuditError(f"non-finite null estimate in round {round_index}")
     if np.any(v <= 0.0):
-        raise DegenerateDistributionError(f"null variance must be > 0 in round {round_index}")
+        raise FedAuditError(f"null variance must be > 0 in round {round_index}")
     p = 0.5 * (1.0 + _erf((values[:, target_client] - mu) / np.sqrt(v) / _SQRT2).astype(float))
     return p if orientation == "member_high" else 1.0 - p
 
@@ -293,29 +277,26 @@ def audit_cohort(
     methods: Iterable[str],
     sigma_floor_rel: float = SIGMA_FLOOR_REL,
     leave_one_out: bool = False,
-    orientation: str | None = None,
 ) -> CohortAudit:
     """Steps 1-3 for every requested method in one pass over the rounds.
 
     Each round measures only what the methods read and keeps only the
-    fedmia scores and the target client's series. ``orientation``
-    overrides the fedmia member side (default per measurement kind).
+    fedmia scores and the target client's series. The measurement kind
+    fixes the member side (``DEFAULT_ORIENTATION``).
     """
     methods = list(dict.fromkeys(methods))
     if set(methods) - set(ALL_METHODS):
         raise ConfigError(f"unknown attack methods: {sorted(set(methods) - set(ALL_METHODS))}")
-    if orientation is not None and orientation not in ORIENTATIONS:
-        raise ConfigError(f"unknown orientation {orientation!r}")
     if not (0 <= target_client < trace.num_clients):
         raise ConfigError(f"target_client {target_client} out of range")
     x, y = _cohort_arrays(x, y)
     fedmia = [m for m in methods if m in FEDMIA_METHODS]
     if fedmia and trace.num_clients < 3:
-        raise InsufficientClientsError(
+        raise FedAuditError(
             f"need at least 3 clients for a null estimate, got {trace.num_clients}"
         )
     if fedmia and trace.num_rounds == 0:
-        raise EmptySampleError("no per-round scores to aggregate")
+        raise FedAuditError("no per-round scores to aggregate")
     shape = (len(y), trace.num_rounds)
     per_round = {m: np.empty(shape) for m in fedmia}
     series = {k: np.empty(shape) for k, readers in SERIES_READERS.items() if readers & set(methods)}
@@ -326,7 +307,7 @@ def audit_cohort(
         for m in fedmia:
             kind = FEDMIA_KIND[m]
             per_round[m][:, t] = _score_rows(
-                measured[kind], target_client, orientation or DEFAULT_ORIENTATION[kind],
+                measured[kind], target_client, DEFAULT_ORIENTATION[kind],
                 t, sigma_floor_rel, leave_one_out,
             )
         for k, out in series.items():
@@ -345,7 +326,6 @@ def fedmia_scores(
     y: np.ndarray,
     target_client: int,
     variant: str = "II",
-    orientation: str | None = None,
     sigma_floor_rel: float = SIGMA_FLOOR_REL,
     leave_one_out: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +340,7 @@ def fedmia_scores(
     method = "fedmia_i" if variant == "I" else "fedmia_ii"
     audit = audit_cohort(
         trace, x, y, target_client, [method],
-        sigma_floor_rel=sigma_floor_rel, leave_one_out=leave_one_out, orientation=orientation,
+        sigma_floor_rel=sigma_floor_rel, leave_one_out=leave_one_out,
     )
     return audit.per_round[method], audit.scores(method, trace.num_rounds - 1)
 
@@ -380,9 +360,8 @@ def baselines(
     trace: UpdateTrace,
     x: np.ndarray,
     y: np.ndarray,
-    target_client: int,
-    methods: Iterable[str] = BASELINE_METHODS,
-    audit: CohortAudit | None = None,
+    methods: Iterable[str],
+    audit: CohortAudit,
 ) -> dict[str, np.ndarray]:
     """Single-signal attack scores, (n,) per method, each oriented so higher means member.
 
@@ -394,16 +373,9 @@ def baselines(
     grad_diff     : mean over rounds of the raw inner product
 
     Row i scores record i of ``x``/``y``. All but ``blackbox_loss`` are
-    ``audit.scores(method, T - 1)``, which the round curves share.
-    ``audit`` is ``audit_cohort`` of the same inputs, made here if absent.
+    ``audit.scores(method, T - 1)``, which the round curves share;
+    ``audit`` is ``audit_cohort`` of the same inputs and methods.
     """
-    methods = list(methods)
-    unknown = set(methods) - set(BASELINE_METHODS)
-    if unknown:
-        raise ConfigError(f"unknown baseline methods: {sorted(unknown)}")
-    x, y = _cohort_arrays(x, y)
-    if audit is None:
-        audit = audit_cohort(trace, x, y, target_client, methods)
     return {
         m: (-mdl.loss_many(trace.model_spec, trace.final_model, x, y) if m == "blackbox_loss"
             else audit.scores(m, trace.num_rounds - 1))

@@ -14,13 +14,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    EmptySampleError,
-    InsufficientDataError,
-    ParameterError,
-)
+from .errors import ConfigError, FedAuditError
 from .numstat import RngStream
 
 
@@ -118,9 +112,9 @@ def synth_blobs(
     otherwise), so ``class_sep = 0`` makes the classes indistinguishable.
     """
     if num_classes < 1 or input_dim < 1 or per_class < 1:
-        raise ParameterError("num_classes, input_dim, per_class must be positive")
+        raise FedAuditError("num_classes, input_dim, per_class must be positive")
     if class_sep < 0:
-        raise ParameterError(f"class_sep must be >= 0, got {class_sep}")
+        raise FedAuditError(f"class_sep must be >= 0, got {class_sep}")
     g = rng.generator()
     scale = class_sep / math.sqrt(2.0)
     means = np.zeros((num_classes, input_dim))
@@ -155,29 +149,29 @@ def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int
                 continue
             fields = line.split(",")
             if len(fields) < 2:
-                raise DataFormatError(f"line {lineno}: expected label plus features")
+                raise ConfigError(f"line {lineno}: expected label plus features")
             try:
                 label = int(fields[0])
             except ValueError:
-                raise DataFormatError(f"line {lineno}: non-integer label {fields[0]!r}") from None
+                raise ConfigError(f"line {lineno}: non-integer label {fields[0]!r}") from None
             try:
                 feats = [float(f) for f in fields[1:]]
             except ValueError:
-                raise DataFormatError(f"line {lineno}: non-numeric feature value") from None
+                raise ConfigError(f"line {lineno}: non-numeric feature value") from None
             if rows and len(feats) != len(rows[0]):
-                raise DataFormatError(
+                raise ConfigError(
                     f"line {lineno}: expected {len(rows[0])} features, got {len(feats)}"
                 )
             if label < 0:
-                raise DataFormatError(f"line {lineno}: negative label {label}")
+                raise ConfigError(f"line {lineno}: negative label {label}")
             if num_classes is not None and label >= num_classes:
-                raise DataFormatError(
+                raise ConfigError(
                     f"line {lineno}: label {label} out of range for {num_classes} classes"
                 )
             labels.append(label)
             rows.append(feats)
     if not rows:
-        raise EmptySampleError(f"{path}: empty dataset file")
+        raise ConfigError("empty dataset file")
     nc = num_classes if num_classes is not None else max(labels) + 1
     return Dataset(np.array(rows), np.array(labels), nc, geometry)
 
@@ -211,9 +205,9 @@ def partition_iid(
 ) -> Partition:
     """Class-stratified uniform partition into equal-size clients plus holdout."""
     if num_clients < 1 or per_client < 1 or holdout < 0:
-        raise ParameterError("num_clients, per_client positive; holdout >= 0")
+        raise FedAuditError("num_clients, per_client positive; holdout >= 0")
     if num_clients * per_client + holdout > len(dataset):
-        raise InsufficientDataError(
+        raise ConfigError(
             f"need {num_clients * per_client + holdout} samples, have {len(dataset)}"
         )
     g = rng.generator()
@@ -223,7 +217,7 @@ def partition_iid(
     for pool in pools:
         arr = g.permutation(np.array(pool, dtype=np.int64))
         if len(arr) < per_client:
-            raise InsufficientDataError(
+            raise ConfigError(
                 f"client pool of {len(arr)} cannot supply per_client={per_client}"
             )
         clients.append(np.sort(arr[:per_client]))
@@ -247,13 +241,16 @@ def partition_dirichlet(
     """
     if math.isinf(beta):
         per_client = (len(dataset) - holdout) // num_clients
+        if per_client < 1:
+            raise ConfigError(f"holdout {holdout} leaves {len(dataset) - holdout} samples "
+                              f"for {num_clients} clients")
         return partition_iid(rng, dataset, num_clients, per_client, holdout)
     if beta <= 0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
+        raise FedAuditError(f"beta must be > 0, got {beta}")
     if num_clients < 1 or holdout < 0:
-        raise ParameterError("invalid num_clients/holdout")
+        raise FedAuditError("invalid num_clients/holdout")
     if holdout >= len(dataset):
-        raise InsufficientDataError(f"holdout {holdout} >= dataset size {len(dataset)}")
+        raise ConfigError(f"holdout {holdout} >= dataset size {len(dataset)}")
     g = rng.generator()
 
     # Reserve the holdout stratified by class (largest-remainder counts).
@@ -305,6 +302,7 @@ def make_eval_split(
     ``holdout`` draws non-members from the holdout pool only;
     ``holdout+others`` mixes a fraction of the holdout with a fraction of
     every other client's training data (defaults keep one tenth of each).
+    The config checks that each fraction is in (0, 1].
     """
     if not (0 <= target_client < partition.num_clients):
         raise ConfigError(f"target_client {target_client} out of range")
@@ -313,8 +311,6 @@ def make_eval_split(
     if nonmember_source == "holdout":
         nonmembers = partition.holdout_indices.copy()
     elif nonmember_source == "holdout+others":
-        if not (0 < holdout_fraction <= 1) or not (0 < others_fraction <= 1):
-            raise ConfigError("nonmember pool fractions must be in (0, 1]")
         parts = []
         nh = math.ceil(holdout_fraction * len(partition.holdout_indices))
         if nh:
@@ -365,9 +361,9 @@ def mixup(gens: list[np.random.Generator], x: np.ndarray, y: np.ndarray,
     permutation.
     """
     if alpha <= 0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
+        raise FedAuditError(f"alpha must be > 0, got {alpha}")
     if x.shape[1] < 2:
-        raise ParameterError("mixup needs a batch of at least 2 samples")
+        raise FedAuditError("mixup needs a batch of at least 2 samples")
     lam = np.array([g.beta(alpha, alpha) for g in gens])
     return mix_with_lambda(x, y, np.stack([g.permutation(x.shape[1]) for g in gens]), lam)
 
@@ -382,7 +378,7 @@ class AugmentOps:
 
     def __post_init__(self) -> None:
         if self.noise_std < 0:
-            raise ParameterError(f"noise_std must be >= 0, got {self.noise_std}")
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
 
     @property
     def needs_geometry(self) -> bool:
@@ -435,5 +431,5 @@ def augment_batch(
 def subsample(g: np.random.Generator, n: int, portion: float) -> np.ndarray:
     """ceil(portion * n) distinct indices of range(n), drawn without replacement."""
     if not (0 < portion <= 1):
-        raise ParameterError(f"portion must be in (0, 1], got {portion}")
+        raise FedAuditError(f"portion must be in (0, 1], got {portion}")
     return g.choice(n, math.ceil(portion * n), replace=False)

@@ -1,20 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per CLI exit code, plus the
+zero-gradient error that carries its cohort row."""
 
 
 class FedAuditError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; a runtime failure (exit 4)."""
 
 
-class ShapeMismatchError(FedAuditError, ValueError):
-    """Operands have incompatible dimensions."""
+class ConfigError(FedAuditError, ValueError):
+    """Invalid or inconsistent configuration or data input (exit 2)."""
 
 
-class EmptySampleError(FedAuditError, ValueError):
-    """An operation that needs at least one sample received none."""
-
-
-class DegenerateDistributionError(FedAuditError, ValueError):
-    """A distribution parameter (e.g. variance) is not strictly positive."""
+class IntegrityError(FedAuditError, RuntimeError):
+    """A persisted artifact is missing, truncated, or inconsistent (exit 3)."""
 
 
 class ZeroVectorError(FedAuditError, ValueError):
@@ -26,35 +23,3 @@ class ZeroVectorError(FedAuditError, ValueError):
     def __init__(self, message: str, row: int | None = None) -> None:
         super().__init__(message)
         self.row = row
-
-
-class ParameterError(FedAuditError, ValueError):
-    """A numeric parameter is outside its admissible range."""
-
-
-class ConfigError(FedAuditError, ValueError):
-    """Invalid or inconsistent configuration."""
-
-
-class InsufficientDataError(ConfigError):
-    """Not enough samples to satisfy the requested partition."""
-
-
-class InsufficientClientsError(FedAuditError, ValueError):
-    """Fewer clients than the attack statistics require."""
-
-
-class DataFormatError(ConfigError):
-    """A data file could not be read or parsed; parse errors name the line."""
-
-
-class CohortError(FedAuditError, ValueError):
-    """A scored cohort is missing one of the two classes."""
-
-
-class ReferencePointError(FedAuditError, ValueError):
-    """A point is not dominated by the hypervolume reference point."""
-
-
-class IntegrityError(FedAuditError, RuntimeError):
-    """A persisted artifact is missing, truncated, or inconsistent."""

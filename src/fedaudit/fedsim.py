@@ -32,12 +32,7 @@ import numpy as np
 
 from . import model as mdl
 from .data import AugmentOps, Dataset, Partition, augment_batch, mixup, subsample
-from .errors import (
-    ConfigError,
-    IntegrityError,
-    ParameterError,
-    ShapeMismatchError,
-)
+from .errors import ConfigError, FedAuditError, IntegrityError
 from .model import ModelSpec
 from .numstat import RngStream
 from .schema import Codec, check_keys, decode, dump, field_types, load
@@ -179,8 +174,6 @@ def defend_update(update: np.ndarray, defense: DefenseConfig, rng: RngStream) ->
                 broken by index order.
     """
     update = np.asarray(update, dtype=np.float64)
-    if defense.kind == "none":
-        return update.copy()
     if not defense.is_update_level:
         raise ConfigError(f"{defense.kind} is not an update-level defense")
     if defense.kind == "perturb":
@@ -260,10 +253,10 @@ def aggregate(
     """Server step: w - lr_eff * mean(updates), summed in client-index order."""
     arr = np.asarray(updates, dtype=np.float64)
     if arr.ndim != 2:
-        raise ShapeMismatchError("updates must form a (K, d) matrix")
+        raise FedAuditError("updates must form a (K, d) matrix")
     global_params = np.asarray(global_params, dtype=np.float64)
     if arr.shape[1] != global_params.shape[0]:
-        raise ShapeMismatchError(
+        raise FedAuditError(
             f"update dim {arr.shape[1]} != model dim {global_params.shape[0]}"
         )
     return global_params - lr_eff * arr.mean(axis=0)
@@ -315,7 +308,7 @@ def run_federation(
             bad = np.flatnonzero(~np.isfinite(updates).all(axis=1))
             if len(bad) or not np.isfinite(new_omega).all():
                 who = f"client {bad[0]}'s upload" if len(bad) else "the global model"
-                raise ParameterError(f"training diverged in round {t}: {who} is not finite")
+                raise FedAuditError(f"training diverged in round {t}: {who} is not finite")
             accuracy.append(
                 mdl.accuracy(spec, new_omega, hx, hy) if have_holdout else float("nan")
             )
@@ -401,7 +394,7 @@ def load_trace(trace_dir: str) -> UpdateTrace:
         accuracy = meta["round_accuracy"]  # NaN when the run had no holdout
         if not isinstance(accuracy, list) or any(type(a) not in (int, float) for a in accuracy):
             raise ConfigError(f"round_accuracy: must be a list of numbers, got {accuracy!r}")
-    except (ConfigError, ParameterError) as exc:
+    except ConfigError as exc:
         raise IntegrityError(f"corrupt trace file {meta_path}: {exc}") from exc
     if spec.param_count() != d:
         raise IntegrityError(f"model spec implies dim {spec.param_count()}, meta says {d}")

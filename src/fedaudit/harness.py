@@ -24,17 +24,21 @@ bit-exactly.
 
 Configs are strict JSON, decoded by ``fedaudit.schema`` against the
 config dataclasses below: a field without a default is a required key.
-Unknown or missing keys, wrong-typed or out-of-range values and
-NaN/Infinity (except ``partition.beta: "inf"``) are config errors raised
-before any training, as are data inputs that cannot be read or that are
-too small for the partition.
+Unknown or missing keys, wrong-typed or out-of-range values,
+NaN/Infinity (except ``partition.beta: "inf"``) and a synthetic dataset
+too small for the partition are config errors raised at load, before
+the output directory exists. A CSV dataset that cannot be read or parsed,
+or that is too small for the partition, is a config error raised by the
+job before it trains.
 
 CLI: ``run <config>``, ``replay <trace_dir> <attack_config>``,
 ``report <report_dir>``, ``plots <report_dir>`` with ``--out``,
-``--seed-override`` and ``--jobs``. Exit codes: 0 ok, 2 config error,
-3 integrity error (missing, corrupt or malformed artifact, including
-trace metadata), 4 runtime failure. The ``FEDAUDIT_OUT`` environment
-variable supplies the default output root.
+``--seed-override`` and ``--jobs``. Each exit code has one error class
+(``fedaudit.errors``): 0 ok, 2 ``ConfigError``, 3 ``IntegrityError``
+(missing, corrupt or malformed artifact, including trace metadata), 4 any
+other ``FedAuditError`` (a runtime failure; ``ZeroVectorError`` among
+them). The ``FEDAUDIT_OUT`` environment variable supplies the default
+output root.
 """
 
 from __future__ import annotations
@@ -58,14 +62,7 @@ from . import data as dat
 from . import fedsim as fed
 from . import metrics as met
 from . import model as mdl
-from .errors import (
-    ConfigError,
-    FedAuditError,
-    InsufficientDataError,
-    IntegrityError,
-    ParameterError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, FedAuditError, IntegrityError, ZeroVectorError
 from .numstat import RngStream
 from .schema import Codec, FloatOrInf, check_keys, decode, dump_value, field_types, under
 
@@ -109,6 +106,12 @@ class DatasetConfig(Codec):
                     raise ConfigError(f"{name}: must be >= {least}, got {value}")
         elif not self.csv_path:
             raise ConfigError("csv_path: required for csv data")
+        if self.geometry is not None:
+            if min(self.geometry) < 1:
+                raise ConfigError(f"geometry: entries must be >= 1, got {list(self.geometry)}")
+            if self.kind == "synthetic" and self.geometry[0] * self.geometry[1] != self.input_dim:
+                raise ConfigError(f"geometry: {list(self.geometry)} does not match "
+                                  f"input_dim {self.input_dim}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -140,6 +143,9 @@ class PartitionConfig(Codec):
         if self.nonmember_source not in ("holdout", "holdout+others"):
             raise ConfigError(f"nonmember_source: must be holdout or holdout+others, "
                               f"got {self.nonmember_source!r}")
+        for name in ("holdout_fraction", "others_fraction"):
+            if not (0 < getattr(self, name) <= 1):
+                raise ConfigError(f"{name}: must be in (0, 1], got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -251,7 +257,7 @@ def _defense_from_params(kind: str, p: dict) -> fed.DefenseConfig:
                 flip_h=p.pop("flip_h", False), shift=p.pop("shift", False),
                 noise_std=float(p.pop("augment_noise_std", 0.0)),  # a float in trace_meta.json
             )
-        except ParameterError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"augment_noise_std: {exc}") from None
     stray = sorted(set(p) & set(AUGMENT_KEYS))
     if stray:
@@ -281,6 +287,16 @@ class ExperimentConfig(Codec):
             raise ConfigError("partition.clients: fedmia methods need at least 3 clients")
         if not (0 <= self.attack.target_client < self.partition.clients):
             raise ConfigError("attack.target_client: must be in [0, partition.clients)")
+        dc, pc = self.dataset, self.partition
+        if dc.kind == "synthetic":  # the size of a CSV dataset is known once it is read
+            n = dc.num_classes * dc.per_class
+            if pc.kind == "iid" and (need := pc.clients * pc.per_client + pc.holdout) > n:
+                raise ConfigError(f"partition.per_client: need {need} samples, have {n}")
+            if pc.kind == "dirichlet" and pc.holdout >= n:
+                raise ConfigError(f"partition.holdout: holdout {pc.holdout} >= dataset size {n}")
+            if pc.kind == "dirichlet" and pc.beta == float("inf") and n - pc.holdout < pc.clients:
+                raise ConfigError(f"partition.holdout: holdout {pc.holdout} leaves "
+                                  f"{n - pc.holdout} samples for {pc.clients} clients")
         for _, defense in self.sweep.expand():
             ops = defense.augment_ops
             if ops is not None and ops.needs_geometry and self.dataset.geometry is None:
@@ -320,6 +336,8 @@ def build_dataset(config: ExperimentConfig, seed: int) -> dat.Dataset:
             return dat.load_csv(dc.csv_path, dc.num_classes, dc.geometry)
         except OSError as exc:
             raise ConfigError(f"dataset.csv_path: cannot read {dc.csv_path}: {exc.strerror}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"dataset.csv_path: {dc.csv_path}: {exc}") from None
     rng = RngStream(seed).derive(TAG_DATA)
     ds = dat.synth_blobs(rng, dc.num_classes, dc.input_dim, dc.per_class, dc.class_sep)
     if dc.geometry is not None:
@@ -328,14 +346,16 @@ def build_dataset(config: ExperimentConfig, seed: int) -> dat.Dataset:
 
 
 def build_partition(config: ExperimentConfig, dataset: dat.Dataset, seed: int) -> dat.Partition:
+    """The partition; one too large for the dataset names the key that sizes it."""
     pc = config.partition
     rng = RngStream(seed).derive(TAG_PARTITION)
-    if pc.kind == "iid":
-        return dat.partition_iid(rng, dataset, pc.clients, pc.per_client, pc.holdout)
     try:
+        if pc.kind == "iid":
+            return dat.partition_iid(rng, dataset, pc.clients, pc.per_client, pc.holdout)
         return dat.partition_dirichlet(rng, dataset, pc.clients, pc.beta, pc.holdout)
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"partition.holdout: {exc}") from None
+    except ConfigError as exc:
+        key = "per_client" if pc.kind == "iid" else "holdout"
+        raise ConfigError(f"partition.{key}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,9 +426,7 @@ def run_attacks(
         }
     base_methods = [m for m in ac.methods if m in atk.BASELINE_METHODS]
     if base_methods:
-        scores.update(atk.baselines(
-            trace, cohort.x, cohort.y, ac.target_client, base_methods, audit=audit,
-        ))
+        scores.update(atk.baselines(trace, cohort.x, cohort.y, base_methods, audit))
     return {m: scores[m] for m in ac.methods}, audit, checks
 
 

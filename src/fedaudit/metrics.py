@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CohortError, EmptySampleError, ParameterError, ReferencePointError
+from .errors import FedAuditError
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,12 +28,12 @@ class ScoredCohort:
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
         object.__setattr__(self, "is_member", np.asarray(self.is_member, dtype=bool))
         if self.scores.shape != self.is_member.shape or self.scores.ndim != 1:
-            raise CohortError("scores and is_member must be aligned 1-D arrays")
+            raise FedAuditError("scores and is_member must be aligned 1-D arrays")
         if not np.all(np.isfinite(self.scores)):
-            raise CohortError("scores must be finite")
+            raise FedAuditError("scores must be finite")
         pos = int(self.is_member.sum())
         if pos == 0 or pos == len(self.is_member):
-            raise CohortError("cohort needs at least one member and one non-member")
+            raise FedAuditError("cohort needs at least one member and one non-member")
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _area(curve: RocCurve) -> float:
 
 def _best_point(curve: RocCurve, fpr_cap: float) -> tuple[float, float]:
     if not (0 <= fpr_cap < 1):
-        raise ParameterError(f"fpr_cap must be in [0, 1), got {fpr_cap}")
+        raise FedAuditError(f"fpr_cap must be in [0, 1), got {fpr_cap}")
     best = (0.0, 0.0)
     for fpr, tpr in curve.points:
         if fpr <= fpr_cap and (tpr > best[0] or (tpr == best[0] and fpr < best[1])):
@@ -113,21 +113,18 @@ class ParetoPoint:
 
     def __post_init__(self) -> None:
         if not (0 <= self.utility_loss <= 1 and 0 <= self.privacy_leakage <= 1):
-            raise ParameterError(f"coordinates must be in [0, 1]: {self}")
+            raise FedAuditError(f"coordinates must be in [0, 1]: {self}")
 
 
-def _as_points(points: Sequence[ParetoPoint] | Sequence[tuple[float, float]]) -> list[ParetoPoint]:
-    out = []
-    for p in points:
-        out.append(p if isinstance(p, ParetoPoint) else ParetoPoint(float(p[0]), float(p[1])))
-    return out
+def _as_points(points: Sequence[tuple[float, float]]) -> list[ParetoPoint]:
+    return [ParetoPoint(float(u), float(leak)) for u, leak in points]
 
 
-def pareto_front(points: Sequence[ParetoPoint] | Sequence[tuple[float, float]]) -> list[ParetoPoint]:
+def pareto_front(points: Sequence[tuple[float, float]]) -> list[ParetoPoint]:
     """Non-dominated subset (minimize both coordinates), sorted by utility_loss."""
     pts = _as_points(points)
     if not pts:
-        raise EmptySampleError("pareto_front of no points")
+        raise FedAuditError("pareto_front of no points")
     uniq = sorted(set((p.utility_loss, p.privacy_leakage) for p in pts))
     front: list[ParetoPoint] = []
     best_leak = float("inf")
@@ -138,25 +135,18 @@ def pareto_front(points: Sequence[ParetoPoint] | Sequence[tuple[float, float]]) 
     return front
 
 
-def hypervolume(
-    points: Sequence[ParetoPoint] | Sequence[tuple[float, float]],
-    reference: tuple[float, float] = (1.0, 1.0),
-) -> float:
-    """Area of the union of boxes [p, reference] for 2-D minimization points."""
+def hypervolume(points: Sequence[tuple[float, float]]) -> float:
+    """Area of the union of boxes [p, (1, 1)] for 2-D minimization points."""
     pts = _as_points(points)
     if not pts:
-        raise EmptySampleError("hypervolume of no points")
-    zx, zy = float(reference[0]), float(reference[1])
-    for p in pts:
-        if p.utility_loss > zx or p.privacy_leakage > zy:
-            raise ReferencePointError(f"point {p} exceeds reference {reference}")
+        raise FedAuditError("hypervolume of no points")
     coords = sorted(set((p.utility_loss, p.privacy_leakage) for p in pts))
     area = 0.0
     best_y = float("inf")
-    xs = [c[0] for c in coords] + [zx]
+    xs = [c[0] for c in coords] + [1.0]
     for i, (x, y) in enumerate(coords):
         best_y = min(best_y, y)
         width = xs[i + 1] - x
         if width > 0:
-            area += width * (zy - best_y)
+            area += width * (1.0 - best_y)
     return area

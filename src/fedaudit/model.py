@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptySampleError, ShapeMismatchError
+from .errors import ConfigError, FedAuditError
 from .numstat import RngStream
 
 MODEL_KINDS = ("linear_softmax", "mlp")
@@ -73,9 +73,9 @@ def _inputs(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray):
     """One model's float64 params (P,), features (n, d) and int64 labels, checked."""
     params, x = np.asarray(params, dtype=np.float64), np.asarray(x, dtype=np.float64)
     if params.shape != (spec.param_count(),):
-        raise ShapeMismatchError(f"expected {spec.param_count()} parameters, got {params.shape}")
+        raise FedAuditError(f"expected {spec.param_count()} parameters, got {params.shape}")
     if x.shape[1] != spec.input_dim:
-        raise ShapeMismatchError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
+        raise FedAuditError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
     return params, x, np.asarray(y, dtype=np.int64)
 
 
@@ -164,11 +164,11 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nd
     """
     k, n = labels.shape[1:]
     if params.shape != (k, spec.param_count()) or x.shape != (k, n, spec.input_dim):
-        raise ShapeMismatchError(f"params {params.shape}, x {x.shape}, labels {labels.shape}")
+        raise FedAuditError(f"params {params.shape}, x {x.shape}, labels {labels.shape}")
     if n == 0:
-        raise EmptySampleError("grad_batch of an empty batch")
+        raise FedAuditError("grad_batch of an empty batch")
     if len(labels) != (1 if lam is None else 2):
-        raise ShapeMismatchError(f"{len(labels)} label sets with lam {lam!r}")
+        raise FedAuditError(f"{len(labels)} label sets with lam {lam!r}")
     logits, a1 = _forward(spec, params, x)
     probs = _softmax(logits)
     if a1 is not None:
@@ -209,6 +209,6 @@ def accuracy(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) 
     """Fraction of argmax-correct predictions; ties go to the lowest class index."""
     params, x, y = _inputs(spec, params, x, y)
     if len(y) == 0:
-        raise EmptySampleError("accuracy of an empty dataset")
+        raise FedAuditError("accuracy of an empty dataset")
     logits, _ = _forward(spec, params, x)
     return float(np.mean(np.argmax(logits, axis=1) == y))

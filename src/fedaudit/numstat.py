@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, EmptySampleError, ParameterError
+from .errors import FedAuditError
 
 _MASK64 = (1 << 64) - 1
 _SQRT2 = math.sqrt(2.0)
@@ -71,9 +71,9 @@ def summary(values: Sequence[float] | np.ndarray) -> SummaryStats:
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
-        raise EmptySampleError("summary of an empty sample")
+        raise FedAuditError("summary of an empty sample")
     if not np.all(np.isfinite(v)):
-        raise ParameterError("summary requires finite values")
+        raise FedAuditError("summary requires finite values")
     if np.all(v == v.flat[0]):
         return SummaryStats(float(v.flat[0]), 0.0, int(v.size))
     mean = float(v.mean())
@@ -84,13 +84,13 @@ def summary(values: Sequence[float] | np.ndarray) -> SummaryStats:
 def gaussian_cdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
     """P(X <= x) for X ~ Normal(mean, variance).
 
-    Raises ``DegenerateDistributionError`` when ``variance <= 0``; callers
+    Raises ``FedAuditError`` when ``variance <= 0``; callers
     that can see a collapsed null distribution apply a variance floor
     before calling (see the attack scoring rule).
     """
     if not (math.isfinite(x) and math.isfinite(mean) and math.isfinite(variance)):
-        raise ParameterError("gaussian_cdf requires finite inputs")
+        raise FedAuditError("gaussian_cdf requires finite inputs")
     if variance <= 0.0:
-        raise DegenerateDistributionError(f"variance must be > 0, got {variance}")
+        raise FedAuditError(f"variance must be > 0, got {variance}")
     z = (x - mean) / math.sqrt(variance)
     return 0.5 * (1.0 + math.erf(z / _SQRT2))

@@ -23,7 +23,7 @@ from fedaudit import data as dat
 from fedaudit import fedsim as fed
 from fedaudit import metrics as met
 from fedaudit import model as mdl
-from fedaudit.errors import ConfigError, EmptySampleError, InsufficientClientsError, ParameterError
+from fedaudit.errors import FedAuditError
 from fedaudit.numstat import RngStream, summary
 
 
@@ -76,7 +76,7 @@ def cohort_from_pairs(pairs: Sequence[tuple[float, bool]]) -> met.ScoredCohort:
 def trace_prefix(trace: fed.UpdateTrace, num_rounds: int) -> fed.UpdateTrace:
     """The trace truncated to its first ``num_rounds`` rounds."""
     if not (1 <= num_rounds <= trace.num_rounds):
-        raise ParameterError(f"prefix length {num_rounds} out of range")
+        raise FedAuditError(f"prefix length {num_rounds} out of range")
     final = (trace.final_model if num_rounds == trace.num_rounds
              else trace.rounds[num_rounds].global_before)
     return replace(trace, rounds=trace.rounds[:num_rounds], final_model=final,
@@ -226,9 +226,7 @@ def round_out(
     """The 3-sigma null fit of one round's (K,) values, one value at a time."""
     k = len(values)
     if k < 3:
-        raise InsufficientClientsError(
-            f"need at least 3 clients for a null estimate, got {k}"
-        )
+        raise FedAuditError(f"need at least 3 clients for a null estimate, got {k}")
     others = np.delete(np.arange(k), target_client)
     vals = values[others]
     if leave_one_out:
@@ -261,8 +259,6 @@ def estimate_out(
     leave_one_out: bool = False,
 ) -> RoundOutDistribution:
     """Null distribution for one round of a target's measurement matrix."""
-    if orientation not in atk.ORIENTATIONS:
-        raise ConfigError(f"unknown orientation {orientation!r}")
     return round_out(
         matrix.values[round_index], matrix.target_client, orientation, round_index, leave_one_out
     )
@@ -272,7 +268,7 @@ def score_temporal(per_round: Sequence[float] | np.ndarray) -> float:
     """Mean of the per-round scores (the aggregate membership score)."""
     arr = np.asarray(per_round, dtype=np.float64)
     if arr.size == 0:
-        raise EmptySampleError("no per-round scores to aggregate")
+        raise FedAuditError("no per-round scores to aggregate")
     return float(arr.mean())
 
 

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 from fedaudit import data as dat
 from fedaudit import fedsim as fed
 from fedaudit import model as mdl
-from fedaudit.errors import (
-    ConfigError,
-    DataFormatError,
-    EmptySampleError,
-    InsufficientDataError,
-    ParameterError,
-)
+from fedaudit.errors import ConfigError, FedAuditError
 from fedaudit.numstat import RngStream
 
 
@@ -57,9 +51,9 @@ class TestSynthBlobs:
         assert np.array_equal(a.labels, b.labels)
 
     def test_invalid_params(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(FedAuditError, match="class_sep must be >= 0, got -1.0"):
             dat.synth_blobs(RngStream(1), 3, 5, 10, -1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(FedAuditError, match="num_classes, input_dim, per_class must be positive"):
             dat.synth_blobs(RngStream(1), 0, 5, 10, 1.0)
 
 
@@ -75,19 +69,19 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("")
-        with pytest.raises(EmptySampleError):
+        with pytest.raises(ConfigError, match="empty dataset file"):
             dat.load_csv(str(p))
 
     def test_non_numeric_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("0,1.0,2.0\n1,oops,2.0\n")
-        with pytest.raises(DataFormatError, match="line 2"):
+        with pytest.raises(ConfigError, match="line 2: non-numeric feature value"):
             dat.load_csv(str(p))
 
     def test_label_out_of_range(self, tmp_path):
         p = tmp_path / "oor.csv"
         p.write_text("5,1.0\n")
-        with pytest.raises(DataFormatError, match="line 1"):
+        with pytest.raises(ConfigError, match="line 1: label 5 out of range for 3 classes"):
             dat.load_csv(str(p), num_classes=3)
 
     def test_missing_file(self):
@@ -97,7 +91,7 @@ class TestLoadCsv:
     def test_inconsistent_width(self, tmp_path):
         p = tmp_path / "w.csv"
         p.write_text("0,1.0,2.0\n0,1.0\n")
-        with pytest.raises(DataFormatError, match="line 2"):
+        with pytest.raises(ConfigError, match="line 2: expected 2 features, got 1"):
             dat.load_csv(str(p))
 
 
@@ -127,7 +121,7 @@ class TestPartitionIid:
 
     def test_insufficient_data(self):
         ds = dat.synth_blobs(RngStream(11), 2, 3, 20, 1.0)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ConfigError, match="need 50 samples, have 40"):
             dat.partition_iid(RngStream(12), ds, 4, 10, 10)
 
     @given(seed=st.integers(0, 1000))
@@ -177,7 +171,7 @@ class TestPartitionDirichlet:
 
     def test_invalid_beta(self):
         ds = dat.synth_blobs(RngStream(22), 2, 3, 20, 1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(FedAuditError, match="beta must be > 0, got 0.0"):
             dat.partition_dirichlet(RngStream(23), ds, 2, 0.0, 5)
 
 
@@ -239,11 +233,11 @@ class TestMixup:
         assert np.mean(lams) == pytest.approx(0.5, abs=0.01)
 
     def test_small_batch_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(FedAuditError, match="mixup needs a batch of at least 2 samples"):
             dat.mixup([RngStream(30).generator()], np.zeros((1, 1, 2)), np.zeros((1, 1), int), 1.0)
 
     def test_invalid_alpha(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(FedAuditError, match="alpha must be > 0, got 0.0"):
             dat.mixup([RngStream(31).generator()], np.zeros((1, 2, 2)), np.zeros((1, 2), int), 0.0)
 
     def test_draws_lambda_then_partner(self):
@@ -318,9 +312,9 @@ class TestSubsample:
         assert np.array_equal(a, b)
 
     def test_invalid_portion(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(FedAuditError, match=r"portion must be in \(0, 1\], got 0.0"):
             dat.subsample(RngStream(39).generator(), 5, 0.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(FedAuditError, match=r"portion must be in \(0, 1\], got 1.1"):
             dat.subsample(RngStream(39).generator(), 5, 1.1)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fedaudit import data as dat
 from fedaudit import fedsim as fed
 from fedaudit import model as mdl
-from fedaudit.errors import ConfigError, IntegrityError, ParameterError, ShapeMismatchError
+from fedaudit.errors import ConfigError, FedAuditError, IntegrityError
 from fedaudit.numstat import RngStream
 from helpers import federation_loop, scaled_updates, trace_prefix
 
@@ -127,9 +127,9 @@ class TestDefendUpdate:
         with pytest.raises(ConfigError):
             fed.defend_update(np.ones(3), d, RngStream(1))
 
-    def test_none_is_identity(self):
-        v = np.array([1.0, 2.0])
-        assert np.array_equal(fed.defend_update(v, fed.DefenseConfig(), RngStream(1)), v)
+    def test_none_is_not_update_level(self):
+        with pytest.raises(ConfigError, match="none is not an update-level defense"):
+            fed.defend_update(np.ones(3), fed.DefenseConfig(), RngStream(1))
 
 
 class TestAggregate:
@@ -155,7 +155,7 @@ class TestAggregate:
         assert np.allclose(scaled, 3.0 * base, atol=1e-12)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(FedAuditError, match="update dim 2 != model dim 3"):
             fed.aggregate([np.zeros(2), np.zeros(2)], np.zeros(3), 0.1)
 
 
@@ -272,7 +272,7 @@ class TestRunFederation:
     def test_diverged_round_names_round_and_client(self, tiny_setup):
         dataset, partition, spec = tiny_setup
         config = fed.FedConfig(rounds=3, local_epochs=1, lr=1e308, lr_decay=1.0)
-        with pytest.raises(ParameterError, match=r"round \d+: client \d+'s upload is not finite"):
+        with pytest.raises(FedAuditError, match=r"round \d+: client \d+'s upload is not finite"):
             fed.run_federation(dataset, partition, spec, config, fed.DefenseConfig(), 1)
 
 

@@ -56,6 +56,15 @@ def write_config(tmp_path, d, name="config.json"):
     return str(p)
 
 
+def _csv_dataset(tmp_path, rows):
+    """A CSV dataset of ``rows`` records, three classes and eight features."""
+    g = np.random.default_rng(0)
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"{i % 3}," + ",".join(map(repr, g.standard_normal(8).tolist())) + "\n"
+                            for i in range(rows)))
+    return str(path)
+
+
 def _tree_bytes(root):
     """{path relative to ``root``: bytes} of every file under ``root``."""
     return {
@@ -286,16 +295,20 @@ class TestRunExperiment:
         assert os.path.exists(os.path.join(out, "metrics.csv"))
 
     @pytest.mark.parametrize("edit, rc, needle", [
-        (lambda d: d["federation"].update(lr=1e308), 4, "error: training diverged in round "),
-        (lambda d: d.update(partition={"kind": "dirichlet", "clients": 3, "beta": 0.5,
-                                       "holdout": 400}), 2, "config error: partition.holdout"),
-    ], ids=["diverged", "dirichlet_holdout_too_large"])
+        (lambda d, _: d["federation"].update(lr=1e308), 4, "error: training diverged in round "),
+        (lambda d, _: d.update(partition={"kind": "dirichlet", "clients": 3, "beta": 0.5,
+                                          "holdout": 400}), 2, "config error: partition.holdout"),
+        (lambda d, tmp: d.update(dataset={"kind": "csv", "csv_path": _csv_dataset(tmp, 30)},
+                                 partition={"kind": "dirichlet", "clients": 3, "beta": 0.5,
+                                            "holdout": 400}),
+         2, "config error: partition.holdout: holdout 400 >= dataset size 30"),
+    ], ids=["diverged", "dirichlet_holdout_too_large", "csv_dirichlet_holdout_too_large"])
     def test_failed_job_in_a_worker_reports_as_serial(self, tmp_path, capfd, edit, rc, needle):
         """Workers write to the same stderr, so capfd sees all of it."""
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
         d["seeds"] = [1, 2]
-        edit(d)
+        edit(d, tmp_path)
         cfg = write_config(tmp_path, d)
         errs = []
         for name, jobs in (("serial", ["--jobs", "1"]), ("pool", [])):
@@ -661,13 +674,26 @@ class TestExitCodeContract:
         (("attack", "sigma_floor_rel"), -1, "attack.sigma_floor_rel"),
         (("dataset", "num_classes"), 1, "dataset.num_classes"),
         (("partition", "clients"), 1, "partition.clients"),
+        (("dataset", "geometry"), [-2, -4], "dataset.geometry"),
+        (("dataset", "geometry"), [2, 3], "dataset.geometry"),
+        (("partition",), {"kind": "iid", "clients": 3, "per_client": 60, "holdout": 60,
+                          "nonmember_source": "holdout+others", "holdout_fraction": 0},
+         "partition.holdout_fraction"),
+        (("partition", "holdout_fraction"), -5, "partition.holdout_fraction"),
+        (("partition", "others_fraction"), 1.5, "partition.others_fraction"),
+        (("dataset", "num_classes"), 2, "partition.per_client"),
+        (("partition",), {"kind": "dirichlet", "clients": 3, "beta": "inf", "holdout": 298},
+         "partition.holdout"),
     ], ids=["rounds_str", "rounds_float", "seed_float", "fpr_cap_str", "delta_grid_scalar",
             "hidden_dim_str", "targets_per_class_str", "target_client_float", "geometry_scalar",
             "leave_one_out_str", "lr_nan", "per_class_zero", "class_sep_negative",
             "dirichlet_beta_zero", "augment_noise_std_negative", "dirichlet_holdout_too_large",
             "rounds_zero", "batch_size_zero", "unknown_model_kind", "linear_softmax_hidden_dim",
             "none_with_rate", "perturb_without_noise_std", "flip_h_without_geometry",
-            "sigma_floor_rel_zero", "sigma_floor_rel_negative", "one_class", "one_client"])
+            "sigma_floor_rel_zero", "sigma_floor_rel_negative", "one_class", "one_client",
+            "geometry_negative", "geometry_not_input_dim", "holdout_fraction_zero",
+            "holdout_fraction_negative_unused", "others_fraction_above_one",
+            "iid_partition_too_large", "dirichlet_inf_holdout_leaves_too_few"])
     def test_quick_config_mistyped_value_exits_2(self, tmp_path, capsys, path, value, key_path):
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
@@ -676,19 +702,28 @@ class TestExitCodeContract:
         assert hns.main(["run", write_config(tmp_path, d), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key_path}: "), err
-        # The holdout is checked against the dataset size once the dataset
-        # exists; every other value is checked at load, before --out is made.
-        assert not (out / "runs").exists() if key_path == "partition.holdout" else not out.exists()
+        assert not out.exists()  # checked at load, before --out is made
 
-    @pytest.mark.parametrize("overrides", [
-        {"partition": {"per_client": 1000}},
-        {"dataset": {"kind": "csv", "csv_path": "no_such_dataset.csv"}},
-    ], ids=["too_few_samples", "missing_csv"])
-    def test_bad_data_input_exits_2_before_training(self, tmp_path, capsys, overrides):
+    @pytest.mark.parametrize("overrides, csv_text, needle", [
+        ({"partition": {"per_client": 1000}}, None, "partition.per_client: "),
+        ({"dataset": {"kind": "csv", "csv_path": "no_such_dataset.csv"}}, None,
+         "dataset.csv_path: cannot read no_such_dataset.csv"),
+        ({"dataset": {"kind": "csv"}}, "", "empty dataset file"),
+        ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n1,oops,2.0\n",
+         "line 2: non-numeric feature value"),
+    ], ids=["too_few_samples", "missing_csv", "empty_csv", "non_numeric_csv"])
+    def test_bad_data_input_exits_2_before_training(self, tmp_path, capsys, overrides, csv_text,
+                                                    needle):
         d = micro_config_dict(**overrides)
+        if csv_text is not None:
+            path = tmp_path / "data.csv"
+            path.write_text(csv_text)
+            d["dataset"]["csv_path"] = str(path)
+            needle = f"dataset.csv_path: {path}: {needle}"
         out = tmp_path / "out"
         assert hns.main(["run", write_config(tmp_path, d), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {needle}"), err
         assert not (out / "runs").exists()
 
     def test_zero_gradient_error_names_run_and_record(self, tmp_path, capsys):

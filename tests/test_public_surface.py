@@ -1,4 +1,5 @@
-"""Every public function, class and method of the package has a caller outside the tests.
+"""Every public function, class and method of the package has a caller outside the tests,
+and every error class has an exit code of its own or a caller that catches it by name.
 
 A public top-level name defined in ``src/fedaudit/`` must be referenced from
 ``src/``, ``scripts/`` or ``perfbench/``, so a twin that only the tests
@@ -82,3 +83,23 @@ def test_every_public_method_has_a_caller():
         f"{owner}.{name}" for owner, name in _public_methods() if (".", name) not in refs
     }
     assert unreferenced == set(), "public methods with no caller"
+
+
+def _caught_names() -> set[str]:
+    """Names of the exception classes an ``except`` clause in ``src/`` catches by name."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names.update(t.id for t in types if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_error_class_is_told_apart():
+    """Each class in errors.py has an exit code of its own or a caller that catches it."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    exit_codes = {"FedAuditError", "ConfigError", "IntegrityError"}  # 4, 2 and 3
+    assert exit_codes <= classes
+    assert classes - exit_codes - _caught_names() == set(), "error classes no caller tells apart"
