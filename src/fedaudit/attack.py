@@ -60,7 +60,7 @@ import numpy as np
 from . import model as mdl
 from .errors import ConfigError, FedAuditError, ZeroVectorError
 from .fedsim import RoundRecord, UpdateTrace
-from .numstat import gaussian_cdf
+from .numstat import _scratch, gaussian_cdf
 
 MEASUREMENT_KINDS = ("cosine", "loss", "grad_diff")
 
@@ -125,8 +125,14 @@ def _cohort_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, y
 
 
+def _row_norms(a: np.ndarray, ws: dict | None) -> np.ndarray:
+    """``np.linalg.norm(a, axis=1)``, by the same operations, squaring into the workspace."""
+    return np.sqrt(np.add.reduce(np.multiply(a, a, out=_scratch(ws, "squares", a.shape)), axis=1))
+
+
 def _measure_round(
-    spec: mdl.ModelSpec, rec: RoundRecord, x: np.ndarray, y: np.ndarray, kinds: set[str]
+    spec: mdl.ModelSpec, rec: RoundRecord, x: np.ndarray, y: np.ndarray, kinds: set[str],
+    ws: dict | None = None,
 ) -> dict[str, np.ndarray]:
     """The requested (n, K) measurements of one round; cosine and grad_diff share one gemm."""
     updates = rec.updates
@@ -138,11 +144,12 @@ def _measure_round(
             loss[:, k] = mdl.loss_many(spec, local, x, y)
         out["loss"] = loss
     if kinds & {"cosine", "grad_diff"}:
-        grads = mdl.grad_samples(spec, rec.global_before, x, y)
+        grads = mdl.grad_samples(spec, rec.global_before, x, y,
+                                 _scratch(ws, "grads", (len(y), spec.param_count())))
         dots = grads @ updates.T
         out["grad_diff"] = dots
         if "cosine" in kinds:
-            gnorm = np.linalg.norm(grads, axis=1)
+            gnorm = _row_norms(grads, ws)
             zero = np.flatnonzero(gnorm == 0.0)
             if len(zero):
                 raise ZeroVectorError(
@@ -150,7 +157,7 @@ def _measure_round(
                     "gradient at the round's global model (stationary point)",
                     row=int(zero[0]),
                 )
-            unorm = np.linalg.norm(updates, axis=1)
+            unorm = _row_norms(updates, ws)
             cos = np.zeros_like(dots)
             nz = unorm > 0.0
             cos[:, nz] = dots[:, nz] / (gnorm[:, None] * unorm[None, nz])
@@ -301,9 +308,9 @@ def audit_cohort(
     per_round = {m: np.empty(shape) for m in fedmia}
     series = {k: np.empty(shape) for k, readers in SERIES_READERS.items() if readers & set(methods)}
     kinds = {FEDMIA_KIND[m] for m in fedmia} | (series.keys() - {"loss_global", "update_norm"})
-    spec = trace.model_spec
+    spec, ws = trace.model_spec, {}
     for t, rec in enumerate(trace.rounds):
-        measured = _measure_round(spec, rec, x, y, kinds)
+        measured = _measure_round(spec, rec, x, y, kinds, ws)
         for m in fedmia:
             kind = FEDMIA_KIND[m]
             per_round[m][:, t] = _score_rows(

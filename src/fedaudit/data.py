@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FedAuditError
-from .numstat import RngStream
+from .numstat import RngStream, _scratch
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,19 +341,21 @@ class MixedBatch:
 
 
 def mix_with_lambda(x: np.ndarray, y: np.ndarray, partner: np.ndarray,
-                    lam: np.ndarray) -> MixedBatch:
-    """Deterministic core of mixup for fixed coefficients (K,) and pairings (K, b)."""
+                    lam: np.ndarray, ws: dict | None = None) -> MixedBatch:
+    """Mixup's deterministic core, ``lam * x + (1 - lam) * x[partner]`` bit for bit, for
+    coefficients (K,) and batch permutations (K, b); the features live in the workspace ``ws``."""
     x = np.asarray(x, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    rows = np.arange(len(x))[:, None]
-    mixed = x[rows, partner]
+    rows, b = np.arange(len(x))[:, None], x.shape[1]
+    mixed = np.take(x.reshape(len(x) * b, -1), rows * b + partner, axis=0,
+                    out=_scratch(ws, "mixed", x.shape), mode="clip")
     mixed *= (1.0 - lam)[:, None, None]
-    mixed += lam[:, None, None] * x  # = lam * x + (1 - lam) * x[partner], bit for bit
+    mixed += np.multiply(lam[:, None, None], x, out=_scratch(ws, "lam_x", x.shape))
     return MixedBatch(mixed, y, y[rows, partner], lam)
 
 
 def mixup(gens: list[np.random.Generator], x: np.ndarray, y: np.ndarray,
-          alpha: float) -> MixedBatch:
+          alpha: float, ws: dict | None = None) -> MixedBatch:
     """Mix each batch of a (K, b, d) stack with a random in-batch partner.
 
     Batch k draws from ``gens[k]``: one lam ~ Beta(alpha, alpha) per batch
@@ -365,7 +367,7 @@ def mixup(gens: list[np.random.Generator], x: np.ndarray, y: np.ndarray,
     if x.shape[1] < 2:
         raise FedAuditError("mixup needs a batch of at least 2 samples")
     lam = np.array([g.beta(alpha, alpha) for g in gens])
-    return mix_with_lambda(x, y, np.stack([g.permutation(x.shape[1]) for g in gens]), lam)
+    return mix_with_lambda(x, y, np.stack([g.permutation(x.shape[1]) for g in gens]), lam, ws)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from . import model as mdl
 from .data import AugmentOps, Dataset, Partition, augment_batch, mixup, subsample
 from .errors import ConfigError, FedAuditError, IntegrityError
 from .model import ModelSpec
-from .numstat import RngStream
+from .numstat import RngStream, _scratch
 from .schema import Codec, check_keys, decode, dump, field_types, load
 
 # The parameters each defense kind takes: exactly these, and no other.
@@ -204,7 +204,8 @@ def defend_update(update: np.ndarray, defense: DefenseConfig, rng: RngStream) ->
 
 def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: np.ndarray,
                   config: FedConfig, defense: DefenseConfig, lr_eff: float,
-                  rngs: Sequence[RngStream], geometry: tuple[int, int] | None = None) -> np.ndarray:
+                  rngs: Sequence[RngStream], geometry: tuple[int, int] | None = None,
+                  ws: dict | None = None) -> np.ndarray:
     """Pre-defense uploads (w_global - w_local_after) / lr_eff of equal-size clients.
 
     The K clients, whose records are ``x`` (K, n, d) and ``y`` (K, n), run
@@ -215,14 +216,15 @@ def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: 
     ``mixup``. Client k draws only from ``rngs[k]``, in the order it would
     alone, and ``model.sgd_step`` computes its row as it would alone, so its
     upload is bit-identical to training it by itself. With one full-batch
-    epoch and no defense a row is exactly the mean training gradient.
+    epoch and no defense a row is exactly the mean training gradient. The
+    step's arrays live in the workspace ``ws``, which every call may share.
     """
     k, n = y.shape
     if n == 0:
         raise ConfigError("client has no training samples")
     gens = [rng.generator() for rng in rngs]
     w = np.repeat(np.asarray(global_params, dtype=np.float64)[None, :], k, axis=0)
-    rows = np.arange(k)[:, None]
+    rows, flat = np.arange(k)[:, None], x.reshape(k * n, -1)
     for _ in range(config.local_epochs):
         if defense.kind in ("sample", "augment_and_sample"):
             perm = np.stack([g.permutation(subsample(g, n, defense.portion)) for g in gens])
@@ -230,16 +232,18 @@ def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: 
             perm = np.stack([g.permutation(n) for g in gens])
         for start in range(0, perm.shape[1], config.batch_size):
             batch = perm[:, start : start + config.batch_size]
-            bx, by = x[rows, batch], y[rows, batch]
+            bx = np.take(flat, rows * n + batch, axis=0, mode="clip",
+                         out=_scratch(ws, "batch", batch.shape + flat.shape[1:]))
+            by = y[rows, batch]
             if defense.kind in ("augment", "augment_and_sample"):
                 bx = np.stack([augment_batch(g, b, geometry, defense.augment_ops)
                                for g, b in zip(gens, bx)])
             labels, lam = by[None], None
             if defense.kind == "mixup" and batch.shape[1] >= 2:
-                mixed = mixup(gens, bx, by, defense.alpha)
+                mixed = mixup(gens, bx, by, defense.alpha, ws)
                 bx, lam = mixed.features, mixed.lam
                 labels = np.stack([mixed.labels_a, mixed.labels_b])
-            mdl.sgd_step(spec, w, bx, labels, lr_eff, lam)
+            mdl.sgd_step(spec, w, bx, labels, lr_eff, lam, ws)
     np.subtract(global_params, w, out=w)
     w /= lr_eff
     return w
@@ -290,6 +294,7 @@ def run_federation(
         hx, hy = dataset.arrays(partition.holdout_indices)
     rounds: list[RoundRecord] = []
     accuracy: list[float] = []
+    ws: dict = {}  # every group's local SGD reuses these arrays, one group at a time
     for t in range(config.rounds):
         lr_eff = lr_effective(config, t)
         updates = np.empty((partition.num_clients, spec.param_count()))
@@ -299,7 +304,7 @@ def run_federation(
             for ks, gx, gy in stacks:
                 rngs = [root.derive(TAG_CLIENT, t, k) for k in ks]
                 updates[ks] = client_update(
-                    spec, gx, gy, omega, config, defense, lr_eff, rngs, dataset.geometry
+                    spec, gx, gy, omega, config, defense, lr_eff, rngs, dataset.geometry, ws
                 )
             if defense.is_update_level:
                 for k, upd in enumerate(updates):

@@ -104,8 +104,12 @@ class DatasetConfig(Codec):
                     raise ConfigError(f"{name}: required for synthetic data")
                 if value < least:
                     raise ConfigError(f"{name}: must be >= {least}, got {value}")
-        elif not self.csv_path:
-            raise ConfigError("csv_path: required for csv data")
+        else:
+            for name in ("input_dim", "per_class", "class_sep"):
+                if getattr(self, name) is not None:
+                    raise ConfigError(f"{name}: not a parameter of csv data")
+            if not self.csv_path:
+                raise ConfigError("csv_path: required for csv data")
         if self.geometry is not None:
             if min(self.geometry) < 1:
                 raise ConfigError(f"geometry: entries must be >= 1, got {list(self.geometry)}")
@@ -346,16 +350,21 @@ def build_dataset(config: ExperimentConfig, seed: int) -> dat.Dataset:
 
 
 def build_partition(config: ExperimentConfig, dataset: dat.Dataset, seed: int) -> dat.Partition:
-    """The partition; one too large for the dataset names the key that sizes it."""
+    """The partition; one too large for the dataset names the key that sizes it, and a
+    Dirichlet draw that leaves a client empty names ``partition.beta``."""
     pc = config.partition
     rng = RngStream(seed).derive(TAG_PARTITION)
     try:
         if pc.kind == "iid":
             return dat.partition_iid(rng, dataset, pc.clients, pc.per_client, pc.holdout)
-        return dat.partition_dirichlet(rng, dataset, pc.clients, pc.beta, pc.holdout)
+        partition = dat.partition_dirichlet(rng, dataset, pc.clients, pc.beta, pc.holdout)
     except ConfigError as exc:
         key = "per_client" if pc.kind == "iid" else "holdout"
         raise ConfigError(f"partition.{key}: {exc}") from None
+    empty = [k for k, idx in enumerate(partition.client_indices) if len(idx) == 0]
+    if empty:
+        raise ConfigError(f"partition.beta: client {empty[0]} has no training samples")
+    return partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -726,7 +735,6 @@ def run_experiment(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if seed_override is not None:
         config = replace(config, seeds=(seed_override,))
-    os.makedirs(out_dir, exist_ok=True)
     job_args = [
         (config, defense, value, seed, run_dir)
         for value, defense, _, run_dirs in _run_grid(config, out_dir)
@@ -753,6 +761,8 @@ def run_experiment(
             key = f"{defense.kind}:{_param_label(value)}:seed{seed}"
             inclusion[key] = checks
 
+    # Made only now, so a job that fails before it writes leaves no --out behind.
+    os.makedirs(out_dir, exist_ok=True)
     _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), all_rows)
     report = _build_report(config, all_rows, inclusion)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:

@@ -12,7 +12,9 @@ gradients (``grad_samples``) for the attack. Local SGD, which lives in
 (K, P) parameters and a (K, b, d) batch and runs each product as a
 stacked matmul, which NumPy executes as one 2-D gemm per client, so every
 client's gradient is bitwise what it would be alone; ``sgd_step`` applies
-it in place through per-layer views of the (K, P) buffer.
+it in place through per-layer views of the (K, P) buffer. Both reuse the
+arrays of a workspace dict that the caller keeps for the whole loop, and
+the layers ``grad_batch`` returns alias it until its next call.
 
 Layout of the flat parameter vector:
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FedAuditError
-from .numstat import RngStream
+from .numstat import RngStream, _scratch
 
 MODEL_KINDS = ("linear_softmax", "mlp")
 
@@ -91,18 +93,22 @@ def _unpack(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
     return layers
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+def _matmul(ws: dict | None, name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of operands with equal leading axes, into the workspace array ``name``."""
+    return np.matmul(a, b, out=_scratch(ws, name, a.shape[:-1] + b.shape[-1:]))
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, ws: dict | None = None):
     """Logits and hidden activation (None for linear) of params (P,) on x (n, d),
-    or of a (K, P) stack on x (K, b, d)."""
-    layers = _unpack(spec, params)
-    if spec.kind == "linear_softmax":
-        w, b = layers
-        return x @ np.swapaxes(w, -1, -2) + b[..., None, :], None
-    w1, b1, w2, b2 = layers
-    a1 = x @ np.swapaxes(w1, -1, -2)
-    a1 += b1[..., None, :]
-    np.tanh(a1, out=a1)
-    return a1 @ np.swapaxes(w2, -1, -2) + b2[..., None, :], a1
+    or of a (K, P) stack on x (K, b, d), both in the workspace ``ws``."""
+    *hidden, w, b = _unpack(spec, params)
+    a1 = _matmul(ws, "a1", x, np.swapaxes(hidden[0], -1, -2)) if hidden else None
+    if hidden:
+        a1 += hidden[1][..., None, :]
+        np.tanh(a1, out=a1)
+    logits = _matmul(ws, "logits", x if a1 is None else a1, np.swapaxes(w, -1, -2))
+    logits += b[..., None, :]
+    return logits, a1
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -111,9 +117,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
@@ -135,32 +143,37 @@ def loss_many(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray)
     return np.minimum(losses, _LOSS_CAP) + 0.0  # +0.0 normalizes -0.0
 
 
-def grad_samples(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample gradients, one flat row per sample (n x param_count)."""
+def grad_samples(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Per-sample gradients, one flat row per sample (n x param_count), written into
+    ``out`` (a C-contiguous float64 array; its contents do not matter) when given."""
     params, x, y = _inputs(spec, params, x, y)
-    n = len(y)
+    n, shape = len(y), (len(y), spec.param_count())
+    out = np.empty(shape) if out is None else out
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise FedAuditError(f"out must be a C-contiguous float64 {shape} array, got {out.shape}")
     logits, a1 = _forward(spec, params, x)
     delta = _softmax(logits)
     delta[np.arange(n), y] -= 1.0
-    if spec.kind == "linear_softmax":
-        gw = delta[:, :, None] * x[:, None, :]
-        return np.concatenate([gw.reshape(n, -1), delta], axis=1)
-    w2 = _unpack(spec, params)[2]
-    gw2 = delta[:, :, None] * a1[:, None, :]
-    d1 = (delta @ w2) * (1.0 - a1 * a1)
-    gw1 = d1[:, :, None] * x[:, None, :]
-    return np.concatenate([gw1.reshape(n, -1), d1, gw2.reshape(n, -1), delta], axis=1)
+    *hidden, gw, gb = _unpack(spec, out)
+    gb[...] = delta
+    np.multiply(delta[:, :, None], (x if a1 is None else a1)[:, None, :], out=gw)
+    if hidden:
+        gw1, d1 = hidden
+        np.multiply(delta @ _unpack(spec, params)[2], 1.0 - a1 * a1, out=d1)
+        np.multiply(d1[:, :, None], x[:, None, :], out=gw1)
+    return out
 
 
 def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
-               lam: np.ndarray | None = None) -> list[np.ndarray]:
+               lam: np.ndarray | None = None, ws: dict | None = None) -> list[np.ndarray]:
     """Mean batch gradients of K stacked models, as ``_unpack`` layers with a leading K axis.
 
     ``params`` is (K, P) and ``x`` (K, b, d). ``labels`` (L, K, b) holds one
     label set, or under mixup two that share one forward pass and give
     ``lam * g_a + (1 - lam) * g_b`` with ``lam`` (K,). Every product is a
     stack of the 2-D gemms of a lone model, so each row is bitwise the
-    gradient that model computes alone.
+    gradient that model computes alone. Its layers alias the workspace ``ws``.
     """
     k, n = labels.shape[1:]
     if params.shape != (k, spec.param_count()) or x.shape != (k, n, spec.input_dim):
@@ -169,23 +182,27 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nd
         raise FedAuditError("grad_batch of an empty batch")
     if len(labels) != (1 if lam is None else 2):
         raise FedAuditError(f"{len(labels)} label sets with lam {lam!r}")
-    logits, a1 = _forward(spec, params, x)
+    logits, a1 = _forward(spec, params, x, ws)
     probs = _softmax(logits)
     if a1 is not None:
-        dtanh = a1 * a1
+        dtanh = np.multiply(a1, a1, out=_scratch(ws, "dtanh", a1.shape))
         np.subtract(1.0, dtanh, out=dtanh)
     grads: list[np.ndarray] = []
     for i, y in enumerate(labels):
-        delta = probs.copy() if i + 1 < len(labels) else probs
+        delta = probs
+        if i + 1 < len(labels):
+            delta = _scratch(ws, "delta", probs.shape)
+            delta[...] = probs
         delta[np.arange(k)[:, None], np.arange(n), y] -= 1.0
         delta /= n
         delta_t = np.swapaxes(delta, 1, 2)
         if a1 is None:
-            layers = [delta_t @ x, delta.sum(axis=1)]
+            layers = [_matmul(ws, f"grad{i}.w", delta_t, x), delta.sum(axis=1)]
         else:
-            d1 = delta @ _unpack(spec, params)[2]
+            d1 = _matmul(ws, "d1", delta, _unpack(spec, params)[2])
             d1 *= dtanh
-            layers = [np.swapaxes(d1, 1, 2) @ x, d1.sum(axis=1), delta_t @ a1, delta.sum(axis=1)]
+            layers = [_matmul(ws, f"grad{i}.w1", np.swapaxes(d1, 1, 2), x), d1.sum(axis=1),
+                      _matmul(ws, f"grad{i}.w2", delta_t, a1), delta.sum(axis=1)]
         if lam is None:
             return layers
         for j, g in enumerate(layers):
@@ -198,9 +215,9 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nd
 
 
 def sgd_step(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray, lr: float,
-             lam: np.ndarray | None = None) -> None:
+             lam: np.ndarray | None = None, ws: dict | None = None) -> None:
     """``params -= lr * grad_batch(...)`` in place, through per-layer views."""
-    for w, g in zip(_unpack(spec, params), grad_batch(spec, params, x, labels, lam)):
+    for w, g in zip(_unpack(spec, params), grad_batch(spec, params, x, labels, lam, ws)):
         g *= lr
         w -= g
 

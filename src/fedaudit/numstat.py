@@ -28,6 +28,15 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _scratch(ws: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape``: fresh when the workspace ``ws`` is None,
+    else a view of its flat buffer ``name``, which a hot loop reuses instead of new pages."""
+    size = math.prod(shape)
+    if ws is not None and (name not in ws or ws[name].size < size):
+        ws[name] = np.empty(size)
+    return np.empty(shape) if ws is None else ws[name][:size].reshape(shape)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A value-typed handle for a reproducible random stream.

@@ -253,6 +253,18 @@ class TestMixup:
             assert np.array_equal(m.labels_b[k], expect.labels_b[0])
 
 
+    def test_workspace_gives_the_same_bits(self):
+        g = RngStream(35).generator()
+        ws = {"mixed": np.full(64, np.nan), "lam_x": np.full(64, np.inf)}
+        for b in (5, 2, 5):
+            x, y = g.standard_normal((3, b, 4)), g.integers(3, size=(3, b))
+            partner, lam = g.permuted(np.tile(np.arange(b), (3, 1)), axis=1), g.uniform(size=3)
+            fresh = dat.mix_with_lambda(x, y, partner, lam)
+            shared = dat.mix_with_lambda(x, y, partner, lam, ws)
+            assert shared.features.tobytes() == fresh.features.tobytes()
+            assert np.array_equal(shared.labels_b, fresh.labels_b)
+
+
 class TestAugment:
     GEOM = (2, 3)
 

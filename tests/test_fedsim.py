@@ -226,6 +226,30 @@ class TestClientUpdate:
         defended = client_update(spec, x, y, omega, config, 0.1, RngStream(11), defense)
         assert not np.array_equal(plain, defended)
 
+    @pytest.mark.parametrize("defense", [
+        fed.DefenseConfig(),
+        fed.DefenseConfig(kind="mixup", alpha=0.5),
+        fed.DefenseConfig(kind="augment", augment_ops=dat.AugmentOps(noise_std=0.2)),
+    ], ids=["none", "mixup", "augment"])
+    def test_workspace_is_reused_across_rounds(self, defense):
+        """Rounds that share a workspace upload what fresh ones do, and after the
+        first the workspace gains no key and no buffer."""
+        spec = mdl.ModelSpec("mlp", input_dim=3, hidden_dim=4, num_classes=3)
+        g = RngStream(12).generator()
+        x, y = g.standard_normal((2, 13, 3)), g.integers(3, size=(2, 13))
+        config = fed.FedConfig(rounds=3, local_epochs=2, lr=0.1, lr_decay=1.0, batch_size=5)
+        omega, ws, buffers = mdl.init_params(spec, RngStream(13)), {}, None
+        for t in range(3):
+            rngs = [RngStream(14).derive(t, k) for k in range(2)]
+            fresh = fed.client_update(spec, x, y, omega, config, defense, 0.1, rngs)
+            shared = fed.client_update(spec, x, y, omega, config, defense, 0.1, rngs, None, ws)
+            assert shared.tobytes() == fresh.tobytes()
+            if buffers is not None:
+                assert {k: id(v) for k, v in ws.items()} == buffers
+            buffers = {k: id(v) for k, v in ws.items()}
+            omega = omega - 0.1 * shared.mean(axis=0)
+        assert {"batch", "logits", "grad0.w1"} <= set(buffers)
+
 
 class TestRunFederation:
     def test_trace_shape(self, tiny_setup):

@@ -315,7 +315,7 @@ class TestRunExperiment:
             out = tmp_path / name
             assert hns.main(["run", cfg, "--out", str(out), *jobs]) == rc
             errs.append(capfd.readouterr().err)
-            assert not (out / "runs").exists()
+            assert not out.exists()
         assert errs[0].startswith(needle) and errs[0].count("\n") == 1, errs[0]
         assert errs[1] == errs[0]
 
@@ -684,6 +684,9 @@ class TestExitCodeContract:
         (("dataset", "num_classes"), 2, "partition.per_client"),
         (("partition",), {"kind": "dirichlet", "clients": 3, "beta": "inf", "holdout": 298},
          "partition.holdout"),
+        # The draw leaves client 0 without a record; only the job can see it.
+        (("partition",), {"kind": "dirichlet", "clients": 20, "beta": 0.001, "holdout": 60},
+         "partition.beta"),
     ], ids=["rounds_str", "rounds_float", "seed_float", "fpr_cap_str", "delta_grid_scalar",
             "hidden_dim_str", "targets_per_class_str", "target_client_float", "geometry_scalar",
             "leave_one_out_str", "lr_nan", "per_class_zero", "class_sep_negative",
@@ -693,7 +696,8 @@ class TestExitCodeContract:
             "sigma_floor_rel_zero", "sigma_floor_rel_negative", "one_class", "one_client",
             "geometry_negative", "geometry_not_input_dim", "holdout_fraction_zero",
             "holdout_fraction_negative_unused", "others_fraction_above_one",
-            "iid_partition_too_large", "dirichlet_inf_holdout_leaves_too_few"])
+            "iid_partition_too_large", "dirichlet_inf_holdout_leaves_too_few",
+            "dirichlet_client_left_empty"])
     def test_quick_config_mistyped_value_exits_2(self, tmp_path, capsys, path, value, key_path):
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
@@ -708,23 +712,37 @@ class TestExitCodeContract:
         ({"partition": {"per_client": 1000}}, None, "partition.per_client: "),
         ({"dataset": {"kind": "csv", "csv_path": "no_such_dataset.csv"}}, None,
          "dataset.csv_path: cannot read no_such_dataset.csv"),
-        ({"dataset": {"kind": "csv"}}, "", "empty dataset file"),
+        ({"dataset": {"kind": "csv"}}, "", "dataset.csv_path: {path}: empty dataset file"),
         ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n1,oops,2.0\n",
-         "line 2: non-numeric feature value"),
-    ], ids=["too_few_samples", "missing_csv", "empty_csv", "non_numeric_csv"])
+         "dataset.csv_path: {path}: line 2: non-numeric feature value"),
+        ({"dataset": {"kind": "csv", "input_dim": 6}}, "0,1.0,2.0\n1,3.0,2.0\n",
+         "dataset.input_dim: not a parameter of csv data"),
+        ({"dataset": {"kind": "csv", "per_class": 60}}, "0,1.0,2.0\n1,3.0,2.0\n",
+         "dataset.per_class: not a parameter of csv data"),
+        ({"dataset": {"kind": "csv", "class_sep": 1.5}}, "0,1.0,2.0\n1,3.0,2.0\n",
+         "dataset.class_sep: not a parameter of csv data"),
+    ], ids=["too_few_samples", "missing_csv", "empty_csv", "non_numeric_csv",
+            "csv_with_input_dim", "csv_with_per_class", "csv_with_class_sep"])
     def test_bad_data_input_exits_2_before_training(self, tmp_path, capsys, overrides, csv_text,
                                                     needle):
         d = micro_config_dict(**overrides)
+        if "dataset" in overrides:  # a CSV case gives the whole block
+            d["dataset"] = dict(overrides["dataset"])
         if csv_text is not None:
             path = tmp_path / "data.csv"
             path.write_text(csv_text)
             d["dataset"]["csv_path"] = str(path)
-            needle = f"dataset.csv_path: {path}: {needle}"
+            needle = needle.format(path=path)
         out = tmp_path / "out"
         assert hns.main(["run", write_config(tmp_path, d), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {needle}"), err
-        assert not (out / "runs").exists()
+        assert not out.exists()
+
+    def test_csv_data_takes_num_classes_and_geometry(self):
+        dc = hns.DatasetConfig.from_dict(
+            {"kind": "csv", "csv_path": "data.csv", "num_classes": 3, "geometry": [2, 4]}, "dataset")
+        assert (dc.num_classes, dc.geometry, dc.input_dim) == (3, (2, 4), None)
 
     def test_zero_gradient_error_names_run_and_record(self, tmp_path, capsys):
         d = micro_config_dict(federation={"lr": 1000.0}, sweep={"defense": "sparsify", "rate": 0.1})

@@ -213,6 +213,48 @@ def test_stacked_matmul_is_per_client_gemm(spec, k, b):
             assert s[i].tobytes() == a.tobytes()
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixup"])
+@pytest.mark.parametrize("spec", [
+    mdl.ModelSpec("mlp", input_dim=6, hidden_dim=5, num_classes=4),
+    mdl.ModelSpec("linear_softmax", input_dim=6, num_classes=4),
+], ids=["mlp", "linear_softmax"])
+def test_shared_workspace_equals_fresh_calls(spec, mixed):
+    """One workspace over a full batch, the short last batch and a batch of one
+    (where mixup is skipped), then a full batch again: every gradient and step is
+    bitwise that of a call with a fresh workspace."""
+    g = RngStream(24).generator()
+    k, ws = 3, {}
+    for b in (8, 3, 1, 8):
+        params = g.standard_normal((k, spec.param_count()))
+        x = g.standard_normal((k, b, spec.input_dim))
+        y = g.integers(spec.num_classes, size=(k, b))
+        labels, lam = y[None], None
+        if mixed and b >= 2:
+            labels, lam = np.stack([y, g.permuted(y, axis=1)]), g.uniform(size=k)
+        fresh = mdl.grad_batch(spec, params, x, labels, lam)
+        shared = mdl.grad_batch(spec, params, x, labels, lam, ws)
+        for a, s in zip(fresh, shared, strict=True):
+            assert a.tobytes() == s.tobytes()
+        stepped, stepped_ws = params.copy(), params.copy()
+        mdl.sgd_step(spec, stepped, x, labels, 0.3, lam)
+        mdl.sgd_step(spec, stepped_ws, x, labels, 0.3, lam, ws)
+        assert stepped.tobytes() == stepped_ws.tobytes()
+
+
+@pytest.mark.parametrize("spec", [MLP, LINEAR], ids=["mlp", "linear_softmax"])
+def test_grad_samples_into_a_used_buffer_equals_a_fresh_call(spec):
+    g = RngStream(25).generator()
+    params = g.standard_normal(spec.param_count())
+    x, y = g.standard_normal((7, 3)), g.integers(4, size=7)
+    out = np.full((7, spec.param_count()), np.nan)
+    assert mdl.grad_samples(spec, params, x, y, out) is out
+    assert out.tobytes() == mdl.grad_samples(spec, params, x, y).tobytes()
+    for bad in (np.empty((6, spec.param_count())), np.empty((spec.param_count(), 7)).T,
+                np.empty((7, spec.param_count()), dtype=np.float32)):
+        with pytest.raises(FedAuditError, match="out must be a C-contiguous float64"):
+            mdl.grad_samples(spec, params, x, y, bad)
+
+
 class TestSgd:
     def test_full_batch_single_epoch_is_one_gd_step_exact(self):
         # dyadic inputs and power-of-two lr: every term is exact in binary,
