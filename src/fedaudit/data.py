@@ -137,12 +137,12 @@ def synth_blobs(
 def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int] | None = None) -> Dataset:
     """Load ``label,f1,...,fd`` rows (UTF-8, no header) into a Dataset.
 
-    Parse failures name the offending 1-based line number. When
-    ``num_classes`` is omitted it is inferred as ``max(label) + 1``.
+    Parse failures, a byte that is not UTF-8 among them, name the offending
+    1-based line. When ``num_classes`` is omitted it is ``max(label) + 1``.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

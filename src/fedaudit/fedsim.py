@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model as mdl
+from .artifacts import read_json, write_text
 from .data import AugmentOps, Dataset, Partition, augment_batch, mixup, subsample
 from .errors import ConfigError, FedAuditError, IntegrityError
 from .model import ModelSpec
@@ -217,13 +218,15 @@ def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: 
     alone, and ``model.sgd_step`` computes its row as it would alone, so its
     upload is bit-identical to training it by itself. With one full-batch
     epoch and no defense a row is exactly the mean training gradient. The
-    step's arrays live in the workspace ``ws``, which every call may share.
+    step's arrays live in the workspace ``ws``, which every call may share;
+    the uploads returned are one of them, valid until the next call.
     """
     k, n = y.shape
     if n == 0:
         raise ConfigError("client has no training samples")
     gens = [rng.generator() for rng in rngs]
-    w = np.repeat(np.asarray(global_params, dtype=np.float64)[None, :], k, axis=0)
+    w = _scratch(ws, "local", (k, len(global_params)))
+    w[:] = global_params
     rows, flat = np.arange(k)[:, None], x.reshape(k * n, -1)
     for _ in range(config.local_epochs):
         if defense.kind in ("sample", "augment_and_sample"):
@@ -355,9 +358,8 @@ def save_trace(trace: UpdateTrace, trace_dir: str) -> None:
         "lr_effective": [r.lr_effective for r in trace.rounds],
         "round_accuracy": trace.round_accuracy,
     }
-    with open(os.path.join(trace_dir, "trace_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(os.path.join(trace_dir, "trace_meta.json"),
+               json.dumps(meta, indent=2, sort_keys=True) + "\n")
     for r in trace.rounds:
         np.save(os.path.join(trace_dir, f"round_{r.round_index:04d}_global.npy"), r.global_before)
         np.save(os.path.join(trace_dir, f"round_{r.round_index:04d}_updates.npy"), r.updates)
@@ -371,51 +373,38 @@ def _load_array(path: str, shape: tuple[int, ...]) -> np.ndarray:
         arr = np.load(path)
     except Exception as exc:
         raise IntegrityError(f"corrupt trace file {path}: {exc}") from exc
-    if arr.shape != shape:
-        raise IntegrityError(f"trace file {path} has shape {arr.shape}, expected {shape}")
+    if arr.shape != shape or arr.dtype != np.float64:
+        raise IntegrityError(f"trace file {path} is {arr.dtype} {arr.shape}, not float64 {shape}")
     return arr
 
 
 def load_trace(trace_dir: str) -> UpdateTrace:
-    """Load a persisted trace, verifying presence and shape of every file."""
-    meta_path = os.path.join(trace_dir, "trace_meta.json")
-    if not os.path.exists(meta_path):
-        raise IntegrityError(f"missing trace file: {meta_path}")
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise IntegrityError(f"corrupt trace file {meta_path}: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("schema_version") != TRACE_SCHEMA_VERSION:
-        raise IntegrityError(f"unsupported trace schema in {meta_path}")
-    try:
+    """Load a persisted trace, verifying presence, dtype and shape of every file."""
+    def parse(meta: dict) -> tuple:
+        if meta["schema_version"] != TRACE_SCHEMA_VERSION:
+            raise ValueError("unsupported trace schema")
         check_keys(meta, _META_KEYS, _META_KEYS, "trace_meta")
         spec = load(ModelSpec, meta["model"], "model")
         defense = DefenseConfig.from_dict(meta["defense"], "defense")
-        k, t, d, seed = (
-            decode(int, meta[key], key) for key in ("num_clients", "num_rounds", "dim", "seed")
-        )
+        k, t, d, seed = (decode(int, meta[key], key)
+                         for key in ("num_clients", "num_rounds", "dim", "seed"))
         lr_sched = decode(tuple[float, ...], meta["lr_effective"], "lr_effective")
         accuracy = meta["round_accuracy"]  # NaN when the run had no holdout
         if not isinstance(accuracy, list) or any(type(a) not in (int, float) for a in accuracy):
-            raise ConfigError(f"round_accuracy: must be a list of numbers, got {accuracy!r}")
-    except ConfigError as exc:
-        raise IntegrityError(f"corrupt trace file {meta_path}: {exc}") from exc
-    if spec.param_count() != d:
-        raise IntegrityError(f"model spec implies dim {spec.param_count()}, meta says {d}")
-    if len(lr_sched) != t or len(accuracy) != t:
-        raise IntegrityError("lr_effective/round_accuracy length does not match num_rounds")
+            raise ValueError(f"round_accuracy: must be a list of numbers, got {accuracy!r}")
+        if spec.param_count() != d:
+            raise ValueError(f"model spec implies dim {spec.param_count()}, meta says {d}")
+        if len(lr_sched) != t or len(accuracy) != t:
+            raise ValueError("lr_effective/round_accuracy length does not match num_rounds")
+        return spec, defense, k, t, d, seed, lr_sched, accuracy
+
+    spec, defense, k, t, d, seed, lr_sched, accuracy = read_json(
+        os.path.join(trace_dir, "trace_meta.json"), IntegrityError, parse)
     rounds = []
     for i in range(t):
         g = _load_array(os.path.join(trace_dir, f"round_{i:04d}_global.npy"), (d,))
         u = _load_array(os.path.join(trace_dir, f"round_{i:04d}_updates.npy"), (k, d))
         rounds.append(RoundRecord(i, g, u, float(lr_sched[i])))
     final = _load_array(os.path.join(trace_dir, "final_model.npy"), (d,))
-    return UpdateTrace(
-        model_spec=spec,
-        rounds=rounds,
-        final_model=final,
-        round_accuracy=[float(a) for a in accuracy],
-        defense=defense,
-        seed=seed,
-    )
+    return UpdateTrace(model_spec=spec, rounds=rounds, final_model=final,
+                       round_accuracy=[float(a) for a in accuracy], defense=defense, seed=seed)

@@ -12,7 +12,8 @@ land in one report directory:
                                   fpr_cap,achieved_fpr,utility_loss
     runs/<defense>_<param>/seed<seed>/
       trace/                      persisted update trace (see fedsim)
-      targets.csv                 sample_id,is_member,label,f1,...,fd (header)
+      targets.csv                 sample_id,is_member,label,f1,...,fd (header);
+                                  CRLF line ends (every other file: LF)
       attack_scores.csv           method,sample_id,is_member_truth,score
       attack_rounds.json          per-round audit scores and series
     plots/                        CSV series emitted by the plots command
@@ -44,7 +45,6 @@ output root.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
@@ -62,6 +62,7 @@ from . import data as dat
 from . import fedsim as fed
 from . import metrics as met
 from . import model as mdl
+from .artifacts import read_csv, read_json, write_text
 from .errors import ConfigError, FedAuditError, IntegrityError, ZeroVectorError
 from .numstat import RngStream
 from .schema import Codec, FloatOrInf, check_keys, decode, dump_value, field_types, under
@@ -79,8 +80,11 @@ TAG_TARGETS = 13
 METRICS_HEADER = (
     "seed,method,defense,param,auc,tpr_at_fpr,fpr_cap,achieved_fpr,utility_loss"
 )
+METRIC_KEYS = METRICS_HEADER.split(",")  # the keys of a metric row; floats from auc on
+MEANS = ("auc", "tpr_at_fpr", "utility_loss")  # averaged over the seeds of a sweep point
 SCORES_CSV = "attack_scores.csv"
 SCORES_HEADER = "method,sample_id,is_member_truth,score"
+TARGETS_HEADER = ["sample_id", "is_member", "label"]  # then f1,...,fd
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -308,19 +312,8 @@ class ExperimentConfig(Codec):
                 raise ConfigError(f"sweep.{key}: needs dataset.geometry, which is null")
 
 
-def _read_json(path: str, error: type[FedAuditError] = ConfigError) -> object:
-    """A JSON file; one that cannot be read or parsed raises ``error`` naming the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise error(f"{path} is not valid JSON: {exc}") from None
-
-
 def load_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_read_json(path))
+    return ExperimentConfig.from_dict(read_json(path))
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -467,8 +460,7 @@ def _write_sidecar(
         SERIES_NAMES[k]: (v[0] if k in SHARED_SERIES else v).tolist()
         for k, v in audit.series.items()
     }
-    with open(os.path.join(run_dir, SIDECAR), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(sidecar) + "\n")  # dumps uses the C encoder, dump does not
+    write_text(os.path.join(run_dir, SIDECAR), json.dumps(sidecar) + "\n")  # C encoder: no indent
 
 
 def _read_sidecar(
@@ -480,9 +472,7 @@ def _read_sidecar(
     A missing or unreadable file, a missing key, or an array whose shape
     is not (len(sample_ids), num_rounds) raises IntegrityError naming the path.
     """
-    path = os.path.join(run_dir, SIDECAR)
-    sidecar = _read_json(path, IntegrityError)
-    try:
+    def parse(sidecar: dict) -> tuple[atk.CohortAudit, np.ndarray, np.ndarray]:
         shape = (len(sidecar["sample_ids"]), num_rounds)
         ids = _stored(sidecar["sample_ids"], "sample_ids", shape[:1], np.int64)
         is_member = _stored(sidecar["is_member"], "is_member", shape[:1], bool)
@@ -493,9 +483,9 @@ def _read_sidecar(
                                        shape[1:] if k in SHARED_SERIES else shape), shape)
             for k, readers in atk.SERIES_READERS.items() if readers & set(methods)
         }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(f"corrupt audit sidecar {path}: {exc!r}") from None
-    return atk.CohortAudit(per_round, series), ids, is_member
+        return atk.CohortAudit(per_round, series), ids, is_member
+
+    return read_json(os.path.join(run_dir, SIDECAR), IntegrityError, parse)
 
 
 def _stored(value: object, name: str, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
@@ -516,27 +506,23 @@ def _read_report(path: str) -> tuple[ExperimentConfig, dict]:
     inclusion check that is not true or false raises IntegrityError
     naming the path.
     """
-    report = _read_json(path, IntegrityError)
-    required = {"config", "per_method", "inclusion_checks"}
-    try:
-        if not isinstance(report, dict) or not required <= report.keys():
-            raise ConfigError("no config, per_method or inclusion_checks")
+    def parse(report: dict) -> tuple[ExperimentConfig, dict]:
         config = ExperimentConfig.from_dict(report["config"], "config")
         decode(dict[str, dict[str, dict[str, bool]]], report["inclusion_checks"],
                "inclusion_checks")
         per_method = report["per_method"]
         if not isinstance(per_method, dict) or set(per_method) != set(config.attack.methods):
-            raise ConfigError(f"per_method: must hold one block per method of "
-                              f"{list(config.attack.methods)}")
+            raise ValueError(f"per_method: must hold one block per method of "
+                             f"{list(config.attack.methods)}")
         for method, block in per_method.items():
             where = f"per_method.{method}"
             check_keys(block, ("points", "pareto_front", "hypervolume"),
                        ("pareto_front", "hypervolume"), where)
             decode(tuple[tuple[float, float], ...], block["pareto_front"], f"{where}.pareto_front")
             decode(float, block["hypervolume"], f"{where}.hypervolume")
-    except ConfigError as exc:
-        raise IntegrityError(f"corrupt report file {path}: {exc}") from None
-    return config, report
+        return config, report
+
+    return read_json(path, IntegrityError, parse)
 
 
 def _fmt(x: float) -> str:
@@ -560,62 +546,49 @@ def _run_grid(config: ExperimentConfig, report_dir: str):
 
 
 def _write_targets_csv(path: str, dataset_dim: int, cohort: TargetCohort) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "is_member", "label"] + [f"f{i+1}" for i in range(dataset_dim)])
-        for i, sid in enumerate(cohort.ids):
-            row = [int(sid), int(cohort.is_member[i]), int(cohort.y[i])]
-            row += [_fmt(v) for v in cohort.x[i]]
-            w.writerow(row)
+    """The cohort, one record per row, in lines that end in ``\\r\\n``."""
+    lines = [",".join(TARGETS_HEADER + [f"f{i+1}" for i in range(dataset_dim)])]
+    for sid, member, label, x in zip(cohort.ids.tolist(), cohort.is_member.tolist(),
+                                     cohort.y.tolist(), cohort.x.tolist()):
+        lines.append(",".join([str(sid), str(int(member)), str(label)] + [_fmt(v) for v in x]))
+    write_text(path, "\r\n".join(lines) + "\r\n")
 
 
 def load_targets_csv(path: str) -> TargetCohort:
-    if not os.path.exists(path):
-        raise IntegrityError(f"missing targets file: {path}")
-    ids, members, labels, feats = [], [], [], []
-    # A byte that is not UTF-8 reads as a lone surrogate, which no field
-    # parser below accepts, so it is reported with its line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:3] != ["sample_id", "is_member", "label"]:
-            raise IntegrityError(f"corrupt targets file {path}: bad header")
-        for row in reader:
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
-                ids.append(int(row[0]))
-                if row[1] not in ("0", "1"):
-                    raise ValueError(f"is_member must be 0 or 1, got {row[1]!r}")
-                members.append(row[1] == "1")
-                labels.append(int(row[2]))
-                feats.append([float(v) for v in row[3:]])
-                if not np.all(np.isfinite(feats[-1])):
-                    raise ValueError("non-finite feature value")
-            except ValueError as exc:
-                raise IntegrityError(
-                    f"corrupt targets file {path}: line {reader.line_num}: {exc}"
-                ) from None
-    if not ids:
+    """The cohort ``_write_targets_csv`` stored. A file without rows or with a row
+    other than integer ids and labels, is_member 0 or 1 and finite features
+    raises IntegrityError naming the path (and the line)."""
+    cohort = read_csv(path, "targets", lambda h: h[:3] == TARGETS_HEADER, _parse_targets)
+    if len(cohort.ids) == 0:
         raise IntegrityError(f"corrupt targets file {path}: no rows")
+    return cohort
+
+
+def _parse_targets(rows: list[list[str]]) -> TargetCohort:
+    bad = next((row[1] for row in rows if row[1] not in ("0", "1")), None)
+    if bad is not None:
+        raise ValueError(f"is_member must be 0 or 1, got {bad!r}")
+    x = np.array([[float(v) for v in row[3:]] for row in rows])
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite feature value")
     return TargetCohort(
-        np.array(feats), np.array(labels, dtype=np.int64),
-        np.array(ids, dtype=np.int64), np.array(members, dtype=bool),
+        x, np.array([int(row[2]) for row in rows], dtype=np.int64),
+        np.array([int(row[0]) for row in rows], dtype=np.int64),
+        np.array([row[1] == "1" for row in rows], dtype=bool),
     )
 
 
-def _scores_keys(methods, ids: np.ndarray, is_member: np.ndarray) -> list[str]:
-    """The ``method,sample_id,is_member_truth,`` prefix of every attack_scores.csv row."""
-    rows = list(zip(ids.tolist(), is_member.tolist()))
-    return [f"{m},{sid},{int(t)}," for m in methods for sid, t in rows]
+def _scores_keys(methods, ids: np.ndarray, is_member: np.ndarray) -> list[list[str]]:
+    """The method, sample_id and is_member_truth fields of every attack_scores.csv row."""
+    records = [(str(sid), str(int(t))) for sid, t in zip(ids.tolist(), is_member.tolist())]
+    return [[m, sid, t] for m in methods for sid, t in records]
 
 
 def _write_scores_csv(path: str, cohort: TargetCohort, scores: dict[str, np.ndarray]) -> None:
     values = np.concatenate(list(scores.values()))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SCORES_HEADER + "\n")
-        for key, v in zip(_scores_keys(scores, cohort.ids, cohort.is_member), values):
-            fh.write(f"{key}{_fmt(v)}\n")
+    keys = _scores_keys(scores, cohort.ids, cohort.is_member)
+    write_text(path, SCORES_HEADER + "\n" + "".join(
+        f"{m},{sid},{t},{_fmt(v)}\n" for (m, sid, t), v in zip(keys, values)))
 
 
 def _read_scores_csv(
@@ -625,24 +598,19 @@ def _read_scores_csv(
     row i for the record ``ids[i]``. A missing or unreadable file, a bad header,
     a row other than the one written there (method, sample id and truth, in
     order) or a non-finite score raises IntegrityError naming the path."""
-    if not os.path.exists(path):
-        raise IntegrityError(f"missing run artifact: {path}")
     keys = _scores_keys(methods, ids, is_member)
-    values = np.empty(len(keys))
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-        if lines[:1] != [SCORES_HEADER] or len(lines) != len(keys) + 1:
-            raise ValueError(f"expected the header and {len(keys)} rows")
-        for i, (line, key) in enumerate(zip(lines[1:], keys)):
-            if not line.startswith(key):
-                raise ValueError(f"line {i + 2} does not start with {key!r}")
-            values[i] = float(line[len(key):])
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
-            raise ValueError(f"line {bad[0] + 2}: non-finite score")
-    except (OSError, ValueError) as exc:
-        raise IntegrityError(f"corrupt scores file {path}: {exc}") from None
+
+    def parse(rows: list[list[str]]) -> np.ndarray:
+        if [row[:3] for row in rows] != keys[:len(rows)]:
+            raise ValueError("not the method, sample_id and is_member_truth written there")
+        values = np.array([float(row[3]) for row in rows])
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite score")
+        return values
+
+    values = read_csv(path, "scores", lambda h: h == SCORES_HEADER.split(","), parse)
+    if len(values) != len(keys):
+        raise IntegrityError(f"corrupt scores file {path}: {len(values)} of {len(keys)} rows")
     return dict(zip(methods, values.reshape(len(methods), len(ids))))
 
 
@@ -683,19 +651,9 @@ def _attack_and_score(
     rows = []
     for method, values in scores.items():
         auc, tpr, achieved = met.roc_metrics(met.ScoredCohort(values, cohort.is_member), ac.fpr_cap)
-        rows.append(
-            {
-                "seed": trace.seed,
-                "method": method,
-                "defense": trace.defense.kind,
-                "param": _param_label(param),
-                "auc": auc,
-                "tpr_at_fpr": tpr,
-                "fpr_cap": ac.fpr_cap,
-                "achieved_fpr": achieved,
-                "utility_loss": 1.0 - trace.round_accuracy[-1],
-            }
-        )
+        rows.append(dict(zip(METRIC_KEYS, (
+            trace.seed, method, trace.defense.kind, _param_label(param), auc, tpr, ac.fpr_cap,
+            achieved, 1.0 - trace.round_accuracy[-1]))))
     return rows, checks
 
 
@@ -765,47 +723,35 @@ def run_experiment(
     os.makedirs(out_dir, exist_ok=True)
     _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), all_rows)
     report = _build_report(config, all_rows, inclusion)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(os.path.join(out_dir, "report.json"),
+               json.dumps(report, indent=2, sort_keys=True) + "\n")
     return out_dir
 
 
 def _write_metrics_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r['seed']},{r['method']},{r['defense']},{r['param']},"
-                f"{_fmt(r['auc'])},{_fmt(r['tpr_at_fpr'])},{_fmt(r['fpr_cap'])},"
-                f"{_fmt(r['achieved_fpr'])},{_fmt(r['utility_loss'])}\n"
-            )
+    write_text(path, METRICS_HEADER + "\n" + "".join(
+        ",".join([str(r[k]) for k in METRIC_KEYS[:4]] + [_fmt(r[k]) for k in METRIC_KEYS[4:]])
+        + "\n" for r in rows))
+
+
+def _group_means(rows: list[dict], *keys: str) -> dict[tuple, dict[str, float]]:
+    """The ``keys`` of a group of metric rows -> the mean of each of MEANS over its
+    rows, in row order; groups in the order of their first row."""
+    groups: dict[tuple, list[dict]] = {}
+    for r in rows:
+        groups.setdefault(tuple(r[k] for k in keys), []).append(r)
+    return {key: {m: float(np.mean([r[m] for r in grp])) for m in MEANS}
+            for key, grp in groups.items()}
 
 
 def _build_report(config: ExperimentConfig, rows: list[dict], inclusion: dict) -> dict:
+    means = _group_means(rows, "method", "defense", "param")
     per_method: dict = {}
     for method in config.attack.methods:
-        m_rows = [r for r in rows if r["method"] == method]
-        points = []
-        seen = []
-        for r in m_rows:
-            key = (r["defense"], r["param"])
-            if key not in seen:
-                seen.append(key)
-        for defense, param in seen:
-            grp = [r for r in m_rows if (r["defense"], r["param"]) == (defense, param)]
-            points.append(
-                {
-                    "defense": defense,
-                    "param": param,
-                    "mean_auc": float(np.mean([g["auc"] for g in grp])),
-                    "mean_tpr_at_fpr": float(np.mean([g["tpr_at_fpr"] for g in grp])),
-                    "mean_utility_loss": float(np.mean([g["utility_loss"] for g in grp])),
-                }
-            )
-        coords = [
-            (min(1.0, max(0.0, p["mean_utility_loss"])), p["mean_tpr_at_fpr"]) for p in points
-        ]
+        points = [{"defense": defense, "param": param, **{f"mean_{m}": v for m, v in mean.items()}}
+                  for (of, defense, param), mean in means.items() if of == method]
+        coords = [(min(1.0, max(0.0, p["mean_utility_loss"])), p["mean_tpr_at_fpr"])
+                  for p in points]
         front = met.pareto_front(coords)
         per_method[method] = {
             "points": points,
@@ -854,21 +800,8 @@ def _read_metrics_csv(path: str) -> list[dict]:
     """The rows of metrics.csv, the fields after ``param`` as floats. A missing or
     unreadable file, a bad header, a row of another width or a numeric field
     that does not parse raises IntegrityError naming the path."""
-    if not os.path.exists(path):
-        raise IntegrityError(f"missing metrics file: {path}")
-    header = METRICS_HEADER.split(",")
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            table = list(csv.reader(fh))
-        if table[:1] != [header]:
-            raise ValueError("bad header")
-        for line, row in enumerate(table[1:], 2):
-            if len(row) != len(header):
-                raise ValueError(f"line {line}: {len(row)} fields, header has {len(header)}")
-            row[4:] = map(float, row[4:])
-    except (OSError, ValueError) as exc:
-        raise IntegrityError(f"corrupt metrics file {path}: {exc}") from None
-    return [dict(zip(header, row)) for row in table[1:]]
+    return read_csv(path, "metrics", lambda h: h == METRIC_KEYS, lambda rows: [
+        dict(zip(METRIC_KEYS, row[:4] + [float(v) for v in row[4:]])) for row in rows])
 
 
 def emit_plots(report_dir: str) -> str:
@@ -890,45 +823,30 @@ def emit_plots(report_dir: str) -> str:
         for method in methods:
             scores = np.concatenate([final[method] for _, _, final in runs])
             lo, hi = float(scores.min()), float(scores.max())
-            if lo == hi:
-                hi = lo + 1.0
-            edges = np.linspace(lo, hi, 21)
-            with open(
-                os.path.join(plots_dir, f"hist_{method}_{label}.csv"), "w",
-                encoding="utf-8", newline="",
-            ) as fh:
-                fh.write("bin_lo,bin_hi,cls,count\n")
-                for cls, mask in (("member", is_mem), ("nonmember", ~is_mem)):
-                    counts, _ = np.histogram(scores[mask], bins=edges)
-                    for i, c in enumerate(counts):
-                        fh.write(f"{_fmt(edges[i])},{_fmt(edges[i+1])},{cls},{int(c)}\n")
+            edges = np.linspace(lo, hi if hi > lo else lo + 1.0, 21)
+            lines = ["bin_lo,bin_hi,cls,count\n"]
+            for cls, mask in (("member", is_mem), ("nonmember", ~is_mem)):
+                counts, _ = np.histogram(scores[mask], bins=edges)
+                lines += [f"{_fmt(edges[i])},{_fmt(edges[i+1])},{cls},{int(c)}\n"
+                          for i, c in enumerate(counts)]
+            write_text(os.path.join(plots_dir, f"hist_{method}_{label}.csv"), "".join(lines))
 
         # Attack strength vs communication round (seed-mean AUC / TPR).
-        num_rounds = config.federation.rounds
-        with open(
-            os.path.join(plots_dir, f"rounds_{label}.csv"), "w", encoding="utf-8", newline=""
-        ) as fh:
-            fh.write("method,round,auc,tpr_at_fpr\n")
-            for method in methods:
-                for t in range(num_rounds):
-                    aucs, tprs = [], []
-                    for audit, is_member, _ in runs:
-                        sc = met.ScoredCohort(audit.scores(method, t), is_member)
-                        auc, tpr, _ = met.roc_metrics(sc, config.attack.fpr_cap)
-                        aucs.append(auc)
-                        tprs.append(tpr)
-                    fh.write(
-                        f"{method},{t},{_fmt(float(np.mean(aucs)))},{_fmt(float(np.mean(tprs)))}\n"
-                    )
+        lines = ["method,round,auc,tpr_at_fpr\n"]
+        for method in methods:
+            for t in range(config.federation.rounds):
+                aucs, tprs, _ = zip(*(  # one (auc, tpr, achieved fpr) per seed
+                    met.roc_metrics(met.ScoredCohort(audit.scores(method, t), is_member),
+                                    config.attack.fpr_cap) for audit, is_member, _ in runs))
+                lines.append(f"{method},{t},{_fmt(float(np.mean(aucs)))},"
+                             f"{_fmt(float(np.mean(tprs)))}\n")
+        write_text(os.path.join(plots_dir, f"rounds_{label}.csv"), "".join(lines))
 
     # Pareto fronts per method, sorted by utility loss.
     for method, block in report["per_method"].items():
-        with open(
-            os.path.join(plots_dir, f"pareto_{method}.csv"), "w", encoding="utf-8", newline=""
-        ) as fh:
-            fh.write("utility_loss,privacy_leakage\n")
-            for u, leak in block["pareto_front"]:
-                fh.write(f"{_fmt(u)},{_fmt(leak)}\n")
+        write_text(os.path.join(plots_dir, f"pareto_{method}.csv"),
+                   "utility_loss,privacy_leakage\n"
+                   + "".join(f"{_fmt(u)},{_fmt(leak)}\n" for u, leak in block["pareto_front"]))
     return plots_dir
 
 
@@ -944,26 +862,18 @@ def summarize_report(report_dir: str) -> str:
     hv_lines = []
     if os.path.exists(report_path):
         _, report = _read_report(report_path)
-        checks = [
-            ok for per_method in report["inclusion_checks"].values()
-            for per_delta in per_method.values() for ok in per_delta.values()
-        ]
+        checks = [ok for per_method in report["inclusion_checks"].values()
+                  for per_delta in per_method.values() for ok in per_delta.values()]
         if checks:
             hv_lines.append(
-                f"aggregate-decision inclusion checks: {sum(checks)}/{len(checks)} passed"
-            )
+                f"aggregate-decision inclusion checks: {sum(checks)}/{len(checks)} passed")
         for method, block in sorted(report["per_method"].items()):
             hv_lines.append(f"hypervolume[{method}] = {block['hypervolume']:.4f}")
-    groups: dict[tuple, list[dict]] = {}
-    for r in rows:
-        groups.setdefault((r["defense"], r["param"], r["method"]), []).append(r)
     lines = [f"{'defense':<20}{'param':<10}{'method':<16}{'auc':>8}{'tpr':>8}{'util_loss':>11}"]
-    for (defense, param, method), grp in sorted(groups.items()):
-        mean = lambda k: float(np.mean([g[k] for g in grp]))  # noqa: E731
-        lines.append(
-            f"{defense:<20}{param:<10}{method:<16}"
-            f"{mean('auc'):>8.3f}{mean('tpr_at_fpr'):>8.3f}{mean('utility_loss'):>11.3f}"
-        )
+    for (defense, param, method), mean in sorted(
+            _group_means(rows, "defense", "param", "method").items()):
+        lines.append(f"{defense:<20}{param:<10}{method:<16}{mean['auc']:>8.3f}"
+                     f"{mean['tpr_at_fpr']:>8.3f}{mean['utility_loss']:>11.3f}")
     return "\n".join(lines + hv_lines)
 
 
@@ -1009,7 +919,7 @@ def main(argv: list[str] | None = None) -> int:
             run_experiment(config, out, args.seed_override, args.jobs)
             print(f"report written to {out}")
         elif args.command == "replay":
-            ac = AttackSuiteConfig.from_dict(_read_json(args.attack_config), "attack")
+            ac = AttackSuiteConfig.from_dict(read_json(args.attack_config), "attack")
             rows = replay_attack(args.trace_dir, ac, args.out)
             for r in rows:
                 print(

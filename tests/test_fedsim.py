@@ -248,7 +248,7 @@ class TestClientUpdate:
                 assert {k: id(v) for k, v in ws.items()} == buffers
             buffers = {k: id(v) for k, v in ws.items()}
             omega = omega - 0.1 * shared.mean(axis=0)
-        assert {"batch", "logits", "grad0.w1"} <= set(buffers)
+        assert {"local", "batch", "logits", "grad0.w1"} <= set(buffers)
 
 
 class TestRunFederation:
@@ -378,6 +378,14 @@ class TestTracePersistence:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(IntegrityError):
+            fed.load_trace(str(tmp_path / "t"))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, ">f8"])
+    def test_array_not_float64_rejected(self, tiny_trace, tmp_path, dtype):
+        fed.save_trace(tiny_trace, str(tmp_path / "t"))
+        path = tmp_path / "t" / "round_0001_updates.npy"
+        np.save(path, np.load(path).astype(dtype))
+        with pytest.raises(IntegrityError, match="round_0001_updates.npy is .*, not float64"):
             fed.load_trace(str(tmp_path / "t"))
 
     def test_prefix(self, tiny_trace):

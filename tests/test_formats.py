@@ -1,11 +1,12 @@
 """Golden-file tests pinning the on-disk artifact formats.
 
 The goldens under tests/golden/ were produced by running
-golden_config.json once; any change to a file format, to the trace or
-target schemas, or to the numeric pipeline shows up here as a byte diff.
+golden_config.json once, then ``plots`` on its output; any change to a
+file format, to the trace or target schemas, or to the numeric pipeline
+shows up here as a byte diff. report.json is compared without its
+created_utc line.
 """
 
-import csv
 import json
 import os
 
@@ -29,25 +30,55 @@ def _golden_bytes(name):
         return fh.read()
 
 
+def _run_bytes(golden_run, *parts):
+    with open(os.path.join(golden_run, *parts), "rb") as fh:
+        return fh.read()
+
+
 def test_metrics_csv_bytes(golden_run):
-    got = open(os.path.join(golden_run, "metrics.csv"), "rb").read()
-    assert got == _golden_bytes("metrics.csv")
+    assert _run_bytes(golden_run, "metrics.csv") == _golden_bytes("metrics.csv")
 
 
 def test_attack_scores_csv_bytes(golden_run):
-    got = open(os.path.join(golden_run, "runs", "none", "seed1", "attack_scores.csv"), "rb").read()
+    got = _run_bytes(golden_run, "runs", "none", "seed1", "attack_scores.csv")
     assert got == _golden_bytes("attack_scores.csv")
 
 
 def test_targets_csv_bytes(golden_run):
-    got = open(os.path.join(golden_run, "runs", "none", "seed1", "targets.csv"), "rb").read()
+    got = _run_bytes(golden_run, "runs", "none", "seed1", "targets.csv")
     assert got == _golden_bytes("targets.csv")
 
 
+def _without_created_utc(data):
+    return b"".join(line for line in data.splitlines(keepends=True) if b'"created_utc"' not in line)
+
+
 def test_trace_meta_structure(golden_run):
-    got = json.load(open(os.path.join(golden_run, "runs", "none", "seed1", "trace", "trace_meta.json")))
-    want = json.load(open(os.path.join(GOLDEN_DIR, "trace_meta.json")))
-    assert got == want
+    got = _run_bytes(golden_run, "runs", "none", "seed1", "trace", "trace_meta.json")
+    assert got == _golden_bytes("trace_meta.json")
+
+
+def test_sidecar_bytes(golden_run):
+    got = _run_bytes(golden_run, "runs", "none", "seed1", "attack_rounds.json")
+    assert got == _golden_bytes("attack_rounds.json")
+
+
+def test_report_bytes_apart_from_timestamp(golden_run):
+    got = _run_bytes(golden_run, "report.json")
+    assert b'"created_utc"' in got
+    assert _without_created_utc(got) == _without_created_utc(_golden_bytes("report.json"))
+
+
+PLOTS = ("hist_blackbox_loss_none.csv", "hist_fedmia_ii_none.csv", "pareto_blackbox_loss.csv",
+         "pareto_fedmia_ii.csv", "rounds_none.csv")
+
+
+def test_plots_bytes(golden_run):
+    hns.emit_plots(golden_run)
+    assert sorted(os.listdir(os.path.join(golden_run, "plots"))) == list(PLOTS)
+    for name in PLOTS:
+        got = _run_bytes(golden_run, "plots", name)
+        assert got == _golden_bytes(os.path.join("plots", name)), name
 
 
 def test_metrics_header_contract(golden_run):
@@ -82,9 +113,7 @@ def test_trace_files_present(golden_run):
 
 
 def test_sidecar_structure(golden_run):
-    sidecar = json.load(
-        open(os.path.join(golden_run, "runs", "none", "seed1", "attack_rounds.json"))
-    )
+    sidecar = json.loads(_run_bytes(golden_run, "runs", "none", "seed1", "attack_rounds.json"))
     assert set(sidecar["inclusion_checks"]) == {"fedmia_ii"}
     n = len(sidecar["sample_ids"])
     assert len(sidecar["is_member"]) == n

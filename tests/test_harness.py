@@ -225,6 +225,30 @@ class TestRunExperiment:
         sb = open(os.path.join(b, "runs", "none", "seed3", "attack_scores.csv"), "rb").read()
         assert sa == sb
 
+    def test_report_groups_rows_by_point_in_first_seen_order(self):
+        cfg = hns.ExperimentConfig.from_dict(
+            micro_config_dict(attack={"methods": ["grad_norm", "avg_cosine"]}))
+
+        def row(method, param, seed, auc):
+            return {"seed": seed, "method": method, "defense": "sparsify", "param": param,
+                    "auc": auc, "tpr_at_fpr": auc / 3, "fpr_cap": 0.01, "achieved_fpr": 0.0,
+                    "utility_loss": 0.1 * seed}
+
+        rows = [row("avg_cosine", "0.5", 1, 0.6), row("grad_norm", "0.9", 1, 0.7),
+                row("grad_norm", "0.5", 1, 0.8), row("avg_cosine", "0.9", 1, 0.9),
+                row("grad_norm", "0.9", 2, 0.5), row("avg_cosine", "0.5", 2, 0.1)]
+        per_method = hns._build_report(cfg, rows, {})["per_method"]
+        assert list(per_method) == ["grad_norm", "avg_cosine"]
+        got = {m: [(p["param"], p["mean_auc"], p["mean_tpr_at_fpr"], p["mean_utility_loss"])
+                   for p in block["points"]] for m, block in per_method.items()}
+        mean = lambda *v: float(np.mean(v))  # noqa: E731
+        assert got == {
+            "grad_norm": [("0.9", mean(0.7, 0.5), mean(0.7 / 3, 0.5 / 3), mean(0.1, 0.2)),
+                          ("0.5", 0.8, 0.8 / 3, 0.1)],
+            "avg_cosine": [("0.5", mean(0.6, 0.1), mean(0.6 / 3, 0.1 / 3), mean(0.1, 0.2)),
+                           ("0.9", 0.9, 0.9 / 3, 0.1)],
+        }
+
     def test_sweep_produces_pareto_points_and_hv(self, tmp_path):
         d = micro_config_dict(
             sweep={"defense": "perturb", "clip_norm": 1.0, "noise_std": [0.0, 0.05, 0.5]}
@@ -721,8 +745,10 @@ class TestExitCodeContract:
          "dataset.per_class: not a parameter of csv data"),
         ({"dataset": {"kind": "csv", "class_sep": 1.5}}, "0,1.0,2.0\n1,3.0,2.0\n",
          "dataset.class_sep: not a parameter of csv data"),
+        ({"dataset": {"kind": "csv"}}, b"0,1.0,2.0\n1,3.0,2.0\xff\n",
+         "dataset.csv_path: {path}: line 2: non-numeric feature value"),
     ], ids=["too_few_samples", "missing_csv", "empty_csv", "non_numeric_csv",
-            "csv_with_input_dim", "csv_with_per_class", "csv_with_class_sep"])
+            "csv_with_input_dim", "csv_with_per_class", "csv_with_class_sep", "csv_not_utf8"])
     def test_bad_data_input_exits_2_before_training(self, tmp_path, capsys, overrides, csv_text,
                                                     needle):
         d = micro_config_dict(**overrides)
@@ -730,7 +756,7 @@ class TestExitCodeContract:
             d["dataset"] = dict(overrides["dataset"])
         if csv_text is not None:
             path = tmp_path / "data.csv"
-            path.write_text(csv_text)
+            path.write_bytes(csv_text if isinstance(csv_text, bytes) else csv_text.encode())
             d["dataset"]["csv_path"] = str(path)
             needle = needle.format(path=path)
         out = tmp_path / "out"
@@ -786,15 +812,21 @@ class TestExitCodeContract:
         _edit_json(lambda m: m["model"].update(kind="cnn")),
         _edit_json(lambda m: m["defense"].update(rate=0.5)),
         _write_text(b"\xff\xfe"),
+        _write_text("[]"),
+        _edit_json(lambda m: m.update(schema_version=2)),
+        _edit_json(lambda m: m["lr_effective"].pop()),
     ], ids=["model_extra_key", "missing_seed", "defense_unknown_key", "unknown_model_kind",
-            "defense_stray_parameter", "not_utf8"])
+            "defense_stray_parameter", "not_utf8", "a_list", "schema_version_2",
+            "lr_schedule_short"])
     def test_malformed_trace_meta_exits_3(self, run_dir, tmp_path, capsys, mangle):
         copy = str(tmp_path / "run")
         shutil.copytree(run_dir, copy)
-        mangle(os.path.join(copy, "trace", "trace_meta.json"))
+        path = os.path.join(copy, "trace", "trace_meta.json")
+        mangle(path)
         ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
         assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
-        assert capsys.readouterr().err.startswith("integrity error:")
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error:") and path in err, err
 
     @pytest.mark.parametrize("mangle, line", [
         (lambda rows: rows[1].__setitem__(0, "x"), 2),
@@ -802,8 +834,9 @@ class TestExitCodeContract:
         (lambda rows: rows[2].__setitem__(3, "nan"), 3),
         (lambda rows: rows[1].__setitem__(1, "7"), 2),
         (lambda rows: rows[2].__setitem__(4, rows[2][4] + "\udcff"), 3),
+        (lambda rows: rows[3].__setitem__(0, "9" * 30), 4),
     ], ids=["first_id_not_int", "short_row", "nan_feature", "is_member_not_0_or_1",
-            "feature_not_utf8"])
+            "feature_not_utf8", "id_too_large_for_int64"])
     def test_malformed_targets_csv_exits_3(self, run_dir, tmp_path, capsys, mangle, line):
         copy = str(tmp_path / "run")
         shutil.copytree(run_dir, copy)
@@ -852,8 +885,11 @@ class TestExitCodeContract:
             lambda s: s["series"].pop("update_norm_target"))),
         ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
             lambda s: s["sample_ids"].__setitem__(0, s["sample_ids"][0] + 0.5))),
+        ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
+            lambda s: s["sample_ids"].__setitem__(0, 10**30))),
         ("plots", "report.json", _write_text("not json")),
         ("plots", "report.json", _write_text("{}")),
+        ("report", "report.json", _write_text("[1, 2]")),
         ("report", "report.json", _write_text("not json")),
         ("report", "report.json", _edit_json(
             lambda r: r["per_method"]["grad_norm"].update(hypervolume="x"))),
@@ -881,8 +917,9 @@ class TestExitCodeContract:
         ("report", "metrics.csv", _edit_csv(lambda rows: rows[1].pop())),
     ], ids=["sidecar_missing", "sidecar_not_json", "sidecar_empty_object",
             "per_round_short_row", "series_missing_record", "update_norm_extra_round",
-            "series_key_missing", "sample_id_not_int", "plots_report_not_json",
-            "plots_report_empty_object", "report_not_json", "hypervolume_not_a_number",
+            "series_key_missing", "sample_id_not_int", "sample_id_too_large",
+            "plots_report_not_json",
+            "plots_report_empty_object", "report_a_list", "report_not_json", "hypervolume_not_a_number",
             "per_method_block_missing", "inclusion_check_not_bool", "inclusion_checks_missing",
             "pareto_front_not_numbers", "pareto_front_short_point", "report_config_mistyped",
             "scores_missing",
