@@ -36,18 +36,18 @@ from .data import AugmentOps, Dataset, Partition, augment_batch, mixup, subsampl
 from .errors import ConfigError, FedAuditError, IntegrityError
 from .model import ModelSpec
 from .numstat import RngStream, _scratch
-from .schema import Codec, check_keys, decode, dump, field_types, load
+from .schema import Codec, check_keys, check_kind, decode, dump, load
 
-# The parameters each defense kind takes: exactly these, and no other.
+# The parameters each defense kind requires, and the ones it also accepts (none).
 DEFENSE_PARAMS = {
-    "none": (),
-    "perturb": ("clip_norm", "noise_std"),
-    "quantize": ("bits",),
-    "sparsify": ("rate",),
-    "mixup": ("alpha",),
-    "augment": ("augment_ops",),
-    "sample": ("portion",),
-    "augment_and_sample": ("portion", "augment_ops"),
+    "none": ((), ()),
+    "perturb": (("clip_norm", "noise_std"), ()),
+    "quantize": (("bits",), ()),
+    "sparsify": (("rate",), ()),
+    "mixup": (("alpha",), ()),
+    "augment": (("augment_ops",), ()),
+    "sample": (("portion",), ()),
+    "augment_and_sample": (("portion", "augment_ops"), ()),
 }
 UPDATE_DEFENSES = ("perturb", "quantize", "sparsify")
 
@@ -75,13 +75,7 @@ class DefenseConfig(Codec):
     augment_ops: AugmentOps | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in DEFENSE_PARAMS:
-            raise ConfigError(f"kind: unknown defense {self.kind!r}")
-        for name in field_types(DefenseConfig):
-            takes, given = name in DEFENSE_PARAMS[self.kind], getattr(self, name) is not None
-            if name != "kind" and takes != given:
-                rule = "required by" if takes else "not a parameter of"
-                raise ConfigError(f"{name}: {rule} defense {self.kind!r}")
+        check_kind(self, DEFENSE_PARAMS, "defense")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigError(f"clip_norm: must be > 0, got {self.clip_norm}")
         if self.noise_std is not None and self.noise_std < 0:
@@ -175,8 +169,6 @@ def defend_update(update: np.ndarray, defense: DefenseConfig, rng: RngStream) ->
                 broken by index order.
     """
     update = np.asarray(update, dtype=np.float64)
-    if not defense.is_update_level:
-        raise ConfigError(f"{defense.kind} is not an update-level defense")
     if defense.kind == "perturb":
         n = float(np.linalg.norm(update))
         out = update * min(1.0, defense.clip_norm / n) if n > 0 else update.copy()
@@ -222,8 +214,6 @@ def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: 
     the uploads returned are one of them, valid until the next call.
     """
     k, n = y.shape
-    if n == 0:
-        raise ConfigError("client has no training samples")
     gens = [rng.generator() for rng in rngs]
     w = _scratch(ws, "local", (k, len(global_params)))
     w[:] = global_params
@@ -286,8 +276,6 @@ def run_federation(
     groups: dict[int, list[int]] = {}  # clients of equal size train as one stack
     for k, idx in enumerate(partition.client_indices):
         groups.setdefault(len(idx), []).append(k)
-    if 0 in groups:
-        raise ConfigError(f"client {groups[0][0]} has no training samples")
     stacks = [(ks, *dataset.arrays(np.stack([partition.client_indices[k] for k in ks])))
               for ks in groups.values()]
     root = RngStream(seed)
@@ -375,6 +363,8 @@ def _load_array(path: str, shape: tuple[int, ...]) -> np.ndarray:
         raise IntegrityError(f"corrupt trace file {path}: {exc}") from exc
     if arr.shape != shape or arr.dtype != np.float64:
         raise IntegrityError(f"trace file {path} is {arr.dtype} {arr.shape}, not float64 {shape}")
+    if not np.isfinite(arr).all():
+        raise IntegrityError(f"trace file {path} holds a non-finite value")
     return arr
 
 
@@ -392,6 +382,8 @@ def load_trace(trace_dir: str) -> UpdateTrace:
         accuracy = meta["round_accuracy"]  # NaN when the run had no holdout
         if not isinstance(accuracy, list) or any(type(a) not in (int, float) for a in accuracy):
             raise ValueError(f"round_accuracy: must be a list of numbers, got {accuracy!r}")
+        if t < 1:
+            raise ValueError(f"num_rounds: must be >= 1, got {t}")
         if spec.param_count() != d:
             raise ValueError(f"model spec implies dim {spec.param_count()}, meta says {d}")
         if len(lr_sched) != t or len(accuracy) != t:

@@ -65,7 +65,8 @@ from . import model as mdl
 from .artifacts import read_csv, read_json, write_text
 from .errors import ConfigError, FedAuditError, IntegrityError, ZeroVectorError
 from .numstat import RngStream
-from .schema import Codec, FloatOrInf, check_keys, decode, dump_value, field_types, under
+from .schema import (Codec, FloatOrInf, check_keys, check_kind, decode, dump_value,
+                     field_types, under)
 
 ENV_OUT = "FEDAUDIT_OUT"
 CONFIG_SCHEMA_VERSION = 1
@@ -87,6 +88,14 @@ SCORES_HEADER = "method,sample_id,is_member_truth,score"
 TARGETS_HEADER = ["sample_id", "is_member", "label"]  # then f1,...,fd
 
 
+# Per kind: the parameters a dataset or partition requires, and the ones it also accepts.
+DATASET_PARAMS = {
+    "synthetic": (("num_classes", "input_dim", "per_class", "class_sep"), ("geometry",)),
+    "csv": (("csv_path",), ("num_classes", "geometry")),
+}
+PARTITION_PARAMS = {"iid": (("per_client",), ()), "dirichlet": (("beta",), ())}
+
+
 @dataclass(frozen=True, kw_only=True)
 class DatasetConfig(Codec):
     kind: str
@@ -98,22 +107,14 @@ class DatasetConfig(Codec):
     geometry: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("synthetic", "csv"):
-            raise ConfigError(f"kind: must be synthetic or csv, got {self.kind!r}")
-        if self.kind == "synthetic":
-            for name, least in (("num_classes", 2), ("input_dim", 1), ("per_class", 1),
-                                ("class_sep", 0)):
-                value = getattr(self, name)
-                if value is None:
-                    raise ConfigError(f"{name}: required for synthetic data")
-                if value < least:
-                    raise ConfigError(f"{name}: must be >= {least}, got {value}")
-        else:
-            for name in ("input_dim", "per_class", "class_sep"):
-                if getattr(self, name) is not None:
-                    raise ConfigError(f"{name}: not a parameter of csv data")
-            if not self.csv_path:
-                raise ConfigError("csv_path: required for csv data")
+        check_kind(self, DATASET_PARAMS, "dataset")
+        for name, least in (("num_classes", 2), ("input_dim", 1), ("per_class", 1),
+                            ("class_sep", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(f"{name}: must be >= {least}, got {value}")
+        if self.csv_path == "":
+            raise ConfigError("csv_path: must not be empty")
         if self.geometry is not None:
             if min(self.geometry) < 1:
                 raise ConfigError(f"geometry: entries must be >= 1, got {list(self.geometry)}")
@@ -134,14 +135,9 @@ class PartitionConfig(Codec):
     others_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("iid", "dirichlet"):
-            raise ConfigError(f"kind: must be iid or dirichlet, got {self.kind!r}")
+        check_kind(self, PARTITION_PARAMS, "partition")
         if self.clients < 2:
             raise ConfigError(f"clients: must be >= 2, got {self.clients}")
-        if self.kind == "iid" and self.per_client is None:
-            raise ConfigError("per_client: required for iid")
-        if self.kind == "dirichlet" and self.beta is None:
-            raise ConfigError("beta: required for dirichlet")
         if self.per_client is not None and self.per_client < 1:
             raise ConfigError(f"per_client: must be >= 1, got {self.per_client}")
         if self.beta is not None and self.beta <= 0:
@@ -154,6 +150,17 @@ class PartitionConfig(Codec):
         for name in ("holdout_fraction", "others_fraction"):
             if not (0 < getattr(self, name) <= 1):
                 raise ConfigError(f"{name}: must be in (0, 1], got {getattr(self, name)}")
+
+    def check_size(self, n: int) -> None:
+        """The rules that need the dataset size ``n``, which a CSV dataset has
+        only once it is read: the partition fits in ``n`` records."""
+        if self.kind == "iid" and (need := self.clients * self.per_client + self.holdout) > n:
+            raise ConfigError(f"per_client: need {need} samples, have {n}")
+        if self.kind == "dirichlet" and self.holdout >= n:
+            raise ConfigError(f"holdout: holdout {self.holdout} >= dataset size {n}")
+        if self.beta == float("inf") and n - self.holdout < self.clients:
+            raise ConfigError(f"holdout: holdout {self.holdout} leaves {n - self.holdout} "
+                              f"samples for {self.clients} clients")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -259,7 +266,7 @@ class SweepConfig(Codec):
 
 def _defense_from_params(kind: str, p: dict) -> fed.DefenseConfig:
     """The DefenseConfig of one sweep point; the AUGMENT_KEYS form its ``augment_ops``."""
-    if "augment_ops" in fed.DEFENSE_PARAMS[kind]:
+    if "augment_ops" in fed.DEFENSE_PARAMS[kind][0]:
         try:
             p["augment_ops"] = dat.AugmentOps(
                 flip_h=p.pop("flip_h", False), shift=p.pop("shift", False),
@@ -295,16 +302,9 @@ class ExperimentConfig(Codec):
             raise ConfigError("partition.clients: fedmia methods need at least 3 clients")
         if not (0 <= self.attack.target_client < self.partition.clients):
             raise ConfigError("attack.target_client: must be in [0, partition.clients)")
-        dc, pc = self.dataset, self.partition
-        if dc.kind == "synthetic":  # the size of a CSV dataset is known once it is read
-            n = dc.num_classes * dc.per_class
-            if pc.kind == "iid" and (need := pc.clients * pc.per_client + pc.holdout) > n:
-                raise ConfigError(f"partition.per_client: need {need} samples, have {n}")
-            if pc.kind == "dirichlet" and pc.holdout >= n:
-                raise ConfigError(f"partition.holdout: holdout {pc.holdout} >= dataset size {n}")
-            if pc.kind == "dirichlet" and pc.beta == float("inf") and n - pc.holdout < pc.clients:
-                raise ConfigError(f"partition.holdout: holdout {pc.holdout} leaves "
-                                  f"{n - pc.holdout} samples for {pc.clients} clients")
+        if self.dataset.kind == "synthetic":
+            with under("partition"):
+                self.partition.check_size(self.dataset.num_classes * self.dataset.per_class)
         for _, defense in self.sweep.expand():
             ops = defense.augment_ops
             if ops is not None and ops.needs_geometry and self.dataset.geometry is None:
@@ -343,15 +343,18 @@ def build_dataset(config: ExperimentConfig, seed: int) -> dat.Dataset:
 
 
 def build_partition(config: ExperimentConfig, dataset: dat.Dataset, seed: int) -> dat.Partition:
-    """The partition; one too large for the dataset names the key that sizes it, and a
-    Dirichlet draw that leaves a client empty names ``partition.beta``."""
+    """The partition. One too large for the dataset (a CSV dataset's size is known
+    only here) or a client's share short of ``per_client`` names the key that
+    sizes it; a Dirichlet draw that leaves a client empty names ``partition.beta``."""
     pc = config.partition
+    with under("partition"):
+        pc.check_size(len(dataset))
     rng = RngStream(seed).derive(TAG_PARTITION)
     try:
         if pc.kind == "iid":
             return dat.partition_iid(rng, dataset, pc.clients, pc.per_client, pc.holdout)
         partition = dat.partition_dirichlet(rng, dataset, pc.clients, pc.beta, pc.holdout)
-    except ConfigError as exc:
+    except ConfigError as exc:  # the short share; under beta "inf" the holdout sizes it
         key = "per_client" if pc.kind == "iid" else "holdout"
         raise ConfigError(f"partition.{key}: {exc}") from None
     empty = [k for k, idx in enumerate(partition.client_indices) if len(idx) == 0]
@@ -383,8 +386,6 @@ def select_targets(
         pc.holdout_fraction,
         pc.others_fraction,
     )
-    if len(pools.nonmember_indices) == 0:
-        raise ConfigError("non-member pool is empty; increase partition.holdout")
     g = RngStream(seed).derive(TAG_TARGETS).generator()
     n = min(ac.targets_per_class, len(pools.member_indices), len(pools.nonmember_indices))
     mem = np.sort(g.choice(pools.member_indices, n, replace=False))

@@ -74,8 +74,6 @@ def _area(curve: RocCurve) -> float:
 
 
 def _best_point(curve: RocCurve, fpr_cap: float) -> tuple[float, float]:
-    if not (0 <= fpr_cap < 1):
-        raise FedAuditError(f"fpr_cap must be in [0, 1), got {fpr_cap}")
     best = (0.0, 0.0)
     for fpr, tpr in curve.points:
         if fpr <= fpr_cap and (tpr > best[0] or (tpr == best[0] and fpr < best[1])):

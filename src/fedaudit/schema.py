@@ -48,6 +48,20 @@ def check_keys(d: object, allowed: Iterable[str], required: Iterable[str], path:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def check_kind(block: object, params: dict[str, tuple[tuple, tuple]], what: str) -> None:
+    """``block.kind`` is a key of ``params``, which maps each kind to the parameters it
+    requires and the ones it also accepts. A parameter is a field whose default is
+    None; every other parameter of ``block`` must be None."""
+    if block.kind not in params:
+        raise ConfigError(f"kind: unknown {what} {block.kind!r}")
+    required, accepted = params[block.kind]
+    for f in dataclasses.fields(block):
+        given = getattr(block, f.name) is not None
+        if f.default is None and given != (f.name in required) and f.name not in accepted:
+            rule = "not a parameter of" if given else "required by"
+            raise ConfigError(f"{f.name}: {rule} {what} {block.kind!r}")
+
+
 def load(cls: type, d: object, path: str = "") -> object:
     """Build dataclass ``cls`` from a JSON object, decoding every value."""
     fields = field_types(cls)

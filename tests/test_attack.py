@@ -484,11 +484,6 @@ class TestBaselines:
             expected = -mdl.loss_many(trace.model_spec, trace.final_model, *one)[0]
             assert out["blackbox_loss"][i] == pytest.approx(expected, abs=1e-12)
 
-    def test_unknown_method(self):
-        trace, targets = _planted_trace_and_targets()
-        with pytest.raises(ConfigError, match="unknown attack methods"):
-            _baselines(trace, *targets, ["shadow_model"])
-
     def test_requested_order_preserved(self):
         trace, targets = _planted_trace_and_targets()
         out = _baselines(trace, *targets, ["grad_diff", "blackbox_loss"])

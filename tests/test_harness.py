@@ -65,6 +65,11 @@ def _csv_dataset(tmp_path, rows):
     return str(path)
 
 
+# CSV classes of 1, 1, 3 and 2 records: the class-stratified deal to three clients
+# gives them pools of 3, 3 and 1 records.
+SHORT_POOL_CSV = "0,1.0\n1,1.0\n2,1.0\n2,2.0\n2,3.0\n3,1.0\n3,2.0\n"
+
+
 def _tree_bytes(root):
     """{path relative to ``root``: bytes} of every file under ``root``."""
     return {
@@ -115,7 +120,8 @@ class TestConfig:
             hns.ExperimentConfig.from_dict(d)
 
     def test_beta_inf_roundtrip(self):
-        d = micro_config_dict(partition={"kind": "dirichlet", "clients": 3, "holdout": 40, "beta": "inf"})
+        d = micro_config_dict()
+        d["partition"] = {"kind": "dirichlet", "clients": 3, "holdout": 40, "beta": "inf"}
         cfg = hns.ExperimentConfig.from_dict(d)
         assert cfg.partition.beta == float("inf")
         assert cfg.to_dict()["partition"]["beta"] == "inf"
@@ -711,6 +717,19 @@ class TestExitCodeContract:
         # The draw leaves client 0 without a record; only the job can see it.
         (("partition",), {"kind": "dirichlet", "clients": 20, "beta": 0.001, "holdout": 60},
          "partition.beta"),
+        (("partition", "beta"), 0.5, "partition.beta"),
+        (("partition",), {"kind": "dirichlet", "clients": 3, "beta": 0.5, "holdout": 60,
+                          "per_client": 999}, "partition.per_client"),
+        (("dataset", "csv_path"), "data.csv", "dataset.csv_path"),
+        (("dataset", "input_dim"), 0, "dataset.input_dim"),
+        (("partition", "per_client"), 0, "partition.per_client"),
+        (("partition", "holdout"), 0, "partition.holdout"),
+        (("partition", "nonmember_source"), "everything", "partition.nonmember_source"),
+        (("attack", "target_client"), 3, "attack.target_client"),
+        (("sweep",), {"defense": "mixup", "alpha": 0}, "sweep.alpha"),
+        (("sweep",), {"defense": "sample", "portion": 0}, "sweep.portion"),
+        (("sweep",), {"defense": "sample", "portion": 1.1}, "sweep.portion"),
+        (("attack", "fpr_cap"), 1.0, "attack.fpr_cap"),
     ], ids=["rounds_str", "rounds_float", "seed_float", "fpr_cap_str", "delta_grid_scalar",
             "hidden_dim_str", "targets_per_class_str", "target_client_float", "geometry_scalar",
             "leave_one_out_str", "lr_nan", "per_class_zero", "class_sep_negative",
@@ -721,7 +740,10 @@ class TestExitCodeContract:
             "geometry_negative", "geometry_not_input_dim", "holdout_fraction_zero",
             "holdout_fraction_negative_unused", "others_fraction_above_one",
             "iid_partition_too_large", "dirichlet_inf_holdout_leaves_too_few",
-            "dirichlet_client_left_empty"])
+            "dirichlet_client_left_empty", "iid_with_beta", "dirichlet_with_per_client",
+            "synthetic_with_csv_path", "input_dim_zero", "per_client_zero", "holdout_zero",
+            "unknown_nonmember_source", "target_client_is_clients", "mixup_alpha_zero",
+            "sample_portion_zero", "sample_portion_above_one", "fpr_cap_one"])
     def test_quick_config_mistyped_value_exits_2(self, tmp_path, capsys, path, value, key_path):
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
@@ -733,27 +755,39 @@ class TestExitCodeContract:
         assert not out.exists()  # checked at load, before --out is made
 
     @pytest.mark.parametrize("overrides, csv_text, needle", [
-        ({"partition": {"per_client": 1000}}, None, "partition.per_client: "),
+        ({"partition": {"kind": "iid", "clients": 3, "per_client": 1000, "holdout": 40}}, None,
+         "partition.per_client: "),
         ({"dataset": {"kind": "csv", "csv_path": "no_such_dataset.csv"}}, None,
          "dataset.csv_path: cannot read no_such_dataset.csv"),
         ({"dataset": {"kind": "csv"}}, "", "dataset.csv_path: {path}: empty dataset file"),
         ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n1,oops,2.0\n",
          "dataset.csv_path: {path}: line 2: non-numeric feature value"),
         ({"dataset": {"kind": "csv", "input_dim": 6}}, "0,1.0,2.0\n1,3.0,2.0\n",
-         "dataset.input_dim: not a parameter of csv data"),
+         "dataset.input_dim: not a parameter of dataset 'csv'"),
         ({"dataset": {"kind": "csv", "per_class": 60}}, "0,1.0,2.0\n1,3.0,2.0\n",
-         "dataset.per_class: not a parameter of csv data"),
+         "dataset.per_class: not a parameter of dataset 'csv'"),
         ({"dataset": {"kind": "csv", "class_sep": 1.5}}, "0,1.0,2.0\n1,3.0,2.0\n",
-         "dataset.class_sep: not a parameter of csv data"),
+         "dataset.class_sep: not a parameter of dataset 'csv'"),
         ({"dataset": {"kind": "csv"}}, b"0,1.0,2.0\n1,3.0,2.0\xff\n",
          "dataset.csv_path: {path}: line 2: non-numeric feature value"),
+        ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n" + "9" * 30 + ",3.0,2.0\n",
+         "dataset.csv_path: {path}: line 2: label " + "9" * 30 + " out of range for int64"),
+        ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n1,3.0,2.0\n",
+         "partition.per_client: need 160 samples, have 2"),
+        ({"dataset": {"kind": "csv"}, "partition": {"kind": "iid", "clients": 3, "per_client": 2,
+                                                    "holdout": 1}}, SHORT_POOL_CSV,
+         "partition.per_client: client pool of 1 cannot supply per_client=2"),
+        ({"dataset": {"kind": "csv"}, "partition": {"kind": "dirichlet", "clients": 3,
+                                                    "beta": "inf", "holdout": 1}}, SHORT_POOL_CSV,
+         "partition.holdout: client pool of 1 cannot supply per_client=2"),
     ], ids=["too_few_samples", "missing_csv", "empty_csv", "non_numeric_csv",
-            "csv_with_input_dim", "csv_with_per_class", "csv_with_class_sep", "csv_not_utf8"])
+            "csv_with_input_dim", "csv_with_per_class", "csv_with_class_sep", "csv_not_utf8",
+            "csv_label_beyond_int64", "csv_too_few_samples", "csv_iid_pool_short",
+            "csv_inf_pool_short"])
     def test_bad_data_input_exits_2_before_training(self, tmp_path, capsys, overrides, csv_text,
                                                     needle):
-        d = micro_config_dict(**overrides)
-        if "dataset" in overrides:  # a CSV case gives the whole block
-            d["dataset"] = dict(overrides["dataset"])
+        d = micro_config_dict()
+        d.update({k: dict(v) for k, v in overrides.items()})  # a case gives whole blocks
         if csv_text is not None:
             path = tmp_path / "data.csv"
             path.write_bytes(csv_text if isinstance(csv_text, bytes) else csv_text.encode())
@@ -815,9 +849,10 @@ class TestExitCodeContract:
         _write_text("[]"),
         _edit_json(lambda m: m.update(schema_version=2)),
         _edit_json(lambda m: m["lr_effective"].pop()),
+        _edit_json(lambda m: m.update(num_rounds=0, lr_effective=[], round_accuracy=[])),
     ], ids=["model_extra_key", "missing_seed", "defense_unknown_key", "unknown_model_kind",
             "defense_stray_parameter", "not_utf8", "a_list", "schema_version_2",
-            "lr_schedule_short"])
+            "lr_schedule_short", "no_rounds"])
     def test_malformed_trace_meta_exits_3(self, run_dir, tmp_path, capsys, mangle):
         copy = str(tmp_path / "run")
         shutil.copytree(run_dir, copy)
