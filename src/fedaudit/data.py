@@ -2,12 +2,15 @@
 
 Partitions keep client datasets pairwise disjoint and disjoint from the
 holdout pool, which is what lets the attack treat non-target clients as
-clean null-hypothesis material. The three data-level defenses (``mixup``,
-``augment_batch``, ``subsample``) draw from the generator of a client's
-local epoch and are called by ``fedsim``'s local SGD loop; they transform
-training batches only, so attack targets are always original records.
+clean null-hypothesis material, and what keeps the member and non-member
+pools of ``make_eval_split`` apart. The three data-level defenses
+(``mixup``, ``augment_batch``, ``subsample``) draw from the generator of a
+client's local epoch and are called by ``fedsim``'s local SGD loop; they
+transform training batches only, so attack targets are always original
+records. Pools and mixed batches pass between modules as plain arrays.
 The config checks every argument range when it is decoded (``harness``);
-these functions take the checked values.
+these functions take the checked values. ``load_csv`` checks its file: a
+label is below ``num_classes``, or, when that is inferred, the row count.
 """
 
 from __future__ import annotations
@@ -84,22 +87,6 @@ class Partition:
         return len(self.client_indices)
 
 
-@dataclass(frozen=True, eq=False)
-class EvalSplit:
-    """Candidate member / non-member index pools for one target client."""
-
-    member_indices: np.ndarray
-    nonmember_indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "member_indices", np.asarray(self.member_indices, dtype=np.int64))
-        object.__setattr__(
-            self, "nonmember_indices", np.asarray(self.nonmember_indices, dtype=np.int64)
-        )
-        if np.intersect1d(self.member_indices, self.nonmember_indices).size:
-            raise ConfigError("member and non-member pools overlap")
-
-
 def synth_blobs(
     rng: RngStream,
     num_classes: int,
@@ -136,10 +123,14 @@ def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int
     """Load ``label,f1,...,fd`` rows (UTF-8, no header) into a Dataset.
 
     Parse failures, a byte that is not UTF-8 among them, name the offending
-    1-based line. When ``num_classes`` is omitted it is ``max(label) + 1``.
+    1-based line. When ``num_classes`` is omitted it is ``max(label) + 1``,
+    and a label at or above the row count is an error: the classes it
+    implies could not all have a record, yet each costs a pass of the
+    partition and a row of the model's output layer.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
+    top_label, top_line = -1, 0  # the largest label and its first line
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -162,14 +153,19 @@ def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int
                 )
             if label < 0:
                 raise ConfigError(f"line {lineno}: negative label {label}")
-            if label >= (2**63 if num_classes is None else num_classes):
+            if num_classes is not None and label >= num_classes:
                 raise ConfigError(f"line {lineno}: label {label} out of range for "
-                                  + ("int64" if num_classes is None else f"{num_classes} classes"))
+                                  f"{num_classes} classes")
+            if label > top_label:
+                top_label, top_line = label, lineno
             labels.append(label)
             rows.append(feats)
     if not rows:
         raise ConfigError("empty dataset file")
-    nc = num_classes if num_classes is not None else max(labels) + 1
+    if num_classes is None and top_label >= len(rows):
+        raise ConfigError(f"line {top_line}: label {top_label} is not below the row count "
+                          f"{len(rows)}; give dataset.num_classes to allow it")
+    nc = num_classes if num_classes is not None else top_label + 1
     return Dataset(np.array(rows), np.array(labels), nc, geometry)
 
 
@@ -218,6 +214,16 @@ def partition_iid(
     return Partition(clients, np.sort(leftover_arr[:holdout]))
 
 
+def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
+    """Integer shares of ``total`` from real ``quotas`` summing to about it: each
+    quota's floor, plus one for the largest fractional parts (ties to the
+    lower index) until the shares sum to ``total``."""
+    counts = np.floor(quotas).astype(int)
+    order = np.argsort(-(quotas - counts), kind="stable")
+    counts[order[: total - counts.sum()]] += 1
+    return counts
+
+
 def partition_dirichlet(
     rng: RngStream,
     dataset: Dataset,
@@ -236,17 +242,13 @@ def partition_dirichlet(
                              holdout)
     g = rng.generator()
 
-    # Reserve the holdout stratified by class (largest-remainder counts).
+    # Reserve the holdout stratified by class.
     holdout_idx: list[int] = []
     remain_by_class: list[np.ndarray] = []
     class_sizes = np.array(
         [np.count_nonzero(dataset.labels == c) for c in range(dataset.num_classes)]
     )
-    quotas = holdout * class_sizes / len(dataset)
-    counts = np.floor(quotas).astype(int)
-    frac_order = np.argsort(-(quotas - counts), kind="stable")
-    for c in frac_order[: holdout - counts.sum()]:
-        counts[c] += 1
+    counts = _largest_remainder(holdout * class_sizes / len(dataset), holdout)
     for c in range(dataset.num_classes):
         idx = g.permutation(np.flatnonzero(dataset.labels == c))
         holdout_idx.extend(idx[: counts[c]].tolist())
@@ -257,11 +259,7 @@ def partition_dirichlet(
         if len(idx) == 0:
             continue
         props = g.dirichlet(np.full(num_clients, float(beta)))
-        raw = props * len(idx)
-        take = np.floor(raw).astype(int)
-        order = np.argsort(-(raw - take), kind="stable")
-        for k in order[: len(idx) - take.sum()]:
-            take[k] += 1
+        take = _largest_remainder(props * len(idx), len(idx))
         pos = 0
         for k in range(num_clients):
             clients[k].extend(idx[pos : pos + take[k]].tolist())
@@ -279,13 +277,14 @@ def make_eval_split(
     nonmember_source: str = "holdout",
     holdout_fraction: float = 0.1,
     others_fraction: float = 0.1,
-) -> EvalSplit:
-    """Member / non-member pools for attacking one client.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(members, non-members): sorted index pools for attacking one client.
 
     ``holdout`` draws non-members from the holdout pool only;
     ``holdout+others`` mixes a fraction of the holdout with a fraction of
     every other client's training data (defaults keep one tenth of each).
     The config checks the source, the target and that each fraction is in (0, 1].
+    The pools are disjoint because the partition's lists are.
     """
     members = partition.client_indices[target_client]
     g = rng.generator()
@@ -302,27 +301,19 @@ def make_eval_split(
             nk = math.ceil(others_fraction * len(idx))
             parts.append(g.choice(idx, nk, replace=False))
         nonmembers = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return EvalSplit(np.sort(members), np.sort(nonmembers))
+    return np.sort(members), np.sort(nonmembers)
 
 
-@dataclass(frozen=True, eq=False)
-class MixedBatch:
-    """K batches (K, b, d), each mixed with its in-batch permutation partner.
-
-    Training loss contract for row i of batch k: ``lam[k] * loss(features[k, i],
-    labels_a[k, i]) + (1 - lam[k]) * loss(features[k, i], labels_b[k, i])``.
-    """
-
-    features: np.ndarray
-    labels_a: np.ndarray
-    labels_b: np.ndarray
-    lam: np.ndarray
-
-
-def mix_with_lambda(x: np.ndarray, y: np.ndarray, partner: np.ndarray,
-                    lam: np.ndarray, ws: dict | None = None) -> MixedBatch:
+def mix_with_lambda(x: np.ndarray, y: np.ndarray, partner: np.ndarray, lam: np.ndarray,
+                    ws: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mixup's deterministic core, ``lam * x + (1 - lam) * x[partner]`` bit for bit, for
-    coefficients (K,) and batch permutations (K, b); the features live in the workspace ``ws``."""
+    coefficients (K,) and batch permutations (K, b); the features live in the workspace ``ws``.
+
+    Returns the mixed (K, b, d) features, the (2, K, b) labels ``y`` and
+    ``y[partner]``, and ``lam``. Training loss of row i of batch k:
+    ``lam[k] * loss(features[k, i], labels[0, k, i]) + (1 - lam[k]) *
+    loss(features[k, i], labels[1, k, i])``.
+    """
     x = np.asarray(x, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     rows, b = np.arange(len(x))[:, None], x.shape[1]
@@ -330,16 +321,16 @@ def mix_with_lambda(x: np.ndarray, y: np.ndarray, partner: np.ndarray,
                     out=_scratch(ws, "mixed", x.shape), mode="clip")
     mixed *= (1.0 - lam)[:, None, None]
     mixed += np.multiply(lam[:, None, None], x, out=_scratch(ws, "lam_x", x.shape))
-    return MixedBatch(mixed, y, y[rows, partner], lam)
+    return mixed, np.stack([y, y[rows, partner]]), lam
 
 
-def mixup(gens: list[np.random.Generator], x: np.ndarray, y: np.ndarray,
-          alpha: float, ws: dict | None = None) -> MixedBatch:
+def mixup(gens: list[np.random.Generator], x: np.ndarray, y: np.ndarray, alpha: float,
+          ws: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mix each batch of a (K, b, d) stack, b >= 2, with a random in-batch partner.
 
     Batch k draws from ``gens[k]``: one lam ~ Beta(alpha, alpha) per batch
     (the convention of the original mixup procedure), then the partner
-    permutation.
+    permutation. Returns what ``mix_with_lambda`` does.
     """
     lam = np.array([g.beta(alpha, alpha) for g in gens])
     return mix_with_lambda(x, y, np.stack([g.permutation(x.shape[1]) for g in gens]), lam, ws)
@@ -355,7 +346,7 @@ class AugmentOps:
 
     def __post_init__(self) -> None:
         if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+            raise ConfigError(f"noise_std: must be >= 0, got {self.noise_std}")
 
     @property
     def needs_geometry(self) -> bool:

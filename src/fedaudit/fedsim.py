@@ -233,9 +233,7 @@ def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: 
                                for g, b in zip(gens, bx)])
             labels, lam = by[None], None
             if defense.kind == "mixup" and batch.shape[1] >= 2:
-                mixed = mixup(gens, bx, by, defense.alpha, ws)
-                bx, lam = mixed.features, mixed.lam
-                labels = np.stack([mixed.labels_a, mixed.labels_b])
+                bx, labels, lam = mixup(gens, bx, by, defense.alpha, ws)
             mdl.sgd_step(spec, w, bx, labels, lr_eff, lam, ws)
     np.subtract(global_params, w, out=w)
     w /= lr_eff

@@ -272,8 +272,8 @@ def _defense_from_params(kind: str, p: dict) -> fed.DefenseConfig:
                 flip_h=p.pop("flip_h", False), shift=p.pop("shift", False),
                 noise_std=float(p.pop("augment_noise_std", 0.0)),  # a float in trace_meta.json
             )
-        except ConfigError as exc:
-            raise ConfigError(f"augment_noise_std: {exc}") from None
+        except ConfigError as exc:  # names noise_std, which the sweep calls augment_noise_std
+            raise ConfigError(f"augment_{exc}") from None
     stray = sorted(set(p) & set(AUGMENT_KEYS))
     if stray:
         raise ConfigError(f"{stray[0]}: not a parameter of defense {kind!r}")
@@ -376,9 +376,13 @@ class TargetCohort:
 def select_targets(
     config: ExperimentConfig, dataset: dat.Dataset, partition: dat.Partition, seed: int
 ) -> TargetCohort:
-    """Equal-size member/non-member cohorts, capped by pool availability."""
+    """Equal-size member/non-member cohorts, capped by pool availability.
+
+    Both are non-empty by construction: the partition gives the target
+    client at least one record, the non-member pool holds at least one,
+    and ``targets_per_class`` is at least 1."""
     pc, ac = config.partition, config.attack
-    pools = dat.make_eval_split(
+    members, nonmembers = dat.make_eval_split(
         RngStream(seed).derive(TAG_EVAL),
         partition,
         ac.target_client,
@@ -387,9 +391,9 @@ def select_targets(
         pc.others_fraction,
     )
     g = RngStream(seed).derive(TAG_TARGETS).generator()
-    n = min(ac.targets_per_class, len(pools.member_indices), len(pools.nonmember_indices))
-    mem = np.sort(g.choice(pools.member_indices, n, replace=False))
-    non = np.sort(g.choice(pools.nonmember_indices, n, replace=False))
+    n = min(ac.targets_per_class, len(members), len(nonmembers))
+    mem = np.sort(g.choice(members, n, replace=False))
+    non = np.sort(g.choice(nonmembers, n, replace=False))
     ids = np.concatenate([mem, non])
     x, y = dataset.arrays(ids)
     is_member = np.concatenate([np.ones(n, dtype=bool), np.zeros(n, dtype=bool)])
@@ -407,17 +411,19 @@ def run_attacks(
     ac: AttackSuiteConfig,
 ) -> tuple[dict[str, np.ndarray], atk.CohortAudit, dict]:
     """All configured attacks: (n,) scores per method, row i that of
-    ``cohort.ids[i]``; the audit; its inclusion checks."""
+    ``cohort.ids[i]``; the audit; its inclusion checks.
+
+    A method whose final scores, or the audit array they come from, hold a
+    non-finite value raises FedAuditError naming the seed, the defense and
+    the method, so every score written or ranked downstream is finite."""
+    where = f"seed {trace.seed}, defense {json.dumps(trace.defense.to_dict(), sort_keys=True)}"
     try:
         audit = atk.audit_cohort(
             trace, cohort.x, cohort.y, ac.target_client, ac.methods,
             sigma_floor_rel=ac.sigma_floor_rel, leave_one_out=ac.leave_one_out,
         )
     except ZeroVectorError as exc:
-        raise ZeroVectorError(
-            f"seed {trace.seed}, defense {json.dumps(trace.defense.to_dict(), sort_keys=True)}, "
-            f"sample_id {int(cohort.ids[exc.row])}: {exc}"
-        ) from exc
+        raise ZeroVectorError(f"{where}, sample_id {int(cohort.ids[exc.row])}: {exc}") from exc
     scores: dict[str, np.ndarray] = {}
     checks: dict = {}
     for method, per_round in audit.per_round.items():
@@ -430,6 +436,11 @@ def run_attacks(
     base_methods = [m for m in ac.methods if m in atk.BASELINE_METHODS]
     if base_methods:
         scores.update(atk.baselines(trace, cohort.x, cohort.y, base_methods, audit))
+    for method in ac.methods:
+        audited = (audit.per_round[method] if method in atk.FEDMIA_METHODS
+                   else audit.series[atk.BASELINE_SCORES[method][0]])
+        if not (np.isfinite(scores[method]).all() and np.isfinite(audited).all()):
+            raise FedAuditError(f"{where}, method {method}: non-finite attack score")
     return {m: scores[m] for m in ac.methods}, audit, checks
 
 
@@ -470,13 +481,16 @@ def _read_sidecar(
     """The audit of ``methods``, the sample ids and the membership truth that
     ``_write_sidecar`` stored.
 
-    A missing or unreadable file, a missing key, or an array whose shape
-    is not (len(sample_ids), num_rounds) raises IntegrityError naming the path.
+    A missing or unreadable file, a missing key, an array whose shape is
+    not (len(sample_ids), num_rounds) or that holds a non-finite value, or
+    an ``is_member`` without both classes raises IntegrityError naming the path.
     """
     def parse(sidecar: dict) -> tuple[atk.CohortAudit, np.ndarray, np.ndarray]:
         shape = (len(sidecar["sample_ids"]), num_rounds)
         ids = _stored(sidecar["sample_ids"], "sample_ids", shape[:1], np.int64)
         is_member = _stored(sidecar["is_member"], "is_member", shape[:1], bool)
+        if is_member.all() or not is_member.any():
+            raise ValueError("is_member needs at least one member and one non-member")
         per_round = {m: _stored(sidecar[m]["per_round"], m, shape)
                      for m in methods if m in atk.FEDMIA_METHODS}
         series = {
@@ -493,6 +507,8 @@ def _stored(value: object, name: str, shape: tuple[int, ...], dtype: type = np.f
     arr = np.array(value, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if dtype is np.float64 and not np.isfinite(arr).all():
+        raise ValueError(f"{name} holds a non-finite value")
     if dtype is not np.float64 and arr.tolist() != value:  # the cast changed a value
         raise ValueError(f"{name} holds values that are not {np.dtype(dtype).name}")
     return arr
@@ -556,12 +572,14 @@ def _write_targets_csv(path: str, dataset_dim: int, cohort: TargetCohort) -> Non
 
 
 def load_targets_csv(path: str) -> TargetCohort:
-    """The cohort ``_write_targets_csv`` stored. A file without rows or with a row
-    other than integer ids and labels, is_member 0 or 1 and finite features
-    raises IntegrityError naming the path (and the line)."""
+    """The cohort ``_write_targets_csv`` stored. A file with a row other than
+    integer ids and labels, is_member 0 or 1 and finite features, or without
+    both a member and a non-member, raises IntegrityError naming the path
+    (and the line)."""
     cohort = read_csv(path, "targets", lambda h: h[:3] == TARGETS_HEADER, _parse_targets)
-    if len(cohort.ids) == 0:
-        raise IntegrityError(f"corrupt targets file {path}: no rows")
+    if cohort.is_member.all() or not cohort.is_member.any():
+        raise IntegrityError(f"corrupt targets file {path}: is_member needs at least "
+                             "one member and one non-member")
     return cohort
 
 
@@ -651,7 +669,7 @@ def _attack_and_score(
         _write_sidecar(out_dir, audit, cohort, ac.delta_grid, checks)
     rows = []
     for method, values in scores.items():
-        auc, tpr, achieved = met.roc_metrics(met.ScoredCohort(values, cohort.is_member), ac.fpr_cap)
+        auc, tpr, achieved = met.roc_metrics(values, cohort.is_member, ac.fpr_cap)
         rows.append(dict(zip(METRIC_KEYS, (
             trace.seed, method, trace.defense.kind, _param_label(param), auc, tpr, ac.fpr_cap,
             achieved, 1.0 - trace.round_accuracy[-1]))))
@@ -756,7 +774,7 @@ def _build_report(config: ExperimentConfig, rows: list[dict], inclusion: dict) -
         front = met.pareto_front(coords)
         per_method[method] = {
             "points": points,
-            "pareto_front": [[p.utility_loss, p.privacy_leakage] for p in front],
+            "pareto_front": [list(p) for p in front],
             "hypervolume": met.hypervolume(coords),
         }
     return {
@@ -837,8 +855,8 @@ def emit_plots(report_dir: str) -> str:
         for method in methods:
             for t in range(config.federation.rounds):
                 aucs, tprs, _ = zip(*(  # one (auc, tpr, achieved fpr) per seed
-                    met.roc_metrics(met.ScoredCohort(audit.scores(method, t), is_member),
-                                    config.attack.fpr_cap) for audit, is_member, _ in runs))
+                    met.roc_metrics(audit.scores(method, t), is_member, config.attack.fpr_cap)
+                    for audit, is_member, _ in runs))
                 lines.append(f"{method},{t},{_fmt(float(np.mean(aucs)))},"
                              f"{_fmt(float(np.mean(tprs)))}\n")
         write_text(os.path.join(plots_dir, f"rounds_{label}.csv"), "".join(lines))

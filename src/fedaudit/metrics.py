@@ -1,6 +1,12 @@
 """Attack evaluation: ROC/AUC, TPR at a low-FPR operating point, Pareto
 fronts over (utility loss, privacy leakage), and the 2-D hypervolume.
 
+The ROC functions take a cohort as two aligned 1-D arrays: finite
+``scores`` (higher meaning member) and ``is_member``, holding both
+classes. A cohort is checked once, where it enters the program: read back
+from an artifact (``harness.load_targets_csv``, ``harness._read_sidecar``)
+or scored by ``harness.run_attacks``.
+
 Orientation convention: a point is (utility_loss, privacy_leakage), both
 in [0, 1] and both minimized by a good defense; the hypervolume against
 reference (1, 1) measures defense quality, so a stronger attack pushes
@@ -9,7 +15,6 @@ leakage up and shrinks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,128 +22,88 @@ import numpy as np
 from .errors import FedAuditError
 
 
-@dataclass(frozen=True, eq=False)
-class ScoredCohort:
-    """Attack scores with membership ground truth; both classes non-empty."""
+def roc(scores: np.ndarray, is_member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fpr, tpr) of a threshold sweep from (0, 0) to (1, 1), both nondecreasing.
 
-    scores: np.ndarray
-    is_member: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
-        object.__setattr__(self, "is_member", np.asarray(self.is_member, dtype=bool))
-        if self.scores.shape != self.is_member.shape or self.scores.ndim != 1:
-            raise FedAuditError("scores and is_member must be aligned 1-D arrays")
-        if not np.all(np.isfinite(self.scores)):
-            raise FedAuditError("scores must be finite")
-        pos = int(self.is_member.sum())
-        if pos == 0 or pos == len(self.is_member):
-            raise FedAuditError("cohort needs at least one member and one non-member")
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """Threshold-sweep (fpr, tpr) points from (0,0) to (1,1), both nondecreasing."""
-
-    points: tuple[tuple[float, float], ...]
-
-
-def roc(cohort: ScoredCohort) -> RocCurve:
-    """Sweep every distinct score as a threshold, classifying score > threshold.
-
-    One descending sort: the point at a threshold counts the members and
-    non-members ranked before that score's tie group.
+    Every distinct score is a threshold, classifying score > threshold. One
+    descending sort: the point at a threshold counts the members and
+    non-members ranked before that score's tie group. The first group starts
+    at (0, 0), and each later group adds at least one record, so no two
+    points are equal and the last before (1, 1) is below it.
     """
-    pos = int(cohort.is_member.sum())
-    neg = len(cohort.is_member) - pos
-    order = np.argsort(-cohort.scores, kind="stable")
-    ranked = cohort.scores[order]
-    tp = np.concatenate(([0], np.cumsum(cohort.is_member[order])))
+    scores = np.asarray(scores, dtype=np.float64)
+    is_member = np.asarray(is_member, dtype=bool)
+    pos = int(is_member.sum())
+    neg = len(is_member) - pos
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    tp = np.concatenate(([0], np.cumsum(is_member[order])))
     fp = np.arange(len(ranked) + 1) - tp
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    points: list[tuple[float, float]] = [(0.0, 0.0)]
-    for pt in zip((fp[starts] / neg).tolist(), (tp[starts] / pos).tolist()):
-        if pt != points[-1]:
-            points.append(pt)
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    return RocCurve(tuple(points))
+    return np.append(fp[starts] / neg, 1.0), np.append(tp[starts] / pos, 1.0)
 
 
-def _area(curve: RocCurve) -> float:
-    pts = curve.points
-    area = 0.0
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-        area += (x2 - x1) * (y1 + y2) / 2.0
-    return area
+def _area(fpr: np.ndarray, tpr: np.ndarray) -> float:
+    # cumsum adds the trapezoids in sequence, as a loop would; np.sum pairs them.
+    return float(np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
 
 
-def _best_point(curve: RocCurve, fpr_cap: float) -> tuple[float, float]:
-    best = (0.0, 0.0)
-    for fpr, tpr in curve.points:
-        if fpr <= fpr_cap and (tpr > best[0] or (tpr == best[0] and fpr < best[1])):
-            best = (tpr, fpr)
-    return best
+def _best_point(fpr: np.ndarray, tpr: np.ndarray, fpr_cap: float) -> tuple[float, float]:
+    # The points with fpr <= fpr_cap (>= 0, so (0, 0) among them) are a prefix;
+    # its highest tpr, first reached, has the lowest fpr of the points sharing it.
+    best = int(np.argmax(tpr[: np.searchsorted(fpr, fpr_cap, side="right")]))
+    return float(tpr[best]), float(fpr[best])
 
 
-def auc(cohort: ScoredCohort) -> float:
+def auc(scores: np.ndarray, is_member: np.ndarray) -> float:
     """Trapezoidal area under the ROC (equals the pair statistic, ties at 1/2)."""
-    return _area(roc(cohort))
+    return _area(*roc(scores, is_member))
 
 
-def operating_point(cohort: ScoredCohort, fpr_cap: float) -> tuple[float, float]:
-    """(TPR, achieved FPR) at the best threshold with FPR <= fpr_cap.
+def operating_point(scores: np.ndarray, is_member: np.ndarray,
+                    fpr_cap: float) -> tuple[float, float]:
+    """(TPR, achieved FPR) at the best threshold with FPR <= fpr_cap, a cap >= 0.
 
     The achieved FPR is reported because small cohorts cannot realize
     very low caps exactly.
     """
-    return _best_point(roc(cohort), fpr_cap)
+    return _best_point(*roc(scores, is_member), fpr_cap)
 
 
-def roc_metrics(cohort: ScoredCohort, fpr_cap: float) -> tuple[float, float, float]:
+def roc_metrics(scores: np.ndarray, is_member: np.ndarray,
+                fpr_cap: float) -> tuple[float, float, float]:
     """(AUC, TPR, achieved FPR) of ``auc`` and ``operating_point`` from one ROC."""
-    curve = roc(cohort)
-    tpr, achieved = _best_point(curve, fpr_cap)
-    return _area(curve), tpr, achieved
+    fpr, tpr = roc(scores, is_member)
+    return (_area(fpr, tpr), *_best_point(fpr, tpr, fpr_cap))
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
-    """One defense operating point: (test error rate, TPR at the low-FPR cap)."""
-
-    utility_loss: float
-    privacy_leakage: float
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.utility_loss <= 1 and 0 <= self.privacy_leakage <= 1):
-            raise FedAuditError(f"coordinates must be in [0, 1]: {self}")
-
-
-def _as_points(points: Sequence[tuple[float, float]]) -> list[ParetoPoint]:
-    return [ParetoPoint(float(u), float(leak)) for u, leak in points]
+def _distinct_points(points: Sequence[tuple[float, float]], what: str) -> list[tuple[float, float]]:
+    """The distinct (utility_loss, privacy_leakage) pairs, ascending; at least one,
+    each coordinate in [0, 1]."""
+    coords = sorted({(float(u), float(leak)) for u, leak in points})
+    if not coords:
+        raise FedAuditError(f"{what} of no points")
+    for u, leak in coords:
+        if not (0 <= u <= 1 and 0 <= leak <= 1):
+            raise FedAuditError(f"coordinates must be in [0, 1]: {(u, leak)}")
+    return coords
 
 
-def pareto_front(points: Sequence[tuple[float, float]]) -> list[ParetoPoint]:
-    """Non-dominated subset (minimize both coordinates), sorted by utility_loss."""
-    pts = _as_points(points)
-    if not pts:
-        raise FedAuditError("pareto_front of no points")
-    uniq = sorted(set((p.utility_loss, p.privacy_leakage) for p in pts))
-    front: list[ParetoPoint] = []
+def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Non-dominated (utility_loss, privacy_leakage) subset (minimize both),
+    sorted by utility_loss."""
+    front: list[tuple[float, float]] = []
     best_leak = float("inf")
-    for u, leak in uniq:  # ascending utility; keep strict leakage improvements
-        if leak < best_leak:
-            front.append(ParetoPoint(u, leak))
+    for u, leak in _distinct_points(points, "pareto_front"):
+        if leak < best_leak:  # ascending utility; keep strict leakage improvements
+            front.append((u, leak))
             best_leak = leak
     return front
 
 
 def hypervolume(points: Sequence[tuple[float, float]]) -> float:
     """Area of the union of boxes [p, (1, 1)] for 2-D minimization points."""
-    pts = _as_points(points)
-    if not pts:
-        raise FedAuditError("hypervolume of no points")
-    coords = sorted(set((p.utility_loss, p.privacy_leakage) for p in pts))
+    coords = _distinct_points(points, "hypervolume")
     area = 0.0
     best_y = float("inf")
     xs = [c[0] for c in coords] + [1.0]

@@ -3,10 +3,12 @@
 Everything here is deliberately written against the definitions, not the
 implementations under test: quadrature instead of erf, exhaustive pair
 counting instead of a threshold sweep, a threshold-by-threshold ROC
-instead of one sort, Monte Carlo instead of the sweep line, central
-differences instead of backprop, a client-by-client FedAvg loop of 2-D
-products instead of the stacked group trainer, and the attack's null fit
-applied record by record and round by round instead of the grouped fit.
+instead of one sort, point-by-point loops for the ROC's points, area and
+operating point instead of array operations, Monte Carlo instead of the
+sweep line, central differences instead of backprop, a client-by-client
+FedAvg loop of 2-D products instead of the stacked group trainer, and the
+attack's null fit applied record by record and round by round instead of
+the grouped fit.
 Also the trace and cohort builders that only the tests use.
 """
 
@@ -21,7 +23,6 @@ import numpy as np
 from fedaudit import attack as atk
 from fedaudit import data as dat
 from fedaudit import fedsim as fed
-from fedaudit import metrics as met
 from fedaudit import model as mdl
 from fedaudit.errors import FedAuditError
 from fedaudit.numstat import RngStream, summary
@@ -68,9 +69,41 @@ def roc_threshold_loop(scores: np.ndarray, is_member: np.ndarray) -> tuple:
     return tuple(points)
 
 
-def cohort_from_pairs(pairs: Sequence[tuple[float, bool]]) -> met.ScoredCohort:
-    """A scored cohort from (score, is_member) pairs."""
-    return met.ScoredCohort(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+def roc_sweep_loop(scores: np.ndarray, is_member: np.ndarray) -> tuple:
+    """ROC points of one descending sort, appended one tie group at a time
+    unless equal to the last point: ``metrics.roc``'s scalar reference."""
+    pos = int(is_member.sum())
+    neg = len(is_member) - pos
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    tp = np.concatenate(([0], np.cumsum(is_member[order])))
+    fp = np.arange(len(ranked) + 1) - tp
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    points: list[tuple[float, float]] = [(0.0, 0.0)]
+    for pt in zip((fp[starts] / neg).tolist(), (tp[starts] / pos).tolist()):
+        if pt != points[-1]:
+            points.append(pt)
+    if points[-1] != (1.0, 1.0):
+        points.append((1.0, 1.0))
+    return tuple(points)
+
+
+def area_loop(points: Sequence[tuple[float, float]]) -> float:
+    """Trapezoidal area under ROC points, summed left to right."""
+    area = 0.0
+    for (x1, y1), (x2, y2) in zip(points, points[1:]):
+        area += (x2 - x1) * (y1 + y2) / 2.0
+    return area
+
+
+def best_point_loop(points: Sequence[tuple[float, float]], fpr_cap: float) -> tuple[float, float]:
+    """(TPR, FPR) of the point with FPR <= fpr_cap and the highest TPR, then the
+    lowest FPR, by a scan of every point."""
+    best = (0.0, 0.0)
+    for fpr, tpr in points:
+        if fpr <= fpr_cap and (tpr > best[0] or (tpr == best[0] and fpr < best[1])):
+            best = (tpr, fpr)
+    return best
 
 
 def trace_prefix(trace: fed.UpdateTrace, num_rounds: int) -> fed.UpdateTrace:

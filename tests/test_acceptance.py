@@ -144,8 +144,7 @@ def test_criterion_2_numeric_oracles():
         scores = np.round(g.normal(size=n), 2)
         members = np.zeros(n, dtype=bool)
         members[:n_pos] = True
-        c = met.ScoredCohort(scores, members)
-        auc_err = max(auc_err, abs(met.auc(c) - pairwise_auc(scores, members)))
+        auc_err = max(auc_err, abs(met.auc(scores, members) - pairwise_auc(scores, members)))
     assert auc_err <= 1e-12
 
     # hypervolume: exact fixtures plus Monte Carlo
@@ -203,8 +202,8 @@ def test_criterion_4_temporal_aggregation(baseline_report, default_config):
         )
         per_round = np.array(sidecar["fedmia_ii"]["per_round"])
         members = np.array(sidecar["is_member"], dtype=bool)
-        auc_10 = met.auc(met.ScoredCohort(per_round[:, :10].mean(axis=1), members))
-        auc_full = met.auc(met.ScoredCohort(per_round.mean(axis=1), members))
+        auc_10 = met.auc(per_round[:, :10].mean(axis=1), members)
+        auc_full = met.auc(per_round.mean(axis=1), members)
         assert auc_10 <= auc_full + 0.01, f"seed {seed}: {auc_10:.3f} vs {auc_full:.3f}"
         details.append(f"{auc_10:.3f}<={auc_full:.3f}+0.01")
     _report(4, "per-seed AUC(first 10 rounds) vs AUC(all 50): " + ", ".join(details))

@@ -78,6 +78,16 @@ class TestLoadCsv:
         with pytest.raises(ConfigError, match="line 1: label 5 out of range for 3 classes"):
             dat.load_csv(str(p), num_classes=3)
 
+    def test_inferred_class_count_below_row_count(self, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text("0,1.0\n100000000,2.0\n1,3.0\n")
+        with pytest.raises(ConfigError, match="^line 2: label 100000000 is not below the row "
+                                              "count 3; give dataset.num_classes"):
+            dat.load_csv(str(p))
+        assert dat.load_csv(str(p), num_classes=100000001).num_classes == 100000001
+        p.write_text("0,1.0\n2,2.0\n1,3.0\n")
+        assert dat.load_csv(str(p)).num_classes == 3
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             dat.load_csv("/nonexistent/path.csv")
@@ -159,7 +169,7 @@ class TestPartitionDirichlet:
         assert len(np.unique(seen)) == len(ds)
 
 
-class TestEvalSplit:
+class TestMakeEvalSplit:
     @pytest.fixture()
     def setup(self):
         ds = dat.synth_blobs(RngStream(24), 4, 4, 100, 1.0)
@@ -168,16 +178,25 @@ class TestEvalSplit:
 
     def test_holdout_mode(self, setup):
         _, part = setup
-        split = dat.make_eval_split(RngStream(26), part, 0, "holdout")
-        assert np.array_equal(split.member_indices, part.client_indices[0])
-        assert np.array_equal(split.nonmember_indices, part.holdout_indices)
+        members, nonmembers = dat.make_eval_split(RngStream(26), part, 0, "holdout")
+        assert np.array_equal(members, part.client_indices[0])
+        assert np.array_equal(nonmembers, part.holdout_indices)
 
     def test_mixed_mode(self, setup):
         _, part = setup
-        split = dat.make_eval_split(RngStream(27), part, 0, "holdout+others", 0.1, 0.1)
-        assert len(np.intersect1d(split.nonmember_indices, part.client_indices[0])) == 0
+        _, nonmembers = dat.make_eval_split(RngStream(27), part, 0, "holdout+others", 0.1, 0.1)
+        assert len(np.intersect1d(nonmembers, part.client_indices[0])) == 0
         expected = math.ceil(0.1 * 60) + 3 * math.ceil(0.1 * 80)
-        assert len(split.nonmember_indices) == expected
+        assert len(nonmembers) == expected
+
+    @pytest.mark.parametrize("source", ["holdout", "holdout+others"])
+    def test_pools_disjoint(self, setup, source):
+        ds, _ = setup
+        part = dat.partition_dirichlet(RngStream(28), ds, 4, 0.5, 60)
+        for target in range(part.num_clients):
+            members, nonmembers = dat.make_eval_split(RngStream(29), part, target, source, 1.0, 1.0)
+            assert len(members) and len(nonmembers)
+            assert len(np.intersect1d(members, nonmembers)) == 0
 
 
 def mix_one(x, y, partner, lam):
@@ -189,39 +208,40 @@ class TestMixup:
     def test_lambda_one_is_identity(self):
         x = np.array([[0.0, 2.0], [2.0, 0.0]])
         y = np.array([0, 1])
-        m = mix_one(x, y, [1, 0], 1.0)
-        assert np.array_equal(m.features[0], x)
-        assert np.array_equal(m.labels_a[0], y)
+        features, labels, _ = mix_one(x, y, [1, 0], 1.0)
+        assert np.array_equal(features[0], x)
+        assert np.array_equal(labels[0, 0], y)
 
     def test_lambda_half_midpoint(self):
         x = np.array([[0.0, 2.0], [2.0, 0.0]])
         y = np.array([0, 1])
-        m = mix_one(x, y, [1, 0], 0.5)
-        assert np.array_equal(m.features[0], np.array([[1.0, 1.0], [1.0, 1.0]]))
+        features, _, _ = mix_one(x, y, [1, 0], 0.5)
+        assert np.array_equal(features[0], np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_lambda_zero_is_partner(self):
         x = np.array([[0.0, 2.0], [2.0, 0.0]])
         y = np.array([0, 1])
-        m = mix_one(x, y, [1, 0], 0.0)
-        assert np.array_equal(m.features[0], x[[1, 0]])
-        assert np.array_equal(m.labels_b[0], y[[1, 0]])
+        features, labels, _ = mix_one(x, y, [1, 0], 0.0)
+        assert np.array_equal(features[0], x[[1, 0]])
+        assert np.array_equal(labels[1, 0], y[[1, 0]])
 
     def test_concentrated_alpha_lambda_near_half(self):
         gens = [RngStream(29).derive(i).generator() for i in range(10_000)]
-        lams = dat.mixup(gens, np.zeros((10_000, 2, 2)), np.zeros((10_000, 2), dtype=int), 1e5).lam
+        lams = dat.mixup(gens, np.zeros((10_000, 2, 2)), np.zeros((10_000, 2), dtype=int), 1e5)[2]
         assert np.mean(lams) == pytest.approx(0.5, abs=0.01)
 
     def test_draws_lambda_then_partner(self):
         g = RngStream(32).generator()
         x, y = g.standard_normal((2, 5, 3)), np.arange(10).reshape(2, 5)
-        m = dat.mixup([RngStream(33).generator(), RngStream(34).generator()], x, y, 0.7)
+        features, labels, lams = dat.mixup(
+            [RngStream(33).generator(), RngStream(34).generator()], x, y, 0.7)
         for k, seed in enumerate((33, 34)):
             ref = RngStream(seed).generator()
             lam = float(ref.beta(0.7, 0.7))
-            expect = mix_one(x[k], y[k], ref.permutation(5), lam)
-            assert m.lam[k] == lam
-            assert np.array_equal(m.features[k], expect.features[0])
-            assert np.array_equal(m.labels_b[k], expect.labels_b[0])
+            expect_features, expect_labels, _ = mix_one(x[k], y[k], ref.permutation(5), lam)
+            assert lams[k] == lam
+            assert np.array_equal(features[k], expect_features[0])
+            assert np.array_equal(labels[:, k], expect_labels[:, 0])
 
 
     def test_workspace_gives_the_same_bits(self):
@@ -232,8 +252,8 @@ class TestMixup:
             partner, lam = g.permuted(np.tile(np.arange(b), (3, 1)), axis=1), g.uniform(size=3)
             fresh = dat.mix_with_lambda(x, y, partner, lam)
             shared = dat.mix_with_lambda(x, y, partner, lam, ws)
-            assert shared.features.tobytes() == fresh.features.tobytes()
-            assert np.array_equal(shared.labels_b, fresh.labels_b)
+            assert shared[0].tobytes() == fresh[0].tobytes()
+            assert np.array_equal(shared[1], fresh[1])
 
 
 class TestAugment:

@@ -29,6 +29,12 @@ class TestDefenseConfig:
         with pytest.raises(ConfigError):
             fed.DefenseConfig(kind="banish")
 
+    def test_negative_augment_noise_names_its_key_path(self):
+        with pytest.raises(ConfigError, match=r"^defense\.augment_ops\.noise_std: must be >= 0, "
+                                              r"got -1\.0$"):
+            fed.DefenseConfig.from_dict({"kind": "augment", "augment_ops": {"noise_std": -1.0}},
+                                        "defense")
+
     def test_takes_exactly_the_parameters_of_its_kind(self):
         with pytest.raises(ConfigError, match="^noise_std: required by defense 'perturb'$"):
             fed.DefenseConfig(kind="perturb", clip_norm=1.0)

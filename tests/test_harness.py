@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedaudit import attack as atk
 from fedaudit import fedsim as fed
 from fedaudit import harness as hns
 from fedaudit.errors import ConfigError, IntegrityError
@@ -205,6 +206,11 @@ class TestSweep:
         )
         points = sw.expand()
         assert [d.augment_ops.noise_std for _, d in points] == [0.1, 0.3]
+
+    def test_negative_augment_noise_names_its_key_once(self):
+        with pytest.raises(ConfigError, match=r"^sweep\.augment_noise_std: must be >= 0, "
+                                              r"got -1\.0$"):
+            hns.SweepConfig.from_dict({"defense": "augment", "augment_noise_std": -1})
 
 
 class TestRunExperiment:
@@ -771,7 +777,10 @@ class TestExitCodeContract:
         ({"dataset": {"kind": "csv"}}, b"0,1.0,2.0\n1,3.0,2.0\xff\n",
          "dataset.csv_path: {path}: line 2: non-numeric feature value"),
         ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n" + "9" * 30 + ",3.0,2.0\n",
-         "dataset.csv_path: {path}: line 2: label " + "9" * 30 + " out of range for int64"),
+         "dataset.csv_path: {path}: line 2: label " + "9" * 30 + " is not below the row count 2"),
+        ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n4,3.0,2.0\n1,3.0,2.0\n4,3.0,2.0\n",
+         "dataset.csv_path: {path}: line 2: label 4 is not below the row count 4; "
+         "give dataset.num_classes to allow it"),
         ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n1,3.0,2.0\n",
          "partition.per_client: need 160 samples, have 2"),
         ({"dataset": {"kind": "csv"}, "partition": {"kind": "iid", "clients": 3, "per_client": 2,
@@ -782,7 +791,7 @@ class TestExitCodeContract:
          "partition.holdout: client pool of 1 cannot supply per_client=2"),
     ], ids=["too_few_samples", "missing_csv", "empty_csv", "non_numeric_csv",
             "csv_with_input_dim", "csv_with_per_class", "csv_with_class_sep", "csv_not_utf8",
-            "csv_label_beyond_int64", "csv_too_few_samples", "csv_iid_pool_short",
+            "csv_label_beyond_int64", "csv_label_at_row_count", "csv_too_few_samples", "csv_iid_pool_short",
             "csv_inf_pool_short"])
     def test_bad_data_input_exits_2_before_training(self, tmp_path, capsys, overrides, csv_text,
                                                     needle):
@@ -887,6 +896,22 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert err.startswith("integrity error:") and f"{path}: line {line}:" in err, err
 
+    @pytest.mark.parametrize("mangle", [
+        lambda rows: [row.__setitem__(1, "1") for row in rows[1:]],
+        lambda rows: [row.__setitem__(1, "0") for row in rows[1:]],
+        lambda rows: rows.__delitem__(slice(1, None)),
+    ], ids=["all_members", "no_members", "no_rows"])
+    def test_targets_csv_without_both_classes_exits_3(self, run_dir, tmp_path, capsys, mangle):
+        copy = str(tmp_path / "run")
+        shutil.copytree(run_dir, copy)
+        path = os.path.join(copy, "targets.csv")
+        _edit_csv(mangle)(path)
+        ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
+        assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"integrity error: corrupt targets file {path}: is_member needs at "
+                       f"least one member and one non-member\n"), err
+
     def test_targets_csv_feature_count_differs_exits_3(self, run_dir, tmp_path, capsys):
         copy = str(tmp_path / "run")
         shutil.copytree(run_dir, copy)
@@ -922,6 +947,14 @@ class TestExitCodeContract:
             lambda s: s["sample_ids"].__setitem__(0, s["sample_ids"][0] + 0.5))),
         ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
             lambda s: s["sample_ids"].__setitem__(0, 10**30))),
+        ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
+            lambda s: s["fedmia_ii"]["per_round"][0].__setitem__(0, float("nan")))),
+        ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
+            lambda s: s["series"]["cosine_target"][1].__setitem__(1, float("-inf")))),
+        ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
+            lambda s: s["series"]["update_norm_target"].__setitem__(0, float("inf")))),
+        ("plots", "runs/none/seed1/attack_rounds.json", _edit_json(
+            lambda s: s.update(is_member=[True] * len(s["is_member"])))),
         ("plots", "report.json", _write_text("not json")),
         ("plots", "report.json", _write_text("{}")),
         ("report", "report.json", _write_text("[1, 2]")),
@@ -953,6 +986,7 @@ class TestExitCodeContract:
     ], ids=["sidecar_missing", "sidecar_not_json", "sidecar_empty_object",
             "per_round_short_row", "series_missing_record", "update_norm_extra_round",
             "series_key_missing", "sample_id_not_int", "sample_id_too_large",
+            "per_round_nan", "series_minus_inf", "shared_series_inf", "sidecar_one_class",
             "plots_report_not_json",
             "plots_report_empty_object", "report_a_list", "report_not_json", "hypervolume_not_a_number",
             "per_method_block_missing", "inclusion_check_not_bool", "inclusion_checks_missing",
@@ -971,6 +1005,30 @@ class TestExitCodeContract:
         rc, err = _main_captured([command, copy])
         assert rc == 3, err
         assert err.startswith("integrity error:") and path in err, err
+
+
+@pytest.mark.parametrize("method, poison", [
+    ("fedmia_ii", lambda audit: audit.per_round["fedmia_ii"].__setitem__((0, 0), np.nan)),
+    ("grad_norm", lambda audit: audit.series["update_norm"].__setitem__((0, -1), np.inf)),
+    ("avg_cosine", lambda audit: audit.series["cosine"].__setitem__((3, 0), np.nan)),
+], ids=["fedmia_per_round", "final_round_series", "earlier_round_series"])
+def test_non_finite_attack_score_exits_4(tmp_path, monkeypatch, method, poison):
+    """A non-finite audit array fails the run, naming the seed, the defense and the method."""
+    audit_cohort = atk.audit_cohort
+
+    def poisoned(*args, **kwargs):
+        audit = audit_cohort(*args, **kwargs)
+        poison(audit)
+        return audit
+
+    monkeypatch.setattr(atk, "audit_cohort", poisoned)
+    d = micro_config_dict(attack={"methods": ["fedmia_ii", "grad_norm", "avg_cosine"]})
+    out = tmp_path / "out"
+    rc, err = _main_captured(["run", write_config(tmp_path, d), "--out", str(out), "--jobs", "1"])
+    assert rc == 4, err
+    assert err == (f'error: seed 1, defense {{"kind": "none"}}, method {method}: '
+                   f"non-finite attack score\n"), err
+    assert not list(out.rglob("attack_*"))  # no score reaches an artifact
 
 
 def test_final_scores_are_the_last_round_of_the_curve(tmp_path):

@@ -180,7 +180,7 @@ class TestSamplers:
 
     @staticmethod
     def _lam(rng, alpha):
-        return dat.mixup([rng.generator()], np.zeros((1, 2, 2)), np.zeros((1, 2), int), alpha).lam[0]
+        return dat.mixup([rng.generator()], np.zeros((1, 2, 2)), np.zeros((1, 2), int), alpha)[2][0]
 
     @staticmethod
     def _shares(seed, beta, clients, per_class=20, holdout=6):
