@@ -8,9 +8,10 @@ pools of ``make_eval_split`` apart. The three data-level defenses
 client's local epoch and are called by ``fedsim``'s local SGD loop; they
 transform training batches only, so attack targets are always original
 records. Pools and mixed batches pass between modules as plain arrays.
-The config checks every argument range when it is decoded (``harness``);
+The config checks every argument range when it is decoded (``config``);
 these functions take the checked values. ``load_csv`` checks its file: a
-label is below ``num_classes``, or, when that is inferred, the row count.
+label is below ``num_classes``, and that, given or inferred, is at most the
+row count.
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int
     """Load ``label,f1,...,fd`` rows (UTF-8, no header) into a Dataset.
 
     Parse failures, a byte that is not UTF-8 among them, name the offending
-    1-based line. When ``num_classes`` is omitted it is ``max(label) + 1``,
-    and a label at or above the row count is an error: the classes it
-    implies could not all have a record, yet each costs a pass of the
+    1-based line. When ``num_classes`` is omitted it is ``max(label) + 1``.
+    Given or inferred, a class count above the row count is an error: those
+    classes could not all have a record, yet each costs a pass of the
     partition and a row of the model's output layer.
     """
     rows: list[list[float]] = []
@@ -162,10 +163,11 @@ def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int
             rows.append(feats)
     if not rows:
         raise ConfigError("empty dataset file")
-    if num_classes is None and top_label >= len(rows):
-        raise ConfigError(f"line {top_line}: label {top_label} is not below the row count "
-                          f"{len(rows)}; give dataset.num_classes to allow it")
     nc = num_classes if num_classes is not None else top_label + 1
+    if nc > len(rows):
+        raise ConfigError(f"dataset.num_classes {nc} is above the row count {len(rows)}"
+                          if num_classes is not None else f"line {top_line}: label "
+                          f"{top_label} is not below the row count {len(rows)}")
     return Dataset(np.array(rows), np.array(labels), nc, geometry)
 
 

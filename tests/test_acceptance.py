@@ -19,6 +19,7 @@ from fedaudit import attack as atk
 from fedaudit import fedsim as fed
 from fedaudit import metrics as met
 from fedaudit import harness as hns
+from fedaudit.config import ExperimentConfig
 from fedaudit.numstat import RngStream, gaussian_cdf
 from fedaudit import model as mdl
 from helpers import (
@@ -61,7 +62,7 @@ def nonincreasing_with_tolerance(seq, tol=0.02, allowed_inversions=1):
 
 @pytest.fixture(scope="module")
 def default_config():
-    return hns.ExperimentConfig.from_dict(load_default_dict())
+    return ExperimentConfig.from_dict(load_default_dict())
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ def sweep_reports(tmp_path_factory):
         path = os.path.join(os.path.dirname(CONFIG_PATH), f"{name}.json")
         cfg_dict = json.load(open(path))
         cfg_dict["attack"]["methods"] = ["fedmia_ii"]
-        cfg = hns.ExperimentConfig.from_dict(cfg_dict)
+        cfg = ExperimentConfig.from_dict(cfg_dict)
         out = str(tmp_path_factory.mktemp(name))
         hns.run_experiment(cfg, out)
         reports[name] = out
@@ -94,7 +95,7 @@ def epoch_reports(tmp_path_factory):
         d = load_default_dict()
         d["federation"]["local_epochs"] = epochs
         d["attack"]["methods"] = ["fedmia_ii"]
-        cfg = hns.ExperimentConfig.from_dict(d)
+        cfg = ExperimentConfig.from_dict(d)
         out = str(tmp_path_factory.mktemp(f"epochs{epochs}"))
         hns.run_experiment(cfg, out)
         reports[epochs] = out

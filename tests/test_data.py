@@ -54,9 +54,9 @@ class TestSynthBlobs:
 class TestLoadCsv:
     def test_basic_row(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("1,0.5,0.25\n")
+        p.write_text("1,0.5,0.25\n0,1.0,2.0\n")
         ds = dat.load_csv(str(p), num_classes=2)
-        assert len(ds) == 1
+        assert len(ds) == 2
         assert ds.labels[0] == 1
         assert np.array_equal(ds.features[0], [0.5, 0.25])
 
@@ -82,11 +82,16 @@ class TestLoadCsv:
         p = tmp_path / "big.csv"
         p.write_text("0,1.0\n100000000,2.0\n1,3.0\n")
         with pytest.raises(ConfigError, match="^line 2: label 100000000 is not below the row "
-                                              "count 3; give dataset.num_classes"):
+                                              "count 3$"):
             dat.load_csv(str(p))
-        assert dat.load_csv(str(p), num_classes=100000001).num_classes == 100000001
+        with pytest.raises(ConfigError, match="^dataset.num_classes 100000001 is above the row "
+                                              "count 3$"):
+            dat.load_csv(str(p), num_classes=100000001)
         p.write_text("0,1.0\n2,2.0\n1,3.0\n")
         assert dat.load_csv(str(p)).num_classes == 3
+        assert dat.load_csv(str(p), num_classes=3).num_classes == 3
+        with pytest.raises(ConfigError, match="^dataset.num_classes 4 is above the row count 3$"):
+            dat.load_csv(str(p), num_classes=4)
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):

@@ -1,5 +1,7 @@
+import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -9,6 +11,7 @@ import re
 import shutil
 import sys
 import tempfile
+import typing
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,9 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedaudit import attack as atk
+from fedaudit import config as fcfg
+from fedaudit import data as dat
 from fedaudit import fedsim as fed
 from fedaudit import harness as hns
+from fedaudit.config import (AUGMENT_KEYS, SWEEP_TYPES, AttackSuiteConfig, DatasetConfig,
+                             ExperimentConfig, SweepConfig, config_hash)
 from fedaudit.errors import ConfigError, IntegrityError
+from fedaudit.schema import FloatOrInf, dump_value, field_types
 
 
 def micro_config_dict(**overrides):
@@ -81,8 +89,8 @@ def _tree_bytes(root):
 
 class TestConfig:
     def test_roundtrip_identity(self):
-        cfg = hns.ExperimentConfig.from_dict(micro_config_dict())
-        again = hns.ExperimentConfig.from_dict(cfg.to_dict())
+        cfg = ExperimentConfig.from_dict(micro_config_dict())
+        again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
         assert again.to_dict() == cfg.to_dict()
 
@@ -90,50 +98,50 @@ class TestConfig:
         d = micro_config_dict()
         d["dataset"]["colour"] = "blue"
         with pytest.raises(ConfigError, match="dataset.*colour"):
-            hns.ExperimentConfig.from_dict(d)
+            ExperimentConfig.from_dict(d)
 
     def test_unknown_top_level_key(self):
         d = micro_config_dict()
         d["extra"] = 1
         with pytest.raises(ConfigError, match="extra"):
-            hns.ExperimentConfig.from_dict(d)
+            ExperimentConfig.from_dict(d)
 
     def test_missing_block(self):
         d = micro_config_dict()
         del d["federation"]
         with pytest.raises(ConfigError, match="federation"):
-            hns.ExperimentConfig.from_dict(d)
+            ExperimentConfig.from_dict(d)
 
     def test_bad_schema_version(self):
         d = micro_config_dict()
         d["schema_version"] = 99
         with pytest.raises(ConfigError, match="schema_version"):
-            hns.ExperimentConfig.from_dict(d)
+            ExperimentConfig.from_dict(d)
 
     def test_unknown_method_rejected(self):
         d = micro_config_dict(attack={"methods": ["fedmia_ii", "shadow"]})
         with pytest.raises(ConfigError, match="shadow"):
-            hns.ExperimentConfig.from_dict(d)
+            ExperimentConfig.from_dict(d)
 
     def test_fedmia_needs_three_clients(self):
         d = micro_config_dict(partition={"clients": 2, "per_client": 40, "kind": "iid", "holdout": 40})
         with pytest.raises(ConfigError, match="3 clients"):
-            hns.ExperimentConfig.from_dict(d)
+            ExperimentConfig.from_dict(d)
 
     def test_beta_inf_roundtrip(self):
         d = micro_config_dict()
         d["partition"] = {"kind": "dirichlet", "clients": 3, "holdout": 40, "beta": "inf"}
-        cfg = hns.ExperimentConfig.from_dict(d)
+        cfg = ExperimentConfig.from_dict(d)
         assert cfg.partition.beta == float("inf")
         assert cfg.to_dict()["partition"]["beta"] == "inf"
-        assert hns.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_config_hash_stable(self):
-        a = hns.ExperimentConfig.from_dict(micro_config_dict())
-        b = hns.ExperimentConfig.from_dict(micro_config_dict())
-        assert hns.config_hash(a) == hns.config_hash(b)
-        c = hns.ExperimentConfig.from_dict(micro_config_dict(seeds=[2]))
-        assert hns.config_hash(c) != hns.config_hash(a)
+        a = ExperimentConfig.from_dict(micro_config_dict())
+        b = ExperimentConfig.from_dict(micro_config_dict())
+        assert config_hash(a) == config_hash(b)
+        c = ExperimentConfig.from_dict(micro_config_dict(seeds=[2]))
+        assert config_hash(c) != config_hash(a)
 
     @pytest.mark.parametrize("name, digest", [
         ("default", "89c6d5bad003a7641a97ab3e4aa026088f7c92a1d1186ffadb6309b16e5a29da"),
@@ -143,79 +151,88 @@ class TestConfig:
     ])
     def test_shipped_config_hash_pinned(self, name, digest):
         cfg = hns.load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
-        assert hns.config_hash(cfg) == digest
-        assert hns.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert config_hash(cfg) == digest
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_int_stays_int_in_float_field(self):
         d = micro_config_dict(federation={"lr": 1}, sweep={"defense": "perturb", "clip_norm": 1,
                                                             "noise_std": [0, 0.5]})
-        cfg = hns.ExperimentConfig.from_dict(d)
+        cfg = ExperimentConfig.from_dict(d)
         assert cfg.to_dict()["federation"]["lr"] == 1
         assert type(cfg.to_dict()["federation"]["lr"]) is int
-        assert [v for v, _ in cfg.sweep.expand()] == [0, 0.5]
-        assert hns._param_label(cfg.sweep.expand()[0][0]) == "0"
+        assert [v for v, _ in cfg.sweep.points] == [0, 0.5]
+        assert hns._param_label(cfg.sweep.points[0][0]) == "0"
 
     def test_federation_block_is_fedconfig_with_its_defaults(self):
         d = micro_config_dict()
         d["federation"] = {"rounds": 2}
-        assert hns.ExperimentConfig.from_dict(d).federation == fed.FedConfig(
+        assert ExperimentConfig.from_dict(d).federation == fed.FedConfig(
             rounds=2, local_epochs=3, lr=0.1, lr_decay=0.99, batch_size=32
         )
 
     def test_model_hidden_dim_defaults_by_kind(self):
         d = micro_config_dict(model={"kind": "linear_softmax"})
         del d["model"]["hidden_dim"]
-        assert hns.ExperimentConfig.from_dict(d).model.hidden_dim == 0
+        assert ExperimentConfig.from_dict(d).model.hidden_dim == 0
         del d["model"]["init_std"]
         d["model"]["kind"] = "mlp"
-        assert hns.ExperimentConfig.from_dict(d).to_dict()["model"] == {
+        assert ExperimentConfig.from_dict(d).to_dict()["model"] == {
             "kind": "mlp", "hidden_dim": 32, "init_std": 0.1,
         }
 
 
 class TestSweep:
     def test_three_values_three_points(self):
-        sw = hns.SweepConfig.from_dict(
+        sw = SweepConfig.from_dict(
             {"defense": "perturb", "clip_norm": 1.0, "noise_std": [0.0, 0.05, 0.5]}
         )
-        points = sw.expand()
+        points = sw.points
         assert [v for v, _ in points] == [0.0, 0.05, 0.5]
         assert all(d.kind == "perturb" and d.clip_norm == 1.0 for _, d in points)
 
     def test_none_single_point(self):
-        points = hns.SweepConfig.from_dict({"defense": "none"}).expand()
+        points = SweepConfig.from_dict({"defense": "none"}).points
         assert len(points) == 1 and points[0][0] is None
 
     def test_two_axes_rejected(self):
         with pytest.raises(ConfigError, match="one list"):
-            hns.SweepConfig.from_dict(
+            SweepConfig.from_dict(
                 {"defense": "perturb", "clip_norm": [1.0, 2.0], "noise_std": [0.0, 0.1]}
             )
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError, match="sweep.noise_std"):
-            hns.SweepConfig.from_dict({"defense": "perturb", "clip_norm": 1.0, "noise_std": []})
+            SweepConfig.from_dict({"defense": "perturb", "clip_norm": 1.0, "noise_std": []})
+
+    def test_each_point_is_built_once(self, monkeypatch):
+        built, build = [], fcfg._defense_from_params
+        monkeypatch.setattr(fcfg, "_defense_from_params",
+                            lambda kind, p: built.append(kind) or build(kind, p))
+        cfg = ExperimentConfig.from_dict(micro_config_dict(
+            sweep={"defense": "perturb", "clip_norm": 1.0, "noise_std": [0.0, 0.1, 0.2]}))
+        assert [v for v, _ in cfg.sweep.points] == [0.0, 0.1, 0.2]
+        assert built == ["perturb"] * 3
 
     def test_wrong_param_for_kind(self):
         with pytest.raises(ConfigError):
-            hns.SweepConfig.from_dict({"defense": "sparsify", "bits": 3}).expand()
+            SweepConfig.from_dict({"defense": "sparsify", "bits": 3}).points
 
     def test_augment_params(self):
-        sw = hns.SweepConfig.from_dict(
+        sw = SweepConfig.from_dict(
             {"defense": "augment", "flip_h": False, "augment_noise_std": [0.1, 0.3]}
         )
-        points = sw.expand()
+        points = sw.points
         assert [d.augment_ops.noise_std for _, d in points] == [0.1, 0.3]
 
     def test_negative_augment_noise_names_its_key_once(self):
         with pytest.raises(ConfigError, match=r"^sweep\.augment_noise_std: must be >= 0, "
                                               r"got -1\.0$"):
-            hns.SweepConfig.from_dict({"defense": "augment", "augment_noise_std": -1})
+            SweepConfig.from_dict({"defense": "augment", "augment_noise_std": -1})
 
 
 class TestRunExperiment:
     def test_minimal_run_shape(self, tmp_path):
-        cfg = hns.ExperimentConfig.from_dict(micro_config_dict())
+        cfg = ExperimentConfig.from_dict(micro_config_dict())
         out = hns.run_experiment(cfg, str(tmp_path / "out"))
         rows = list(csv.DictReader(open(os.path.join(out, "metrics.csv"))))
         assert len(rows) == 1  # one seed, one method, one sweep point
@@ -223,11 +240,11 @@ class TestRunExperiment:
         assert row["method"] == "fedmia_ii"
         assert 0.0 <= float(row["auc"]) <= 1.0
         report = json.load(open(os.path.join(out, "report.json")))
-        assert report["config_hash"] == hns.config_hash(cfg)
+        assert report["config_hash"] == config_hash(cfg)
         assert "fedmia_ii" in report["per_method"]
 
     def test_deterministic_metrics_bytes(self, tmp_path):
-        cfg = hns.ExperimentConfig.from_dict(micro_config_dict(seeds=[3]))
+        cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[3]))
         a = hns.run_experiment(cfg, str(tmp_path / "a"))
         b = hns.run_experiment(cfg, str(tmp_path / "b"))
         bytes_a = open(os.path.join(a, "metrics.csv"), "rb").read()
@@ -238,7 +255,7 @@ class TestRunExperiment:
         assert sa == sb
 
     def test_report_groups_rows_by_point_in_first_seen_order(self):
-        cfg = hns.ExperimentConfig.from_dict(
+        cfg = ExperimentConfig.from_dict(
             micro_config_dict(attack={"methods": ["grad_norm", "avg_cosine"]}))
 
         def row(method, param, seed, auc):
@@ -265,7 +282,7 @@ class TestRunExperiment:
         d = micro_config_dict(
             sweep={"defense": "perturb", "clip_norm": 1.0, "noise_std": [0.0, 0.05, 0.5]}
         )
-        cfg = hns.ExperimentConfig.from_dict(d)
+        cfg = ExperimentConfig.from_dict(d)
         out = hns.run_experiment(cfg, str(tmp_path / "out"))
         report = json.load(open(os.path.join(out, "report.json")))
         block = report["per_method"]["fedmia_ii"]
@@ -275,7 +292,7 @@ class TestRunExperiment:
         assert len(rows) == 3
 
     def test_seed_override(self, tmp_path):
-        cfg = hns.ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2, 3]))
+        cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2, 3]))
         out = hns.run_experiment(cfg, str(tmp_path / "out"), seed_override=7)
         rows = list(csv.DictReader(open(os.path.join(out, "metrics.csv"))))
         assert [r["seed"] for r in rows] == ["7"]
@@ -284,7 +301,7 @@ class TestRunExperiment:
         assert hns.main(["plots", out]) == 0
 
     def test_inclusion_checks_recorded(self, tmp_path):
-        cfg = hns.ExperimentConfig.from_dict(micro_config_dict())
+        cfg = ExperimentConfig.from_dict(micro_config_dict())
         out = hns.run_experiment(cfg, str(tmp_path / "out"))
         report = json.load(open(os.path.join(out, "report.json")))
         checks = report["inclusion_checks"]["none::seed1"]["fedmia_ii"]
@@ -294,7 +311,7 @@ class TestRunExperiment:
     def test_parallel_jobs_identical_output(self, tmp_path):
         """Every file of the default and of a 2-worker pool equals --jobs 1's,
         report.json apart from its timestamp (a 1-core default is serial)."""
-        cfg = hns.ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2]))
+        cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2]))
         created = re.compile(rb'\n  "created_utc": "[^"]*",')
         trees = []
         for jobs in (1, None, 2):
@@ -315,9 +332,9 @@ class TestRunExperiment:
             def __init__(self, max_workers, mp_context):
                 seen.update(workers=max_workers, start=mp_context.get_start_method())
                 super().__init__(max_workers)
-        monkeypatch.setattr(hns, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(hns, "_usable_cores", lambda: cores)
-        cfg = hns.ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2, 3]))
+        cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2, 3]))
         hns.run_experiment(cfg, str(tmp_path / "out"), jobs=jobs)
         assert seen == {"workers": workers, "start": "spawn"}
 
@@ -325,8 +342,8 @@ class TestRunExperiment:
     def test_one_job_grid_builds_no_pool(self, tmp_path, monkeypatch, jobs):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-job grid built a process pool")
-        monkeypatch.setattr(hns, "ProcessPoolExecutor", no_pool)
-        cfg = hns.ExperimentConfig.from_dict(micro_config_dict())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = ExperimentConfig.from_dict(micro_config_dict())
         out = hns.run_experiment(cfg, str(tmp_path / "out"), jobs=jobs)
         assert os.path.exists(os.path.join(out, "metrics.csv"))
 
@@ -363,7 +380,7 @@ class TestReplay:
             attack={"methods": ["fedmia_ii", "fedmia_i", "blackbox_loss", "grad_cosine"],
                     "delta_grid": [0.5], "fpr_cap": 0.1, "targets_per_class": 15}
         )
-        cfg = hns.ExperimentConfig.from_dict(d)
+        cfg = ExperimentConfig.from_dict(d)
         out = hns.run_experiment(cfg, str(tmp_path / "out"))
         return cfg, out
 
@@ -382,7 +399,7 @@ class TestReplay:
     def test_replay_new_delta_grid_same_scores(self, completed_run, tmp_path):
         cfg, out = completed_run
         trace_dir = os.path.join(out, "runs", "none", "seed1", "trace")
-        ac2 = hns.AttackSuiteConfig.from_dict(
+        ac2 = AttackSuiteConfig.from_dict(
             {**cfg.attack.to_dict(), "delta_grid": [0.25, 0.75]}
         )
         hns.replay_attack(trace_dir, ac2, str(tmp_path / "replay2"))
@@ -394,7 +411,7 @@ class TestReplay:
 
     def test_replay_missing_trace(self, tmp_path):
         with pytest.raises(IntegrityError):
-            hns.replay_attack(str(tmp_path / "nope"), hns.AttackSuiteConfig(methods=("fedmia_ii",)))
+            hns.replay_attack(str(tmp_path / "nope"), AttackSuiteConfig(methods=("fedmia_ii",)))
 
     def test_replay_corrupt_trace(self, completed_run, tmp_path):
         cfg, out = completed_run
@@ -414,7 +431,7 @@ class TestPlots:
                     "fpr_cap": 0.1, "targets_per_class": 15},
             seeds=[1, 2],
         )
-        cfg = hns.ExperimentConfig.from_dict(d)
+        cfg = ExperimentConfig.from_dict(d)
         out = hns.run_experiment(cfg, str(tmp_path / "out"))
         hns.emit_plots(out)
         return cfg, out
@@ -522,47 +539,88 @@ class TestCli:
 NAN, INF = float("nan"), float("inf")
 NON_FINITE = [NAN, INF, -INF]
 
-# Every settable config key and the JSON kind it takes. Sweep parameter
-# values are scalars or one list, so their wrong values differ.
-CONFIG_FIELDS = [
-    (("schema_version",), "int"),
-    (("seeds",), "int_list"),
-    (("dataset", "kind"), "str"),
-    (("dataset", "num_classes"), "int"),
-    (("dataset", "input_dim"), "int"),
-    (("dataset", "per_class"), "int"),
-    (("dataset", "class_sep"), "float"),
-    (("dataset", "csv_path"), "str"),
-    (("dataset", "geometry"), "int_pair"),
-    (("partition", "kind"), "str"),
-    (("partition", "clients"), "int"),
-    (("partition", "per_client"), "int"),
-    (("partition", "holdout"), "int"),
-    (("partition", "beta"), "beta"),
-    (("partition", "nonmember_source"), "str"),
-    (("partition", "holdout_fraction"), "float"),
-    (("partition", "others_fraction"), "float"),
-    (("model", "kind"), "str"),
-    (("model", "hidden_dim"), "int"),
-    (("model", "init_std"), "float"),
-    (("federation", "rounds"), "int"),
-    (("federation", "local_epochs"), "int"),
-    (("federation", "lr"), "float"),
-    (("federation", "lr_decay"), "float"),
-    (("federation", "batch_size"), "int"),
-    (("attack", "methods"), "str_list"),
-    (("attack", "delta_grid"), "float_list"),
-    (("attack", "fpr_cap"), "float"),
-    (("attack", "target_client"), "int"),
-    (("attack", "targets_per_class"), "int"),
-    (("attack", "sigma_floor_rel"), "float"),
-    (("attack", "leave_one_out"), "bool"),
-    (("sweep", "defense"), "str"),
-    (("sweep", "clip_norm"), "sweep_float"),
-    (("sweep", "bits"), "sweep_int"),
-    (("sweep", "augment_noise_std"), "sweep_float"),
-    (("sweep", "flip_h"), "sweep_bool"),
-]
+REQUIRED = dataclasses.MISSING  # the default of a required key
+
+
+def _field_default(f):
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return REQUIRED if f.default is dataclasses.MISSING else f.default
+
+
+def _config_keys():
+    """(key path, annotation, default) of every config key, read off the config classes."""
+    keys = []
+    for f in dataclasses.fields(ExperimentConfig):
+        tp = field_types(ExperimentConfig)[f.name]
+        keys.append(((f.name,), tp, _field_default(f)))
+        if tp is SweepConfig:  # its keys are the fields of a DefenseConfig and its AugmentOps
+            ops = {g.name: g.default for g in dataclasses.fields(dat.AugmentOps)}
+            keys += [(("sweep", k), t, REQUIRED if k == "defense" else
+                      ops[AUGMENT_KEYS[k]] if k in AUGMENT_KEYS else None)
+                     for k, t in SWEEP_TYPES.items()]
+        elif dataclasses.is_dataclass(tp):
+            keys += [((f.name, g.name), field_types(tp)[g.name], _field_default(g))
+                     for g in dataclasses.fields(tp)]
+    return keys
+
+
+VALUE_KINDS = {int: "int", float: "float", FloatOrInf: "beta", bool: "bool", str: "str",
+               tuple[int, int]: "int_pair", tuple[str, ...]: "str_list",
+               tuple[float, ...]: "float_list", tuple[int, ...]: "int_list"}
+
+
+def _value_kind(path, tp):
+    """The WRONG_VALUES kind of a key. A sweep parameter's value is a scalar or
+    one list of them, so its wrong values differ."""
+    args = typing.get_args(tp)
+    if type(None) in args:
+        (tp,) = [a for a in args if a is not type(None)]
+    kind = VALUE_KINDS[tp]
+    return f"sweep_{kind}" if path[0] == "sweep" and path != ("sweep", "defense") else kind
+
+
+# Every settable config key and the JSON kind it takes.
+CONFIG_FIELDS = [(path, _value_kind(path, tp)) for path, tp, _ in _config_keys()
+                 if not dataclasses.is_dataclass(tp)]
+
+
+def _readme_config_table():
+    """{(block, key): default cell} of README's config table; block "" is the top level."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| block | key | type | default |\n|---|---|---|---|\n")[1]
+    rows, block = {}, None
+    for line in table.split("\n\n")[0].splitlines():
+        block_cell, key_cell, _, default = [c.strip() for c in line.strip("|").split("|")]
+        if block_cell:
+            block = "" if block_cell == "top level" else block_cell.strip("`")
+        for key in re.findall(r"`([^`]+)`", key_cell):
+            assert (block, key) not in rows, f"{block}.{key} is listed twice"
+            rows[(block, key)] = default
+    return rows
+
+
+def _documented_default(cell):
+    """The default a README cell states: its text up to a ';' or ' (', read as
+    JSON or else as a bare string; "required" is REQUIRED."""
+    head = re.split(r";| \(", cell, maxsplit=1)[0].strip("` ")
+    if head == "required":
+        return REQUIRED
+    try:
+        return json.loads(head)
+    except json.JSONDecodeError:
+        return head
+
+
+def test_readme_config_table_matches_the_config_classes():
+    documented = {key: _documented_default(cell) for key, cell in _readme_config_table().items()}
+    assert documented == {
+        ("" if len(path) == 1 else path[0], path[-1]):
+            default if default is REQUIRED else dump_value(default)
+        for path, _, default in _config_keys()
+    }
+
+
 WRONG_VALUES = {
     "int": ["5", 2.5, 2.0, True, [1], {"n": 1}, *NON_FINITE],
     "float": ["0.1", True, [0.1], {"x": 0.1}, *NON_FINITE],
@@ -779,8 +837,9 @@ class TestExitCodeContract:
         ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n" + "9" * 30 + ",3.0,2.0\n",
          "dataset.csv_path: {path}: line 2: label " + "9" * 30 + " is not below the row count 2"),
         ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n4,3.0,2.0\n1,3.0,2.0\n4,3.0,2.0\n",
-         "dataset.csv_path: {path}: line 2: label 4 is not below the row count 4; "
-         "give dataset.num_classes to allow it"),
+         "dataset.csv_path: {path}: line 2: label 4 is not below the row count 4"),
+        ({"dataset": {"kind": "csv", "num_classes": 100000000}}, "0,1.0,2.0\n1,3.0,2.0\n",
+         "dataset.csv_path: {path}: dataset.num_classes 100000000 is above the row count 2"),
         ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n1,3.0,2.0\n",
          "partition.per_client: need 160 samples, have 2"),
         ({"dataset": {"kind": "csv"}, "partition": {"kind": "iid", "clients": 3, "per_client": 2,
@@ -791,7 +850,8 @@ class TestExitCodeContract:
          "partition.holdout: client pool of 1 cannot supply per_client=2"),
     ], ids=["too_few_samples", "missing_csv", "empty_csv", "non_numeric_csv",
             "csv_with_input_dim", "csv_with_per_class", "csv_with_class_sep", "csv_not_utf8",
-            "csv_label_beyond_int64", "csv_label_at_row_count", "csv_too_few_samples", "csv_iid_pool_short",
+            "csv_label_beyond_int64", "csv_label_at_row_count", "csv_num_classes_above_rows",
+            "csv_too_few_samples", "csv_iid_pool_short",
             "csv_inf_pool_short"])
     def test_bad_data_input_exits_2_before_training(self, tmp_path, capsys, overrides, csv_text,
                                                     needle):
@@ -809,7 +869,7 @@ class TestExitCodeContract:
         assert not out.exists()
 
     def test_csv_data_takes_num_classes_and_geometry(self):
-        dc = hns.DatasetConfig.from_dict(
+        dc = DatasetConfig.from_dict(
             {"kind": "csv", "csv_path": "data.csv", "num_classes": 3, "geometry": [2, 4]}, "dataset")
         assert (dc.num_classes, dc.geometry, dc.input_dim) == (3, (2, 4), None)
 
@@ -844,7 +904,7 @@ class TestExitCodeContract:
 
     @pytest.fixture(scope="class")
     def run_dir(self, tmp_path_factory):
-        cfg = hns.ExperimentConfig.from_dict(micro_config_dict())
+        cfg = ExperimentConfig.from_dict(micro_config_dict())
         out = hns.run_experiment(cfg, str(tmp_path_factory.mktemp("meta")))
         return os.path.join(out, "runs", "none", "seed1")
 
@@ -926,7 +986,7 @@ class TestExitCodeContract:
     @pytest.fixture(scope="class")
     def report_dir(self, tmp_path_factory):
         d = micro_config_dict(attack={"methods": ["fedmia_ii", "grad_norm", "avg_cosine"]})
-        return hns.run_experiment(hns.ExperimentConfig.from_dict(d),
+        return hns.run_experiment(ExperimentConfig.from_dict(d),
                                   str(tmp_path_factory.mktemp("report")))
 
     SCORES = "runs/none/seed1/attack_scores.csv"
