@@ -19,9 +19,15 @@ The main attack scores a target record in three steps, per round:
      probability under that null, then average the per-round scores over
      all recorded rounds.
 
-``audit_cohort`` runs the steps for a whole cohort in one pass over the
-rounds, vectorised over (records x non-target clients); one gradient
-product per round feeds every measurement. A row whose 3-sigma test keeps
+``audit_cohort`` runs the steps for a whole cohort in two chains over the
+rounds, each vectorised over (records x non-target clients). The loss
+chain measures each record's loss under every client's rebuilt model,
+through the stacked loss kernel of ``model``, and scores variant I. The
+gradient chain takes one gradient product per round, which feeds the
+cosine and grad_diff measurements, scores variant II and keeps the target
+client's series. The chains share no array, so on two cores the loss
+chain runs on a helper thread; the bits are those of one pass over the
+rounds, and so is the first error raised. A row whose 3-sigma test keeps
 every value takes the population fit as its null, exactly. Rows with a
 drop are grouped by survivor count, and each group's survivors, gathered
 in client order into one contiguous block, are fitted row by row with the
@@ -52,6 +58,7 @@ behind a flag for larger cohorts.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -93,6 +100,10 @@ SERIES_READERS = {
 # absorbs rounds where every kept measurement is identical.
 SIGMA_FLOOR_REL = 1e-8
 
+# Rows per block of ``_row_norms``: its squares workspace holds this many
+# rows, not a (records x parameters) copy of the gradients.
+_NORM_BLOCK = 16
+
 _SQRT2 = math.sqrt(2.0)
 # NumPy has no erf; math.erf elementwise gives gaussian_cdf's exact bits.
 _erf = np.frompyfunc(math.erf, 1, 1)
@@ -100,7 +111,7 @@ _erf = np.frompyfunc(math.erf, 1, 1)
 
 @dataclass(frozen=True, eq=False)
 class CohortAudit:
-    """One pass over a trace: (n, T) per-round scores and target-client series."""
+    """The audit of a trace: (n, T) per-round scores and target-client series."""
 
     per_round: dict[str, np.ndarray]  # fedmia method -> per-round scores
     series: dict[str, np.ndarray]  # SERIES_READERS key -> series, if read
@@ -126,8 +137,22 @@ def _cohort_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _row_norms(a: np.ndarray, ws: dict | None) -> np.ndarray:
-    """``np.linalg.norm(a, axis=1)``, by the same operations, squaring into the workspace."""
-    return np.sqrt(np.add.reduce(np.multiply(a, a, out=_scratch(ws, "squares", a.shape)), axis=1))
+    """``np.linalg.norm(a, axis=1)``, by the same operations. Each row squares and
+    reduces alone, so ``_NORM_BLOCK`` rows at a time are squared into the workspace."""
+    norms = np.empty(len(a))
+    for lo in range(0, len(a), _NORM_BLOCK):
+        block = a[lo : lo + _NORM_BLOCK]
+        squares = np.multiply(block, block, out=_scratch(ws, "squares", block.shape))
+        np.add.reduce(squares, axis=1, out=norms[lo : lo + len(block)])
+    return np.sqrt(norms, out=norms)
+
+
+def _client_losses(spec: mdl.ModelSpec, rec: RoundRecord, x: np.ndarray, y: np.ndarray,
+                   ws: dict | None) -> np.ndarray:
+    """(n, K) losses of the cohort under each client's rebuilt model global - lr_eff * update."""
+    local = np.multiply(rec.updates, rec.lr_effective, out=_scratch(ws, "local", rec.updates.shape))
+    np.subtract(rec.global_before, local, out=local)
+    return mdl._stacked_loss(spec, local, x, y, _scratch(ws, "loss", (len(y), len(local))), ws)
 
 
 def _measure_round(
@@ -138,11 +163,7 @@ def _measure_round(
     updates = rec.updates
     out: dict[str, np.ndarray] = {}
     if "loss" in kinds:
-        loss = np.empty((len(y), len(updates)))
-        for k in range(len(updates)):
-            local = rec.global_before - rec.lr_effective * updates[k]
-            loss[:, k] = mdl.loss_many(spec, local, x, y)
-        out["loss"] = loss
+        out["loss"] = _client_losses(spec, rec, x, y, ws)
     if kinds & {"cosine", "grad_diff"}:
         grads = mdl.grad_samples(spec, rec.global_before, x, y,
                                  _scratch(ws, "grads", (len(y), spec.param_count())))
@@ -263,7 +284,9 @@ def _score_rows(
         keep = _keep(others, mu[:, None], v[:, None], orientation)
     rows = np.flatnonzero(~keep.all(axis=1))
     survivors = keep[rows].sum(axis=1)
-    for c in np.unique(survivors):
+    # The distinct counts, ascending. Not np.unique: NumPy 2.4's keeps about
+    # 0.5 MB in the heap of each thread that calls it, the loss chain's included.
+    for c in np.flatnonzero(np.bincount(survivors)):
         group = rows[survivors == c]
         mu[group], v[group] = _row_fit(others[group][keep[group]].reshape(len(group), c))
     floor = sigma_floor_rel * (1.0 + np.abs(mu))
@@ -284,13 +307,21 @@ def audit_cohort(
     methods: Iterable[str],
     sigma_floor_rel: float = SIGMA_FLOOR_REL,
     leave_one_out: bool = False,
+    cores: int = 1,
 ) -> CohortAudit:
-    """Steps 1-3 for every requested method in one pass over the rounds.
+    """Steps 1-3 for every requested method, in two chains over the rounds.
 
-    Each round measures only what the methods read and keeps only the
-    fedmia scores and the target client's series. The measurement kind
-    fixes the member side (``DEFAULT_ORIENTATION``). ``methods`` are names of
-    ``ALL_METHODS``, which the attack config checks.
+    The loss chain measures every client's loss and scores fedmia_i; the
+    gradient chain does the rest. Each round measures only what the
+    methods read and keeps only the fedmia scores and the target client's
+    series. With ``cores`` >= 2 and work in both chains, the loss chain
+    runs on a helper thread while this one runs the gradient chain; else
+    they run in turn. The helper calls only private functions, so every
+    public call stays on this thread. The arrays are the same bits either
+    way, and a failure raises the error that one pass over the rounds,
+    measuring and then scoring in method order, would raise first. The
+    measurement kind fixes the member side (``DEFAULT_ORIENTATION``).
+    ``methods`` are names of ``ALL_METHODS``, which the attack config checks.
     """
     methods = list(dict.fromkeys(methods))
     if not (0 <= target_client < trace.num_clients):
@@ -304,24 +335,76 @@ def audit_cohort(
     shape = (len(y), trace.num_rounds)
     per_round = {m: np.empty(shape) for m in fedmia}
     series = {k: np.empty(shape) for k, readers in SERIES_READERS.items() if readers & set(methods)}
-    kinds = {FEDMIA_KIND[m] for m in fedmia} | (series.keys() - {"loss_global", "update_norm"})
-    spec, ws = trace.model_spec, {}
-    for t, rec in enumerate(trace.rounds):
-        measured = _measure_round(spec, rec, x, y, kinds, ws)
-        for m in fedmia:
-            kind = FEDMIA_KIND[m]
-            per_round[m][:, t] = _score_rows(
-                measured[kind], target_client, DEFAULT_ORIENTATION[kind],
-                t, sigma_floor_rel, leave_one_out,
-            )
-        for k, out in series.items():
-            if k == "loss_global":
-                out[:, t] = mdl.loss_many(spec, rec.global_before, x, y)
-            elif k == "update_norm":
-                out[:, t] = np.linalg.norm(rec.updates[target_client])
-            else:
-                out[:, t] = measured[k][:, target_client]
+    kinds = ({FEDMIA_KIND[m] for m in fedmia} | series.keys()) & {"cosine", "grad_diff"}
+    spec = trace.model_spec
+    # A step's place in one pass over a round: measuring (0), then scoring in method order.
+    place = {m: i + 1 for i, m in enumerate(fedmia)}
+
+    def score(m: str, t: int, values: np.ndarray) -> None:
+        kind = FEDMIA_KIND[m]
+        per_round[m][:, t] = _score_rows(
+            values, target_client, DEFAULT_ORIENTATION[kind], t, sigma_floor_rel, leave_one_out,
+        )
+
+    def loss_chain():
+        ws: dict = {}
+        for t, rec in enumerate(trace.rounds):
+            yield t, place["fedmia_i"]
+            score("fedmia_i", t, _client_losses(spec, rec, x, y, ws))
+
+    def gradient_chain():
+        ws: dict = {}
+        for t, rec in enumerate(trace.rounds):
+            yield t, 0
+            measured = _measure_round(spec, rec, x, y, kinds, ws)
+            if "fedmia_ii" in place:
+                yield t, place["fedmia_ii"]
+                score("fedmia_ii", t, measured["cosine"])
+            for k, out in series.items():
+                if k == "loss_global":
+                    out[:, t] = mdl.loss_many(spec, rec.global_before, x, y)
+                elif k == "update_norm":
+                    out[:, t] = np.linalg.norm(rec.updates[target_client])
+                else:
+                    out[:, t] = measured[k][:, target_client]
+
+    chains = [chain() for chain, work in ((loss_chain, "fedmia_i" in place),
+                                          (gradient_chain, bool(kinds or series))) if work]
+    _run_chains(chains, helper=cores >= 2 and len(chains) == 2)
     return CohortAudit(per_round, series)
+
+
+def _run_chains(chains: list, helper: bool) -> None:
+    """Drain each chain, a generator that yields (round, place) before each step.
+
+    With ``helper`` the first chain runs on a helper thread, joined before
+    this returns; else the chains run in turn. A chain that fails stops
+    the others after the round it failed in. The failure first in
+    (round, place) order is raised, as one pass over the rounds raises it.
+    """
+    failures: list = []  # ((round, place), exception); list.append is atomic
+
+    def drain(chain) -> None:
+        at = None
+        try:
+            for at in chain:
+                if any(failed < at[0] for (failed, _), _ in failures):
+                    return
+        except Exception as exc:  # raised on the calling thread below
+            failures.append((at, exc))
+
+    if helper:
+        thread = threading.Thread(target=drain, args=(chains[0],))
+        thread.start()
+        try:
+            drain(chains[1])
+        finally:
+            thread.join()
+    else:
+        for chain in chains:
+            drain(chain)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def fedmia_scores(

@@ -5,8 +5,9 @@ implementations under test: quadrature instead of erf, exhaustive pair
 counting instead of a threshold sweep, a threshold-by-threshold ROC
 instead of one sort, point-by-point loops for the ROC's points, area and
 operating point instead of array operations, Monte Carlo instead of the
-sweep line, central differences instead of backprop, a client-by-client
-FedAvg loop of 2-D products instead of the stacked group trainer, and the
+sweep line, central differences instead of backprop, a model-by-model
+2-D loss instead of the stacked loss kernel, a client-by-client FedAvg
+loop of 2-D products instead of the stacked group trainer, and the
 attack's null fit applied record by record and round by round instead of
 the grouped fit.
 Also the trace and cohort builders that only the tests use.
@@ -156,19 +157,34 @@ def finite_diff_grad(
     return out
 
 
+def _forward_2d(spec: mdl.ModelSpec, params: np.ndarray, x: np.ndarray):
+    """Logits of one model on one (n, d) batch, with the hidden activation
+    and output weights of an mlp (None for linear_softmax)."""
+    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+    if spec.kind == "linear_softmax":
+        w, b = params[: c * d].reshape(c, d), params[c * d :]
+        return x @ w.T + b, None, None
+    w1, b1 = params[: h * d].reshape(h, d), params[h * d : h * d + h]
+    w2, b2 = params[h * d + h : h * d + h + c * h].reshape(c, h), params[h * d + h + c * h :]
+    a1 = np.tanh(x @ w1.T + b1)
+    return a1 @ w2.T + b2, a1, w2
+
+
+def loss_2d(spec: mdl.ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample cross-entropy of one model on one (n, d) batch by a row-wise
+    log-softmax, clamped at -log(PROB_FLOOR); a -0.0 loss reads 0.0."""
+    logits, _, _ = _forward_2d(spec, params, x)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return np.minimum(-logp[np.arange(len(y)), y], -np.log(mdl.PROB_FLOOR)) + 0.0
+
+
 def batch_grad_2d(
     spec: mdl.ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Mean cross-entropy gradient of one model on one (n, d) batch, flat."""
-    d, h, c, n = spec.input_dim, spec.hidden_dim, spec.num_classes, len(y)
-    if spec.kind == "linear_softmax":
-        w, b = params[: c * d].reshape(c, d), params[c * d :]
-        logits = x @ w.T + b
-    else:
-        w1, b1 = params[: h * d].reshape(h, d), params[h * d : h * d + h]
-        w2, b2 = params[h * d + h : h * d + h + c * h].reshape(c, h), params[h * d + h + c * h :]
-        a1 = np.tanh(x @ w1.T + b1)
-        logits = a1 @ w2.T + b2
+    n = len(y)
+    logits, a1, w2 = _forward_2d(spec, params, x)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     delta = e / e.sum(axis=1, keepdims=True)
     delta[np.arange(n), y] -= 1.0

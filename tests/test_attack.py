@@ -1,4 +1,9 @@
+import collections
+import dataclasses
+import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedaudit import attack as atk
+from fedaudit import data as dat
+from fedaudit import fedsim as fed
+from fedaudit import metrics as met
 from fedaudit import model as mdl
+from fedaudit import numstat
 from fedaudit.errors import ConfigError, FedAuditError, ZeroVectorError
 from fedaudit.numstat import RngStream
 from conftest import make_toy_trace
@@ -507,3 +516,139 @@ class TestMeasurementType:
         for kind in ("entropy", "grad_norm"):
             with pytest.raises(ConfigError, match="unknown measurement kind"):
                 atk.measure_cohort(trace, *targets, kind)
+
+
+@pytest.mark.parametrize("n", [1, atk._NORM_BLOCK - 1, atk._NORM_BLOCK + 1, 200])
+def test_row_norms_are_linalg_norm(n):
+    """Row norms squared a block of rows at a time are bitwise ``np.linalg.norm``,
+    and the squares workspace holds one block, not every row."""
+    a = RngStream(95).generator().standard_normal((n, 1386))
+    ws: dict = {}
+    assert atk._row_norms(a, ws).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+    assert ws["squares"].size == min(n, atk._NORM_BLOCK) * a.shape[1]
+
+
+def _chain_trace(clients, rounds=3, records=24):
+    """An mlp trace of ``clients`` uploads per round around a shared direction,
+    with two planted along record gradients, plus its cohort."""
+    spec = mdl.ModelSpec("mlp", input_dim=6, hidden_dim=5, num_classes=4)
+    g = RngStream(96).generator()
+    x, y = g.standard_normal((records, 6)), g.integers(4, size=records)
+    globals_, updates_ = [], []
+    for t in range(rounds):
+        params = 0.5 * g.standard_normal(spec.param_count())
+        u = g.standard_normal(spec.param_count()) + 0.1 * g.standard_normal(
+            (clients, spec.param_count()))
+        grads = mdl.grad_samples(spec, params, x, y)
+        u[1], u[2] = 5.0 * grads[t], -5.0 * grads[t + 4]
+        globals_.append(params)
+        updates_.append(u)
+    return make_toy_trace(updates_, globals_, spec), x, y
+
+
+def _threads_left(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+class TestChains:
+    """The loss and gradient chains of ``audit_cohort`` on a helper thread and in turn."""
+
+    @pytest.mark.parametrize("leave_one_out", [False, True])
+    @pytest.mark.parametrize("clients", [3, 50])
+    def test_two_threads_equal_one(self, clients, leave_one_out):
+        trace, x, y = _chain_trace(clients)
+        before = threading.enumerate()
+        audits = [atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS, leave_one_out=leave_one_out,
+                                   cores=cores) for cores in (1, 2)]
+        assert _threads_left(before) == []
+        serial, threaded = audits
+        for got, want in ((threaded.per_round, serial.per_round), (threaded.series, serial.series)):
+            assert list(got) == list(want) and want
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    def test_concurrent_audits_under_a_short_switch_interval(self):
+        """Four audits at once, each with its helper (eight threads on two
+        cores), switching threads every 10 us: each is the serial audit."""
+        trace, x, y = _chain_trace(50)
+        want = atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS)
+        got = [None] * 4
+
+        def audit(i):
+            got[i] = atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS, cores=2)
+
+        threads = [threading.Thread(target=audit, args=(i,)) for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for a in got:
+            assert all(a.per_round[k].tobytes() == v.tobytes() for k, v in want.per_round.items())
+            assert all(a.series[k].tobytes() == v.tobytes() for k, v in want.series.items())
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("grad_round, loss_round, error, match", [
+        (1, 2, ZeroVectorError, "round 1, cohort row 1"),
+        (2, 1, FedAuditError, "non-finite measurement in round 1"),
+        (1, 1, ZeroVectorError, "round 1, cohort row 1"),
+        (None, 2, FedAuditError, "non-finite measurement in round 2"),
+        (2, None, ZeroVectorError, "round 2, cohort row 1"),
+    ], ids=["gradient_first", "loss_first", "same_round", "loss_only", "gradient_only"])
+    def test_first_error_is_the_serial_one(self, cores, grad_round, loss_round, error, match):
+        """The gradient chain fails where round ``grad_round``'s global model
+        saturates record 1; the loss chain where a NaN learning rate breaks
+        every rebuilt model. A round measures before it scores."""
+        spec = mdl.ModelSpec("linear_softmax", input_dim=1, num_classes=2)
+        g = RngStream(97).generator()
+        saturated = np.array([1000.0, -1000.0, 0.0, 0.0])
+        globals_ = [saturated if t == grad_round else 0.3 * g.standard_normal(4) for t in range(4)]
+        trace = make_toy_trace([g.standard_normal((3, 4)) for _ in range(4)], globals_, spec)
+        if loss_round is not None:
+            rec = trace.rounds[loss_round]
+            trace.rounds[loss_round] = dataclasses.replace(rec, lr_effective=math.nan)
+        x, y = np.array([[-1.0], [1.0]]), np.array([0, 0])
+        before = threading.enumerate()
+        with pytest.raises(error, match=match) as exc:
+            atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS, cores=cores)
+        assert type(exc.value) is error
+        if error is ZeroVectorError:
+            assert exc.value.row == 1
+        assert _threads_left(before) == []
+
+    def test_public_calls_stay_on_the_calling_thread(self, monkeypatch):
+        """A tracer of public calls keeps one span stack per process, so an
+        audit on two cores makes every public call on the calling thread;
+        only the loss chain, which calls private functions, runs elsewhere."""
+        seen = collections.defaultdict(set)
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name].add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        modules = (atk, dat, fed, met, mdl, numstat)
+        public = {
+            id(obj): f"{obj.__module__}.{name}" for mod in modules
+            for name, obj in vars(mod).items()
+            if inspect.isfunction(obj) and not name.startswith("_")
+            and obj.__module__.startswith("fedaudit.")
+        }
+        for mod in modules:
+            for name, obj in list(vars(mod).items()):
+                if id(obj) in public:
+                    monkeypatch.setattr(mod, name, recorded(public[id(obj)], obj))
+        monkeypatch.setattr(atk, "_client_losses", recorded("loss chain", atk._client_losses))
+        trace, x, y = _chain_trace(50)
+        audit = atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS, cores=2)
+        atk.baselines(trace, x, y, atk.BASELINE_METHODS, audit)
+        here = threading.get_ident()
+        helper = seen.pop("loss chain")
+        assert len(helper) == 1 and here not in helper
+        assert {"fedaudit.model.loss_many", "fedaudit.model.grad_samples"} <= set(seen)
+        assert {name: idents for name, idents in seen.items() if idents != {here}} == {}

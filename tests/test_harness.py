@@ -323,10 +323,12 @@ class TestRunExperiment:
         assert trees[1] == trees[0]
         assert trees[2] == trees[0]
 
-    @pytest.mark.parametrize("cores, jobs, workers", [(8, None, 3), (2, None, 2), (8, 2, 2)])
+    @pytest.mark.parametrize("cores, jobs, workers, audit_cores", [
+        (8, None, 3, 2), (2, None, 2, 1), (8, 2, 2, 4)])
     def test_pool_is_spawned_with_one_worker_per_job_up_to_the_cores(
-            self, tmp_path, monkeypatch, cores, jobs, workers):
-        seen = {}
+            self, tmp_path, monkeypatch, cores, jobs, workers, audit_cores):
+        """Each job's attack gets the usable cores shared out among the workers."""
+        seen = {"audit_cores": []}
 
         class Recorder(ThreadPoolExecutor):
             def __init__(self, max_workers, mp_context):
@@ -334,9 +336,21 @@ class TestRunExperiment:
                 super().__init__(max_workers)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(hns, "_usable_cores", lambda: cores)
+        _spy_audit_cores(monkeypatch, seen["audit_cores"])
         cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2, 3]))
         hns.run_experiment(cfg, str(tmp_path / "out"), jobs=jobs)
-        assert seen == {"workers": workers, "start": "spawn"}
+        assert seen == {"workers": workers, "start": "spawn", "audit_cores": [audit_cores] * 3}
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_one_worker_run_and_replay_audit_on_every_usable_core(
+            self, tmp_path, monkeypatch, cores):
+        audit_cores = []
+        monkeypatch.setattr(hns, "_usable_cores", lambda: cores)
+        _spy_audit_cores(monkeypatch, audit_cores)
+        cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2]))
+        out = hns.run_experiment(cfg, str(tmp_path / "out"), jobs=1)
+        hns.replay_attack(os.path.join(out, "runs", "none", "seed1", "trace"), cfg.attack)
+        assert audit_cores == [cores] * 3
 
     @pytest.mark.parametrize("jobs", [None, 4])
     def test_one_job_grid_builds_no_pool(self, tmp_path, monkeypatch, jobs):
@@ -654,6 +668,16 @@ def _set(d, path, value):
     for key in path[:-1]:
         d = d[key]
     d[path[-1]] = value
+
+
+def _spy_audit_cores(monkeypatch, seen: list) -> None:
+    """Record the ``cores`` of every ``attack.audit_cohort`` call in ``seen``."""
+    audit_cohort = atk.audit_cohort
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["cores"])
+        return audit_cohort(*args, **kwargs)
+    monkeypatch.setattr(atk, "audit_cohort", spy)
 
 
 def _main_captured(argv):

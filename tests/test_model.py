@@ -9,7 +9,7 @@ from fedaudit import fedsim as fed
 from fedaudit import model as mdl
 from fedaudit.errors import ConfigError, FedAuditError
 from fedaudit.numstat import RngStream
-from helpers import finite_diff_grad
+from helpers import finite_diff_grad, loss_2d
 
 LINEAR = mdl.ModelSpec("linear_softmax", input_dim=3, num_classes=4, init_std=0.1)
 MLP = mdl.ModelSpec("mlp", input_dim=3, hidden_dim=5, num_classes=4, init_std=0.1)
@@ -183,15 +183,22 @@ class TestGradients:
             batch_grad(LINEAR, np.zeros(LINEAR.param_count()), np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
-@pytest.mark.parametrize("k, b", [(50, 32), (50, 4), (3, 1), (1, 7)])
-@pytest.mark.parametrize("spec", [
+# The benchmark's model sizes.
+BENCH_SPECS = [
     mdl.ModelSpec("mlp", input_dim=32, hidden_dim=32, num_classes=10),
     mdl.ModelSpec("linear_softmax", input_dim=32, num_classes=10),
-], ids=["mlp", "linear_softmax"])
+]
+
+
+@pytest.mark.parametrize("k, b", [(50, 32), (50, 4), (3, 1), (1, 7)])
+@pytest.mark.parametrize("spec", BENCH_SPECS, ids=["mlp", "linear_softmax"])
 def test_stacked_matmul_is_per_client_gemm(spec, k, b):
-    """Each slice of the kernel's stacked products is bitwise the 2-D product
+    """Each slice of the kernels' stacked products is bitwise the 2-D product
     a lone client computes, which is what keeps grouped training's traces
-    identical; a NumPy or BLAS that batches differently fails here."""
+    and the stacked loss identical; a NumPy or BLAS that batches
+    differently fails here. The loss kernel's products are batch-major: a
+    shared batch into the strided columns of a (b, K, .) output, and a
+    strided (b, K, h) input."""
     g = RngStream(23).generator()
     w = g.standard_normal((k, spec.param_count()))
     x = g.standard_normal((k, b, spec.input_dim))
@@ -203,14 +210,50 @@ def test_stacked_matmul_is_per_client_gemm(spec, k, b):
     if spec.kind == "mlp":
         w2 = mdl._unpack(spec, w)[2]
         stacked += [a1 @ t(w2), delta @ w2, t(d1) @ x, t(delta) @ a1]
+    first = mdl._unpack(spec, w)[0]
+    batch_major = [np.empty((b, k, first.shape[1]))]
+    np.matmul(x[0], t(first), out=np.swapaxes(batch_major[0], 0, 1))
+    if spec.kind == "mlp":
+        a1_major = np.ascontiguousarray(np.swapaxes(a1, 0, 1))
+        batch_major.append(np.empty((b, k, spec.num_classes)))
+        np.matmul(np.swapaxes(a1_major, 0, 1), t(w2), out=np.swapaxes(batch_major[1], 0, 1))
     for i in range(k):
         lone = mdl._unpack(spec, w[i].copy())
         xi, ai, di, deli = x[i].copy(), a1[i].copy(), d1[i].copy(), delta[i].copy()
         alone = [xi @ lone[0].T, deli.T @ xi]
+        alone_major = [x[0].copy() @ lone[0].T]
         if spec.kind == "mlp":
             alone += [ai @ lone[2].T, deli @ lone[2], di.T @ xi, deli.T @ ai]
+            alone_major.append(ai @ lone[2].T)
         for s, a in zip(stacked, alone, strict=True):
             assert s[i].tobytes() == a.tobytes()
+        for s, a in zip(batch_major, alone_major, strict=True):
+            assert s[:, i].tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, mdl._LOSS_BLOCK - 1, mdl._LOSS_BLOCK + 1, 50])
+@pytest.mark.parametrize("spec", BENCH_SPECS, ids=["mlp", "linear_softmax"])
+def test_stacked_loss_is_loss_many_of_each_model(spec, k):
+    """Each column of the stacked loss kernel is bitwise ``loss_many`` of that
+    model alone and the 2-D reference, a reused workspace included. Model 0
+    favours class 0 by far: its class-0 records lose -0.0, which reads 0.0,
+    and the others hit the PROB_FLOOR cap."""
+    g = RngStream(25).generator()
+    n = 200
+    stack = 0.3 * g.standard_normal((k, spec.param_count()))
+    mdl._unpack(spec, stack)[-1][0, 0] = 200.0
+    x = g.standard_normal((n, spec.input_dim))
+    y = g.integers(spec.num_classes, size=n)
+    ws: dict = {}
+    got = mdl._stacked_loss(spec, stack, x, y, np.empty((n, k)), ws)
+    assert mdl._stacked_loss(spec, stack, x, y, np.empty((n, k)), ws).tobytes() == got.tobytes()
+    for j in range(k):
+        alone = mdl.loss_many(spec, stack[j], x, y)
+        assert got[:, j].tobytes() == alone.tobytes() == loss_2d(spec, stack[j], x, y).tobytes()
+    favoured = y == 0
+    assert 0 < favoured.sum() < n
+    assert got[favoured, 0].tobytes() == np.zeros(favoured.sum()).tobytes()  # not -0.0
+    assert np.all(got[~favoured, 0] == -math.log(mdl.PROB_FLOOR))
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixup"])
