@@ -268,8 +268,7 @@ def run_federation(
     """Run the synchronous loop and record the complete observation trace.
 
     Per-round utility is the holdout accuracy of the freshly aggregated
-    model (NaN when the partition has no holdout). Deterministic in
-    ``seed`` regardless of client execution order.
+    model. Deterministic in ``seed`` regardless of client execution order.
     """
     groups: dict[int, list[int]] = {}  # clients of equal size train as one stack
     for k, idx in enumerate(partition.client_indices):
@@ -278,9 +277,7 @@ def run_federation(
               for ks in groups.values()]
     root = RngStream(seed)
     omega = mdl.init_params(spec, root.derive(TAG_INIT))
-    have_holdout = len(partition.holdout_indices) > 0
-    if have_holdout:
-        hx, hy = dataset.arrays(partition.holdout_indices)
+    hx, hy = dataset.arrays(partition.holdout_indices)
     rounds: list[RoundRecord] = []
     accuracy: list[float] = []
     ws: dict = {}  # every group's local SGD reuses these arrays, one group at a time
@@ -303,9 +300,7 @@ def run_federation(
             if len(bad) or not np.isfinite(new_omega).all():
                 who = f"client {bad[0]}'s upload" if len(bad) else "the global model"
                 raise FedAuditError(f"training diverged in round {t}: {who} is not finite")
-            accuracy.append(
-                mdl.accuracy(spec, new_omega, hx, hy) if have_holdout else float("nan")
-            )
+            accuracy.append(mdl.accuracy(spec, new_omega, hx, hy))
         rounds.append(RoundRecord(t, omega, updates, lr_eff))
         omega = new_omega
     return UpdateTrace(
@@ -367,7 +362,8 @@ def _load_array(path: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def load_trace(trace_dir: str) -> UpdateTrace:
-    """Load a persisted trace, verifying presence, dtype and shape of every file."""
+    """Load a persisted trace, verifying presence, dtype and shape of every file, and
+    that each round's ``aggregate`` is the next global model bit for bit."""
     def parse(meta: dict) -> tuple:
         if meta["schema_version"] != TRACE_SCHEMA_VERSION:
             raise ValueError("unsupported trace schema")
@@ -377,9 +373,9 @@ def load_trace(trace_dir: str) -> UpdateTrace:
         k, t, d, seed = (decode(int, meta[key], key)
                          for key in ("num_clients", "num_rounds", "dim", "seed"))
         lr_sched = decode(tuple[float, ...], meta["lr_effective"], "lr_effective")
-        accuracy = meta["round_accuracy"]  # NaN when the run had no holdout
-        if not isinstance(accuracy, list) or any(type(a) not in (int, float) for a in accuracy):
-            raise ValueError(f"round_accuracy: must be a list of numbers, got {accuracy!r}")
+        accuracy = decode(tuple[float, ...], meta["round_accuracy"], "round_accuracy")
+        if not all(0 <= a <= 1 for a in accuracy):
+            raise ValueError(f"round_accuracy: must lie in [0, 1], got {list(accuracy)}")
         if t < 1:
             raise ValueError(f"num_rounds: must be >= 1, got {t}")
         if spec.param_count() != d:
@@ -396,5 +392,11 @@ def load_trace(trace_dir: str) -> UpdateTrace:
         u = _load_array(os.path.join(trace_dir, f"round_{i:04d}_updates.npy"), (k, d))
         rounds.append(RoundRecord(i, g, u, float(lr_sched[i])))
     final = _load_array(os.path.join(trace_dir, "final_model.npy"), (d,))
+    for r, after in zip(rounds, [later.global_before for later in rounds[1:]] + [final]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            chained = aggregate(r.updates, r.global_before, r.lr_effective)
+        if chained.tobytes() != after.tobytes():
+            raise IntegrityError(f"trace {trace_dir} breaks the FedAvg chain at round "
+                                 f"{r.round_index}: its aggregate is not the next global model")
     return UpdateTrace(model_spec=spec, rounds=rounds, final_model=final,
                        round_accuracy=[float(a) for a in accuracy], defense=defense, seed=seed)

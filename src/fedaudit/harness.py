@@ -545,8 +545,7 @@ def _build_report(config: ExperimentConfig, rows: list[dict], inclusion: dict) -
     for method in config.attack.methods:
         points = [{"defense": defense, "param": param, **{f"mean_{m}": v for m, v in mean.items()}}
                   for (of, defense, param), mean in means.items() if of == method]
-        coords = [(min(1.0, max(0.0, p["mean_utility_loss"])), p["mean_tpr_at_fpr"])
-                  for p in points]
+        coords = [(p["mean_utility_loss"], p["mean_tpr_at_fpr"]) for p in points]
         front = met.pareto_front(coords)
         per_method[method] = {
             "points": points,

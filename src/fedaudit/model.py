@@ -6,23 +6,18 @@ live in a single flat float64 vector so that model updates, uploaded
 gradients, and per-sample gradients are all directly comparable. tanh is
 used in the hidden layer so finite-difference gradient checks are clean.
 
-Every routine takes a batch: per-sample losses (``loss_many``) and
-gradients (``grad_samples``) for the attack. The attack also needs each
-record's loss under every client's rebuilt model. ``_stacked_loss`` gives
-those (n, K) losses of a (K, P) stack in blocks of ``_LOSS_BLOCK`` models,
-with activations batch-major, (n, B, h) and (n, B, C). Each product is
-still one 2-D gemm per model with the shape and transpose flags of that
-model alone, only with a wider output stride, so every column is bitwise
-that model's ``loss_many``, which is the kernel's one-model case. A block
-makes a few large NumPy calls, which release the GIL, where one model at
-a time makes many small ones. Local SGD, which lives in
-``fedsim``, trains a group of clients as one stack: ``grad_batch`` takes
-(K, P) parameters and a (K, b, d) batch and runs each product as a
-stacked matmul, which NumPy executes as one 2-D gemm per client, so every
-client's gradient is bitwise what it would be alone; ``sgd_step`` applies
-it in place through per-layer views of the (K, P) buffer. Both reuse the
-arrays of a workspace dict that the caller keeps for the whole loop, and
-the layers ``grad_batch`` returns alias it until its next call.
+Every routine runs a (K, P) stack of models through one forward pass,
+``_forward``, whose activations are batch-major: (n, K, h) and (n, K, C).
+Each of its products is the 2-D gemm a lone model issues, written into that
+model's strided columns, so each model's result is bitwise what it computes
+alone. Per-sample losses (``loss_many``) and gradients (``grad_samples``)
+are its one-model case. ``_stacked_loss`` gives each record's loss under
+every client's rebuilt model in blocks of ``_LOSS_BLOCK`` models, a few
+large NumPy calls that release the GIL. Local SGD in ``fedsim`` trains a
+group of clients as one stack: ``grad_batch`` takes a (K, b, d) batch and
+``sgd_step`` applies its gradient in place through per-layer views of the
+(K, P) buffer. Both reuse the arrays of a workspace dict that the caller
+keeps for the whole loop; ``grad_batch``'s layers alias it until its next call.
 
 Layout of the flat parameter vector:
 
@@ -111,16 +106,22 @@ def _matmul(ws: dict | None, name: str, a: np.ndarray, b: np.ndarray) -> np.ndar
     return np.matmul(a, b, out=_scratch(ws, name, a.shape[:-1] + b.shape[-1:]))
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, ws: dict | None = None):
-    """Logits and hidden activation (None for linear) of params (P,) on x (n, d),
-    or of a (K, P) stack on x (K, b, d), both in the workspace ``ws``."""
-    *hidden, w, b = _unpack(spec, params)
-    a1 = _matmul(ws, "a1", x, np.swapaxes(hidden[0], -1, -2)) if hidden else None
+def _forward(spec: ModelSpec, stack: np.ndarray, x: np.ndarray, ws: dict | None = None):
+    """Batch-major logits (n, K, C) and hidden activation (n, K, h), None for
+    linear_softmax, of a (K, P) stack on features shared by every model (n, d) or
+    one batch per model (K, n, d), in the workspace ``ws``. Model k's products
+    are the 2-D gemms it issues alone, written into column k."""
+    *hidden, w, b = _unpack(spec, stack)
+    shape, inputs, a1 = (x.shape[-2], len(stack)), x, None
     if hidden:
-        a1 += hidden[1][..., None, :]
+        a1 = _scratch(ws, "a1", shape + (spec.hidden_dim,))
+        np.matmul(x, np.swapaxes(hidden[0], 1, 2), out=np.swapaxes(a1, 0, 1))
+        a1 += hidden[1]
         np.tanh(a1, out=a1)
-    logits = _matmul(ws, "logits", x if a1 is None else a1, np.swapaxes(w, -1, -2))
-    logits += b[..., None, :]
+        inputs = np.swapaxes(a1, 0, 1)
+    logits = _scratch(ws, "logits", shape + (spec.num_classes,))
+    np.matmul(inputs, np.swapaxes(w, 1, 2), out=np.swapaxes(logits, 0, 1))
+    logits += b
     return logits, a1
 
 
@@ -152,37 +153,26 @@ def _stacked_loss(spec: ModelSpec, stack: np.ndarray, x: np.ndarray, y: np.ndarr
                   out: np.ndarray, ws: dict | None = None) -> np.ndarray:
     """``loss_many`` of every row of a (K, P) stack, into the columns of ``out`` (n, K).
 
-    ``x`` and ``y`` are checked float64 and int64 arrays. Per block of
-    models, ``x @ W1.T`` of model j lands in column j of an (n, B, h)
-    workspace, and so on. The softmax max is taken over columns with
-    ``np.maximum``, which is exact, so it equals a row-wise max; each
-    row's exp-sum is the same contiguous reduction as for one model.
+    ``x`` and ``y`` are checked float64 and int64 arrays; ``_forward`` gives the
+    (n, B, C) logits of a block. The softmax max is taken over columns with
+    ``np.maximum``, which is exact, so it equals a row-wise max; each row's
+    exp-sum is the same contiguous reduction as for one model.
     """
-    n, c = len(y), spec.num_classes
-    rows = np.arange(n)
+    rows = np.arange(len(y))
     for lo in range(0, len(stack), _LOSS_BLOCK):
-        *hidden, w, b = _unpack(spec, stack[lo : lo + _LOSS_BLOCK])
-        inputs = x
-        if hidden:
-            a1 = _scratch(ws, "loss.a1", (n, len(w), spec.hidden_dim))
-            np.matmul(x, np.swapaxes(hidden[0], 1, 2), out=np.swapaxes(a1, 0, 1))
-            a1 += hidden[1]
-            np.tanh(a1, out=a1)
-            inputs = np.swapaxes(a1, 0, 1)
-        logits = _scratch(ws, "loss.logits", (n, len(w), c))
-        np.matmul(inputs, np.swapaxes(w, 1, 2), out=np.swapaxes(logits, 0, 1))
-        logits += b
-        top = np.maximum(logits[..., 0], logits[..., 1], out=_scratch(ws, "loss.top", (n, len(w))))
-        for j in range(2, c):
+        logits, _ = _forward(spec, stack[lo : lo + _LOSS_BLOCK], x, ws)
+        top = _scratch(ws, "loss.top", logits.shape[:2])
+        np.maximum(logits[..., 0], logits[..., 1], out=top)
+        for j in range(2, spec.num_classes):
             np.maximum(top, logits[..., j], out=top)
         picked = logits[rows, :, y]
         picked -= top
         logits -= top[..., None]
         np.exp(logits, out=logits)
-        logsum = np.add.reduce(logits, axis=-1, out=_scratch(ws, "loss.sum", (n, len(w))))
+        logsum = np.add.reduce(logits, axis=-1, out=_scratch(ws, "loss.sum", logits.shape[:2]))
         np.log(logsum, out=logsum)
         # -(picked - logsum), up to the sign of a zero loss, which the +0.0 below clears.
-        np.subtract(logsum, picked, out=out[:, lo : lo + len(w)])
+        np.subtract(logsum, picked, out=out[:, lo : lo + _LOSS_BLOCK])
     np.minimum(out, _LOSS_CAP, out=out)
     out += 0.0  # normalizes -0.0
     return out
@@ -197,11 +187,12 @@ def grad_samples(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarr
     out = np.empty(shape) if out is None else out
     if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise FedAuditError(f"out must be a C-contiguous float64 {shape} array, got {out.shape}")
-    logits, a1 = _forward(spec, params, x)
-    delta = _softmax(logits)
+    logits, a1 = _forward(spec, params[None], x)
+    delta = _softmax(logits[:, 0])
     delta[np.arange(n), y] -= 1.0
     *hidden, gw, gb = _unpack(spec, out)
     gb[...] = delta
+    a1 = None if a1 is None else a1[:, 0]
     np.multiply(delta[:, :, None], (x if a1 is None else a1)[:, None, :], out=gw)
     if hidden:
         gw1, d1 = hidden
@@ -227,6 +218,12 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nd
         raise FedAuditError("grad_batch of an empty batch")
     if len(labels) != (1 if lam is None else 2):
         raise FedAuditError(f"{len(labels)} label sets with lam {lam!r}")
+    if k > 1 and 1 in (spec.input_dim, spec.hidden_dim):
+        # With a layer one unit wide the backward products are gemv calls, whose
+        # bits depend on the matrix's leading dimension: each model runs alone.
+        alone = [grad_batch(spec, params[j : j + 1], x[j : j + 1], labels[:, j : j + 1],
+                            None if lam is None else lam[j : j + 1]) for j in range(k)]
+        return [np.concatenate(layer) for layer in zip(*alone)]
     logits, a1 = _forward(spec, params, x, ws)
     probs = _softmax(logits)
     if a1 is not None:
@@ -238,16 +235,17 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nd
         if i + 1 < len(labels):
             delta = _scratch(ws, "delta", probs.shape)
             delta[...] = probs
-        delta[np.arange(k)[:, None], np.arange(n), y] -= 1.0
+        delta[np.arange(n), np.arange(k)[:, None], y] -= 1.0
         delta /= n
-        delta_t = np.swapaxes(delta, 1, 2)
+        delta_t = np.transpose(delta, (1, 2, 0))
         if a1 is None:
-            layers = [_matmul(ws, f"grad{i}.w", delta_t, x), delta.sum(axis=1)]
+            layers = [_matmul(ws, f"grad{i}.w", delta_t, x), delta.sum(axis=0)]
         else:
-            d1 = _matmul(ws, "d1", delta, _unpack(spec, params)[2])
+            d1, w2 = _scratch(ws, "d1", a1.shape), _unpack(spec, params)[2]
+            np.matmul(np.swapaxes(delta, 0, 1), w2, out=np.swapaxes(d1, 0, 1))
             d1 *= dtanh
-            layers = [_matmul(ws, f"grad{i}.w1", np.swapaxes(d1, 1, 2), x), d1.sum(axis=1),
-                      _matmul(ws, f"grad{i}.w2", delta_t, a1), delta.sum(axis=1)]
+            layers = [_matmul(ws, f"grad{i}.w1", np.transpose(d1, (1, 2, 0)), x), d1.sum(axis=0),
+                      _matmul(ws, f"grad{i}.w2", delta_t, np.swapaxes(a1, 0, 1)), delta.sum(axis=0)]
         if lam is None:
             return layers
         for j, g in enumerate(layers):
@@ -272,5 +270,5 @@ def accuracy(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) 
     params, x, y = _inputs(spec, params, x, y)
     if len(y) == 0:
         raise FedAuditError("accuracy of an empty dataset")
-    logits, _ = _forward(spec, params, x)
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+    logits, _ = _forward(spec, params[None], x)
+    return float(np.mean(np.argmax(logits[:, 0], axis=1) == y))

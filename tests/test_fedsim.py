@@ -1,5 +1,7 @@
 import filecmp
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -344,6 +346,32 @@ class TestStackedTrainerMatchesLoop:
         assert trace.final_model.tobytes() == final.tobytes()
 
 
+def _edit_meta(path, edit):
+    """Apply ``edit`` to the parsed trace_meta.json at ``path`` and write it back."""
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+
+
+def _edit_array(path, edit):
+    """Apply ``edit`` to a saved array in place and save it back."""
+    arr = np.load(path)
+    edit(arr)
+    np.save(path, arr)
+
+
+def _scale_second_lr(meta):
+    meta["lr_effective"][1] *= 1.5
+
+
+def _one_ulp_up(arr):
+    arr[3] = np.nextafter(arr[3], np.inf)
+
+
+def _negate(arr):
+    arr *= -1.0
+
+
 class TestTracePersistence:
     def test_roundtrip(self, tiny_trace, tmp_path):
         fed.save_trace(tiny_trace, str(tmp_path / "t"))
@@ -388,6 +416,38 @@ class TestTracePersistence:
         np.save(path, updates)
         with pytest.raises(IntegrityError, match="round_0001_updates.npy holds a non-finite value"):
             fed.load_trace(str(tmp_path / "t"))
+
+    @pytest.mark.parametrize("value", [7.5, float("nan"), -0.1])
+    def test_round_accuracy_outside_unit_interval_rejected(self, tiny_trace, tmp_path, value):
+        fed.save_trace(tiny_trace, str(tmp_path / "t"))
+        path = tmp_path / "t" / "trace_meta.json"
+        _edit_meta(path, lambda meta: meta["round_accuracy"].__setitem__(-1, value))
+        with pytest.raises(IntegrityError, match=re.escape(f"corrupt file {path}: round_accuracy")):
+            fed.load_trace(str(tmp_path / "t"))
+
+    @pytest.mark.parametrize("name, edit, round_index", [
+        ("trace_meta.json", _scale_second_lr, 1),
+        ("round_0001_global.npy", _one_ulp_up, 0),
+        ("final_model.npy", _negate, 5),
+    ])
+    def test_edit_breaks_the_fedavg_chain(self, tiny_trace, tmp_path, name, edit, round_index):
+        fed.save_trace(tiny_trace, str(tmp_path / "t"))
+        (_edit_meta if name.endswith(".json") else _edit_array)(tmp_path / "t" / name, edit)
+        chain = f"trace {tmp_path / 't'} breaks the FedAvg chain at round {round_index}:"
+        with pytest.raises(IntegrityError, match=re.escape(chain)):
+            fed.load_trace(str(tmp_path / "t"))
+
+    @pytest.mark.parametrize("defense", STACK_DEFENSES, ids=lambda d: d.kind)
+    def test_trace_of_every_defense_passes_the_chain(self, defense, tmp_path):
+        ds = dat.synth_blobs(RngStream(60), 3, 4, 60, 1.5)
+        ds = dat.Dataset(ds.features, ds.labels, 3, (2, 2))
+        spec = mdl.ModelSpec("mlp", 4, 3, 3, 0.1)
+        config = fed.FedConfig(rounds=3, local_epochs=1, lr=0.3, lr_decay=0.9, batch_size=8)
+        trace = fed.run_federation(ds, _stack_partition("grouped", ds), spec, config, defense, 65)
+        fed.save_trace(trace, str(tmp_path / "t"))
+        loaded = fed.load_trace(str(tmp_path / "t"))
+        assert loaded.final_model.tobytes() == trace.final_model.tobytes()
+        assert loaded.round_accuracy == trace.round_accuracy
 
     def test_prefix(self, tiny_trace):
         p = trace_prefix(tiny_trace, 3)

@@ -943,9 +943,10 @@ class TestExitCodeContract:
         _edit_json(lambda m: m.update(schema_version=2)),
         _edit_json(lambda m: m["lr_effective"].pop()),
         _edit_json(lambda m: m.update(num_rounds=0, lr_effective=[], round_accuracy=[])),
+        _edit_json(lambda m: m["round_accuracy"].__setitem__(-1, 7.5)),
     ], ids=["model_extra_key", "missing_seed", "defense_unknown_key", "unknown_model_kind",
             "defense_stray_parameter", "not_utf8", "a_list", "schema_version_2",
-            "lr_schedule_short", "no_rounds"])
+            "lr_schedule_short", "no_rounds", "accuracy_above_1"])
     def test_malformed_trace_meta_exits_3(self, run_dir, tmp_path, capsys, mangle):
         copy = str(tmp_path / "run")
         shutil.copytree(run_dir, copy)
@@ -955,6 +956,16 @@ class TestExitCodeContract:
         assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
         err = capsys.readouterr().err
         assert err.startswith("integrity error:") and path in err, err
+
+    def test_broken_fedavg_chain_exits_3(self, run_dir, tmp_path, capsys):
+        copy = str(tmp_path / "run")
+        shutil.copytree(run_dir, copy)
+        _edit_json(lambda m: m["lr_effective"].__setitem__(1, 1.5 * m["lr_effective"][1]))(
+            os.path.join(copy, "trace", "trace_meta.json"))
+        ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
+        assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error: trace ") and "FedAvg chain at round 1" in err, err
 
     @pytest.mark.parametrize("mangle, line", [
         (lambda rows: rows[1].__setitem__(0, "x"), 2),

@@ -9,7 +9,7 @@ from fedaudit import fedsim as fed
 from fedaudit import model as mdl
 from fedaudit.errors import ConfigError, FedAuditError
 from fedaudit.numstat import RngStream
-from helpers import finite_diff_grad, loss_2d
+from helpers import batch_grad_2d, finite_diff_grad, loss_2d
 
 LINEAR = mdl.ModelSpec("linear_softmax", input_dim=3, num_classes=4, init_std=0.1)
 MLP = mdl.ModelSpec("mlp", input_dim=3, hidden_dim=5, num_classes=4, init_std=0.1)
@@ -190,49 +190,86 @@ BENCH_SPECS = [
 ]
 
 
+# Models with a layer one unit wide: their backward products are gemv calls,
+# so grad_batch runs each model of their stacks alone.
+NARROW = [mdl.ModelSpec("mlp", input_dim=5, hidden_dim=1, num_classes=3),
+          mdl.ModelSpec("linear_softmax", input_dim=1, num_classes=3)]
+SPEC_IDS = ["mlp", "linear_softmax", "narrow_mlp", "narrow_linear"]
+
+
 @pytest.mark.parametrize("k, b", [(50, 32), (50, 4), (3, 1), (1, 7)])
-@pytest.mark.parametrize("spec", BENCH_SPECS, ids=["mlp", "linear_softmax"])
+@pytest.mark.parametrize("spec", BENCH_SPECS + NARROW, ids=SPEC_IDS)
 def test_stacked_matmul_is_per_client_gemm(spec, k, b):
-    """Each slice of the kernels' stacked products is bitwise the 2-D product
-    a lone client computes, which is what keeps grouped training's traces
-    and the stacked loss identical; a NumPy or BLAS that batches
-    differently fails here. The loss kernel's products are batch-major: a
-    shared batch into the strided columns of a (b, K, .) output, and a
-    strided (b, K, h) input."""
+    """Each model's slice of every stacked product the kernels issue is bitwise
+    the 2-D product a lone model computes, which is what keeps grouped
+    training's traces and the stacked loss identical; a NumPy or BLAS that
+    batches or strides differently fails here. The forward writes into the
+    strided columns of a batch-major (b, K, .) output, from a batch shared by
+    every model or one batch per model, and an mlp's output layer reads the
+    strided (b, K, h) activation. The backward, which no stack of NARROW
+    models issues, reads the batch-major delta, activation and d1
+    transposed or strided, and writes d1 into strided columns."""
     g = RngStream(23).generator()
     w = g.standard_normal((k, spec.param_count()))
-    x = g.standard_normal((k, b, spec.input_dim))
-    width = spec.hidden_dim or spec.input_dim
-    a1, d1 = g.standard_normal((2, k, b, width))
-    delta = g.standard_normal((k, b, spec.num_classes))
+    layers = mdl._unpack(spec, w)
+    first, out_w = layers[0], layers[-2]
+    shared, x = g.standard_normal((b, spec.input_dim)), g.standard_normal((k, b, spec.input_dim))
+    a1 = g.standard_normal((b, k, spec.hidden_dim))
+    d1 = g.standard_normal((b, k, spec.hidden_dim))
+    delta = g.standard_normal((b, k, spec.num_classes))
     t = lambda m: np.swapaxes(m, -1, -2)  # noqa: E731
-    stacked = [x @ t(mdl._unpack(spec, w)[0]), t(delta) @ x]
-    if spec.kind == "mlp":
-        w2 = mdl._unpack(spec, w)[2]
-        stacked += [a1 @ t(w2), delta @ w2, t(d1) @ x, t(delta) @ a1]
-    first = mdl._unpack(spec, w)[0]
-    batch_major = [np.empty((b, k, first.shape[1]))]
-    np.matmul(x[0], t(first), out=np.swapaxes(batch_major[0], 0, 1))
-    if spec.kind == "mlp":
-        a1_major = np.ascontiguousarray(np.swapaxes(a1, 0, 1))
-        batch_major.append(np.empty((b, k, spec.num_classes)))
-        np.matmul(np.swapaxes(a1_major, 0, 1), t(w2), out=np.swapaxes(batch_major[1], 0, 1))
+    delta_t = np.transpose(delta, (1, 2, 0))
+
+    def batch_major(inputs, weights):
+        out = np.empty((b, k, weights.shape[-1]))
+        np.matmul(inputs, weights, out=np.swapaxes(out, 0, 1))
+        return np.swapaxes(out, 0, 1)
+
+    mlp, backward = spec.kind == "mlp", spec not in NARROW
+    stacked = [batch_major(shared, t(first)), batch_major(x, t(first))]
+    stacked += [batch_major(np.swapaxes(a1, 0, 1), t(out_w))] if mlp else []
+    stacked += [delta_t @ x] if backward else []
+    if backward and mlp:
+        stacked += [batch_major(np.swapaxes(delta, 0, 1), out_w),
+                    np.transpose(d1, (1, 2, 0)) @ x, delta_t @ np.swapaxes(a1, 0, 1)]
     for i in range(k):
         lone = mdl._unpack(spec, w[i].copy())
-        xi, ai, di, deli = x[i].copy(), a1[i].copy(), d1[i].copy(), delta[i].copy()
-        alone = [xi @ lone[0].T, deli.T @ xi]
-        alone_major = [x[0].copy() @ lone[0].T]
-        if spec.kind == "mlp":
-            alone += [ai @ lone[2].T, deli @ lone[2], di.T @ xi, deli.T @ ai]
-            alone_major.append(ai @ lone[2].T)
+        xi, ai, di, deli = x[i].copy(), a1[:, i].copy(), d1[:, i].copy(), delta[:, i].copy()
+        alone = [shared.copy() @ lone[0].T, xi @ lone[0].T]
+        alone += [ai @ lone[2].T] if mlp else []
+        alone += [deli.T @ xi] if backward else []
+        if backward and mlp:
+            alone += [deli @ lone[2], di.T @ xi, deli.T @ ai]
         for s, a in zip(stacked, alone, strict=True):
             assert s[i].tobytes() == a.tobytes()
-        for s, a in zip(batch_major, alone_major, strict=True):
-            assert s[:, i].tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixup"])
+@pytest.mark.parametrize("b", [1, 4, 32])
+@pytest.mark.parametrize("k", [1, 9, 50])
+@pytest.mark.parametrize("spec", BENCH_SPECS + NARROW, ids=SPEC_IDS)
+def test_grad_batch_rows_are_each_client_alone(spec, k, b, mixed):
+    """Each row of ``grad_batch`` and ``sgd_step`` is bitwise the 2-D reference
+    ``helpers.batch_grad_2d`` of that client alone; under mixup it is
+    ``lam * g_a + (1 - lam) * g_b`` of the two label sets."""
+    g = RngStream(26).generator()
+    params = 0.3 * g.standard_normal((k, spec.param_count()))
+    x = g.standard_normal((k, b, spec.input_dim))
+    labels = g.integers(spec.num_classes, size=(2 if mixed else 1, k, b))
+    lam = g.uniform(size=k) if mixed else None
+    grads = np.concatenate([v.reshape(k, -1) for v in mdl.grad_batch(spec, params, x, labels, lam)],
+                           axis=1)
+    stepped = params.copy()
+    mdl.sgd_step(spec, stepped, x, labels, 0.3, lam)
+    for i in range(k):
+        alone = [batch_grad_2d(spec, params[i].copy(), x[i].copy(), y[i]) for y in labels]
+        expect = alone[0] if lam is None else lam[i] * alone[0] + (1.0 - lam[i]) * alone[1]
+        assert grads[i].tobytes() == expect.tobytes()
+        assert stepped[i].tobytes() == (params[i] - 0.3 * expect).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, mdl._LOSS_BLOCK - 1, mdl._LOSS_BLOCK + 1, 50])
-@pytest.mark.parametrize("spec", BENCH_SPECS, ids=["mlp", "linear_softmax"])
+@pytest.mark.parametrize("spec", BENCH_SPECS + NARROW, ids=SPEC_IDS)
 def test_stacked_loss_is_loss_many_of_each_model(spec, k):
     """Each column of the stacked loss kernel is bitwise ``loss_many`` of that
     model alone and the 2-D reference, a reused workspace included. Model 0
