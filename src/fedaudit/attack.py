@@ -25,13 +25,15 @@ chain measures each record's loss under every client's rebuilt model,
 through the stacked loss kernel of ``model``, and scores variant I. The
 gradient chain takes one gradient product per round, which feeds the
 cosine and grad_diff measurements, scores variant II and keeps the target
-client's series. The chains share no array, so on two cores the loss
-chain runs on a helper thread; the bits are those of one pass over the
-rounds, and so is the first error raised. A row whose 3-sigma test keeps
-every value takes the population fit as its null, exactly. Rows with a
-drop are grouped by survivor count, and each group's survivors, gathered
-in client order into one contiguous block, are fitted row by row with the
-same reductions; leave-one-out builds its keep mask one column at a time.
+client's series. The chains share no array, so when the process may run
+on two cores (its affinity mask, in a pool worker too) the loss chain
+runs on a helper thread; on one core they run in turn, which is faster
+there. The bits are those of one pass over the rounds, and so is the
+first error raised. A row whose 3-sigma test keeps every value takes the
+population fit as its null, exactly. Rows with a drop are grouped by
+survivor count, and each group's survivors, gathered in client order
+into one contiguous block, are fitted row by row with the same
+reductions; leave-one-out builds its keep mask one column at a time.
 No step loops over rows. The scalar rule, applied record by record, lives
 in ``tests/helpers.py`` as the reference the engine matches bit for bit.
 
@@ -58,6 +60,7 @@ behind a flag for larger cohorts.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from typing import Iterable
@@ -307,31 +310,25 @@ def audit_cohort(
     methods: Iterable[str],
     sigma_floor_rel: float = SIGMA_FLOOR_REL,
     leave_one_out: bool = False,
-    cores: int = 1,
 ) -> CohortAudit:
     """Steps 1-3 for every requested method, in two chains over the rounds.
 
     The loss chain measures every client's loss and scores fedmia_i; the
     gradient chain does the rest. Each round measures only what the
     methods read and keeps only the fedmia scores and the target client's
-    series. With ``cores`` >= 2 and work in both chains, the loss chain
-    runs on a helper thread while this one runs the gradient chain; else
-    they run in turn. The helper calls only private functions, so every
-    public call stays on this thread. The arrays are the same bits either
-    way, and a failure raises the error that one pass over the rounds,
-    measuring and then scoring in method order, would raise first. The
-    measurement kind fixes the member side (``DEFAULT_ORIENTATION``).
+    series. With work in both chains and two or more usable cores, the
+    loss chain runs on a helper thread while this one runs the gradient
+    chain; else they run in turn. The helper calls only private functions,
+    so every public call stays on this thread. The arrays are the same
+    bits either way, and a failure raises the error that one pass over the
+    rounds, measuring and then scoring in method order, would raise first.
+    The measurement kind fixes the member side (``DEFAULT_ORIENTATION``).
     ``methods`` are names of ``ALL_METHODS``, which the attack config checks.
     """
     methods = list(dict.fromkeys(methods))
-    if not (0 <= target_client < trace.num_clients):
-        raise ConfigError(f"target_client {target_client} out of range")
+    _check_clients(trace.num_clients, target_client, methods)
     x, y = _cohort_arrays(x, y)
     fedmia = [m for m in methods if m in FEDMIA_METHODS]
-    if fedmia and trace.num_clients < 3:
-        raise FedAuditError(
-            f"need at least 3 clients for a null estimate, got {trace.num_clients}"
-        )
     shape = (len(y), trace.num_rounds)
     per_round = {m: np.empty(shape) for m in fedmia}
     series = {k: np.empty(shape) for k, readers in SERIES_READERS.items() if readers & set(methods)}
@@ -370,8 +367,25 @@ def audit_cohort(
 
     chains = [chain() for chain, work in ((loss_chain, "fedmia_i" in place),
                                           (gradient_chain, bool(kinds or series))) if work]
-    _run_chains(chains, helper=cores >= 2 and len(chains) == 2)
+    _run_chains(chains, helper=len(chains) == 2 and _usable_cores() >= 2)
     return CohortAudit(per_round, series)
+
+
+def _check_clients(k: int, target_client: int, methods: Iterable[str]) -> None:
+    """The attack's rules on the client count ``k`` of the trace it reads."""
+    if not (0 <= target_client < k):
+        raise ConfigError(f"target_client: must be in [0, {k}) for {k} clients, "
+                          f"got {target_client}")
+    if set(methods) & set(FEDMIA_METHODS) and k < 3:
+        raise ConfigError(f"methods: fedmia methods need at least 3 clients for a "
+                          f"null estimate, got {k}")
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (its affinity mask, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_chains(chains: list, helper: bool) -> None:

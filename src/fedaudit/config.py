@@ -142,6 +142,11 @@ class AttackSuiteConfig(Codec):
         if self.sigma_floor_rel <= 0:
             raise ConfigError(f"sigma_floor_rel: must be > 0, got {self.sigma_floor_rel}")
 
+    def check_clients(self, k: int) -> None:
+        """The rules that need the client count ``k``, which ``replay`` has only
+        once it reads the trace: ``target_client`` and fedmia fit ``k`` clients."""
+        atk._check_clients(k, self.target_client, self.methods)
+
 
 # Sweep keys that set a field of the ``augment_ops`` block -> that field.
 AUGMENT_KEYS = {"flip_h": "flip_h", "shift": "shift", "augment_noise_std": "noise_std"}
@@ -233,10 +238,8 @@ class ExperimentConfig(Codec):
             )
         if not self.seeds:
             raise ConfigError("seeds: must not be empty")
-        if set(self.attack.methods) & set(atk.FEDMIA_METHODS) and self.partition.clients < 3:
-            raise ConfigError("partition.clients: fedmia methods need at least 3 clients")
-        if not (0 <= self.attack.target_client < self.partition.clients):
-            raise ConfigError("attack.target_client: must be in [0, partition.clients)")
+        with under("attack"):
+            self.attack.check_clients(self.partition.clients)
         if self.dataset.kind == "synthetic":
             with under("partition"):
                 self.partition.check_size(self.dataset.num_classes * self.dataset.per_class)

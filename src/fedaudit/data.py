@@ -355,25 +355,6 @@ class AugmentOps:
         return self.flip_h or self.shift
 
 
-def flip_horizontal(x: np.ndarray, geometry: tuple[int, int]) -> np.ndarray:
-    """Reverse every row of the grid-structured feature vector."""
-    rows, cols = geometry
-    return np.asarray(x, dtype=np.float64).reshape(rows, cols)[:, ::-1].ravel().copy()
-
-
-def shift_grid(x: np.ndarray, geometry: tuple[int, int], dy: int, dx: int) -> np.ndarray:
-    """Translate the grid by (dy, dx) with zero fill outside the frame."""
-    rows, cols = geometry
-    grid = np.asarray(x, dtype=np.float64).reshape(rows, cols)
-    out = np.zeros_like(grid)
-    src_r = slice(max(0, -dy), min(rows, rows - dy))
-    src_c = slice(max(0, -dx), min(cols, cols - dx))
-    dst_r = slice(max(0, dy), min(rows, rows + dy))
-    dst_c = slice(max(0, dx), min(cols, cols + dx))
-    out[dst_r, dst_c] = grid[src_r, src_c]
-    return out.ravel()
-
-
 def augment_batch(
     g: np.random.Generator,
     x: np.ndarray,
@@ -381,17 +362,25 @@ def augment_batch(
     ops: AugmentOps,
 ) -> np.ndarray:
     """Vectorized augmentation of a training batch (labels unchanged); flip and
-    shift need the grid ``geometry``."""
+    shift need the grid ``geometry``.
+
+    A flip reverses every row of a record's grid. A shift translates the grid
+    by (dy, dx) in {-1, 0, 1}^2 with zero fill outside the frame: each record
+    gathers from a zero-padded copy of its grid."""
     out = np.array(x, dtype=np.float64, copy=True)
     n = len(out)
     if ops.flip_h:
         mask = g.integers(2, size=n).astype(bool)
-        for i in np.flatnonzero(mask):
-            out[i] = flip_horizontal(out[i], geometry)
+        grid = out.reshape(n, *geometry)
+        grid[mask] = grid[mask, :, ::-1]
     if ops.shift:
         offsets = g.integers(-1, 2, size=(n, 2))
-        for i in range(n):
-            out[i] = shift_grid(out[i], geometry, int(offsets[i, 0]), int(offsets[i, 1]))
+        rows, cols = geometry
+        padded = np.zeros((n, rows + 2, cols + 2))
+        padded[:, 1:-1, 1:-1] = out.reshape(n, rows, cols)
+        r = np.arange(rows)[None, :, None] + 1 - offsets[:, 0, None, None]
+        c = np.arange(cols)[None, None, :] + 1 - offsets[:, 1, None, None]
+        out = padded[np.arange(n)[:, None, None], r, c].reshape(out.shape)
     if ops.noise_std > 0:
         out += ops.noise_std * g.standard_normal(out.shape)
     return out

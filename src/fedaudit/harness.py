@@ -168,11 +168,9 @@ def run_attacks(
     trace: fed.UpdateTrace,
     cohort: TargetCohort,
     ac: AttackSuiteConfig,
-    cores: int,
 ) -> tuple[dict[str, np.ndarray], atk.CohortAudit, dict]:
     """All configured attacks: (n,) scores per method, row i that of
-    ``cohort.ids[i]``; the audit, which uses ``cores`` threads when two or
-    more are given; its inclusion checks.
+    ``cohort.ids[i]``; the audit; its inclusion checks.
 
     A method whose final scores, or the audit array they come from, hold a
     non-finite value raises FedAuditError naming the seed, the defense and
@@ -181,7 +179,7 @@ def run_attacks(
     try:
         audit = atk.audit_cohort(
             trace, cohort.x, cohort.y, ac.target_client, ac.methods,
-            sigma_floor_rel=ac.sigma_floor_rel, leave_one_out=ac.leave_one_out, cores=cores,
+            sigma_floor_rel=ac.sigma_floor_rel, leave_one_out=ac.leave_one_out,
         )
     except ZeroVectorError as exc:
         raise ZeroVectorError(f"{where}, sample_id {int(cohort.ids[exc.row])}: {exc}") from exc
@@ -407,9 +405,8 @@ def run_single(
     param: object,
     seed: int,
     run_dir: str,
-    cores: int,
 ) -> tuple[list[dict], dict]:
-    """One (defense, seed) job: train, persist, attack on ``cores`` cores, score."""
+    """One (defense, seed) job: train, persist, attack, score."""
     dataset = build_dataset(config, seed)
     partition = build_partition(config, dataset, seed)
     spec = config.model.spec(dataset.input_dim, dataset.num_classes)
@@ -419,7 +416,7 @@ def run_single(
     os.makedirs(run_dir, exist_ok=True)
     fed.save_trace(trace, os.path.join(run_dir, "trace"))
     _write_targets_csv(os.path.join(run_dir, "targets.csv"), dataset.input_dim, cohort)
-    return _attack_and_score(trace, cohort, config.attack, param, run_dir, cores)
+    return _attack_and_score(trace, cohort, config.attack, param, run_dir)
 
 
 def _attack_and_score(
@@ -428,11 +425,10 @@ def _attack_and_score(
     ac: AttackSuiteConfig,
     param: object,
     out_dir: str | None,
-    cores: int,
 ) -> tuple[list[dict], dict]:
-    """Attack ``trace`` on ``cores`` cores, write attack_scores.csv and the sidecar
-    to ``out_dir`` (if any), and return the metric rows and the inclusion checks."""
-    scores, audit, checks = run_attacks(trace, cohort, ac, cores)
+    """Attack ``trace``, write attack_scores.csv and the sidecar to ``out_dir``
+    (if any), and return the metric rows and the inclusion checks."""
+    scores, audit, checks = run_attacks(trace, cohort, ac)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_scores_csv(os.path.join(out_dir, SCORES_CSV), cohort, scores)
@@ -446,15 +442,10 @@ def _attack_and_score(
     return rows, checks
 
 
-def _job(args: tuple, cores: int) -> tuple[list[dict], dict]:
-    return run_single(*args, cores=cores)
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on (its affinity mask, where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _job(args: tuple) -> tuple[list[dict], dict]:
+    """``run_single(*args)``. The pool maps this private name, which pickles
+    even where perfbench's tracer has replaced the public ``run_single``."""
+    return run_single(*args)
 
 
 def run_experiment(
@@ -476,9 +467,7 @@ def run_experiment(
     exist), and inherit this process's environment, BLAS thread count
     included, on which the attack_scores.csv bytes depend. The first
     failed job's error is raised, as in a serial run, and jobs not yet
-    started are cancelled. Each job's attack gets the usable cores shared
-    out among the workers: with two or more it uses two threads (see
-    ``attack.audit_cohort``), which changes no byte.
+    started are cancelled.
     """
     if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -490,8 +479,7 @@ def run_experiment(
         for seed, run_dir in run_dirs.items()
     ]
 
-    workers = min(len(job_args), jobs or _usable_cores())
-    cores = _usable_cores() // workers
+    workers = min(len(job_args), jobs or atk._usable_cores())
     if workers > 1:
         import multiprocessing  # imported only here: a one-job grid never starts a pool
         from concurrent.futures import ProcessPoolExecutor
@@ -499,12 +487,12 @@ def run_experiment(
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             try:
-                results = list(pool.map(_job, job_args, [cores] * len(job_args)))
+                results = list(pool.map(_job, job_args))
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
     else:
-        results = [_job(a, cores) for a in job_args]
+        results = [_job(a) for a in job_args]
 
     all_rows: list[dict] = []
     inclusion: dict = {}
@@ -579,7 +567,9 @@ def replay_attack(trace_dir: str, ac: AttackSuiteConfig, out_dir: str | None = N
             f"corrupt targets file {path}: {cohort.x.shape[1]} features, "
             f"the trace's model takes {trace.model_spec.input_dim}"
         )
-    rows, _ = _attack_and_score(trace, cohort, ac, None, out_dir, _usable_cores())
+    with under("attack"):
+        ac.check_clients(trace.num_clients)
+    rows, _ = _attack_and_score(trace, cohort, ac, None, out_dir)
     if out_dir is not None:
         _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
     return rows

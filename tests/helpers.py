@@ -7,7 +7,8 @@ instead of one sort, point-by-point loops for the ROC's points, area and
 operating point instead of array operations, Monte Carlo instead of the
 sweep line, central differences instead of backprop, a model-by-model
 2-D loss instead of the stacked loss kernel, a client-by-client FedAvg
-loop of 2-D products instead of the stacked group trainer, and the
+loop of 2-D products instead of the stacked group trainer, a record-by-record
+flip and shift instead of the batch gather of ``augment_batch``, and the
 attack's null fit applied record by record and round by round instead of
 the grouped fit.
 Also the trace and cohort builders that only the tests use.
@@ -195,6 +196,44 @@ def batch_grad_2d(
     return np.concatenate(
         [(d1.T @ x).ravel(), d1.sum(axis=0), (delta.T @ a1).ravel(), delta.sum(axis=0)]
     )
+
+
+def flip_horizontal(x: np.ndarray, geometry: tuple[int, int]) -> np.ndarray:
+    """Reverse every row of the grid-structured feature vector."""
+    rows, cols = geometry
+    return np.asarray(x, dtype=np.float64).reshape(rows, cols)[:, ::-1].ravel().copy()
+
+
+def shift_grid(x: np.ndarray, geometry: tuple[int, int], dy: int, dx: int) -> np.ndarray:
+    """Translate the grid by (dy, dx) with zero fill outside the frame."""
+    rows, cols = geometry
+    grid = np.asarray(x, dtype=np.float64).reshape(rows, cols)
+    out = np.zeros_like(grid)
+    src_r = slice(max(0, -dy), min(rows, rows - dy))
+    src_c = slice(max(0, -dx), min(cols, cols - dx))
+    dst_r = slice(max(0, dy), min(rows, rows + dy))
+    dst_c = slice(max(0, dx), min(cols, cols + dx))
+    out[dst_r, dst_c] = grid[src_r, src_c]
+    return out.ravel()
+
+
+def augment_batch_loop(
+    g: np.random.Generator, x: np.ndarray, geometry: tuple[int, int] | None, ops: dat.AugmentOps,
+) -> np.ndarray:
+    """``data.augment_batch`` record by record, drawing from ``g`` in the same order."""
+    out = np.array(x, dtype=np.float64, copy=True)
+    n = len(out)
+    if ops.flip_h:
+        mask = g.integers(2, size=n).astype(bool)
+        for i in np.flatnonzero(mask):
+            out[i] = flip_horizontal(out[i], geometry)
+    if ops.shift:
+        offsets = g.integers(-1, 2, size=(n, 2))
+        for i in range(n):
+            out[i] = shift_grid(out[i], geometry, int(offsets[i, 0]), int(offsets[i, 1]))
+    if ops.noise_std > 0:
+        out += ops.noise_std * g.standard_normal(out.shape)
+    return out
 
 
 def federation_loop(

@@ -550,31 +550,40 @@ def _threads_left(before):
     return [t for t in threading.enumerate() if t not in before]
 
 
+def _usable_cores(monkeypatch, cores):
+    monkeypatch.setattr(atk, "_usable_cores", lambda: cores)
+
+
 class TestChains:
     """The loss and gradient chains of ``audit_cohort`` on a helper thread and in turn."""
 
     @pytest.mark.parametrize("leave_one_out", [False, True])
     @pytest.mark.parametrize("clients", [3, 50])
-    def test_two_threads_equal_one(self, clients, leave_one_out):
+    def test_two_threads_equal_one(self, monkeypatch, clients, leave_one_out):
         trace, x, y = _chain_trace(clients)
         before = threading.enumerate()
-        audits = [atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS, leave_one_out=leave_one_out,
-                                   cores=cores) for cores in (1, 2)]
+        audits = []
+        for cores in (1, 2):
+            _usable_cores(monkeypatch, cores)
+            audits.append(atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS,
+                                           leave_one_out=leave_one_out))
         assert _threads_left(before) == []
         serial, threaded = audits
         for got, want in ((threaded.per_round, serial.per_round), (threaded.series, serial.series)):
             assert list(got) == list(want) and want
             assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
-    def test_concurrent_audits_under_a_short_switch_interval(self):
+    def test_concurrent_audits_under_a_short_switch_interval(self, monkeypatch):
         """Four audits at once, each with its helper (eight threads on two
         cores), switching threads every 10 us: each is the serial audit."""
         trace, x, y = _chain_trace(50)
+        _usable_cores(monkeypatch, 1)
         want = atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS)
+        _usable_cores(monkeypatch, 2)
         got = [None] * 4
 
         def audit(i):
-            got[i] = atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS, cores=2)
+            got[i] = atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS)
 
         threads = [threading.Thread(target=audit, args=(i,)) for i in range(len(got))]
         interval = sys.getswitchinterval()
@@ -599,10 +608,12 @@ class TestChains:
         (None, 2, FedAuditError, "non-finite measurement in round 2"),
         (2, None, ZeroVectorError, "round 2, cohort row 1"),
     ], ids=["gradient_first", "loss_first", "same_round", "loss_only", "gradient_only"])
-    def test_first_error_is_the_serial_one(self, cores, grad_round, loss_round, error, match):
+    def test_first_error_is_the_serial_one(self, monkeypatch, cores, grad_round, loss_round,
+                                           error, match):
         """The gradient chain fails where round ``grad_round``'s global model
         saturates record 1; the loss chain where a NaN learning rate breaks
         every rebuilt model. A round measures before it scores."""
+        _usable_cores(monkeypatch, cores)
         spec = mdl.ModelSpec("linear_softmax", input_dim=1, num_classes=2)
         g = RngStream(97).generator()
         saturated = np.array([1000.0, -1000.0, 0.0, 0.0])
@@ -614,7 +625,7 @@ class TestChains:
         x, y = np.array([[-1.0], [1.0]]), np.array([0, 0])
         before = threading.enumerate()
         with pytest.raises(error, match=match) as exc:
-            atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS, cores=cores)
+            atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS)
         assert type(exc.value) is error
         if error is ZeroVectorError:
             assert exc.value.row == 1
@@ -644,11 +655,35 @@ class TestChains:
                 if id(obj) in public:
                     monkeypatch.setattr(mod, name, recorded(public[id(obj)], obj))
         monkeypatch.setattr(atk, "_client_losses", recorded("loss chain", atk._client_losses))
+        _usable_cores(monkeypatch, 2)
         trace, x, y = _chain_trace(50)
-        audit = atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS, cores=2)
+        audit = atk.audit_cohort(trace, x, y, 0, atk.ALL_METHODS)
         atk.baselines(trace, x, y, atk.BASELINE_METHODS, audit)
         here = threading.get_ident()
         helper = seen.pop("loss chain")
         assert len(helper) == 1 and here not in helper
         assert {"fedaudit.model.loss_many", "fedaudit.model.grad_samples"} <= set(seen)
         assert {name: idents for name, idents in seen.items() if idents != {here}} == {}
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    @pytest.mark.parametrize("methods", [
+        ["fedmia_i"], ["fedmia_ii", "avg_cosine"], ["fedmia_i", "fedmia_ii"],
+        ["fedmia_i", "grad_norm"], ["fedmia_i", "blackbox_loss"],
+    ])
+    def test_a_helper_thread_only_for_two_chains_on_two_cores(self, monkeypatch, cores, methods):
+        """One helper starts when both chains have work and two or more cores
+        are usable, and none otherwise. Every method but fedmia_i gives the
+        gradient chain work."""
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+        monkeypatch.setattr(threading, "Thread", Spy)
+        _usable_cores(monkeypatch, cores)
+        trace, x, y = _chain_trace(3)
+        atk.audit_cohort(trace, x, y, 0, methods)
+        both = "fedmia_i" in methods and len(methods) > 1
+        assert len(started) == (1 if both and cores >= 2 else 0)
+        assert not any(thread.is_alive() for thread in started)

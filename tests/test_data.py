@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from fedaudit import fedsim as fed
 from fedaudit import model as mdl
 from fedaudit.errors import ConfigError
 from fedaudit.numstat import RngStream
+from helpers import augment_batch_loop, flip_horizontal, shift_grid
 
 
 def train_linear_accuracy(dataset, eval_dataset=None, seed=0, epochs=30):
@@ -266,18 +268,34 @@ class TestAugment:
 
     def test_double_flip_identity(self):
         x = np.arange(6.0)
-        assert np.array_equal(
-            dat.flip_horizontal(dat.flip_horizontal(x, self.GEOM), self.GEOM), x
-        )
+        assert np.array_equal(flip_horizontal(flip_horizontal(x, self.GEOM), self.GEOM), x)
 
     def test_zero_shift_identity(self):
         x = np.arange(6.0)
-        assert np.array_equal(dat.shift_grid(x, self.GEOM, 0, 0), x)
+        assert np.array_equal(shift_grid(x, self.GEOM, 0, 0), x)
 
     def test_shift_zero_fill(self):
         x = np.arange(6.0)
-        shifted = dat.shift_grid(x, self.GEOM, 0, 1)
+        shifted = shift_grid(x, self.GEOM, 0, 1)
         assert np.array_equal(shifted.reshape(2, 3)[:, 0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("geometry", [(2, 3), (1, 4), (4, 1), (1, 1), (5, 6)])
+    @pytest.mark.parametrize("n", [0, 1, 7, 32])
+    def test_batch_is_the_record_loop_bit_for_bit(self, geometry, n):
+        """Every op mix, on inputs with -0.0 entries: the same bits and the
+        same draws as the record-by-record reference."""
+        g = RngStream(34).generator()
+        d = geometry[0] * geometry[1]
+        for flip_h, shift, noise_std in itertools.product((False, True), (False, True), (0.0, 0.5)):
+            x = g.standard_normal((n, d))
+            x[g.uniform(size=(n, d)) < 0.2] = -0.0
+            ops = dat.AugmentOps(flip_h=flip_h, shift=shift, noise_std=noise_std)
+            seed = int(g.integers(2**31))
+            want_g, got_g = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = augment_batch_loop(want_g, x, geometry, ops)
+            got = dat.augment_batch(got_g, x, geometry, ops)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got_g.bit_generator.state == want_g.bit_generator.state
 
     def test_zero_noise_identity(self):
         x = np.arange(12.0).reshape(2, 6)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import pickle
 import re
 import shutil
 import sys
@@ -323,34 +324,41 @@ class TestRunExperiment:
         assert trees[1] == trees[0]
         assert trees[2] == trees[0]
 
-    @pytest.mark.parametrize("cores, jobs, workers, audit_cores", [
-        (8, None, 3, 2), (2, None, 2, 1), (8, 2, 2, 4)])
+    @pytest.mark.parametrize("cores, jobs, workers", [(8, None, 3), (2, None, 2), (8, 2, 2)])
     def test_pool_is_spawned_with_one_worker_per_job_up_to_the_cores(
-            self, tmp_path, monkeypatch, cores, jobs, workers, audit_cores):
-        """Each job's attack gets the usable cores shared out among the workers."""
-        seen = {"audit_cores": []}
+            self, tmp_path, monkeypatch, cores, jobs, workers):
+        seen = {}
 
         class Recorder(ThreadPoolExecutor):
             def __init__(self, max_workers, mp_context):
                 seen.update(workers=max_workers, start=mp_context.get_start_method())
                 super().__init__(max_workers)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(hns, "_usable_cores", lambda: cores)
-        _spy_audit_cores(monkeypatch, seen["audit_cores"])
+        monkeypatch.setattr(atk, "_usable_cores", lambda: cores)
         cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2, 3]))
         hns.run_experiment(cfg, str(tmp_path / "out"), jobs=jobs)
-        assert seen == {"workers": workers, "start": "spawn", "audit_cores": [audit_cores] * 3}
+        assert seen == {"workers": workers, "start": "spawn"}
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_one_worker_run_and_replay_audit_on_every_usable_core(
-            self, tmp_path, monkeypatch, cores):
-        audit_cores = []
-        monkeypatch.setattr(hns, "_usable_cores", lambda: cores)
-        _spy_audit_cores(monkeypatch, audit_cores)
+    def test_pool_pickles_what_it_maps_when_run_single_is_wrapped(self, tmp_path, monkeypatch):
+        """A tracer that replaces ``run_single`` with a local wrapper (as
+        perfbench's does) leaves the pool a function it can send to a worker."""
+        run_single, mapped = hns.run_single, []
+
+        def traced(*args):
+            return run_single(*args)
+
+        class Pickling(ThreadPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                super().__init__(max_workers)
+
+            def map(self, fn, *iterables):
+                mapped.append(pickle.loads(pickle.dumps(fn)))
+                return super().map(fn, *iterables)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pickling)
+        monkeypatch.setattr(hns, "run_single", traced)
         cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2]))
-        out = hns.run_experiment(cfg, str(tmp_path / "out"), jobs=1)
-        hns.replay_attack(os.path.join(out, "runs", "none", "seed1", "trace"), cfg.attack)
-        assert audit_cores == [cores] * 3
+        hns.run_experiment(cfg, str(tmp_path / "out"), jobs=2)
+        assert len(mapped) == 1
 
     @pytest.mark.parametrize("jobs", [None, 4])
     def test_one_job_grid_builds_no_pool(self, tmp_path, monkeypatch, jobs):
@@ -532,6 +540,29 @@ class TestCli:
         assert hns.main(["replay", trace_dir, str(ac)]) == 0
         assert "fedmia_ii" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("clients, attack, needle", [
+        (3, {"methods": ["fedmia_ii"], "target_client": 7},
+         "config error: attack.target_client: must be in [0, 3) for 3 clients, got 7\n"),
+        (2, {"methods": ["fedmia_i", "avg_cosine"]},
+         "config error: attack.methods: fedmia methods need at least 3 clients for a null "
+         "estimate, got 2\n"),
+    ], ids=["target_client_out_of_range", "fedmia_on_two_clients"])
+    def test_replay_attack_block_against_the_trace_exits_2(
+            self, tmp_path, capsys, clients, attack, needle):
+        """The attack block's rules on the client count hold in replay as in
+        run: exit 2 naming the key, before the attack writes anything."""
+        d = micro_config_dict(partition={"clients": clients},
+                              attack={"methods": ["avg_cosine"]})
+        out = str(tmp_path / "out")
+        assert hns.main(["run", write_config(tmp_path, d), "--out", out]) == 0
+        ac = tmp_path / "attack.json"
+        ac.write_text(json.dumps({**d["attack"], **attack}))
+        trace_dir = os.path.join(out, "runs", "none", "seed1", "trace")
+        capsys.readouterr()
+        assert hns.main(["replay", trace_dir, str(ac), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == needle
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("script", ["run_baseline", "run_defense_sweeps"])
     def test_script_returns_a_failed_plots_exit_code(self, tmp_path, monkeypatch, script):
         path = os.path.join(os.path.dirname(__file__), "..", "scripts", f"{script}.py")
@@ -668,16 +699,6 @@ def _set(d, path, value):
     for key in path[:-1]:
         d = d[key]
     d[path[-1]] = value
-
-
-def _spy_audit_cores(monkeypatch, seen: list) -> None:
-    """Record the ``cores`` of every ``attack.audit_cohort`` call in ``seen``."""
-    audit_cohort = atk.audit_cohort
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["cores"])
-        return audit_cohort(*args, **kwargs)
-    monkeypatch.setattr(atk, "audit_cohort", spy)
 
 
 def _main_captured(argv):
