@@ -335,7 +335,19 @@ def mixup(gens: list[np.random.Generator], x: np.ndarray, y: np.ndarray, alpha: 
     permutation. Returns what ``mix_with_lambda`` does.
     """
     lam = np.array([g.beta(alpha, alpha) for g in gens])
-    return mix_with_lambda(x, y, np.stack([g.permutation(x.shape[1]) for g in gens]), lam, ws)
+    return mix_with_lambda(x, y, permutations(gens, x.shape[1]), lam, ws)
+
+
+def permutations(gens: list[np.random.Generator], n: int) -> np.ndarray:
+    """``np.stack([g.permutation(n) for g in gens])``, draw for draw and bit for bit.
+
+    ``permutation(n)`` shuffles an ``arange(n)``; here each generator shuffles
+    its row of one (K, n) ``arange`` block in place, which saves the K arrays.
+    """
+    rows = np.tile(np.arange(n), (len(gens), 1))
+    for g, row in zip(gens, rows):
+        g.shuffle(row)
+    return rows
 
 
 @dataclass(frozen=True)

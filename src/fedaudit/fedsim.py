@@ -32,7 +32,8 @@ import numpy as np
 
 from . import model as mdl
 from .artifacts import read_json, write_text
-from .data import AugmentOps, Dataset, Partition, augment_batch, mixup, subsample
+from .data import (AugmentOps, Dataset, Partition, augment_batch, mixup, permutations,
+                   subsample)
 from .errors import ConfigError, FedAuditError, IntegrityError
 from .model import ModelSpec
 from .numstat import RngStream, _scratch
@@ -222,7 +223,7 @@ def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: 
         if defense.kind in ("sample", "augment_and_sample"):
             perm = np.stack([g.permutation(subsample(g, n, defense.portion)) for g in gens])
         else:
-            perm = np.stack([g.permutation(n) for g in gens])
+            perm = permutations(gens, n)
         for start in range(0, perm.shape[1], config.batch_size):
             batch = perm[:, start : start + config.batch_size]
             bx = np.take(flat, rows * n + batch, axis=0, mode="clip",

@@ -31,8 +31,9 @@ CLI: ``run <config>``, ``replay <trace_dir> <attack_config>``,
 (``fedaudit.errors``): 0 ok, 2 ``ConfigError``, 3 ``IntegrityError``
 (missing, corrupt or malformed artifact, including trace metadata), 4 any
 other ``FedAuditError`` (a runtime failure; ``ZeroVectorError`` among
-them). The ``FEDAUDIT_OUT`` environment variable supplies the default
-output root.
+them), and an ``OSError`` or ``MemoryError`` (the environment failed: a
+path, a full disk, a file-size or memory limit). The ``FEDAUDIT_OUT``
+environment variable supplies the default output root.
 """
 
 from __future__ import annotations
@@ -463,9 +464,16 @@ def run_experiment(
     worker processes (default: the usable cores), never more than there
     are jobs; with one worker they run in this process. Results merge in
     grid order, so every artifact is the same whatever the worker count.
-    Workers are spawned, not forked (fork is unsafe once BLAS threads
-    exist), and inherit this process's environment, BLAS thread count
-    included, on which the attack_scores.csv bytes depend. The first
+    On Linux the workers are forked from this process, so they start with
+    its modules loaded and its BLAS, thread count included, on which the
+    attack_scores.csv bytes depend. That is safe because this process runs
+    no job and holds no thread of its own when it forks (the attack joins
+    its helper thread before it returns), OpenBLAS stops its own threads
+    around a fork, and the pool forks every worker before it starts its
+    manager thread. A forked worker flushes its copy of this process's
+    buffered stdout and stderr when it exits, so multiprocessing flushes
+    both before each fork, and no text is written twice. Elsewhere the
+    workers are spawned, with this process's environment. The first
     failed job's error is raised, as in a serial run, and jobs not yet
     started are cancelled.
     """
@@ -484,8 +492,8 @@ def run_experiment(
         import multiprocessing  # imported only here: a one-job grid never starts a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        start = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=start) as pool:
             try:
                 results = list(pool.map(_job, job_args))
             except BaseException:
@@ -723,5 +731,11 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except FedAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except OSError as exc:  # the environment: a path, a full disk, a file-size limit
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
     return 0

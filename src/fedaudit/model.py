@@ -15,9 +15,11 @@ are its one-model case. ``_stacked_loss`` gives each record's loss under
 every client's rebuilt model in blocks of ``_LOSS_BLOCK`` models, a few
 large NumPy calls that release the GIL. Local SGD in ``fedsim`` trains a
 group of clients as one stack: ``grad_batch`` takes a (K, b, d) batch and
-``sgd_step`` applies its gradient in place through per-layer views of the
-(K, P) buffer. Both reuse the arrays of a workspace dict that the caller
-keeps for the whole loop; ``grad_batch``'s layers alias it until its next call.
+returns one flat (K, P) gradient, laid out as the parameters are, whose
+products are written straight into its per-layer views; ``sgd_step``
+applies it to the (K, P) parameters in two whole-array operations. Both
+reuse the arrays of a workspace dict that the caller keeps for the whole
+loop; ``grad_batch``'s result aliases it until its next call.
 
 Layout of the flat parameter vector:
 
@@ -101,11 +103,6 @@ def _unpack(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
     return layers
 
 
-def _matmul(ws: dict | None, name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` of operands with equal leading axes, into the workspace array ``name``."""
-    return np.matmul(a, b, out=_scratch(ws, name, a.shape[:-1] + b.shape[-1:]))
-
-
 def _forward(spec: ModelSpec, stack: np.ndarray, x: np.ndarray, ws: dict | None = None):
     """Batch-major logits (n, K, C) and hidden activation (n, K, h), None for
     linear_softmax, of a (K, P) stack on features shared by every model (n, d) or
@@ -125,9 +122,19 @@ def _forward(spec: ModelSpec, stack: np.ndarray, x: np.ndarray, ws: dict | None 
     return logits, a1
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _row_max(logits: np.ndarray, ws: dict | None, name: str) -> np.ndarray:
+    """The max over the last axis, as a chain of ``np.maximum`` over its columns
+    into the workspace array ``name``: exact, so it equals ``max(axis=-1)``, and
+    faster on the few classes of a wide stack."""
+    top = np.maximum(logits[..., 0], logits[..., 1], out=_scratch(ws, name, logits.shape[:-1]))
+    for j in range(2, logits.shape[-1]):
+        np.maximum(top, logits[..., j], out=top)
+    return top
+
+
+def _softmax(logits: np.ndarray, ws: dict | None = None) -> np.ndarray:
     """Softmax over the last axis, in place."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= _row_max(logits, ws, "softmax.top")[..., None]
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits
@@ -154,17 +161,14 @@ def _stacked_loss(spec: ModelSpec, stack: np.ndarray, x: np.ndarray, y: np.ndarr
     """``loss_many`` of every row of a (K, P) stack, into the columns of ``out`` (n, K).
 
     ``x`` and ``y`` are checked float64 and int64 arrays; ``_forward`` gives the
-    (n, B, C) logits of a block. The softmax max is taken over columns with
-    ``np.maximum``, which is exact, so it equals a row-wise max; each row's
-    exp-sum is the same contiguous reduction as for one model.
+    (n, B, C) logits of a block. The softmax max is ``_row_max``, which equals a
+    row-wise max; each row's exp-sum is the same contiguous reduction as for one
+    model.
     """
     rows = np.arange(len(y))
     for lo in range(0, len(stack), _LOSS_BLOCK):
         logits, _ = _forward(spec, stack[lo : lo + _LOSS_BLOCK], x, ws)
-        top = _scratch(ws, "loss.top", logits.shape[:2])
-        np.maximum(logits[..., 0], logits[..., 1], out=top)
-        for j in range(2, spec.num_classes):
-            np.maximum(top, logits[..., j], out=top)
+        top = _row_max(logits, ws, "loss.top")
         picked = logits[rows, :, y]
         picked -= top
         logits -= top[..., None]
@@ -202,14 +206,15 @@ def grad_samples(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarr
 
 
 def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
-               lam: np.ndarray | None = None, ws: dict | None = None) -> list[np.ndarray]:
-    """Mean batch gradients of K stacked models, as ``_unpack`` layers with a leading K axis.
+               lam: np.ndarray | None = None, ws: dict | None = None) -> np.ndarray:
+    """Mean batch gradients of K stacked models, as one flat (K, P) array.
 
     ``params`` is (K, P) and ``x`` (K, b, d). ``labels`` (L, K, b) holds one
     label set, or under mixup two that share one forward pass and give
     ``lam * g_a + (1 - lam) * g_b`` with ``lam`` (K,). Every product is a
-    stack of the 2-D gemms of a lone model, so each row is bitwise the
-    gradient that model computes alone. Its layers alias the workspace ``ws``.
+    stack of the 2-D gemms of a lone model, written into the ``_unpack``
+    views of a label set's (K, P) block, so each row is bitwise the gradient
+    that model computes alone. The result aliases the workspace ``ws``.
     """
     k, n = labels.shape[1:]
     if params.shape != (k, spec.param_count()) or x.shape != (k, n, spec.input_dim):
@@ -221,15 +226,15 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nd
     if k > 1 and 1 in (spec.input_dim, spec.hidden_dim):
         # With a layer one unit wide the backward products are gemv calls, whose
         # bits depend on the matrix's leading dimension: each model runs alone.
-        alone = [grad_batch(spec, params[j : j + 1], x[j : j + 1], labels[:, j : j + 1],
-                            None if lam is None else lam[j : j + 1]) for j in range(k)]
-        return [np.concatenate(layer) for layer in zip(*alone)]
+        return np.concatenate([
+            grad_batch(spec, params[j : j + 1], x[j : j + 1], labels[:, j : j + 1],
+                       None if lam is None else lam[j : j + 1]) for j in range(k)])
     logits, a1 = _forward(spec, params, x, ws)
-    probs = _softmax(logits)
+    probs = _softmax(logits, ws)
     if a1 is not None:
         dtanh = np.multiply(a1, a1, out=_scratch(ws, "dtanh", a1.shape))
         np.subtract(1.0, dtanh, out=dtanh)
-    grads: list[np.ndarray] = []
+    blocks = []
     for i, y in enumerate(labels):
         delta = probs
         if i + 1 < len(labels):
@@ -237,32 +242,34 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nd
             delta[...] = probs
         delta[np.arange(n), np.arange(k)[:, None], y] -= 1.0
         delta /= n
-        delta_t = np.transpose(delta, (1, 2, 0))
-        if a1 is None:
-            layers = [_matmul(ws, f"grad{i}.w", delta_t, x), delta.sum(axis=0)]
-        else:
+        grads = _scratch(ws, f"grad{i}", params.shape)
+        *hidden, gw, gb = _unpack(spec, grads)
+        inputs = x
+        if hidden:
             d1, w2 = _scratch(ws, "d1", a1.shape), _unpack(spec, params)[2]
             np.matmul(np.swapaxes(delta, 0, 1), w2, out=np.swapaxes(d1, 0, 1))
             d1 *= dtanh
-            layers = [_matmul(ws, f"grad{i}.w1", np.transpose(d1, (1, 2, 0)), x), d1.sum(axis=0),
-                      _matmul(ws, f"grad{i}.w2", delta_t, np.swapaxes(a1, 0, 1)), delta.sum(axis=0)]
-        if lam is None:
-            return layers
-        for j, g in enumerate(layers):
-            g *= (lam if i == 0 else 1.0 - lam).reshape((k,) + (1,) * (g.ndim - 1))
-            if i == 0:
-                grads.append(g)
-            else:
-                grads[j] += g
-    return grads
+            np.matmul(np.transpose(d1, (1, 2, 0)), x, out=hidden[0])
+            np.add.reduce(d1, axis=0, out=hidden[1])
+            inputs = np.swapaxes(a1, 0, 1)
+        np.matmul(np.transpose(delta, (1, 2, 0)), inputs, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
+        blocks.append(grads)
+    if lam is None:
+        return blocks[0]
+    mixed, other = blocks
+    mixed *= lam[:, None]
+    other *= (1.0 - lam)[:, None]
+    mixed += other
+    return mixed
 
 
 def sgd_step(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray, lr: float,
              lam: np.ndarray | None = None, ws: dict | None = None) -> None:
-    """``params -= lr * grad_batch(...)`` in place, through per-layer views."""
-    for w, g in zip(_unpack(spec, params), grad_batch(spec, params, x, labels, lam, ws)):
-        g *= lr
-        w -= g
+    """``params -= lr * grad_batch(...)`` in place."""
+    g = grad_batch(spec, params, x, labels, lam, ws)
+    g *= lr
+    params -= g
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:

@@ -251,6 +251,17 @@ class TestMixup:
             assert np.array_equal(labels[:, k], expect_labels[:, 0])
 
 
+    @pytest.mark.parametrize("n", [1, 2, 32, 100])
+    def test_permutations_are_each_generators_permutation(self, n):
+        """Bit for bit and draw for draw, on 50 Philox streams: the block, then
+        the next draw of every stream."""
+        streams = [RngStream(36).derive(k) for k in range(50)]
+        gens, refs = [s.generator() for s in streams], [s.generator() for s in streams]
+        block = dat.permutations(gens, n)
+        expect = np.stack([g.permutation(n) for g in refs])
+        assert block.dtype == expect.dtype and block.tobytes() == expect.tobytes()
+        assert [g.random() for g in gens] == [g.random() for g in refs]
+
     def test_workspace_gives_the_same_bits(self):
         g = RngStream(35).generator()
         ws = {"mixed": np.full(64, np.nan), "lam_x": np.full(64, np.inf)}

@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import errno
 import importlib.util
 import io
 import json
@@ -10,8 +11,10 @@ import pathlib
 import pickle
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
+import textwrap
 import typing
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -78,6 +81,28 @@ def _csv_dataset(tmp_path, rows):
 # CSV classes of 1, 1, 3 and 2 records: the class-stratified deal to three clients
 # gives them pools of 3, 3 and 1 records.
 SHORT_POOL_CSV = "0,1.0\n1,1.0\n2,1.0\n2,2.0\n2,3.0\n3,1.0\n3,2.0\n"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(code, *args, blas="1", limit=None):
+    """A fresh interpreter's run of ``code`` (dedented) with ``args``, importing
+    fedaudit from ``src``, its stdout a buffered pipe. The BLAS thread variables
+    are set to ``blas``, or unset when it is None; ``limit`` is a
+    ``(resource, bytes)`` cap on the child."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS + ("PYTHONUNBUFFERED",)}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if blas is not None:
+        env.update(dict.fromkeys(BLAS_VARS, blas))
+
+    def cap():
+        if limit is not None:
+            import resource
+            resource.setrlimit(limit[0], (limit[1], limit[1]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
 
 
 def _tree_bytes(root):
@@ -324,9 +349,11 @@ class TestRunExperiment:
         assert trees[1] == trees[0]
         assert trees[2] == trees[0]
 
+    @pytest.mark.parametrize("platform, start", [("linux", "fork"), ("darwin", "spawn")])
     @pytest.mark.parametrize("cores, jobs, workers", [(8, None, 3), (2, None, 2), (8, 2, 2)])
-    def test_pool_is_spawned_with_one_worker_per_job_up_to_the_cores(
-            self, tmp_path, monkeypatch, cores, jobs, workers):
+    def test_pool_is_forked_on_linux_with_one_worker_per_job_up_to_the_cores(
+            self, tmp_path, monkeypatch, cores, jobs, workers, platform, start):
+        """Workers are forked on Linux and spawned on any other platform."""
         seen = {}
 
         class Recorder(ThreadPoolExecutor):
@@ -335,9 +362,47 @@ class TestRunExperiment:
                 super().__init__(max_workers)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(atk, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(sys, "platform", platform)
         cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2, 3]))
         hns.run_experiment(cfg, str(tmp_path / "out"), jobs=jobs)
-        assert seen == {"workers": workers, "start": "spawn"}
+        assert seen == {"workers": workers, "start": start}
+
+    def test_text_buffered_before_a_forked_pool_is_written_once(self, tmp_path):
+        """A forked worker inherits the parent's unflushed stdout buffer and writes
+        its own copy when it exits, unless the buffer is flushed before the fork."""
+        text = "unterminated text before the pool"
+        done = _python(f"""
+            import json, sys
+            from fedaudit import harness as hns
+            from fedaudit.config import ExperimentConfig
+            sys.stdout.write({text!r})
+            hns.run_experiment(ExperimentConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2], jobs=2)
+            """, json.dumps(micro_config_dict(seeds=[1, 2])), str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count(text) == 1, done.stdout
+
+    def test_pool_forked_with_live_blas_threads_writes_the_serial_bytes(self, tmp_path):
+        """With the BLAS variables unset (OpenBLAS runs one thread per core) and
+        after a replay whose attack ran its chains on two threads, a forked 2-job
+        pool neither hangs nor changes a byte against --jobs 1 in the same
+        environment."""
+        d = micro_config_dict(seeds=[1, 2], attack={"methods": ["fedmia_ii", "fedmia_i"]})
+        done = _python("""
+            import json, sys, threading
+            from fedaudit import harness as hns
+            from fedaudit.config import ExperimentConfig
+            cfg, root = ExperimentConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2]
+            serial = hns.run_experiment(cfg, root + "/serial", jobs=1)
+            hns.replay_attack(serial + "/runs/none/seed1/trace", cfg.attack)
+            assert threading.active_count() == 1  # the attack's helper thread is joined
+            hns.run_experiment(cfg, root + "/pool", jobs=2)
+            """, json.dumps(d), str(tmp_path), blas=None)
+        assert done.returncode == 0, done.stderr
+        created = re.compile(rb'\n  "created_utc": "[^"]*",')
+        trees = [_tree_bytes(tmp_path / name) for name in ("serial", "pool")]
+        for tree in trees:
+            tree["report.json"] = created.sub(b"", tree["report.json"])
+        assert trees[1] == trees[0]
 
     def test_pool_pickles_what_it_maps_when_run_single_is_wrapped(self, tmp_path, monkeypatch):
         """A tracer that replaces ``run_single`` with a local wrapper (as
@@ -750,7 +815,53 @@ def _swap_first_member_and_nonmember(rows):
 
 
 class TestExitCodeContract:
-    """2 config error (before any training), 3 integrity error."""
+    """2 config error (before any training), 3 integrity error, 4 a failed environment."""
+
+    def test_out_under_a_regular_file_exits_4_naming_it(self, tmp_path, capfd):
+        """``run``, whose job fails alike in a forked worker and in this process,
+        and ``replay``."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, micro_config_dict(seeds=[1, 2]))
+        not_a_dir = f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}"
+        for jobs in ([], ["--jobs", "1"]):
+            assert hns.main(["run", cfg, "--out", str(blocker / "out"), *jobs]) == 4
+            assert capfd.readouterr().err == f"{not_a_dir}: '{blocker / 'out'}'\n"
+        run = str(tmp_path / "run")
+        assert hns.main(["run", cfg, "--out", run]) == 0
+        ac = tmp_path / "attack.json"
+        ac.write_text(json.dumps(micro_config_dict()["attack"]))
+        trace = os.path.join(run, "runs", "none", "seed1", "trace")
+        capfd.readouterr()
+        assert hns.main(["replay", trace, str(ac), "--out", str(blocker / "r")]) == 4
+        assert capfd.readouterr().err == f"{not_a_dir}: '{blocker / 'r'}'\n"
+
+    @pytest.mark.parametrize("limit, edit, needle", [
+        # A synthetic dataset of 5.72 GiB under a 1 GiB address space: the
+        # allocation fails at once, and nothing near that size is committed.
+        ("RLIMIT_AS", lambda d: d["dataset"].update(per_class=4_000_000, input_dim=64),
+         "error: out of memory: Unable to allocate 5.72 GiB"),
+        # Files of at most 20 kB: the run's 23 kB attack_scores.csv fails.
+        ("RLIMIT_FSIZE", lambda d: None, f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"),
+    ], ids=["memory", "file_size"])
+    def test_resource_limit_exits_4_in_a_worker_as_in_serial(self, tmp_path, limit, edit, needle):
+        """The child's own limit, set in its ``preexec_fn``, fails a job alike in a
+        forked worker and in the calling process: one line on stderr, exit 4."""
+        import resource
+        with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
+            d = json.load(fh)
+        d["seeds"] = [1, 2]
+        edit(d)
+        cfg = write_config(tmp_path, d)
+        cap = (getattr(resource, limit), (1 << 30) if limit == "RLIMIT_AS" else 20_000)
+        errs = []
+        for name, jobs in (("serial", ["--jobs", "1"]), ("pool", [])):
+            done = _python("from fedaudit.harness import main; raise SystemExit(main())",
+                           "run", cfg, "--out", str(tmp_path / name), *jobs, limit=cap)
+            assert done.returncode == 4, done.stderr
+            errs.append(done.stderr)
+        assert errs[0].startswith(needle) and errs[0].count("\n") == 1, errs[0]
+        assert errs[1] == errs[0]
 
     @settings(max_examples=150, deadline=None)
     @given(_wrong_field(CONFIG_FIELDS))

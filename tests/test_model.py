@@ -41,9 +41,8 @@ def local_sgd(spec, params, x, y, lr, epochs, batch_size, rng):
 
 
 def batch_grad(spec, params, x, y):
-    """Mean gradient of one batch as a flat vector, from the stacked kernel."""
-    layers = mdl.grad_batch(spec, params[None], x[None], np.asarray(y)[None, None])
-    return np.concatenate([g[0].ravel() for g in layers])
+    """Mean gradient of one batch as a flat vector: the stacked kernel's one row."""
+    return mdl.grad_batch(spec, params[None], x[None], np.asarray(y)[None, None])[0]
 
 
 class TestModelSpec:
@@ -208,7 +207,9 @@ def test_stacked_matmul_is_per_client_gemm(spec, k, b):
     every model or one batch per model, and an mlp's output layer reads the
     strided (b, K, h) activation. The backward, which no stack of NARROW
     models issues, reads the batch-major delta, activation and d1
-    transposed or strided, and writes d1 into strided columns."""
+    transposed or strided, writes d1 into strided columns, and writes each
+    weight gradient into its layer's view of a flat (K, P) gradient, as
+    contiguous arrays do."""
     g = RngStream(23).generator()
     w = g.standard_normal((k, spec.param_count()))
     layers = mdl._unpack(spec, w)
@@ -228,18 +229,23 @@ def test_stacked_matmul_is_per_client_gemm(spec, k, b):
     mlp, backward = spec.kind == "mlp", spec not in NARROW
     stacked = [batch_major(shared, t(first)), batch_major(x, t(first))]
     stacked += [batch_major(np.swapaxes(a1, 0, 1), t(out_w))] if mlp else []
+    grad = mdl._unpack(spec, np.empty((k, spec.param_count())))  # grad_batch's layer views
     stacked += [delta_t @ x] if backward else []
+    stacked += [np.matmul(delta_t, x, out=grad[0])] if backward and not mlp else []
     if backward and mlp:
         stacked += [batch_major(np.swapaxes(delta, 0, 1), out_w),
-                    np.transpose(d1, (1, 2, 0)) @ x, delta_t @ np.swapaxes(a1, 0, 1)]
+                    np.transpose(d1, (1, 2, 0)) @ x, delta_t @ np.swapaxes(a1, 0, 1),
+                    np.matmul(np.transpose(d1, (1, 2, 0)), x, out=grad[0]),
+                    np.matmul(delta_t, np.swapaxes(a1, 0, 1), out=grad[2])]
     for i in range(k):
         lone = mdl._unpack(spec, w[i].copy())
         xi, ai, di, deli = x[i].copy(), a1[:, i].copy(), d1[:, i].copy(), delta[:, i].copy()
         alone = [shared.copy() @ lone[0].T, xi @ lone[0].T]
         alone += [ai @ lone[2].T] if mlp else []
         alone += [deli.T @ xi] if backward else []
+        alone += [deli.T @ xi] if backward and not mlp else []
         if backward and mlp:
-            alone += [deli @ lone[2], di.T @ xi, deli.T @ ai]
+            alone += [deli @ lone[2], di.T @ xi, deli.T @ ai, di.T @ xi, deli.T @ ai]
         for s, a in zip(stacked, alone, strict=True):
             assert s[i].tobytes() == a.tobytes()
 
@@ -257,8 +263,8 @@ def test_grad_batch_rows_are_each_client_alone(spec, k, b, mixed):
     x = g.standard_normal((k, b, spec.input_dim))
     labels = g.integers(spec.num_classes, size=(2 if mixed else 1, k, b))
     lam = g.uniform(size=k) if mixed else None
-    grads = np.concatenate([v.reshape(k, -1) for v in mdl.grad_batch(spec, params, x, labels, lam)],
-                           axis=1)
+    grads = mdl.grad_batch(spec, params, x, labels, lam)
+    assert grads.shape == (k, spec.param_count())
     stepped = params.copy()
     mdl.sgd_step(spec, stepped, x, labels, 0.3, lam)
     for i in range(k):
@@ -313,8 +319,8 @@ def test_shared_workspace_equals_fresh_calls(spec, mixed):
             labels, lam = np.stack([y, g.permuted(y, axis=1)]), g.uniform(size=k)
         fresh = mdl.grad_batch(spec, params, x, labels, lam)
         shared = mdl.grad_batch(spec, params, x, labels, lam, ws)
-        for a, s in zip(fresh, shared, strict=True):
-            assert a.tobytes() == s.tobytes()
+        assert fresh.shape == shared.shape == params.shape
+        assert fresh.tobytes() == shared.tobytes()
         stepped, stepped_ws = params.copy(), params.copy()
         mdl.sgd_step(spec, stepped, x, labels, 0.3, lam)
         mdl.sgd_step(spec, stepped_ws, x, labels, 0.3, lam, ws)
