@@ -1,9 +1,12 @@
 """Every JSON and CSV artifact is written by ``write_text`` and read back by
 ``read_json`` or ``read_csv``, whose errors name the path and, in a CSV file,
-the line. The trace arrays stay in ``fedsim``."""
+the line. Every directory the CLI writes reaches disk through ``commit``.
+The trace arrays stay in ``fedsim``."""
 
 import csv
 import json
+import os
+import shutil
 
 from .errors import ConfigError, FedAuditError, IntegrityError
 
@@ -12,6 +15,41 @@ def write_text(path: str, text: str) -> None:
     """``text`` as the whole of the file ``path``: UTF-8, its line ends as given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+def commit(path: str, files: dict) -> None:
+    """Write the directory ``path`` from ``files``: entry name -> text, or a function
+    that writes the path it is given. The entries are written into the sibling
+    ``<path>.partial-<pid>``, which is renamed to ``path`` if there is none; else
+    each entry replaces its namesake and the others stay. The sibling never
+    outlives the call, and an OSError names the entry's path under ``path``."""
+    stage = f"{os.path.normpath(path)}.partial-{os.getpid()}"
+    shutil.rmtree(stage, ignore_errors=True)  # left by a killed process of this pid
+    target = path
+    try:
+        os.makedirs(stage)
+        for name, entry in files.items():
+            target = os.path.join(path, name)
+            if callable(entry):
+                entry(os.path.join(stage, name))
+            else:
+                write_text(os.path.join(stage, name), entry)
+        target = path
+        if not os.path.exists(path):
+            os.rename(stage, path)
+            return
+        for name in files:
+            target = os.path.join(path, name)
+            if os.path.isdir(target):
+                shutil.rmtree(target)
+            os.replace(os.path.join(stage, name), target)
+    except OSError as exc:
+        if exc.filename is not None and not str(exc.filename).startswith(stage):
+            raise  # an ancestor of path: a regular file, say
+        raise (OSError(exc.errno, exc.strerror, target) if exc.errno is not None
+               else OSError(f"{exc}: {target!r}")) from exc  # NumPy's short write
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def read_json(path: str, error: type[FedAuditError] = ConfigError, parse=None) -> object:

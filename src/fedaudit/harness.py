@@ -1,39 +1,31 @@
 """Experiment runner: train -> attack -> evaluate, replay, plots and report.
 
 A run executes, for every (defense sweep value, seed) pair: build the
-dataset and partition, train the federation, persist the update trace,
-run every configured attack against it, and score the attacks. Artifacts
-land in one report directory:
+dataset and partition, train the federation, run every configured attack
+against its update trace, and score the attacks. Artifacts land in one
+report directory:
 
   report_dir/
-    report.json                   provenance, per-method Pareto fronts and
-                                  hypervolumes, per-run decision-set checks
-    metrics.csv                   seed,method,defense,param,auc,tpr_at_fpr,
-                                  fpr_cap,achieved_fpr,utility_loss
+    report.json          provenance, Pareto fronts, hypervolumes, inclusion checks
+    metrics.csv          a METRICS_HEADER row per seed, method and sweep point
     runs/<defense>_<param>/seed<seed>/
-      trace/                      persisted update trace (see fedsim)
-      targets.csv                 sample_id,is_member,label,f1,...,fd (header);
-                                  CRLF line ends (every other file: LF)
-      attack_scores.csv           method,sample_id,is_member_truth,score
-      attack_rounds.json          per-round audit scores and series
-    plots/                        CSV series emitted by the plots command
+      trace/             persisted update trace (see fedsim)
+      targets.csv        the targets under TARGETS_HEADER + f1,...,fd; CRLF line ends
+      attack_scores.csv  a SCORES_HEADER row per method and target
+      attack_rounds.json per-round audit scores and series
+    plots/               CSV series emitted by the plots command
+
+Each file is rendered before any is written, and ``artifacts.commit`` writes
+each directory whole: a run directory appears once its attack has run. A job
+that fails or is killed leaves at most a ``<dir>.partial-<pid>`` sibling.
 
 Everything except report.json timestamps is a pure function of
-(config, seed): rerunning a config produces byte-identical metric CSVs,
-and replaying a persisted trace reproduces the inline attack results
-bit-exactly.
+(config, seed), and replaying a persisted trace reproduces the inline
+attack results bit-exactly. The config and its checks are ``fedaudit.config``.
 
-The config and its checks are ``fedaudit.config``.
-
-CLI: ``run <config>``, ``replay <trace_dir> <attack_config>``,
-``report <report_dir>``, ``plots <report_dir>`` with ``--out``,
-``--seed-override`` and ``--jobs``. Each exit code has one error class
-(``fedaudit.errors``): 0 ok, 2 ``ConfigError``, 3 ``IntegrityError``
-(missing, corrupt or malformed artifact, including trace metadata), 4 any
-other ``FedAuditError`` (a runtime failure; ``ZeroVectorError`` among
-them), and an ``OSError`` or ``MemoryError`` (the environment failed: a
-path, a full disk, a file-size or memory limit). The ``FEDAUDIT_OUT``
-environment variable supplies the default output root.
+``main`` is the CLI. Each exit code has one error class (``fedaudit.errors``);
+an ``OSError`` or ``MemoryError`` (the environment failed) exits 4 too.
+The ``FEDAUDIT_OUT`` environment variable supplies the default output root.
 """
 
 from __future__ import annotations
@@ -52,7 +44,7 @@ from . import attack as atk
 from . import data as dat
 from . import fedsim as fed
 from . import metrics as met
-from .artifacts import read_csv, read_json, write_text
+from .artifacts import commit, read_csv, read_json
 from .config import AttackSuiteConfig, ExperimentConfig, config_hash
 from .errors import ConfigError, FedAuditError, IntegrityError, ZeroVectorError
 from .numstat import RngStream
@@ -136,11 +128,10 @@ class TargetCohort:
 def select_targets(
     config: ExperimentConfig, dataset: dat.Dataset, partition: dat.Partition, seed: int
 ) -> TargetCohort:
-    """Equal-size member/non-member cohorts, capped by pool availability.
-
-    Both are non-empty by construction: the partition gives the target
-    client at least one record, the non-member pool holds at least one,
-    and ``targets_per_class`` is at least 1."""
+    """Equal-size member/non-member cohorts, capped by pool availability. Both are
+    non-empty by construction: the partition gives the target client at least one
+    record, the non-member pool holds at least one, and ``targets_per_class`` is
+    at least 1."""
     pc, ac = config.partition, config.attack
     members, nonmembers = dat.make_eval_split(
         RngStream(seed).derive(TAG_EVAL),
@@ -169,13 +160,14 @@ def run_attacks(
     trace: fed.UpdateTrace,
     cohort: TargetCohort,
     ac: AttackSuiteConfig,
-) -> tuple[dict[str, np.ndarray], atk.CohortAudit, dict]:
-    """All configured attacks: (n,) scores per method, row i that of
-    ``cohort.ids[i]``; the audit; its inclusion checks.
-
-    A method whose final scores, or the audit array they come from, hold a
-    non-finite value raises FedAuditError naming the seed, the defense and
-    the method, so every score written or ranked downstream is finite."""
+    param: object,
+    render: bool,
+) -> tuple[list[dict], dict, dict[str, str]]:
+    """All configured attacks: the metric rows (``param`` the sweep value), the
+    inclusion checks and, if ``render``, the texts of attack_scores.csv and the
+    sidecar by file name. A method whose final scores, or the audit array they
+    come from, hold a non-finite value raises FedAuditError naming the seed, the
+    defense and the method, so every score written or ranked downstream is finite."""
     where = f"seed {trace.seed}, defense {json.dumps(trace.defense.to_dict(), sort_keys=True)}"
     try:
         audit = atk.audit_cohort(
@@ -201,7 +193,16 @@ def run_attacks(
                    else audit.series[atk.BASELINE_SCORES[method][0]])
         if not (np.isfinite(scores[method]).all() and np.isfinite(audited).all()):
             raise FedAuditError(f"{where}, method {method}: non-finite attack score")
-    return {m: scores[m] for m in ac.methods}, audit, checks
+    scores = {m: scores[m] for m in ac.methods}
+    rows = []
+    for method, values in scores.items():
+        auc, tpr, achieved = met.roc_metrics(values, cohort.is_member, ac.fpr_cap)
+        rows.append(dict(zip(METRIC_KEYS, (
+            trace.seed, method, trace.defense.kind, _param_label(param), auc, tpr, ac.fpr_cap,
+            achieved, 1.0 - trace.round_accuracy[-1]))))
+    files = {SCORES_CSV: _render_scores(cohort, scores),
+             SIDECAR: _render_sidecar(audit, cohort, ac.delta_grid, checks)} if render else {}
+    return rows, checks, files
 
 
 # --------------------------------------------------------------------------
@@ -216,9 +217,9 @@ SERIES_NAMES = {"loss_global": "loss_global", "cosine": "cosine_target",
 SHARED_SERIES = {"update_norm"}
 
 
-def _write_sidecar(
-    run_dir: str, audit: atk.CohortAudit, cohort: TargetCohort, delta_grid: tuple, checks: dict
-) -> None:
+def _render_sidecar(
+    audit: atk.CohortAudit, cohort: TargetCohort, delta_grid: tuple, checks: dict
+) -> str:
     """The cohort, the inclusion checks, the fedmia per-round scores and the series."""
     sidecar: dict = {
         "sample_ids": [int(i) for i in cohort.ids],
@@ -230,13 +231,13 @@ def _write_sidecar(
         sidecar[method] = {"per_round": per_round}
     sidecar["series"] = {SERIES_NAMES[k]: v[0] if k in SHARED_SERIES else v
                          for k, v in audit.series.items()}
-    write_text(os.path.join(run_dir, SIDECAR), _json_text(sidecar) + "\n")
+    return _json_text(sidecar) + "\n"
 
 
 def _json_text(value: object) -> str:
     """``json.dumps(value)`` (C encoder: no indent), where each array becomes a list
     only as it is encoded: one array's floats at a time, not all of them, are alive
-    while the largest artifact of a run is written."""
+    while the largest artifact of a run is rendered."""
     if isinstance(value, dict):
         return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
     return json.dumps(value.tolist() if isinstance(value, np.ndarray) else value)
@@ -245,13 +246,11 @@ def _json_text(value: object) -> str:
 def _read_sidecar(
     run_dir: str, methods: tuple[str, ...], num_rounds: int
 ) -> tuple[atk.CohortAudit, np.ndarray, np.ndarray]:
-    """The audit of ``methods``, the sample ids and the membership truth that
-    ``_write_sidecar`` stored.
-
-    A missing or unreadable file, a missing key, an array whose shape is
-    not (len(sample_ids), num_rounds) or that holds a non-finite value, or
-    an ``is_member`` without both classes raises IntegrityError naming the path.
-    """
+    """The audit of ``methods``, the sample ids and the membership truth of the
+    ``_render_sidecar`` text. A missing or unreadable file, a missing key, an
+    array whose shape is not (len(sample_ids), num_rounds) or that holds a
+    non-finite value, or an ``is_member`` without both classes raises
+    IntegrityError naming the path."""
     def parse(sidecar: dict) -> tuple[atk.CohortAudit, np.ndarray, np.ndarray]:
         shape = (len(sidecar["sample_ids"]), num_rounds)
         ids = _stored(sidecar["sample_ids"], "sample_ids", shape[:1], np.int64)
@@ -282,14 +281,11 @@ def _stored(value: object, name: str, shape: tuple[int, ...], dtype: type = np.f
 
 
 def _read_report(path: str) -> tuple[ExperimentConfig, dict]:
-    """The config and the contents of report.json.
-
-    A missing or unreadable file, a config that does not decode, a
-    ``per_method`` block per configured method without a list of number
-    pairs as ``pareto_front`` or a number as ``hypervolume``, or an
-    inclusion check that is not true or false raises IntegrityError
-    naming the path.
-    """
+    """The config and the contents of report.json. A missing or unreadable file, a
+    config that does not decode, a ``per_method`` block per configured method
+    without a list of number pairs as ``pareto_front`` or a number as
+    ``hypervolume``, or an inclusion check that is not true or false raises
+    IntegrityError naming the path."""
     def parse(report: dict) -> tuple[ExperimentConfig, dict]:
         config = ExperimentConfig.from_dict(report["config"], "config")
         decode(dict[str, dict[str, dict[str, bool]]], report["inclusion_checks"],
@@ -329,17 +325,17 @@ def _run_grid(config: ExperimentConfig, report_dir: str):
         }
 
 
-def _write_targets_csv(path: str, dataset_dim: int, cohort: TargetCohort) -> None:
+def _render_targets(cohort: TargetCohort) -> str:
     """The cohort, one record per row, in lines that end in ``\\r\\n``."""
-    lines = [",".join(TARGETS_HEADER + [f"f{i+1}" for i in range(dataset_dim)])]
+    lines = [",".join(TARGETS_HEADER + [f"f{i+1}" for i in range(cohort.x.shape[1])])]
     for sid, member, label, x in zip(cohort.ids.tolist(), cohort.is_member.tolist(),
                                      cohort.y.tolist(), cohort.x.tolist()):
         lines.append(",".join([str(sid), str(int(member)), str(label)] + [_fmt(v) for v in x]))
-    write_text(path, "\r\n".join(lines) + "\r\n")
+    return "\r\n".join(lines) + "\r\n"
 
 
 def load_targets_csv(path: str) -> TargetCohort:
-    """The cohort ``_write_targets_csv`` stored. A file with a row other than
+    """The cohort ``_render_targets`` made. A file with a row other than
     integer ids and labels, is_member 0 or 1 and finite features, or without
     both a member and a non-member, raises IntegrityError naming the path
     (and the line)."""
@@ -370,17 +366,17 @@ def _scores_keys(methods, ids: np.ndarray, is_member: np.ndarray) -> list[list[s
     return [[m, sid, t] for m in methods for sid, t in records]
 
 
-def _write_scores_csv(path: str, cohort: TargetCohort, scores: dict[str, np.ndarray]) -> None:
+def _render_scores(cohort: TargetCohort, scores: dict[str, np.ndarray]) -> str:
     values = np.concatenate(list(scores.values()))
     keys = _scores_keys(scores, cohort.ids, cohort.is_member)
-    write_text(path, SCORES_HEADER + "\n" + "".join(
-        f"{m},{sid},{t},{_fmt(v)}\n" for (m, sid, t), v in zip(keys, values)))
+    return SCORES_HEADER + "\n" + "".join(
+        f"{m},{sid},{t},{_fmt(v)}\n" for (m, sid, t), v in zip(keys, values))
 
 
 def _read_scores_csv(
     path: str, methods: tuple[str, ...], ids: np.ndarray, is_member: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """The (n,) scores of each of ``methods`` that ``_write_scores_csv`` stored,
+    """The (n,) scores of each of ``methods`` that ``_render_scores`` made,
     row i for the record ``ids[i]``. A missing or unreadable file, a bad header,
     a row other than the one written there (method, sample id and truth, in
     order) or a non-finite score raises IntegrityError naming the path."""
@@ -407,39 +403,15 @@ def run_single(
     seed: int,
     run_dir: str,
 ) -> tuple[list[dict], dict]:
-    """One (defense, seed) job: train, persist, attack, score."""
+    """One (defense, seed) job: train, attack and score, then write ``run_dir`` whole."""
     dataset = build_dataset(config, seed)
     partition = build_partition(config, dataset, seed)
     spec = config.model.spec(dataset.input_dim, dataset.num_classes)
     cohort = select_targets(config, dataset, partition, seed)
     trace = fed.run_federation(dataset, partition, spec, config.federation, defense, seed)
-
-    os.makedirs(run_dir, exist_ok=True)
-    fed.save_trace(trace, os.path.join(run_dir, "trace"))
-    _write_targets_csv(os.path.join(run_dir, "targets.csv"), dataset.input_dim, cohort)
-    return _attack_and_score(trace, cohort, config.attack, param, run_dir)
-
-
-def _attack_and_score(
-    trace: fed.UpdateTrace,
-    cohort: TargetCohort,
-    ac: AttackSuiteConfig,
-    param: object,
-    out_dir: str | None,
-) -> tuple[list[dict], dict]:
-    """Attack ``trace``, write attack_scores.csv and the sidecar to ``out_dir``
-    (if any), and return the metric rows and the inclusion checks."""
-    scores, audit, checks = run_attacks(trace, cohort, ac)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_scores_csv(os.path.join(out_dir, SCORES_CSV), cohort, scores)
-        _write_sidecar(out_dir, audit, cohort, ac.delta_grid, checks)
-    rows = []
-    for method, values in scores.items():
-        auc, tpr, achieved = met.roc_metrics(values, cohort.is_member, ac.fpr_cap)
-        rows.append(dict(zip(METRIC_KEYS, (
-            trace.seed, method, trace.defense.kind, _param_label(param), auc, tpr, ac.fpr_cap,
-            achieved, 1.0 - trace.round_accuracy[-1]))))
+    rows, checks, files = run_attacks(trace, cohort, config.attack, param, render=True)
+    commit(run_dir, {"trace": lambda p: fed.save_trace(trace, p),
+                     "targets.csv": _render_targets(cohort), **files})
     return rows, checks
 
 
@@ -455,28 +427,24 @@ def run_experiment(
     seed_override: int | None = None,
     jobs: int | None = None,
 ) -> str:
-    """Execute the full sweep x seeds grid and write the report directory.
+    """Execute the full sweep x seeds grid and write the report directory. With
+    ``seed_override`` the report records that seed as the only one, so ``plots``
+    finds the runs that exist.
 
-    With ``seed_override`` the report records that seed as the only one,
-    so ``plots`` finds the runs that exist.
-
-    The (defense, seed) jobs are independent. They run in up to ``jobs``
-    worker processes (default: the usable cores), never more than there
-    are jobs; with one worker they run in this process. Results merge in
-    grid order, so every artifact is the same whatever the worker count.
-    On Linux the workers are forked from this process, so they start with
-    its modules loaded and its BLAS, thread count included, on which the
-    attack_scores.csv bytes depend. That is safe because this process runs
-    no job and holds no thread of its own when it forks (the attack joins
-    its helper thread before it returns), OpenBLAS stops its own threads
-    around a fork, and the pool forks every worker before it starts its
-    manager thread. A forked worker flushes its copy of this process's
-    buffered stdout and stderr when it exits, so multiprocessing flushes
-    both before each fork, and no text is written twice. Elsewhere the
-    workers are spawned, with this process's environment. The first
-    failed job's error is raised, as in a serial run, and jobs not yet
-    started are cancelled.
-    """
+    The (defense, seed) jobs are independent. They run in up to ``jobs`` worker
+    processes (default: the usable cores), never more than there are jobs; with
+    one worker they run in this process. Results merge in grid order, so every
+    artifact is the same whatever the worker count. On Linux the workers are
+    forked from this process, so they start with its modules loaded and its BLAS,
+    thread count included, on which the attack_scores.csv bytes depend. That is
+    safe because this process runs no job and holds no thread of its own when it
+    forks (the attack joins its helper thread before it returns), OpenBLAS stops
+    its own threads around a fork, and the pool forks every worker before it
+    starts its manager thread. A forked worker flushes its copy of this process's
+    buffered stdout and stderr when it exits, so multiprocessing flushes both
+    before each fork, and no text is written twice. Elsewhere the workers are
+    spawned, with this process's environment. The first failed job's error is
+    raised, as in a serial run, and jobs not yet started are cancelled."""
     if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if seed_override is not None:
@@ -510,19 +478,16 @@ def run_experiment(
             key = f"{defense.kind}:{_param_label(value)}:seed{seed}"
             inclusion[key] = checks
 
-    # Made only now, so a job that fails before it writes leaves no --out behind.
-    os.makedirs(out_dir, exist_ok=True)
-    _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), all_rows)
     report = _build_report(config, all_rows, inclusion)
-    write_text(os.path.join(out_dir, "report.json"),
-               json.dumps(report, indent=2, sort_keys=True) + "\n")
+    commit(out_dir, {"metrics.csv": _render_metrics(all_rows),
+                     "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"})
     return out_dir
 
 
-def _write_metrics_csv(path: str, rows: list[dict]) -> None:
-    write_text(path, METRICS_HEADER + "\n" + "".join(
+def _render_metrics(rows: list[dict]) -> str:
+    return METRICS_HEADER + "\n" + "".join(
         ",".join([str(r[k]) for k in METRIC_KEYS[:4]] + [_fmt(r[k]) for k in METRIC_KEYS[4:]])
-        + "\n" for r in rows))
+        + "\n" for r in rows)
 
 
 def _group_means(rows: list[dict], *keys: str) -> dict[tuple, dict[str, float]]:
@@ -577,9 +542,9 @@ def replay_attack(trace_dir: str, ac: AttackSuiteConfig, out_dir: str | None = N
         )
     with under("attack"):
         ac.check_clients(trace.num_clients)
-    rows, _ = _attack_and_score(trace, cohort, ac, None, out_dir)
+    rows, _, files = run_attacks(trace, cohort, ac, None, render=out_dir is not None)
     if out_dir is not None:
-        _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
+        commit(out_dir, {**files, "metrics.csv": _render_metrics(rows)})
     return rows
 
 
@@ -600,7 +565,7 @@ def emit_plots(report_dir: str) -> str:
     """Write plot-ready CSV series (histograms, round curves, Pareto fronts)."""
     config, report = _read_report(os.path.join(report_dir, "report.json"))
     plots_dir = os.path.join(report_dir, "plots")
-    os.makedirs(plots_dir, exist_ok=True)
+    files = {}  # file name -> text
 
     methods = config.attack.methods
     for _, _, label, run_dirs in _run_grid(config, report_dir):
@@ -621,7 +586,7 @@ def emit_plots(report_dir: str) -> str:
                 counts, _ = np.histogram(scores[mask], bins=edges)
                 lines += [f"{_fmt(edges[i])},{_fmt(edges[i+1])},{cls},{int(c)}\n"
                           for i, c in enumerate(counts)]
-            write_text(os.path.join(plots_dir, f"hist_{method}_{label}.csv"), "".join(lines))
+            files[f"hist_{method}_{label}.csv"] = "".join(lines)
 
         # Attack strength vs communication round (seed-mean AUC / TPR).
         lines = ["method,round,auc,tpr_at_fpr\n"]
@@ -632,13 +597,13 @@ def emit_plots(report_dir: str) -> str:
                     for audit, is_member, _ in runs))
                 lines.append(f"{method},{t},{_fmt(float(np.mean(aucs)))},"
                              f"{_fmt(float(np.mean(tprs)))}\n")
-        write_text(os.path.join(plots_dir, f"rounds_{label}.csv"), "".join(lines))
+        files[f"rounds_{label}.csv"] = "".join(lines)
 
     # Pareto fronts per method, sorted by utility loss.
     for method, block in report["per_method"].items():
-        write_text(os.path.join(plots_dir, f"pareto_{method}.csv"),
-                   "utility_loss,privacy_leakage\n"
-                   + "".join(f"{_fmt(u)},{_fmt(leak)}\n" for u, leak in block["pareto_front"]))
+        files[f"pareto_{method}.csv"] = "utility_loss,privacy_leakage\n" + "".join(
+            f"{_fmt(u)},{_fmt(leak)}\n" for u, leak in block["pareto_front"])
+    commit(plots_dir, files)
     return plots_dir
 
 
@@ -729,10 +694,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3
-    except FedAuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:  # the environment: a path, a full disk, a file-size limit
+    except (FedAuditError, OSError) as exc:  # OSError: a path, a full disk, a file-size limit
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except MemoryError as exc:

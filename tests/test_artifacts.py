@@ -1,10 +1,12 @@
-"""The text-artifact primitives: one whole-file write and the checked readers."""
+"""The text-artifact primitives: one whole-file write, the directory commit and
+the checked readers."""
 
+import errno
 import os
 
 import pytest
 
-from fedaudit.artifacts import read_csv, read_json, write_text
+from fedaudit.artifacts import commit, read_csv, read_json, write_text
 from fedaudit.errors import ConfigError, IntegrityError
 
 
@@ -23,6 +25,95 @@ def test_write_text_keeps_line_ends_and_encodes_utf8(tmp_path):
     assert path.read_bytes() == b"a\r\nb\n\xc3\xa9\n"
     write_text(str(path), "x")  # the whole file, not an append
     assert path.read_bytes() == b"x"
+
+
+def _tree(root):
+    """Every file under ``root`` (relative path -> bytes) and every directory."""
+    files, dirs = {}, []
+    for top, subdirs, names in os.walk(root):
+        dirs += [os.path.relpath(os.path.join(top, d), root) for d in subdirs]
+        for name in names:
+            with open(os.path.join(top, name), "rb") as fh:
+                files[os.path.relpath(os.path.join(top, name), root)] = fh.read()
+    return files, sorted(dirs)
+
+
+def _dir_writer(name, text):
+    """A commit entry that makes a directory holding the file ``name``."""
+    def write(path):
+        os.mkdir(path)
+        write_text(os.path.join(path, name), text)
+    return write
+
+
+def _siblings(path):
+    return [n for n in os.listdir(os.path.dirname(path)) if ".partial-" in n]
+
+
+def test_commit_makes_a_new_directory_whole(tmp_path):
+    path = str(tmp_path / "runs" / "seed1")
+    commit(path, {"trace": _dir_writer("a.npy", "A"), "t.csv": "x\r\ny\r\n"})
+    assert _tree(path) == ({os.path.join("trace", "a.npy"): b"A", "t.csv": b"x\r\ny\r\n"},
+                           ["trace"])
+    assert _siblings(path) == []
+
+
+def test_commit_into_an_existing_directory_replaces_only_its_entries(tmp_path):
+    path = str(tmp_path / "run")
+    commit(path, {"trace": _dir_writer("old.npy", "O"), "t.csv": "old", "keep.csv": "K"})
+    commit(path, {"trace": _dir_writer("new.npy", "N"), "t.csv": "new"})
+    assert _tree(path) == ({os.path.join("trace", "new.npy"): b"N", "t.csv": b"new",
+                            "keep.csv": b"K"}, ["trace"])
+    assert _siblings(path) == []
+
+
+@pytest.mark.parametrize("exc, text", [
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+     f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{{}}'"),
+    # NumPy's short write in ``tofile`` has no errno.
+    (OSError("13860 requested and 5104 written"), "13860 requested and 5104 written: '{}'"),
+], ids=["errno", "short_write"])
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_commit_failing_writer_changes_nothing_and_names_the_final_path(
+        tmp_path, exc, text, exists):
+    path = str(tmp_path / "run")
+    if exists:
+        commit(path, {"t.csv": "old", "trace": _dir_writer("old.npy", "O")})
+    before = _tree(path) if exists else None  # one old entry of each kind
+
+    def fail(p):
+        _dir_writer("half.npy", "H")(p)
+        raise exc
+
+    with pytest.raises(OSError) as info:
+        commit(path, {"t.csv": "new", "trace": fail})
+    final = os.path.join(path, "trace")
+    assert str(info.value) == text.format(final)
+    if exists:
+        assert _tree(path) == before
+    else:
+        assert not os.path.exists(path)
+    assert _siblings(path) == []
+
+
+def test_commit_clears_a_stale_sibling_of_its_pid(tmp_path):
+    path = str(tmp_path / "run")
+    stale = f"{path}.partial-{os.getpid()}"
+    os.makedirs(os.path.join(stale, "trace"))
+    write_text(os.path.join(stale, "junk.csv"), "J")
+    commit(path, {"t.csv": "T"})
+    assert _tree(path) == ({"t.csv": b"T"}, [])
+    assert _siblings(path) == []
+
+
+def test_commit_under_a_regular_file_names_the_first_path_it_cannot_make(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for path, named in ((blocker / "out" / "runs" / "seed1", blocker / "out"),
+                        (blocker / "out", blocker / "out")):
+        with pytest.raises(NotADirectoryError) as info:
+            commit(str(path), {"t.csv": "T"})
+        assert info.value.filename == str(named)
 
 
 def test_read_csv_returns_the_parse_of_the_rows(tmp_path):

@@ -91,6 +91,12 @@ def _python(code, *args, blas="1", limit=None):
     fedaudit from ``src``, its stdout a buffered pipe. The BLAS thread variables
     are set to ``blas``, or unset when it is None; ``limit`` is a
     ``(resource, bytes)`` cap on the child."""
+    argv, kw = _child(code, args, blas, limit)
+    return subprocess.run(argv, **kw, capture_output=True, text=True, timeout=120)
+
+
+def _child(code, args, blas, limit):
+    """The argv and keywords of ``_python``'s child."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS + ("PYTHONUNBUFFERED",)}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -101,8 +107,10 @@ def _python(code, *args, blas="1", limit=None):
         if limit is not None:
             import resource
             resource.setrlimit(limit[0], (limit[1], limit[1]))
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], env=env,
-                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    return [sys.executable, "-c", textwrap.dedent(code), *args], {"env": env, "preexec_fn": cap}
+
+
+MAIN = "from fedaudit.harness import main; raise SystemExit(main())"
 
 
 def _tree_bytes(root):
@@ -483,6 +491,17 @@ class TestReplay:
             assert got["method"] == want["method"]
             assert repr(got["auc"]) == want["auc"]
 
+    def test_replay_into_its_run_dir_keeps_the_trace(self, completed_run):
+        """``replay --out <run dir>`` replaces only the files it writes, here with
+        the same bytes, and adds metrics.csv."""
+        cfg, out = completed_run
+        run_dir = os.path.join(out, "runs", "none", "seed1")
+        before = _tree_bytes(run_dir)
+        hns.replay_attack(os.path.join(run_dir, "trace"), cfg.attack, run_dir)
+        after = _tree_bytes(run_dir)
+        assert after.pop("metrics.csv").startswith(hns.METRICS_HEADER.encode())
+        assert after == before
+
     def test_replay_new_delta_grid_same_scores(self, completed_run, tmp_path):
         cfg, out = completed_run
         trace_dir = os.path.join(out, "runs", "none", "seed1", "trace")
@@ -814,6 +833,75 @@ def _swap_first_member_and_nonmember(rows):
     rows[1], rows[j] = rows[j], rows[1]
 
 
+RUN_ENTRIES = ["attack_rounds.json", "attack_scores.csv", "targets.csv", "trace"]
+_TRIALS = np.random.default_rng(22)
+# Caps from below the smallest trace file (4.8 kB) to above the sidecar (42 kB),
+# and kills from interpreter start-up into the run, which ends after 0.3-0.5 s.
+INTERRUPTIONS = ([("file_size", int(c)) for c in _TRIALS.integers(1_000, 50_000, 5)]
+                 + [("kill", round(float(t), 3)) for t in _TRIALS.uniform(0.05, 0.4, 5)])
+
+
+class TestInterruptedRuns:
+    """A run directory appears whole, once its attack has run, or not at all."""
+
+    @pytest.fixture(scope="class")
+    def quick2(self, tmp_path_factory):
+        """A 2-seed quick.json and its uninterrupted --out."""
+        tmp = tmp_path_factory.mktemp("quick2")
+        with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
+            d = json.load(fh)
+        d["seeds"] = [1, 2]
+        cfg = write_config(tmp, d)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert hns.main(["run", cfg, "--out", str(tmp / "ref"), "--jobs", "1"]) == 0
+        return d, cfg, str(tmp / "ref")
+
+    @pytest.mark.parametrize("how, value", INTERRUPTIONS, ids=[f"{h}-{v}" for h, v in INTERRUPTIONS])
+    def test_interrupted_run_leaves_only_whole_run_dirs(self, tmp_path, quick2, how, value):
+        """Under a file-size cap (the child's ``preexec_fn``) or a SIGKILL of the
+        child and its workers, every run directory left is the uninterrupted
+        one, byte for byte, and replays to its own attack artifacts."""
+        import resource
+        import signal
+        d, cfg, ref = quick2
+        out = str(tmp_path / "out")
+        limit = (resource.RLIMIT_FSIZE, value) if how == "file_size" else None
+        argv, kw = _child(MAIN, ("run", cfg, "--out", out), "1", limit)
+        with subprocess.Popen(argv, **kw, start_new_session=True, text=True,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+            try:
+                err = proc.communicate(timeout=value if how == "kill" else 120)[1]
+            except subprocess.TimeoutExpired:
+                with contextlib.suppress(ProcessLookupError):  # the group has ended
+                    os.killpg(proc.pid, signal.SIGKILL)
+                err = proc.communicate(timeout=60)[1]
+        if how == "file_size":
+            assert proc.returncode in (0, 4), err
+            assert proc.returncode == 0 or re.fullmatch(
+                rf"error: .*: '{re.escape(out)}/runs/none/seed[12]/[^/]+'\n", err), err
+        ac = AttackSuiteConfig.from_dict(d["attack"], "attack")
+        for run_dir in pathlib.Path(out).glob("runs/*/seed*"):
+            if ".partial-" in run_dir.name:
+                continue
+            assert sorted(os.listdir(run_dir)) == RUN_ENTRIES
+            assert _tree_bytes(run_dir) == _tree_bytes(os.path.join(ref, "runs", "none", run_dir.name))
+            replay = str(tmp_path / f"replay_{run_dir.name}")
+            hns.replay_attack(str(run_dir / "trace"), ac, replay)
+            for name in ("attack_scores.csv", "attack_rounds.json"):
+                assert (run_dir / name).read_bytes() == pathlib.Path(replay, name).read_bytes()
+
+    def test_failed_grid_leaves_no_out(self, tmp_path, quick2, capfd):
+        """With ``federation.lr`` 1e3 both jobs fail in the attack (a zero
+        gradient): exit 4, and neither job's trace is written."""
+        d, _, _ = quick2
+        d = json.loads(json.dumps(d))
+        d["federation"]["lr"] = 1e3
+        out = str(tmp_path / "out")
+        assert hns.main(["run", write_config(tmp_path, d), "--out", out]) == 4
+        assert "target record has zero gradient" in capfd.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestExitCodeContract:
     """2 config error (before any training), 3 integrity error, 4 a failed environment."""
 
@@ -835,18 +923,22 @@ class TestExitCodeContract:
         capfd.readouterr()
         assert hns.main(["replay", trace, str(ac), "--out", str(blocker / "r")]) == 4
         assert capfd.readouterr().err == f"{not_a_dir}: '{blocker / 'r'}'\n"
+        assert sorted(os.listdir(tmp_path)) == ["attack.json", "config.json", "file", "run"]
 
     @pytest.mark.parametrize("limit, edit, needle", [
         # A synthetic dataset of 5.72 GiB under a 1 GiB address space: the
         # allocation fails at once, and nothing near that size is committed.
         ("RLIMIT_AS", lambda d: d["dataset"].update(per_class=4_000_000, input_dim=64),
          "error: out of memory: Unable to allocate 5.72 GiB"),
-        # Files of at most 20 kB: the run's 23 kB attack_scores.csv fails.
-        ("RLIMIT_FSIZE", lambda d: None, f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"),
+        # Files of at most 20 kB: the run's 23 kB attack_scores.csv fails, named
+        # under --out (written as <out>), not under its staging sibling.
+        ("RLIMIT_FSIZE", lambda d: None, f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+         f": '{os.path.join('<out>', 'runs', 'none', 'seed1', 'attack_scores.csv')}'\n"),
     ], ids=["memory", "file_size"])
     def test_resource_limit_exits_4_in_a_worker_as_in_serial(self, tmp_path, limit, edit, needle):
         """The child's own limit, set in its ``preexec_fn``, fails a job alike in a
-        forked worker and in the calling process: one line on stderr, exit 4."""
+        forked worker and in the calling process: one line on stderr, exit 4, the
+        same but for the --out directory it names."""
         import resource
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
@@ -856,10 +948,10 @@ class TestExitCodeContract:
         cap = (getattr(resource, limit), (1 << 30) if limit == "RLIMIT_AS" else 20_000)
         errs = []
         for name, jobs in (("serial", ["--jobs", "1"]), ("pool", [])):
-            done = _python("from fedaudit.harness import main; raise SystemExit(main())",
-                           "run", cfg, "--out", str(tmp_path / name), *jobs, limit=cap)
+            out = str(tmp_path / name)
+            done = _python(MAIN, "run", cfg, "--out", out, *jobs, limit=cap)
             assert done.returncode == 4, done.stderr
-            errs.append(done.stderr)
+            errs.append(done.stderr.replace(out, "<out>"))
         assert errs[0].startswith(needle) and errs[0].count("\n") == 1, errs[0]
         assert errs[1] == errs[0]
 
