@@ -19,11 +19,16 @@ def write_text(path: str, text: str) -> None:
 
 def commit(path: str, files: dict) -> None:
     """Write the directory ``path`` from ``files``: entry name -> text, or a function
-    that writes the path it is given. The entries are written into the sibling
-    ``<path>.partial-<pid>``, which is renamed to ``path`` if there is none; else
-    each entry replaces its namesake and the others stay. The sibling never
-    outlives the call, and an OSError names the entry's path under ``path``."""
-    stage = f"{os.path.normpath(path)}.partial-{os.getpid()}"
+    that writes the path it is given. A new ``path`` is written as the sibling
+    ``<path>.partial-<pid>`` and renamed into place, so it appears whole. Into an
+    existing ``path`` the entries are written in ``<path>/.partial-<pid>``, so on
+    its filesystem whatever its parent is, then each replaces its namesake in turn
+    and the others stay: a merge cut short may mix old and new entries, each whole.
+    The staging directory never outlives the call, and an OSError names the
+    entry's path under ``path``."""
+    fresh = not os.path.exists(path)
+    stage = (f"{os.path.normpath(path)}.partial-{os.getpid()}" if fresh
+             else os.path.join(path, f".partial-{os.getpid()}"))
     shutil.rmtree(stage, ignore_errors=True)  # left by a killed process of this pid
     target = path
     try:
@@ -35,13 +40,13 @@ def commit(path: str, files: dict) -> None:
             else:
                 write_text(os.path.join(stage, name), entry)
         target = path
-        if not os.path.exists(path):
+        if fresh:
             os.rename(stage, path)
             return
         for name in files:
             target = os.path.join(path, name)
-            if os.path.isdir(target):
-                shutil.rmtree(target)
+            if os.path.isdir(target):  # moved aside, removed with the stage
+                os.rename(target, os.path.join(stage, f".old-{name}"))
             os.replace(os.path.join(stage, name), target)
     except OSError as exc:
         if exc.filename is not None and not str(exc.filename).startswith(stage):

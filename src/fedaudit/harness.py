@@ -16,12 +16,14 @@ report directory:
     plots/               CSV series emitted by the plots command
 
 Each file is rendered before any is written, and ``artifacts.commit`` writes
-each directory whole: a run directory appears once its attack has run. A job
-that fails or is killed leaves at most a ``<dir>.partial-<pid>`` sibling.
+each directory: a new run directory appears whole, once its attack has run. A
+job that fails leaves no staging directory; a killed one at most a
+``<dir>.partial-<pid>`` sibling, or a ``.partial-<pid>`` inside an existing one.
 
 Everything except report.json timestamps is a pure function of
-(config, seed), and replaying a persisted trace reproduces the inline
-attack results bit-exactly. The config and its checks are ``fedaudit.config``.
+(config, seed): rerunning a config produces byte-identical metric CSVs,
+and replaying a persisted trace reproduces the inline attack results
+bit-exactly. The config and its checks are ``fedaudit.config``.
 
 ``main`` is the CLI. Each exit code has one error class (``fedaudit.errors``);
 an ``OSError`` or ``MemoryError`` (the environment failed) exits 4 too.
@@ -128,10 +130,11 @@ class TargetCohort:
 def select_targets(
     config: ExperimentConfig, dataset: dat.Dataset, partition: dat.Partition, seed: int
 ) -> TargetCohort:
-    """Equal-size member/non-member cohorts, capped by pool availability. Both are
-    non-empty by construction: the partition gives the target client at least one
-    record, the non-member pool holds at least one, and ``targets_per_class`` is
-    at least 1."""
+    """Equal-size member/non-member cohorts, capped by pool availability.
+
+    Both are non-empty by construction: the partition gives the target
+    client at least one record, the non-member pool holds at least one,
+    and ``targets_per_class`` is at least 1."""
     pc, ac = config.partition, config.attack
     members, nonmembers = dat.make_eval_split(
         RngStream(seed).derive(TAG_EVAL),
@@ -165,9 +168,11 @@ def run_attacks(
 ) -> tuple[list[dict], dict, dict[str, str]]:
     """All configured attacks: the metric rows (``param`` the sweep value), the
     inclusion checks and, if ``render``, the texts of attack_scores.csv and the
-    sidecar by file name. A method whose final scores, or the audit array they
-    come from, hold a non-finite value raises FedAuditError naming the seed, the
-    defense and the method, so every score written or ranked downstream is finite."""
+    sidecar by file name.
+
+    A method whose final scores, or the audit array they come from, hold a
+    non-finite value raises FedAuditError naming the seed, the defense and
+    the method, so every score written or ranked downstream is finite."""
     where = f"seed {trace.seed}, defense {json.dumps(trace.defense.to_dict(), sort_keys=True)}"
     try:
         audit = atk.audit_cohort(
@@ -246,11 +251,13 @@ def _json_text(value: object) -> str:
 def _read_sidecar(
     run_dir: str, methods: tuple[str, ...], num_rounds: int
 ) -> tuple[atk.CohortAudit, np.ndarray, np.ndarray]:
-    """The audit of ``methods``, the sample ids and the membership truth of the
-    ``_render_sidecar`` text. A missing or unreadable file, a missing key, an
-    array whose shape is not (len(sample_ids), num_rounds) or that holds a
-    non-finite value, or an ``is_member`` without both classes raises
-    IntegrityError naming the path."""
+    """The audit of ``methods``, the sample ids and the membership truth that
+    ``_render_sidecar`` made.
+
+    A missing or unreadable file, a missing key, an array whose shape is
+    not (len(sample_ids), num_rounds) or that holds a non-finite value, or
+    an ``is_member`` without both classes raises IntegrityError naming the path.
+    """
     def parse(sidecar: dict) -> tuple[atk.CohortAudit, np.ndarray, np.ndarray]:
         shape = (len(sidecar["sample_ids"]), num_rounds)
         ids = _stored(sidecar["sample_ids"], "sample_ids", shape[:1], np.int64)
@@ -281,11 +288,14 @@ def _stored(value: object, name: str, shape: tuple[int, ...], dtype: type = np.f
 
 
 def _read_report(path: str) -> tuple[ExperimentConfig, dict]:
-    """The config and the contents of report.json. A missing or unreadable file, a
-    config that does not decode, a ``per_method`` block per configured method
-    without a list of number pairs as ``pareto_front`` or a number as
-    ``hypervolume``, or an inclusion check that is not true or false raises
-    IntegrityError naming the path."""
+    """The config and the contents of report.json.
+
+    A missing or unreadable file, a config that does not decode, a
+    ``per_method`` block per configured method without a list of number
+    pairs as ``pareto_front`` or a number as ``hypervolume``, or an
+    inclusion check that is not true or false raises IntegrityError
+    naming the path.
+    """
     def parse(report: dict) -> tuple[ExperimentConfig, dict]:
         config = ExperimentConfig.from_dict(report["config"], "config")
         decode(dict[str, dict[str, dict[str, bool]]], report["inclusion_checks"],
@@ -427,24 +437,28 @@ def run_experiment(
     seed_override: int | None = None,
     jobs: int | None = None,
 ) -> str:
-    """Execute the full sweep x seeds grid and write the report directory. With
-    ``seed_override`` the report records that seed as the only one, so ``plots``
-    finds the runs that exist.
+    """Execute the full sweep x seeds grid and write the report directory.
 
-    The (defense, seed) jobs are independent. They run in up to ``jobs`` worker
-    processes (default: the usable cores), never more than there are jobs; with
-    one worker they run in this process. Results merge in grid order, so every
-    artifact is the same whatever the worker count. On Linux the workers are
-    forked from this process, so they start with its modules loaded and its BLAS,
-    thread count included, on which the attack_scores.csv bytes depend. That is
-    safe because this process runs no job and holds no thread of its own when it
-    forks (the attack joins its helper thread before it returns), OpenBLAS stops
-    its own threads around a fork, and the pool forks every worker before it
-    starts its manager thread. A forked worker flushes its copy of this process's
-    buffered stdout and stderr when it exits, so multiprocessing flushes both
-    before each fork, and no text is written twice. Elsewhere the workers are
-    spawned, with this process's environment. The first failed job's error is
-    raised, as in a serial run, and jobs not yet started are cancelled."""
+    With ``seed_override`` the report records that seed as the only one,
+    so ``plots`` finds the runs that exist.
+
+    The (defense, seed) jobs are independent. They run in up to ``jobs``
+    worker processes (default: the usable cores), never more than there
+    are jobs; with one worker they run in this process. Results merge in
+    grid order, so every artifact is the same whatever the worker count.
+    On Linux the workers are forked from this process, so they start with
+    its modules loaded and its BLAS, thread count included, on which the
+    attack_scores.csv bytes depend. That is safe because this process runs
+    no job and holds no thread of its own when it forks (the attack joins
+    its helper thread before it returns), OpenBLAS stops its own threads
+    around a fork, and the pool forks every worker before it starts its
+    manager thread. A forked worker flushes its copy of this process's
+    buffered stdout and stderr when it exits, so multiprocessing flushes
+    both before each fork, and no text is written twice. Elsewhere the
+    workers are spawned, with this process's environment. The first
+    failed job's error is raised, as in a serial run, and jobs not yet
+    started are cancelled.
+    """
     if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if seed_override is not None:

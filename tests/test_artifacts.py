@@ -47,7 +47,9 @@ def _dir_writer(name, text):
 
 
 def _siblings(path):
-    return [n for n in os.listdir(os.path.dirname(path)) if ".partial-" in n]
+    """The staging directories left next to ``path`` or inside it."""
+    inside = os.listdir(path) if os.path.isdir(path) else []
+    return [n for n in os.listdir(os.path.dirname(path)) + inside if ".partial-" in n]
 
 
 def test_commit_makes_a_new_directory_whole(tmp_path):
@@ -64,6 +66,19 @@ def test_commit_into_an_existing_directory_replaces_only_its_entries(tmp_path):
     commit(path, {"trace": _dir_writer("new.npy", "N"), "t.csv": "new"})
     assert _tree(path) == ({os.path.join("trace", "new.npy"): b"N", "t.csv": b"new",
                             "keep.csv": b"K"}, ["trace"])
+    assert _siblings(path) == []
+
+
+def test_commit_stages_an_existing_directory_inside_it(tmp_path):
+    """So a commit into an existing ``path`` needs neither a writable parent nor
+    one on the same filesystem (an ``--out`` that is a mount point, say)."""
+    path = str(tmp_path / "out")
+    given = []
+    for _ in range(2):
+        commit(path, {"trace": lambda p: (given.append(p), _dir_writer("a.npy", "A")(p))})
+    assert [os.path.dirname(p) for p in given] == [
+        f"{path}.partial-{os.getpid()}", os.path.join(path, f".partial-{os.getpid()}")]
+    assert _tree(path) == ({os.path.join("trace", "a.npy"): b"A"}, ["trace"])
     assert _siblings(path) == []
 
 

@@ -856,15 +856,20 @@ class TestInterruptedRuns:
             assert hns.main(["run", cfg, "--out", str(tmp / "ref"), "--jobs", "1"]) == 0
         return d, cfg, str(tmp / "ref")
 
+    @pytest.mark.parametrize("into", ["new", "existing"])
     @pytest.mark.parametrize("how, value", INTERRUPTIONS, ids=[f"{h}-{v}" for h, v in INTERRUPTIONS])
-    def test_interrupted_run_leaves_only_whole_run_dirs(self, tmp_path, quick2, how, value):
+    def test_interrupted_run_leaves_only_whole_run_dirs(self, tmp_path, quick2, how, value, into):
         """Under a file-size cap (the child's ``preexec_fn``) or a SIGKILL of the
         child and its workers, every run directory left is the uninterrupted
-        one, byte for byte, and replays to its own attack artifacts."""
+        one, byte for byte, and replays to its own attack artifacts. A rerun
+        into an existing --out keeps every run directory and each of its
+        entries whole; a kill may leave a ``.partial-<pid>`` inside one."""
         import resource
         import signal
         d, cfg, ref = quick2
         out = str(tmp_path / "out")
+        if into == "existing":
+            shutil.copytree(ref, out)
         limit = (resource.RLIMIT_FSIZE, value) if how == "file_size" else None
         argv, kw = _child(MAIN, ("run", cfg, "--out", out), "1", limit)
         with subprocess.Popen(argv, **kw, start_new_session=True, text=True,
@@ -880,11 +885,17 @@ class TestInterruptedRuns:
             assert proc.returncode == 0 or re.fullmatch(
                 rf"error: .*: '{re.escape(out)}/runs/none/seed[12]/[^/]+'\n", err), err
         ac = AttackSuiteConfig.from_dict(d["attack"], "attack")
-        for run_dir in pathlib.Path(out).glob("runs/*/seed*"):
-            if ".partial-" in run_dir.name:
-                continue
-            assert sorted(os.listdir(run_dir)) == RUN_ENTRIES
-            assert _tree_bytes(run_dir) == _tree_bytes(os.path.join(ref, "runs", "none", run_dir.name))
+        run_dirs = [r for r in pathlib.Path(out).glob("runs/*/seed*") if ".partial-" not in r.name]
+        if into == "existing":
+            assert sorted(r.name for r in run_dirs) == ["seed1", "seed2"]
+            assert (pathlib.Path(out, "metrics.csv").read_bytes()
+                    == pathlib.Path(ref, "metrics.csv").read_bytes())
+        for run_dir in run_dirs:
+            stray = [n for n in os.listdir(run_dir) if n.startswith(".partial-")]
+            assert into == "existing" or not stray
+            assert sorted(set(os.listdir(run_dir)) - set(stray)) == RUN_ENTRIES
+            assert ({k: v for k, v in _tree_bytes(run_dir).items() if not k.startswith(".partial-")}
+                    == _tree_bytes(os.path.join(ref, "runs", "none", run_dir.name)))
             replay = str(tmp_path / f"replay_{run_dir.name}")
             hns.replay_attack(str(run_dir / "trace"), ac, replay)
             for name in ("attack_scores.csv", "attack_rounds.json"):
