@@ -132,13 +132,6 @@ class CohortAudit:
         return -vals if negated else vals
 
 
-def _cohort_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x, y = np.atleast_2d(np.asarray(x, dtype=np.float64)), np.asarray(y, dtype=np.int64)
-    if len(y) == 0:
-        raise FedAuditError("no target records")
-    return x, y
-
-
 def _row_norms(a: np.ndarray, ws: dict | None) -> np.ndarray:
     """``np.linalg.norm(a, axis=1)``, by the same operations. Each row squares and
     reduces alone, so ``_NORM_BLOCK`` rows at a time are squared into the workspace."""
@@ -207,7 +200,6 @@ def measure_cohort(
     """
     if kind not in MEASUREMENT_KINDS:
         raise ConfigError(f"unknown measurement kind {kind!r}")
-    x, y = _cohort_arrays(x, y)
     out = np.empty((len(y), trace.num_rounds, trace.num_clients))
     for t, rec in enumerate(trace.rounds):
         out[:, t, :] = _measure_round(trace.model_spec, rec, x, y, {kind})[kind]
@@ -323,11 +315,9 @@ def audit_cohort(
     bits either way, and a failure raises the error that one pass over the
     rounds, measuring and then scoring in method order, would raise first.
     The measurement kind fixes the member side (``DEFAULT_ORIENTATION``).
-    ``methods`` are names of ``ALL_METHODS``, which the attack config checks.
+    ``methods`` are distinct names of ``ALL_METHODS``, which the attack config checks.
     """
-    methods = list(dict.fromkeys(methods))
     _check_clients(trace.num_clients, target_client, methods)
-    x, y = _cohort_arrays(x, y)
     fedmia = [m for m in methods if m in FEDMIA_METHODS]
     shape = (len(y), trace.num_rounds)
     per_round = {m: np.empty(shape) for m in fedmia}

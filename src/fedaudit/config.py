@@ -22,8 +22,8 @@ from . import data as dat
 from . import fedsim as fed
 from . import model as mdl
 from .errors import ConfigError
-from .schema import (Codec, FloatOrInf, check_keys, check_kind, decode, dump_value,
-                     field_types, under)
+from .schema import (Codec, FloatOrInf, check_keys, check_kind, check_set, decode,
+                     dump_value, field_types, under)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -133,8 +133,7 @@ class AttackSuiteConfig(Codec):
         unknown = set(self.methods) - set(atk.ALL_METHODS)
         if unknown:
             raise ConfigError(f"methods: unknown methods {sorted(unknown)}")
-        if not self.methods:
-            raise ConfigError("methods: must not be empty")
+        check_set(self.methods, "methods")
         if not (0 <= self.fpr_cap < 1):
             raise ConfigError(f"fpr_cap: must be in [0, 1), got {self.fpr_cap}")
         if self.targets_per_class < 1:
@@ -195,6 +194,7 @@ class SweepConfig(Codec):
         params = dict(self.params)
         axis = next((k for k, v in params.items() if isinstance(v, tuple)), None)
         values = list(params[axis]) if axis else [None]
+        check_set(values, axis)  # at load, under the sweep's path
         out = []
         for v in values:
             p = dict(params)
@@ -236,8 +236,7 @@ class ExperimentConfig(Codec):
             raise ConfigError(
                 f"schema_version: must be {CONFIG_SCHEMA_VERSION}, got {self.schema_version}"
             )
-        if not self.seeds:
-            raise ConfigError("seeds: must not be empty")
+        check_set(self.seeds, "seeds")
         with under("attack"):
             self.attack.check_clients(self.partition.clients)
         if self.dataset.kind == "synthetic":

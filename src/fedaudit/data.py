@@ -7,11 +7,11 @@ pools of ``make_eval_split`` apart. The three data-level defenses
 (``mixup``, ``augment_batch``, ``subsample``) draw from the generator of a
 client's local epoch and are called by ``fedsim``'s local SGD loop; they
 transform training batches only, so attack targets are always original
-records. Pools and mixed batches pass between modules as plain arrays.
-The config checks every argument range when it is decoded (``config``);
-these functions take the checked values. ``load_csv`` checks its file: a
-label is below ``num_classes``, and that, given or inferred, is at most the
-row count.
+records. Pools and mixed batches pass between modules as int64 and float64
+arrays, taken as built. The config checks every argument range when it is
+decoded (``config``), and ``Dataset`` a dataset's arrays. ``load_csv``
+checks its file: a label is below ``num_classes``, and that, given or
+inferred, is at least 2 and at most the row count.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ class Dataset:
         return self.features.shape[1]
 
     def arrays(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.asarray(indices, dtype=np.int64)
-        return self.features[idx], self.labels[idx]
+        return self.features[indices], self.labels[indices]
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +68,6 @@ class Partition:
     holdout_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "client_indices",
-            [np.asarray(c, dtype=np.int64) for c in self.client_indices],
-        )
-        object.__setattr__(
-            self, "holdout_indices", np.asarray(self.holdout_indices, dtype=np.int64)
-        )
         all_idx = np.concatenate(self.client_indices + [self.holdout_indices])
         if len(np.unique(all_idx)) != len(all_idx):
             raise ConfigError("partition lists must be pairwise disjoint")
@@ -124,7 +115,7 @@ def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int
     """Load ``label,f1,...,fd`` rows (UTF-8, no header) into a Dataset.
 
     Parse failures, a byte that is not UTF-8 among them, name the offending
-    1-based line. When ``num_classes`` is omitted it is ``max(label) + 1``.
+    1-based line. Omitted, ``num_classes`` is ``max(label) + 1``, at least 2.
     Given or inferred, a class count above the row count is an error: those
     classes could not all have a record, yet each costs a pass of the
     partition and a row of the model's output layer.
@@ -168,6 +159,8 @@ def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int
         raise ConfigError(f"dataset.num_classes {nc} is above the row count {len(rows)}"
                           if num_classes is not None else f"line {top_line}: label "
                           f"{top_label} is not below the row count {len(rows)}")
+    if nc < 2:
+        raise ConfigError("every label is 0: a dataset needs at least 2 classes")
     return Dataset(np.array(rows), np.array(labels), nc, geometry)
 
 
@@ -293,16 +286,14 @@ def make_eval_split(
     if nonmember_source == "holdout":
         nonmembers = partition.holdout_indices.copy()
     else:
-        parts = []
         nh = math.ceil(holdout_fraction * len(partition.holdout_indices))
-        if nh:
-            parts.append(g.choice(partition.holdout_indices, nh, replace=False))
+        parts = [g.choice(partition.holdout_indices, nh, replace=False)]
         for k, idx in enumerate(partition.client_indices):
-            if k == target_client or len(idx) == 0:
+            if k == target_client:
                 continue
             nk = math.ceil(others_fraction * len(idx))
             parts.append(g.choice(idx, nk, replace=False))
-        nonmembers = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        nonmembers = np.concatenate(parts)
     return np.sort(members), np.sort(nonmembers)
 
 
@@ -316,8 +307,6 @@ def mix_with_lambda(x: np.ndarray, y: np.ndarray, partner: np.ndarray, lam: np.n
     ``lam[k] * loss(features[k, i], labels[0, k, i]) + (1 - lam[k]) *
     loss(features[k, i], labels[1, k, i])``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
     rows, b = np.arange(len(x))[:, None], x.shape[1]
     mixed = np.take(x.reshape(len(x) * b, -1), rows * b + partner, axis=0,
                     out=_scratch(ws, "mixed", x.shape), mode="clip")

@@ -169,7 +169,6 @@ def defend_update(update: np.ndarray, defense: DefenseConfig, rng: RngStream) ->
     sparsify  : zero the floor(rate * d) smallest-magnitude entries, ties
                 broken by index order.
     """
-    update = np.asarray(update, dtype=np.float64)
     if defense.kind == "perturb":
         n = float(np.linalg.norm(update))
         out = update * min(1.0, defense.clip_norm / n) if n > 0 else update.copy()
@@ -177,15 +176,14 @@ def defend_update(update: np.ndarray, defense: DefenseConfig, rng: RngStream) ->
             out = out + defense.noise_std * rng.generator().standard_normal(len(out))
         return out
     if defense.kind == "quantize":
-        bits = int(defense.bits)
-        if bits == 1:
+        if defense.bits == 1:
             return np.sign(update) * np.mean(np.abs(update))
         s = float(np.max(np.abs(update)))
         if s == 0.0:
             return np.zeros_like(update)
-        levels = np.linspace(-s, s, 2**bits)
-        step = 2 * s / (2**bits - 1)
-        idx = np.clip(np.round((update + s) / step).astype(int), 0, 2**bits - 1)
+        levels = np.linspace(-s, s, 2**defense.bits)
+        step = 2 * s / (2**defense.bits - 1)
+        idx = np.clip(np.round((update + s) / step).astype(int), 0, 2**defense.bits - 1)
         return levels[idx]
     # sparsify
     k = int(math.floor(defense.rate * len(update)))
@@ -242,20 +240,12 @@ def client_update(spec: ModelSpec, x: np.ndarray, y: np.ndarray, global_params: 
 
 
 def aggregate(
-    updates: Sequence[np.ndarray] | np.ndarray,
+    updates: np.ndarray,
     global_params: np.ndarray,
     lr_eff: float,
 ) -> np.ndarray:
-    """Server step: w - lr_eff * mean(updates), summed in client-index order."""
-    arr = np.asarray(updates, dtype=np.float64)
-    if arr.ndim != 2:
-        raise FedAuditError("updates must form a (K, d) matrix")
-    global_params = np.asarray(global_params, dtype=np.float64)
-    if arr.shape[1] != global_params.shape[0]:
-        raise FedAuditError(
-            f"update dim {arr.shape[1]} != model dim {global_params.shape[0]}"
-        )
-    return global_params - lr_eff * arr.mean(axis=0)
+    """Server step: w - lr_eff * mean of the (K, d) updates, summed in client-index order."""
+    return global_params - lr_eff * updates.mean(axis=0)
 
 
 def run_federation(

@@ -33,6 +33,7 @@ The ``FEDAUDIT_OUT`` environment variable supplies the default output root.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -456,8 +457,8 @@ def run_experiment(
     buffered stdout and stderr when it exits, so multiprocessing flushes
     both before each fork, and no text is written twice. Elsewhere the
     workers are spawned, with this process's environment. The first
-    failed job's error is raised, as in a serial run, and jobs not yet
-    started are cancelled.
+    failed job's error is raised, as in a serial run, jobs not yet started
+    are cancelled, and the directories made for the grid are removed if empty.
     """
     if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -469,20 +470,28 @@ def run_experiment(
         for seed, run_dir in run_dirs.items()
     ]
 
+    made = [d for d in (*{os.path.dirname(a[-1]) for a in job_args},
+                        os.path.join(out_dir, "runs"), out_dir) if not os.path.exists(d)]
     workers = min(len(job_args), jobs or atk._usable_cores())
-    if workers > 1:
-        import multiprocessing  # imported only here: a one-job grid never starts a pool
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if workers > 1:
+            import multiprocessing  # imported only here: a one-job grid never starts a pool
+            from concurrent.futures import ProcessPoolExecutor
 
-        start = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=start) as pool:
-            try:
-                results = list(pool.map(_job, job_args))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-    else:
-        results = [_job(a) for a in job_args]
+            start = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=start) as pool:
+                try:
+                    results = list(pool.map(_job, job_args))
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        else:
+            results = [_job(a) for a in job_args]
+    except BaseException:  # the pool has shut down, so no job races the removal
+        for d in made:  # deepest first; a committed run keeps its parents
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
+        raise
 
     all_rows: list[dict] = []
     inclusion: dict = {}

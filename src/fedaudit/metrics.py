@@ -31,8 +31,6 @@ def roc(scores: np.ndarray, is_member: np.ndarray) -> tuple[np.ndarray, np.ndarr
     at (0, 0), and each later group adds at least one record, so no two
     points are equal and the last before (1, 1) is below it.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    is_member = np.asarray(is_member, dtype=bool)
     pos = int(is_member.sum())
     neg = len(is_member) - pos
     order = np.argsort(-scores, kind="stable")

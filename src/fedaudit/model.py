@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FedAuditError
+from .errors import ConfigError
 from .numstat import RngStream, _scratch
 
 MODEL_KINDS = ("linear_softmax", "mlp")
@@ -79,16 +79,6 @@ class ModelSpec:
         if self.kind == "linear_softmax":
             return c * d + c
         return h * d + h + c * h + c
-
-
-def _inputs(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """One model's float64 params (P,), features (n, d) and int64 labels, checked."""
-    params, x = np.asarray(params, dtype=np.float64), np.asarray(x, dtype=np.float64)
-    if params.shape != (spec.param_count(),):
-        raise FedAuditError(f"expected {spec.param_count()} parameters, got {params.shape}")
-    if x.shape[1] != spec.input_dim:
-        raise FedAuditError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
-    return params, x, np.asarray(y, dtype=np.int64)
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
@@ -152,7 +142,6 @@ def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
 
 def loss_many(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample cross-entropy for a batch; clamped at -log(PROB_FLOOR)."""
-    params, x, y = _inputs(spec, params, x, y)
     return _stacked_loss(spec, params[None], x, y, np.empty((len(y), 1)))[:, 0]
 
 
@@ -185,12 +174,9 @@ def _stacked_loss(spec: ModelSpec, stack: np.ndarray, x: np.ndarray, y: np.ndarr
 def grad_samples(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Per-sample gradients, one flat row per sample (n x param_count), written into
-    ``out`` (a C-contiguous float64 array; its contents do not matter) when given."""
-    params, x, y = _inputs(spec, params, x, y)
+    ``out`` when given, a C-contiguous float64 array of that shape; its contents do not matter."""
     n, shape = len(y), (len(y), spec.param_count())
     out = np.empty(shape) if out is None else out
-    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise FedAuditError(f"out must be a C-contiguous float64 {shape} array, got {out.shape}")
     logits, a1 = _forward(spec, params[None], x)
     delta = _softmax(logits[:, 0])
     delta[np.arange(n), y] -= 1.0
@@ -217,12 +203,6 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nd
     that model computes alone. The result aliases the workspace ``ws``.
     """
     k, n = labels.shape[1:]
-    if params.shape != (k, spec.param_count()) or x.shape != (k, n, spec.input_dim):
-        raise FedAuditError(f"params {params.shape}, x {x.shape}, labels {labels.shape}")
-    if n == 0:
-        raise FedAuditError("grad_batch of an empty batch")
-    if len(labels) != (1 if lam is None else 2):
-        raise FedAuditError(f"{len(labels)} label sets with lam {lam!r}")
     if k > 1 and 1 in (spec.input_dim, spec.hidden_dim):
         # With a layer one unit wide the backward products are gemv calls, whose
         # bits depend on the matrix's leading dimension: each model runs alone.
@@ -274,8 +254,5 @@ def sgd_step(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndar
 
 def accuracy(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class index."""
-    params, x, y = _inputs(spec, params, x, y)
-    if len(y) == 0:
-        raise FedAuditError("accuracy of an empty dataset")
     logits, _ = _forward(spec, params[None], x)
     return float(np.mean(np.argmax(logits[:, 0], axis=1) == y))

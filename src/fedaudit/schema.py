@@ -62,6 +62,14 @@ def check_kind(block: object, params: dict[str, tuple[tuple, tuple]], what: str)
             raise ConfigError(f"{f.name}: {rule} {what} {block.kind!r}")
 
 
+def check_set(values: tuple, path: str) -> None:
+    """A list that names a set: at least one value, and none twice."""
+    if not values:
+        raise ConfigError(f"{path}: must not be empty")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{path}: must not repeat a value, got {_show(list(values))}")
+
+
 def load(cls: type, d: object, path: str = "") -> object:
     """Build dataclass ``cls`` from a JSON object, decoding every value."""
     fields = field_types(cls)

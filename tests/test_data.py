@@ -95,6 +95,15 @@ class TestLoadCsv:
         with pytest.raises(ConfigError, match="^dataset.num_classes 4 is above the row count 3$"):
             dat.load_csv(str(p), num_classes=4)
 
+    def test_labels_naming_one_class(self, tmp_path):
+        p = tmp_path / "one.csv"
+        p.write_text("0,1.0\n0,2.0\n0,3.0\n")
+        with pytest.raises(ConfigError, match="^every label is 0: a dataset needs at least 2 "
+                                              "classes$"):
+            dat.load_csv(str(p))
+        p.write_text("1,1.0\n1,2.0\n")  # the class count is max(label) + 1, not the labels seen
+        assert dat.load_csv(str(p)).num_classes == 2
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             dat.load_csv("/nonexistent/path.csv")

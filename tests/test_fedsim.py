@@ -133,29 +133,25 @@ class TestDefendUpdate:
 
 class TestAggregate:
     def test_hand_fixture(self):
-        out = fed.aggregate([np.array([1.0, 3.0]), np.array([3.0, 5.0])], np.zeros(2), 1.0)
+        out = fed.aggregate(np.array([[1.0, 3.0], [3.0, 5.0]]), np.zeros(2), 1.0)
         assert np.array_equal(out, [-2.0, -4.0])
 
     def test_zero_updates_no_move(self):
         w = np.array([1.0, -1.0])
-        assert np.array_equal(fed.aggregate([np.zeros(2)] * 3, w, 0.1), w)
+        assert np.array_equal(fed.aggregate(np.zeros((3, 2)), w, 0.1), w)
 
     def test_identical_updates(self):
         u = np.array([2.0, 4.0])
-        out = fed.aggregate([u, u, u], np.zeros(2), 0.5)
+        out = fed.aggregate(np.array([u, u, u]), np.zeros(2), 0.5)
         assert np.allclose(out, -0.5 * u, atol=1e-15)
 
     def test_linearity(self):
         g = RngStream(3).generator()
-        ups = [g.standard_normal(6) for _ in range(4)]
+        ups = np.array([g.standard_normal(6) for _ in range(4)])
         w = g.standard_normal(6)
         base = fed.aggregate(ups, w, 0.2) - w
-        scaled = fed.aggregate([3.0 * u for u in ups], w, 0.2) - w
+        scaled = fed.aggregate(np.array([3.0 * u for u in ups]), w, 0.2) - w
         assert np.allclose(scaled, 3.0 * base, atol=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(FedAuditError, match="update dim 2 != model dim 3"):
-            fed.aggregate([np.zeros(2), np.zeros(2)], np.zeros(3), 0.1)
 
 
 def client_update(spec, x, y, omega, config, lr_eff, rng, defense=fed.DefenseConfig()):
@@ -404,6 +400,18 @@ class TestTracePersistence:
         path = tmp_path / "t" / "round_0001_updates.npy"
         np.save(path, np.load(path).astype(dtype))
         with pytest.raises(IntegrityError, match="round_0001_updates.npy is .*, not float64"):
+            fed.load_trace(str(tmp_path / "t"))
+
+    @pytest.mark.parametrize("name, cut", [("round_0001_updates.npy", np.s_[:, 1:]),
+                                           ("round_0001_global.npy", np.s_[1:]),
+                                           ("final_model.npy", np.s_[None])])
+    def test_array_of_another_shape_rejected(self, tiny_trace, tmp_path, name, cut):
+        """The door of the trace's shapes: ``aggregate`` and the model kernels
+        take what ``load_trace`` passes them unchecked."""
+        fed.save_trace(tiny_trace, str(tmp_path / "t"))
+        path = tmp_path / "t" / name
+        np.save(path, np.load(path)[cut])
+        with pytest.raises(IntegrityError, match=f"{name} is float64 .*, not float64 "):
             fed.load_trace(str(tmp_path / "t"))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -962,6 +962,7 @@ class TestExitCodeContract:
             out = str(tmp_path / name)
             done = _python(MAIN, "run", cfg, "--out", out, *jobs, limit=cap)
             assert done.returncode == 4, done.stderr
+            assert not os.path.exists(out)  # nor the directories its jobs made
             errs.append(done.stderr.replace(out, "<out>"))
         assert errs[0].startswith(needle) and errs[0].count("\n") == 1, errs[0]
         assert errs[1] == errs[0]
@@ -1053,6 +1054,10 @@ class TestExitCodeContract:
         (("sweep",), {"defense": "sample", "portion": 0}, "sweep.portion"),
         (("sweep",), {"defense": "sample", "portion": 1.1}, "sweep.portion"),
         (("attack", "fpr_cap"), 1.0, "attack.fpr_cap"),
+        # A list that names a set holds each value once.
+        (("attack", "methods"), ["fedmia_ii", "fedmia_ii", "grad_norm"], "attack.methods"),
+        (("seeds",), [1, 1], "seeds"),
+        (("sweep",), {"defense": "quantize", "bits": [2, 2]}, "sweep.bits"),
     ], ids=["rounds_str", "rounds_float", "seed_float", "fpr_cap_str", "delta_grid_scalar",
             "hidden_dim_str", "targets_per_class_str", "target_client_float", "geometry_scalar",
             "leave_one_out_str", "lr_nan", "per_class_zero", "class_sep_negative",
@@ -1066,7 +1071,8 @@ class TestExitCodeContract:
             "dirichlet_client_left_empty", "iid_with_beta", "dirichlet_with_per_client",
             "synthetic_with_csv_path", "input_dim_zero", "per_client_zero", "holdout_zero",
             "unknown_nonmember_source", "target_client_is_clients", "mixup_alpha_zero",
-            "sample_portion_zero", "sample_portion_above_one", "fpr_cap_one"])
+            "sample_portion_zero", "sample_portion_above_one", "fpr_cap_one",
+            "methods_repeated", "seeds_repeated", "sweep_value_repeated"])
     def test_quick_config_mistyped_value_exits_2(self, tmp_path, capsys, path, value, key_path):
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
@@ -1107,11 +1113,13 @@ class TestExitCodeContract:
         ({"dataset": {"kind": "csv"}, "partition": {"kind": "dirichlet", "clients": 3,
                                                     "beta": "inf", "holdout": 1}}, SHORT_POOL_CSV,
          "partition.holdout: client pool of 1 cannot supply per_client=2"),
+        ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n0,3.0,2.0\n",
+         "dataset.csv_path: {path}: every label is 0: a dataset needs at least 2 classes"),
     ], ids=["too_few_samples", "missing_csv", "empty_csv", "non_numeric_csv",
             "csv_with_input_dim", "csv_with_per_class", "csv_with_class_sep", "csv_not_utf8",
             "csv_label_beyond_int64", "csv_label_at_row_count", "csv_num_classes_above_rows",
             "csv_too_few_samples", "csv_iid_pool_short",
-            "csv_inf_pool_short"])
+            "csv_inf_pool_short", "csv_one_class"])
     def test_bad_data_input_exits_2_before_training(self, tmp_path, capsys, overrides, csv_text,
                                                     needle):
         d = micro_config_dict()

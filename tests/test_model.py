@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedaudit import fedsim as fed
 from fedaudit import model as mdl
-from fedaudit.errors import ConfigError, FedAuditError
+from fedaudit.errors import ConfigError
 from fedaudit.numstat import RngStream
 from helpers import batch_grad_2d, finite_diff_grad, loss_2d
 
@@ -109,12 +109,6 @@ class TestLoss:
         val = loss_one(spec, params, np.array([[1.0]]), np.array([1]))
         assert 0.0 <= val <= -math.log(1e-30) + 1e-9
 
-    def test_shape_error(self):
-        with pytest.raises(FedAuditError, match="parameters, got"):
-            mdl.loss_many(LINEAR, np.zeros(3), np.zeros((1, 3)), np.array([0]))
-        with pytest.raises(FedAuditError, match="feature dim 5 != input_dim 3"):
-            mdl.loss_many(LINEAR, np.zeros(LINEAR.param_count()), np.zeros((1, 5)), np.array([0]))
-
 
 class TestGradients:
     def test_linear_gradient_hand_value(self):
@@ -176,10 +170,6 @@ class TestGradients:
         a = batch_grad(LINEAR, params, x, y)
         b = batch_grad(LINEAR, params, x[perm], y[perm])
         assert np.allclose(a, b, atol=1e-12)
-
-    def test_empty_batch(self):
-        with pytest.raises(FedAuditError, match="grad_batch of an empty batch"):
-            batch_grad(LINEAR, np.zeros(LINEAR.param_count()), np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 # The benchmark's model sizes.
@@ -335,10 +325,6 @@ def test_grad_samples_into_a_used_buffer_equals_a_fresh_call(spec):
     out = np.full((7, spec.param_count()), np.nan)
     assert mdl.grad_samples(spec, params, x, y, out) is out
     assert out.tobytes() == mdl.grad_samples(spec, params, x, y).tobytes()
-    for bad in (np.empty((6, spec.param_count())), np.empty((spec.param_count(), 7)).T,
-                np.empty((7, spec.param_count()), dtype=np.float32)):
-        with pytest.raises(FedAuditError, match="out must be a C-contiguous float64"):
-            mdl.grad_samples(spec, params, x, y, bad)
 
 
 class TestSgd:
@@ -421,10 +407,6 @@ class TestAccuracy:
         x = np.ones((5, 2))
         y = np.zeros(5, dtype=int)
         assert mdl.accuracy(spec, np.zeros(spec.param_count()), x, y) == 1.0
-
-    def test_empty(self):
-        with pytest.raises(FedAuditError, match="accuracy of an empty dataset"):
-            mdl.accuracy(LINEAR, np.zeros(LINEAR.param_count()), np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 @given(seed=st.integers(0, 10_000))
