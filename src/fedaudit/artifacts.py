@@ -3,6 +3,7 @@
 the line. Every directory the CLI writes reaches disk through ``commit``.
 The trace arrays stay in ``fedsim``."""
 
+import contextlib
 import csv
 import json
 import os
@@ -55,6 +56,23 @@ def commit(path: str, files: dict) -> None:
                else OSError(f"{exc}: {target!r}")) from exc  # NumPy's short write
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+
+
+@contextlib.contextmanager
+def removing_new_dirs_on_error(*paths: str):
+    """If the body raises, remove each directory it made for ``paths`` and left empty."""
+    made = set()
+    for path in map(os.path.abspath, paths):
+        while not os.path.exists(path):
+            made.add(path)
+            path = os.path.dirname(path)
+    try:
+        yield
+    except BaseException:
+        for d in sorted(made, reverse=True):  # a child sorts after its parent
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
+        raise
 
 
 def read_json(path: str, error: type[FedAuditError] = ConfigError, parse=None) -> object:

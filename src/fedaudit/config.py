@@ -6,8 +6,8 @@ Unknown or missing keys, wrong-typed or out-of-range values,
 NaN/Infinity (except ``partition.beta: "inf"``) and a synthetic dataset
 too small for the partition are config errors raised at load, before
 the output directory exists. A CSV dataset that cannot be read or parsed,
-or that is too small for the partition, is a config error raised by the
-job before it trains.
+does not fit its ``geometry`` or is too small for the partition, is a
+config error raised by the job before it trains.
 """
 
 from __future__ import annotations
@@ -54,12 +54,15 @@ class DatasetConfig(Codec):
                 raise ConfigError(f"{name}: must be >= {least}, got {value}")
         if self.csv_path == "":
             raise ConfigError("csv_path: must not be empty")
-        if self.geometry is not None:
-            if min(self.geometry) < 1:
-                raise ConfigError(f"geometry: entries must be >= 1, got {list(self.geometry)}")
-            if self.kind == "synthetic" and self.geometry[0] * self.geometry[1] != self.input_dim:
-                raise ConfigError(f"geometry: {list(self.geometry)} does not match "
-                                  f"input_dim {self.input_dim}")
+        if self.geometry is not None and min(self.geometry) < 1:
+            raise ConfigError(f"geometry: entries must be >= 1, got {list(self.geometry)}")
+        if self.kind == "synthetic":
+            self.check_geometry(self.input_dim)
+
+    def check_geometry(self, input_dim: int) -> None:
+        """A ``geometry`` grid has ``input_dim`` cells, the feature count a CSV file has once read."""
+        if self.geometry is not None and self.geometry[0] * self.geometry[1] != input_dim:
+            raise ConfigError(f"geometry: {list(self.geometry)} does not match input_dim {input_dim}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -134,6 +137,7 @@ class AttackSuiteConfig(Codec):
         if unknown:
             raise ConfigError(f"methods: unknown methods {sorted(unknown)}")
         check_set(self.methods, "methods")
+        check_set(self.delta_grid, "delta_grid")
         if not (0 <= self.fpr_cap < 1):
             raise ConfigError(f"fpr_cap: must be in [0, 1), got {self.fpr_cap}")
         if self.targets_per_class < 1:
@@ -244,7 +248,7 @@ class ExperimentConfig(Codec):
                 self.partition.check_size(self.dataset.num_classes * self.dataset.per_class)
         for _, defense in self.sweep.points:
             ops = defense.augment_ops
-            if ops is not None and ops.needs_geometry and self.dataset.geometry is None:
+            if ops is not None and (ops.flip_h or ops.shift) and self.dataset.geometry is None:
                 key = "flip_h" if ops.flip_h else "shift"
                 raise ConfigError(f"sweep.{key}: needs dataset.geometry, which is null")
 

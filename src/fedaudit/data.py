@@ -7,10 +7,10 @@ pools of ``make_eval_split`` apart. The three data-level defenses
 (``mixup``, ``augment_batch``, ``subsample``) draw from the generator of a
 client's local epoch and are called by ``fedsim``'s local SGD loop; they
 transform training batches only, so attack targets are always original
-records. Pools and mixed batches pass between modules as int64 and float64
-arrays, taken as built. The config checks every argument range when it is
-decoded (``config``), and ``Dataset`` a dataset's arrays. ``load_csv``
-checks its file: a label is below ``num_classes``, and that, given or
+records. Datasets, pools and mixed batches pass between modules as int64
+and float64 arrays, taken as built. The config checks every argument range
+when it is decoded (``config``). ``load_csv`` checks its file: every
+feature is finite, a label is below ``num_classes``, and that, given or
 inferred, is at least 2 and at most the row count.
 """
 
@@ -26,28 +26,12 @@ from .numstat import RngStream, _scratch
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix plus integer labels; immutable after construction."""
+    """Feature matrix plus integer labels, as ``synth_blobs`` or ``load_csv`` built them."""
 
     features: np.ndarray  # (n, input_dim) float64
     labels: np.ndarray  # (n,) int64
     num_classes: int
     geometry: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.features.ndim != 2 or len(self.features) != len(self.labels):
-            raise ConfigError("features must be (n, d) aligned with labels")
-        if not np.all(np.isfinite(self.features)):
-            raise ConfigError("dataset features must be finite")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ConfigError("labels must lie in [0, num_classes)")
-        if self.geometry is not None:
-            rows, cols = self.geometry
-            if rows * cols != self.input_dim:
-                raise ConfigError(
-                    f"geometry {self.geometry} does not match input_dim {self.input_dim}"
-                )
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -71,8 +55,6 @@ class Partition:
         all_idx = np.concatenate(self.client_indices + [self.holdout_indices])
         if len(np.unique(all_idx)) != len(all_idx):
             raise ConfigError("partition lists must be pairwise disjoint")
-        if len(all_idx) and all_idx.min() < 0:
-            raise ConfigError("partition indices must be nonnegative")
 
     @property
     def num_clients(self) -> int:
@@ -111,11 +93,12 @@ def synth_blobs(
     return Dataset(feats, labels, num_classes)
 
 
-def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int] | None = None) -> Dataset:
+def load_csv(path: str, num_classes: int | None = None) -> Dataset:
     """Load ``label,f1,...,fd`` rows (UTF-8, no header) into a Dataset.
 
-    Parse failures, a byte that is not UTF-8 among them, name the offending
-    1-based line. Omitted, ``num_classes`` is ``max(label) + 1``, at least 2.
+    Parse failures, a byte that is not UTF-8 and a feature that is not finite
+    among them, name the offending 1-based line. Omitted, ``num_classes`` is
+    ``max(label) + 1``, at least 2.
     Given or inferred, a class count above the row count is an error: those
     classes could not all have a record, yet each costs a pass of the
     partition and a row of the model's output layer.
@@ -139,6 +122,8 @@ def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int
                 feats = [float(f) for f in fields[1:]]
             except ValueError:
                 raise ConfigError(f"line {lineno}: non-numeric feature value") from None
+            if not all(map(math.isfinite, feats)):
+                raise ConfigError(f"line {lineno}: non-finite feature value")
             if rows and len(feats) != len(rows[0]):
                 raise ConfigError(
                     f"line {lineno}: expected {len(rows[0])} features, got {len(feats)}"
@@ -161,7 +146,7 @@ def load_csv(path: str, num_classes: int | None = None, geometry: tuple[int, int
                           f"{top_label} is not below the row count {len(rows)}")
     if nc < 2:
         raise ConfigError("every label is 0: a dataset needs at least 2 classes")
-    return Dataset(np.array(rows), np.array(labels), nc, geometry)
+    return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64), nc)
 
 
 def _deal_stratified(g: np.random.Generator, dataset: Dataset, num_clients: int) -> list[list[int]]:
@@ -269,15 +254,15 @@ def make_eval_split(
     rng: RngStream,
     partition: Partition,
     target_client: int,
-    nonmember_source: str = "holdout",
-    holdout_fraction: float = 0.1,
-    others_fraction: float = 0.1,
+    nonmember_source: str,
+    holdout_fraction: float,
+    others_fraction: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(members, non-members): sorted index pools for attacking one client.
 
     ``holdout`` draws non-members from the holdout pool only;
     ``holdout+others`` mixes a fraction of the holdout with a fraction of
-    every other client's training data (defaults keep one tenth of each).
+    every other client's training data.
     The config checks the source, the target and that each fraction is in (0, 1].
     The pools are disjoint because the partition's lists are.
     """
@@ -350,10 +335,6 @@ class AugmentOps:
     def __post_init__(self) -> None:
         if self.noise_std < 0:
             raise ConfigError(f"noise_std: must be >= 0, got {self.noise_std}")
-
-    @property
-    def needs_geometry(self) -> bool:
-        return self.flip_h or self.shift
 
 
 def augment_batch(

@@ -33,7 +33,6 @@ The ``FEDAUDIT_OUT`` environment variable supplies the default output root.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import json
 import os
@@ -47,7 +46,7 @@ from . import attack as atk
 from . import data as dat
 from . import fedsim as fed
 from . import metrics as met
-from .artifacts import commit, read_csv, read_json
+from .artifacts import commit, read_csv, read_json, removing_new_dirs_on_error
 from .config import AttackSuiteConfig, ExperimentConfig, config_hash
 from .errors import ConfigError, FedAuditError, IntegrityError, ZeroVectorError
 from .numstat import RngStream
@@ -85,16 +84,17 @@ def build_dataset(config: ExperimentConfig, seed: int) -> dat.Dataset:
     dc = config.dataset
     if dc.kind == "csv":
         try:
-            return dat.load_csv(dc.csv_path, dc.num_classes, dc.geometry)
+            ds = dat.load_csv(dc.csv_path, dc.num_classes)
         except OSError as exc:
             raise ConfigError(f"dataset.csv_path: cannot read {dc.csv_path}: {exc.strerror}") from None
         except ConfigError as exc:
             raise ConfigError(f"dataset.csv_path: {dc.csv_path}: {exc}") from None
-    rng = RngStream(seed).derive(TAG_DATA)
-    ds = dat.synth_blobs(rng, dc.num_classes, dc.input_dim, dc.per_class, dc.class_sep)
-    if dc.geometry is not None:
-        ds = dat.Dataset(ds.features, ds.labels, ds.num_classes, dc.geometry)
-    return ds
+    else:
+        rng = RngStream(seed).derive(TAG_DATA)
+        ds = dat.synth_blobs(rng, dc.num_classes, dc.input_dim, dc.per_class, dc.class_sep)
+    with under("dataset"):
+        dc.check_geometry(ds.input_dim)
+    return replace(ds, geometry=dc.geometry)
 
 
 def build_partition(config: ExperimentConfig, dataset: dat.Dataset, seed: int) -> dat.Partition:
@@ -458,7 +458,7 @@ def run_experiment(
     both before each fork, and no text is written twice. Elsewhere the
     workers are spawned, with this process's environment. The first
     failed job's error is raised, as in a serial run, jobs not yet started
-    are cancelled, and the directories made for the grid are removed if empty.
+    are cancelled, and every directory made for ``out_dir`` is removed if empty.
     """
     if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -470,10 +470,9 @@ def run_experiment(
         for seed, run_dir in run_dirs.items()
     ]
 
-    made = [d for d in (*{os.path.dirname(a[-1]) for a in job_args},
-                        os.path.join(out_dir, "runs"), out_dir) if not os.path.exists(d)]
     workers = min(len(job_args), jobs or atk._usable_cores())
-    try:
+    # The pool shuts down inside the block, so no job races the removal.
+    with removing_new_dirs_on_error(*(a[-1] for a in job_args)):
         if workers > 1:
             import multiprocessing  # imported only here: a one-job grid never starts a pool
             from concurrent.futures import ProcessPoolExecutor
@@ -487,11 +486,6 @@ def run_experiment(
                     raise
         else:
             results = [_job(a) for a in job_args]
-    except BaseException:  # the pool has shut down, so no job races the removal
-        for d in made:  # deepest first; a committed run keeps its parents
-            with contextlib.suppress(OSError):
-                os.rmdir(d)
-        raise
 
     all_rows: list[dict] = []
     inclusion: dict = {}
@@ -567,7 +561,8 @@ def replay_attack(trace_dir: str, ac: AttackSuiteConfig, out_dir: str | None = N
         ac.check_clients(trace.num_clients)
     rows, _, files = run_attacks(trace, cohort, ac, None, render=out_dir is not None)
     if out_dir is not None:
-        commit(out_dir, {**files, "metrics.csv": _render_metrics(rows)})
+        with removing_new_dirs_on_error(out_dir):
+            commit(out_dir, {**files, "metrics.csv": _render_metrics(rows)})
     return rows
 
 

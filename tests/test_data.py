@@ -61,6 +61,7 @@ class TestLoadCsv:
         assert len(ds) == 2
         assert ds.labels[0] == 1
         assert np.array_equal(ds.features[0], [0.5, 0.25])
+        assert (ds.features.dtype, ds.labels.dtype) == (np.float64, np.int64)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -72,6 +73,13 @@ class TestLoadCsv:
         p = tmp_path / "bad.csv"
         p.write_text("0,1.0,2.0\n1,oops,2.0\n")
         with pytest.raises(ConfigError, match="line 2: non-numeric feature value"):
+            dat.load_csv(str(p))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_names_line(self, tmp_path, value):
+        p = tmp_path / "nan.csv"
+        p.write_text(f"0,1.0,2.0\n\n1,2.0,{value}\n")  # row 2 is on line 3
+        with pytest.raises(ConfigError, match="^line 3: non-finite feature value$"):
             dat.load_csv(str(p))
 
     def test_label_out_of_range(self, tmp_path):
@@ -194,7 +202,7 @@ class TestMakeEvalSplit:
 
     def test_holdout_mode(self, setup):
         _, part = setup
-        members, nonmembers = dat.make_eval_split(RngStream(26), part, 0, "holdout")
+        members, nonmembers = dat.make_eval_split(RngStream(26), part, 0, "holdout", 0.1, 0.1)
         assert np.array_equal(members, part.client_indices[0])
         assert np.array_equal(nonmembers, part.holdout_indices)
 

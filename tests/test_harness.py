@@ -959,13 +959,30 @@ class TestExitCodeContract:
         cap = (getattr(resource, limit), (1 << 30) if limit == "RLIMIT_AS" else 20_000)
         errs = []
         for name, jobs in (("serial", ["--jobs", "1"]), ("pool", [])):
-            out = str(tmp_path / name)
+            out = str(tmp_path / name / "out")
             done = _python(MAIN, "run", cfg, "--out", out, *jobs, limit=cap)
             assert done.returncode == 4, done.stderr
-            assert not os.path.exists(out)  # nor the directories its jobs made
+            assert not os.path.exists(tmp_path / name)  # nor the directories made for it
             errs.append(done.stderr.replace(out, "<out>"))
         assert errs[0].startswith(needle) and errs[0].count("\n") == 1, errs[0]
         assert errs[1] == errs[0]
+
+    def test_replay_under_a_file_size_limit_leaves_no_out(self, tmp_path):
+        """A replay whose files exceed the child's 1 000-byte file limit exits 4 and
+        removes the missing parent it made for --out."""
+        import resource
+        run = str(tmp_path / "run")
+        assert hns.main(["run", write_config(tmp_path, micro_config_dict()), "--out", run]) == 0
+        ac = tmp_path / "attack.json"
+        ac.write_text(json.dumps(micro_config_dict()["attack"]))
+        trace = os.path.join(run, "runs", "none", "seed1", "trace")
+        out = str(tmp_path / "made" / "replay")
+        done = _python(MAIN, "replay", trace, str(ac), "--out", out,
+                       limit=(resource.RLIMIT_FSIZE, 1_000))
+        assert done.returncode == 4, done.stderr
+        assert done.stderr.startswith(f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+                                      f": '{out}{os.sep}"), done.stderr
+        assert sorted(os.listdir(tmp_path)) == ["attack.json", "config.json", "run"]
 
     @settings(max_examples=150, deadline=None)
     @given(_wrong_field(CONFIG_FIELDS))
@@ -1058,6 +1075,8 @@ class TestExitCodeContract:
         (("attack", "methods"), ["fedmia_ii", "fedmia_ii", "grad_norm"], "attack.methods"),
         (("seeds",), [1, 1], "seeds"),
         (("sweep",), {"defense": "quantize", "bits": [2, 2]}, "sweep.bits"),
+        (("attack", "delta_grid"), [0.5, 0.5], "attack.delta_grid"),
+        (("attack", "delta_grid"), [], "attack.delta_grid"),
     ], ids=["rounds_str", "rounds_float", "seed_float", "fpr_cap_str", "delta_grid_scalar",
             "hidden_dim_str", "targets_per_class_str", "target_client_float", "geometry_scalar",
             "leave_one_out_str", "lr_nan", "per_class_zero", "class_sep_negative",
@@ -1072,7 +1091,8 @@ class TestExitCodeContract:
             "synthetic_with_csv_path", "input_dim_zero", "per_client_zero", "holdout_zero",
             "unknown_nonmember_source", "target_client_is_clients", "mixup_alpha_zero",
             "sample_portion_zero", "sample_portion_above_one", "fpr_cap_one",
-            "methods_repeated", "seeds_repeated", "sweep_value_repeated"])
+            "methods_repeated", "seeds_repeated", "sweep_value_repeated", "delta_grid_repeated",
+            "delta_grid_empty"])
     def test_quick_config_mistyped_value_exits_2(self, tmp_path, capsys, path, value, key_path):
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
@@ -1115,11 +1135,18 @@ class TestExitCodeContract:
          "partition.holdout: client pool of 1 cannot supply per_client=2"),
         ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n0,3.0,2.0\n",
          "dataset.csv_path: {path}: every label is 0: a dataset needs at least 2 classes"),
+        ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n1,nan,2.0\n",
+         "dataset.csv_path: {path}: line 2: non-finite feature value"),
+        ({"dataset": {"kind": "csv"}}, "0,1.0,2.0\n1,3.0,1e999\n",
+         "dataset.csv_path: {path}: line 2: non-finite feature value"),
+        ({"dataset": {"kind": "csv", "geometry": [2, 3]}}, "0,1.0,2.0,3.0,4.0\n1,3.0,2.0,1.0,0.0\n",
+         "dataset.geometry: [2, 3] does not match input_dim 4"),
     ], ids=["too_few_samples", "missing_csv", "empty_csv", "non_numeric_csv",
             "csv_with_input_dim", "csv_with_per_class", "csv_with_class_sep", "csv_not_utf8",
             "csv_label_beyond_int64", "csv_label_at_row_count", "csv_num_classes_above_rows",
             "csv_too_few_samples", "csv_iid_pool_short",
-            "csv_inf_pool_short", "csv_one_class"])
+            "csv_inf_pool_short", "csv_one_class", "csv_nan_feature", "csv_inf_feature",
+            "csv_geometry_mismatch"])
     def test_bad_data_input_exits_2_before_training(self, tmp_path, capsys, overrides, csv_text,
                                                     needle):
         d = micro_config_dict()
