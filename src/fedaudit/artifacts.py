@@ -1,15 +1,20 @@
 """Every JSON and CSV artifact is written by ``write_text`` and read back by
-``read_json`` or ``read_csv``, whose errors name the path and, in a CSV file,
-the line. Every directory the CLI writes reaches disk through ``commit``.
-The trace arrays stay in ``fedsim``."""
+``read_json_artifact`` or ``read_csv``. Every directory the CLI writes reaches disk
+through ``commit``, which puts a ``manifest.json`` in each directory it
+stages, and every file the CLI reads back passes ``read_artifacts``, which
+checks its bytes against that manifest. The trace arrays stay in ``fedsim``."""
 
 import contextlib
 import csv
+import hashlib
+import io
 import json
 import os
 import shutil
 
-from .errors import ConfigError, FedAuditError, IntegrityError
+from .errors import ConfigError, IntegrityError
+
+MANIFEST = "manifest.json"
 
 
 def write_text(path: str, text: str) -> None:
@@ -24,9 +29,11 @@ def commit(path: str, files: dict) -> None:
     ``<path>.partial-<pid>`` and renamed into place, so it appears whole. Into an
     existing ``path`` the entries are written in ``<path>/.partial-<pid>``, so on
     its filesystem whatever its parent is, then each replaces its namesake in turn
-    and the others stay: a merge cut short may mix old and new entries, each whole.
-    The staging directory never outlives the call, and an OSError names the
-    entry's path under ``path``."""
+    and the others stay. Each directory written gets a MANIFEST of its regular
+    files; into an existing ``path`` it keeps the entries of the files that stay
+    and replaces the directory's MANIFEST last, so a merge cut short reads as a
+    mismatch. The staging directory never outlives the call, and an OSError
+    names the entry's path under ``path``."""
     fresh = not os.path.exists(path)
     stage = (f"{os.path.normpath(path)}.partial-{os.getpid()}" if fresh
              else os.path.join(path, f".partial-{os.getpid()}"))
@@ -40,11 +47,17 @@ def commit(path: str, files: dict) -> None:
                 entry(os.path.join(stage, name))
             else:
                 write_text(os.path.join(stage, name), entry)
+        target = os.path.join(path, MANIFEST)
+        kept = {}
+        if not fresh:
+            with contextlib.suppress(IntegrityError):  # an entry it cannot vouch for is dropped
+                kept = {k: v for k, v in _manifest(path).items() if k not in files}
+        _write_manifests(stage, kept)
         target = path
         if fresh:
             os.rename(stage, path)
             return
-        for name in files:
+        for name in [*files, MANIFEST]:
             target = os.path.join(path, name)
             if os.path.isdir(target):  # moved aside, removed with the stage
                 os.rename(target, os.path.join(stage, f".old-{name}"))
@@ -56,6 +69,67 @@ def commit(path: str, files: dict) -> None:
                else OSError(f"{exc}: {target!r}")) from exc  # NumPy's short write
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+
+
+def _write_manifests(stage: str, kept: dict) -> None:
+    """A MANIFEST in every directory under ``stage``: each regular file's sha256 and
+    size by name, and at the top also ``kept``; keys sorted, so the bytes depend on
+    the files alone."""
+    for top, _, names in os.walk(stage):
+        listing = dict(kept) if top == stage else {}
+        for name in names:
+            with open(os.path.join(top, name), "rb") as fh:
+                listing[name] = _entry(fh.read())
+        write_text(os.path.join(top, MANIFEST),
+                   json.dumps({"files": listing}, indent=2, sort_keys=True) + "\n")
+
+
+def _entry(data: bytes) -> dict:
+    return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data)}
+
+
+def _manifest(directory: str) -> dict:
+    """File name -> entry of the MANIFEST in ``directory``; IntegrityError naming it
+    if it is missing or does not parse."""
+    path = os.path.join(directory, MANIFEST)
+    try:
+        with open(path, "rb") as fh:
+            listing = json.loads(fh.read())["files"]
+        if not isinstance(listing, dict):
+            raise TypeError("files is not an object")
+    except FileNotFoundError:
+        raise IntegrityError(f"missing {path}: rerun to write it (a directory written "
+                             "before fedaudit kept manifests has none)") from None
+    except OSError as exc:
+        raise IntegrityError(f"cannot read {path}: {exc.strerror}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"corrupt file {path}: {exc}") from None
+    return listing
+
+
+def read_artifacts(directory: str, names: list[str]) -> list[bytes]:
+    """The bytes of each of ``names`` in ``directory``, the only way the CLI reads a
+    file it wrote. Each is read once and must be the file the directory's MANIFEST
+    lists, by sha256 and size; a missing MANIFEST or a file that is missing,
+    unlisted or does not match raises IntegrityError naming it."""
+    listing, manifest = _manifest(directory), os.path.join(directory, MANIFEST)
+    out = []
+    for name in names:
+        path = os.path.join(directory, name)
+        if name not in listing:
+            raise IntegrityError(f"corrupt file {path}: not listed in {manifest}")
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            raise IntegrityError(f"missing run artifact: {path}") from None
+        except OSError as exc:
+            raise IntegrityError(f"cannot read {path}: {exc.strerror}") from None
+        if _entry(data) != listing[name]:
+            raise IntegrityError(f"corrupt file {path}: its bytes do not match those listed "
+                                 f"in {manifest}")
+        out.append(data)
+    return out
 
 
 @contextlib.contextmanager
@@ -75,57 +149,41 @@ def removing_new_dirs_on_error(*paths: str):
         raise
 
 
-def read_json(path: str, error: type[FedAuditError] = ConfigError, parse=None) -> object:
-    """A JSON file, through ``parse`` if given. A file that cannot be read or parsed
-    raises ``error`` naming the path (ConfigError for a config, IntegrityError for an
-    artifact), and so does a KeyError, OverflowError, TypeError or ValueError of parse."""
+def read_json(path: str) -> object:
+    """A config file's JSON. A file that cannot be read or parsed raises ConfigError
+    naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
-        raise error(f"{path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_json_artifact(path: str, parse):
+    """``parse`` of the JSON of an artifact, read through ``read_artifacts``. A
+    KeyError, OverflowError, TypeError or ValueError of parse raises IntegrityError
+    naming the path."""
+    obj = json.loads(read_artifacts(os.path.dirname(path), [os.path.basename(path)])[0])
     try:
-        return obj if parse is None else parse(obj)
+        return parse(obj)
     except KeyError as exc:
-        raise error(f"corrupt file {path}: no key {exc}") from None
+        raise IntegrityError(f"corrupt file {path}: no key {exc}") from None
     except (OverflowError, TypeError, ValueError) as exc:
-        raise error(f"corrupt file {path}: {exc}") from None
+        raise IntegrityError(f"corrupt file {path}: {exc}") from None
 
 
 def read_csv(path: str, what: str, header_ok, parse):
-    """``parse(rows)`` of the rows after the header of a CSV file, each as wide as it.
-
-    ``parse`` converts all rows in one pass and raises ValueError (or
-    OverflowError, for an integer too large for int64) on a bad one.
-    It must accept every prefix of good rows, so the shortest prefix it rejects
-    gives the line of its error. Every fault raises IntegrityError naming the
-    path (and the line); a byte that is not UTF-8 reads as a lone surrogate,
-    which no number parser accepts."""
-    try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            table = list(csv.reader(fh, quoting=csv.QUOTE_NONE))  # one row per line
-    except FileNotFoundError:
-        raise IntegrityError(f"missing run artifact: {path}") from None
-    except OSError as exc:
-        raise IntegrityError(f"cannot read {path}: {exc.strerror}") from None
+    """``parse(rows)`` of the rows after the header of a CSV artifact, read through
+    ``read_artifacts``. A bad header, or a ValueError or OverflowError of parse,
+    raises IntegrityError naming the path."""
+    data = read_artifacts(os.path.dirname(path), [os.path.basename(path)])[0]
+    table = list(csv.reader(io.StringIO(data.decode(), newline=""), quoting=csv.QUOTE_NONE))
     corrupt = f"corrupt {what} file {path}"
     if not table or not header_ok(table[0]):
         raise IntegrityError(f"{corrupt}: bad header")
-    rows, width = table[1:], len(table[0])
-    for line, row in enumerate(rows, 2):
-        if len(row) != width:
-            raise IntegrityError(f"{corrupt}: line {line}: {len(row)} fields, header has {width}")
     try:
-        return parse(rows)
+        return parse(table[1:])
     except (OverflowError, ValueError) as exc:
-        error, good, bad = exc, 0, len(rows)  # parse takes rows[:good], rejects rows[:bad]
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                parse(rows[:mid])
-                good = mid
-            except (OverflowError, ValueError) as e:
-                error, bad = e, mid
-        raise IntegrityError(f"{corrupt}: line {bad + 1}: {error}") from None
+        raise IntegrityError(f"{corrupt}: {exc}") from None

@@ -138,6 +138,9 @@ class AttackSuiteConfig(Codec):
             raise ConfigError(f"methods: unknown methods {sorted(unknown)}")
         check_set(self.methods, "methods")
         check_set(self.delta_grid, "delta_grid")
+        for i, delta in enumerate(self.delta_grid):  # the fedmia scores lie in [0, 1]
+            if not 0 < delta < 1:
+                raise ConfigError(f"delta_grid[{i}]: must be in (0, 1), got {delta}")
         if not (0 <= self.fpr_cap < 1):
             raise ConfigError(f"fpr_cap: must be in [0, 1), got {self.fpr_cap}")
         if self.targets_per_class < 1:

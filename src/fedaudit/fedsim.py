@@ -22,6 +22,7 @@ the run.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -31,13 +32,13 @@ from typing import Sequence
 import numpy as np
 
 from . import model as mdl
-from .artifacts import read_json, write_text
+from .artifacts import read_artifacts, read_json_artifact, write_text
 from .data import (AugmentOps, Dataset, Partition, augment_batch, mixup, permutations,
                    subsample)
-from .errors import ConfigError, FedAuditError, IntegrityError
+from .errors import ConfigError, FedAuditError
 from .model import ModelSpec
 from .numstat import RngStream, _scratch
-from .schema import Codec, check_keys, check_kind, decode, dump, load
+from .schema import Codec, check_kind, dump, load
 
 # The parameters each defense kind requires, and the ones it also accepts (none).
 DEFENSE_PARAMS = {
@@ -58,8 +59,6 @@ TAG_CLIENT = 2
 TAG_DEFENSE = 3
 
 TRACE_SCHEMA_VERSION = 1
-_META_KEYS = ("schema_version", "model", "num_clients", "num_rounds", "dim", "seed", "defense",
-              "lr_effective", "round_accuracy")
 
 
 @dataclass(frozen=True)
@@ -313,6 +312,7 @@ def run_federation(
 #   round_TTTT_global.npy    (d,)   global model at the start of round T
 #   round_TTTT_updates.npy   (K, d) post-defense uploads of round T
 #   final_model.npy          (d,)   global model after the last aggregation
+#   manifest.json            sha256 and size of each file, by artifacts.commit
 # --------------------------------------------------------------------------
 
 
@@ -338,56 +338,31 @@ def save_trace(trace: UpdateTrace, trace_dir: str) -> None:
     np.save(os.path.join(trace_dir, "final_model.npy"), trace.final_model)
 
 
-def _load_array(path: str, shape: tuple[int, ...]) -> np.ndarray:
-    if not os.path.exists(path):
-        raise IntegrityError(f"missing trace file: {path}")
-    try:
-        arr = np.load(path)
-    except Exception as exc:
-        raise IntegrityError(f"corrupt trace file {path}: {exc}") from exc
-    if arr.shape != shape or arr.dtype != np.float64:
-        raise IntegrityError(f"trace file {path} is {arr.dtype} {arr.shape}, not float64 {shape}")
-    if not np.isfinite(arr).all():
-        raise IntegrityError(f"trace file {path} holds a non-finite value")
-    return arr
+def _array(data: bytes) -> np.ndarray:
+    """The array of the bytes of an ``.npy`` file, read-only and not copied."""
+    fh = io.BytesIO(data)
+    np.lib.format.read_magic(fh)
+    shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+    arr = np.frombuffer(data, dtype, offset=fh.tell())
+    return arr.reshape(shape, order="F" if fortran else "C")
 
 
 def load_trace(trace_dir: str) -> UpdateTrace:
-    """Load a persisted trace, verifying presence, dtype and shape of every file, and
-    that each round's ``aggregate`` is the next global model bit for bit."""
+    """Load a trace that ``save_trace`` wrote through ``artifacts.commit``; each file
+    is read once, through ``artifacts.read_artifacts``."""
     def parse(meta: dict) -> tuple:
         if meta["schema_version"] != TRACE_SCHEMA_VERSION:
             raise ValueError("unsupported trace schema")
-        check_keys(meta, _META_KEYS, _META_KEYS, "trace_meta")
-        spec = load(ModelSpec, meta["model"], "model")
-        defense = DefenseConfig.from_dict(meta["defense"], "defense")
-        k, t, d, seed = (decode(int, meta[key], key)
-                         for key in ("num_clients", "num_rounds", "dim", "seed"))
-        lr_sched = decode(tuple[float, ...], meta["lr_effective"], "lr_effective")
-        accuracy = decode(tuple[float, ...], meta["round_accuracy"], "round_accuracy")
-        if not all(0 <= a <= 1 for a in accuracy):
-            raise ValueError(f"round_accuracy: must lie in [0, 1], got {list(accuracy)}")
-        if t < 1:
-            raise ValueError(f"num_rounds: must be >= 1, got {t}")
-        if spec.param_count() != d:
-            raise ValueError(f"model spec implies dim {spec.param_count()}, meta says {d}")
-        if len(lr_sched) != t or len(accuracy) != t:
-            raise ValueError("lr_effective/round_accuracy length does not match num_rounds")
-        return spec, defense, k, t, d, seed, lr_sched, accuracy
+        return (load(ModelSpec, meta["model"], "model"),
+                DefenseConfig.from_dict(meta["defense"], "defense"),
+                meta["seed"], meta["lr_effective"], meta["round_accuracy"])
 
-    spec, defense, k, t, d, seed, lr_sched, accuracy = read_json(
-        os.path.join(trace_dir, "trace_meta.json"), IntegrityError, parse)
-    rounds = []
-    for i in range(t):
-        g = _load_array(os.path.join(trace_dir, f"round_{i:04d}_global.npy"), (d,))
-        u = _load_array(os.path.join(trace_dir, f"round_{i:04d}_updates.npy"), (k, d))
-        rounds.append(RoundRecord(i, g, u, float(lr_sched[i])))
-    final = _load_array(os.path.join(trace_dir, "final_model.npy"), (d,))
-    for r, after in zip(rounds, [later.global_before for later in rounds[1:]] + [final]):
-        with np.errstate(over="ignore", invalid="ignore"):
-            chained = aggregate(r.updates, r.global_before, r.lr_effective)
-        if chained.tobytes() != after.tobytes():
-            raise IntegrityError(f"trace {trace_dir} breaks the FedAvg chain at round "
-                                 f"{r.round_index}: its aggregate is not the next global model")
+    spec, defense, seed, lr_sched, accuracy = read_json_artifact(
+        os.path.join(trace_dir, "trace_meta.json"), parse)
+    names = [f"round_{i:04d}_{kind}.npy" for i in range(len(lr_sched))
+             for kind in ("global", "updates")]
+    *arrays, final = map(_array, read_artifacts(trace_dir, names + ["final_model.npy"]))
+    rounds = [RoundRecord(i, arrays[2 * i], arrays[2 * i + 1], float(lr))
+              for i, lr in enumerate(lr_sched)]
     return UpdateTrace(model_spec=spec, rounds=rounds, final_model=final,
                        round_accuracy=[float(a) for a in accuracy], defense=defense, seed=seed)

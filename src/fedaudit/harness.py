@@ -15,6 +15,8 @@ report directory:
       attack_rounds.json per-round audit scores and series
     plots/               CSV series emitted by the plots command
 
+with a ``manifest.json`` in each directory that holds files (``artifacts.commit``).
+
 Each file is rendered before any is written, and ``artifacts.commit`` writes
 each directory: a new run directory appears whole, once its attack has run. A
 job that fails leaves no staging directory; a killed one at most a
@@ -46,11 +48,12 @@ from . import attack as atk
 from . import data as dat
 from . import fedsim as fed
 from . import metrics as met
-from .artifacts import commit, read_csv, read_json, removing_new_dirs_on_error
+from .artifacts import (commit, read_csv, read_json, read_json_artifact,
+                        removing_new_dirs_on_error)
 from .config import AttackSuiteConfig, ExperimentConfig, config_hash
 from .errors import ConfigError, FedAuditError, IntegrityError, ZeroVectorError
 from .numstat import RngStream
-from .schema import check_keys, decode, under
+from .schema import under
 
 ENV_OUT = "FEDAUDIT_OUT"
 REPORT_SCHEMA_VERSION = 1
@@ -251,69 +254,23 @@ def _json_text(value: object) -> str:
 
 def _read_sidecar(
     run_dir: str, methods: tuple[str, ...], num_rounds: int
-) -> tuple[atk.CohortAudit, np.ndarray, np.ndarray]:
-    """The audit of ``methods``, the sample ids and the membership truth that
-    ``_render_sidecar`` made.
-
-    A missing or unreadable file, a missing key, an array whose shape is
-    not (len(sample_ids), num_rounds) or that holds a non-finite value, or
-    an ``is_member`` without both classes raises IntegrityError naming the path.
-    """
-    def parse(sidecar: dict) -> tuple[atk.CohortAudit, np.ndarray, np.ndarray]:
-        shape = (len(sidecar["sample_ids"]), num_rounds)
-        ids = _stored(sidecar["sample_ids"], "sample_ids", shape[:1], np.int64)
-        is_member = _stored(sidecar["is_member"], "is_member", shape[:1], bool)
-        if is_member.all() or not is_member.any():
-            raise ValueError("is_member needs at least one member and one non-member")
-        per_round = {m: _stored(sidecar[m]["per_round"], m, shape)
+) -> tuple[atk.CohortAudit, np.ndarray]:
+    """The audit of ``methods`` and the membership truth that ``_render_sidecar`` made."""
+    def parse(sidecar: dict) -> tuple[atk.CohortAudit, np.ndarray]:
+        shape = (len(sidecar["is_member"]), num_rounds)
+        per_round = {m: np.array(sidecar[m]["per_round"])
                      for m in methods if m in atk.FEDMIA_METHODS}
-        series = {
-            k: np.broadcast_to(_stored(sidecar["series"][SERIES_NAMES[k]], SERIES_NAMES[k],
-                                       shape[1:] if k in SHARED_SERIES else shape), shape)
-            for k, readers in atk.SERIES_READERS.items() if readers & set(methods)
-        }
-        return atk.CohortAudit(per_round, series), ids, is_member
+        series = {k: np.broadcast_to(np.array(sidecar["series"][SERIES_NAMES[k]]), shape)
+                  for k, readers in atk.SERIES_READERS.items() if readers & set(methods)}
+        return atk.CohortAudit(per_round, series), np.array(sidecar["is_member"])
 
-    return read_json(os.path.join(run_dir, SIDECAR), IntegrityError, parse)
-
-
-def _stored(value: object, name: str, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
-    arr = np.array(value, dtype=dtype)
-    if arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    if dtype is np.float64 and not np.isfinite(arr).all():
-        raise ValueError(f"{name} holds a non-finite value")
-    if dtype is not np.float64 and arr.tolist() != value:  # the cast changed a value
-        raise ValueError(f"{name} holds values that are not {np.dtype(dtype).name}")
-    return arr
+    return read_json_artifact(os.path.join(run_dir, SIDECAR), parse)
 
 
 def _read_report(path: str) -> tuple[ExperimentConfig, dict]:
-    """The config and the contents of report.json.
-
-    A missing or unreadable file, a config that does not decode, a
-    ``per_method`` block per configured method without a list of number
-    pairs as ``pareto_front`` or a number as ``hypervolume``, or an
-    inclusion check that is not true or false raises IntegrityError
-    naming the path.
-    """
-    def parse(report: dict) -> tuple[ExperimentConfig, dict]:
-        config = ExperimentConfig.from_dict(report["config"], "config")
-        decode(dict[str, dict[str, dict[str, bool]]], report["inclusion_checks"],
-               "inclusion_checks")
-        per_method = report["per_method"]
-        if not isinstance(per_method, dict) or set(per_method) != set(config.attack.methods):
-            raise ValueError(f"per_method: must hold one block per method of "
-                             f"{list(config.attack.methods)}")
-        for method, block in per_method.items():
-            where = f"per_method.{method}"
-            check_keys(block, ("points", "pareto_front", "hypervolume"),
-                       ("pareto_front", "hypervolume"), where)
-            decode(tuple[tuple[float, float], ...], block["pareto_front"], f"{where}.pareto_front")
-            decode(float, block["hypervolume"], f"{where}.hypervolume")
-        return config, report
-
-    return read_json(path, IntegrityError, parse)
+    """The config and the contents of report.json."""
+    return read_json_artifact(path, lambda report: (
+        ExperimentConfig.from_dict(report["config"], "config"), report))
 
 
 def _fmt(x: float) -> str:
@@ -346,65 +303,31 @@ def _render_targets(cohort: TargetCohort) -> str:
 
 
 def load_targets_csv(path: str) -> TargetCohort:
-    """The cohort ``_render_targets`` made. A file with a row other than
-    integer ids and labels, is_member 0 or 1 and finite features, or without
-    both a member and a non-member, raises IntegrityError naming the path
-    (and the line)."""
-    cohort = read_csv(path, "targets", lambda h: h[:3] == TARGETS_HEADER, _parse_targets)
-    if cohort.is_member.all() or not cohort.is_member.any():
-        raise IntegrityError(f"corrupt targets file {path}: is_member needs at least "
-                             "one member and one non-member")
-    return cohort
+    """The cohort ``_render_targets`` made."""
+    return read_csv(path, "targets", lambda h: h[:3] == TARGETS_HEADER, _parse_targets)
 
 
 def _parse_targets(rows: list[list[str]]) -> TargetCohort:
-    bad = next((row[1] for row in rows if row[1] not in ("0", "1")), None)
-    if bad is not None:
-        raise ValueError(f"is_member must be 0 or 1, got {bad!r}")
-    x = np.array([[float(v) for v in row[3:]] for row in rows])
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite feature value")
     return TargetCohort(
-        x, np.array([int(row[2]) for row in rows], dtype=np.int64),
+        np.array([[float(v) for v in row[3:]] for row in rows]),
+        np.array([int(row[2]) for row in rows], dtype=np.int64),
         np.array([int(row[0]) for row in rows], dtype=np.int64),
         np.array([row[1] == "1" for row in rows], dtype=bool),
     )
 
 
-def _scores_keys(methods, ids: np.ndarray, is_member: np.ndarray) -> list[list[str]]:
-    """The method, sample_id and is_member_truth fields of every attack_scores.csv row."""
-    records = [(str(sid), str(int(t))) for sid, t in zip(ids.tolist(), is_member.tolist())]
-    return [[m, sid, t] for m in methods for sid, t in records]
-
-
 def _render_scores(cohort: TargetCohort, scores: dict[str, np.ndarray]) -> str:
-    values = np.concatenate(list(scores.values()))
-    keys = _scores_keys(scores, cohort.ids, cohort.is_member)
+    records = [f"{sid},{int(t)}" for sid, t in zip(cohort.ids.tolist(), cohort.is_member.tolist())]
     return SCORES_HEADER + "\n" + "".join(
-        f"{m},{sid},{t},{_fmt(v)}\n" for (m, sid, t), v in zip(keys, values))
+        f"{m},{record},{_fmt(v)}\n" for m, values in scores.items()
+        for record, v in zip(records, values.tolist()))
 
 
-def _read_scores_csv(
-    path: str, methods: tuple[str, ...], ids: np.ndarray, is_member: np.ndarray
-) -> dict[str, np.ndarray]:
-    """The (n,) scores of each of ``methods`` that ``_render_scores`` made,
-    row i for the record ``ids[i]``. A missing or unreadable file, a bad header,
-    a row other than the one written there (method, sample id and truth, in
-    order) or a non-finite score raises IntegrityError naming the path."""
-    keys = _scores_keys(methods, ids, is_member)
-
-    def parse(rows: list[list[str]]) -> np.ndarray:
-        if [row[:3] for row in rows] != keys[:len(rows)]:
-            raise ValueError("not the method, sample_id and is_member_truth written there")
-        values = np.array([float(row[3]) for row in rows])
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite score")
-        return values
-
-    values = read_csv(path, "scores", lambda h: h == SCORES_HEADER.split(","), parse)
-    if len(values) != len(keys):
-        raise IntegrityError(f"corrupt scores file {path}: {len(values)} of {len(keys)} rows")
-    return dict(zip(methods, values.reshape(len(methods), len(ids))))
+def _read_scores_csv(path: str, methods: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The (n,) scores of each of ``methods`` that ``_render_scores`` made."""
+    values = read_csv(path, "scores", lambda h: h == SCORES_HEADER.split(","),
+                      lambda rows: np.array([float(row[3]) for row in rows]))
+    return dict(zip(methods, values.reshape(len(methods), -1)))
 
 
 def run_single(
@@ -572,9 +495,7 @@ def replay_attack(trace_dir: str, ac: AttackSuiteConfig, out_dir: str | None = N
 
 
 def _read_metrics_csv(path: str) -> list[dict]:
-    """The rows of metrics.csv, the fields after ``param`` as floats. A missing or
-    unreadable file, a bad header, a row of another width or a numeric field
-    that does not parse raises IntegrityError naming the path."""
+    """The rows of metrics.csv, the fields after ``param`` as floats."""
     return read_csv(path, "metrics", lambda h: h == METRIC_KEYS, lambda rows: [
         dict(zip(METRIC_KEYS, row[:4] + [float(v) for v in row[4:]])) for row in rows])
 
@@ -589,9 +510,9 @@ def emit_plots(report_dir: str) -> str:
     for _, _, label, run_dirs in _run_grid(config, report_dir):
         runs = []  # (audit, is_member, final scores) per seed
         for run_dir in run_dirs.values():
-            audit, ids, is_member = _read_sidecar(run_dir, methods, config.federation.rounds)
-            spath = os.path.join(run_dir, SCORES_CSV)
-            runs.append((audit, is_member, _read_scores_csv(spath, methods, ids, is_member)))
+            audit, is_member = _read_sidecar(run_dir, methods, config.federation.rounds)
+            runs.append((audit, is_member,
+                         _read_scores_csv(os.path.join(run_dir, SCORES_CSV), methods)))
         is_mem = np.concatenate([is_member for _, is_member, _ in runs])
 
         # Score histograms: one row per (bin, class).

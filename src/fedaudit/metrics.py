@@ -4,8 +4,8 @@ fronts over (utility loss, privacy leakage), and the 2-D hypervolume.
 The ROC functions take a cohort as two aligned 1-D arrays: finite
 ``scores`` (higher meaning member) and ``is_member``, holding both
 classes. A cohort is checked once, where it enters the program: read back
-from an artifact (``harness.load_targets_csv``, ``harness._read_sidecar``)
-or scored by ``harness.run_attacks``.
+from an artifact through its manifest (``artifacts.read_artifacts``) or
+scored by ``harness.run_attacks``.
 
 Orientation convention: a point is (utility_loss, privacy_leakage), both
 in [0, 1] and both minimized by a good defense; the hypervolume against

@@ -1,12 +1,16 @@
-"""The text-artifact primitives: one whole-file write, the directory commit and
-the checked readers."""
+"""The text-artifact primitives: one whole-file write, the directory commit with
+its manifests, the one checked door and the readers built on it."""
 
 import errno
+import hashlib
+import json
 import os
 
 import pytest
 
-from fedaudit.artifacts import commit, read_csv, read_json, write_text
+from fedaudit import artifacts
+from fedaudit.artifacts import (MANIFEST, commit, read_artifacts, read_csv, read_json,
+                                read_json_artifact, write_text)
 from fedaudit.errors import ConfigError, IntegrityError
 
 
@@ -19,6 +23,12 @@ def _read(path):
     return read_csv(str(path), "test", lambda header: header == ["a", "b"], _floats)
 
 
+def _committed(tmp_path, text, name="t.csv"):
+    """The path of a file ``commit`` wrote with ``text``."""
+    commit(str(tmp_path / "d"), {name: text})
+    return tmp_path / "d" / name
+
+
 def test_write_text_keeps_line_ends_and_encodes_utf8(tmp_path):
     path = tmp_path / "f.txt"
     write_text(str(path), "a\r\nb\né\n")
@@ -28,11 +38,12 @@ def test_write_text_keeps_line_ends_and_encodes_utf8(tmp_path):
 
 
 def _tree(root):
-    """Every file under ``root`` (relative path -> bytes) and every directory."""
+    """Every file under ``root`` but the manifests (relative path -> bytes) and
+    every directory."""
     files, dirs = {}, []
     for top, subdirs, names in os.walk(root):
         dirs += [os.path.relpath(os.path.join(top, d), root) for d in subdirs]
-        for name in names:
+        for name in set(names) - {MANIFEST}:
             with open(os.path.join(top, name), "rb") as fh:
                 files[os.path.relpath(os.path.join(top, name), root)] = fh.read()
     return files, sorted(dirs)
@@ -132,47 +143,125 @@ def test_commit_under_a_regular_file_names_the_first_path_it_cannot_make(tmp_pat
 
 
 def test_read_csv_returns_the_parse_of_the_rows(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_bytes(b"a,b\r\n1,2\r\n3,4.5\r\n")
-    assert _read(path) == [[1.0, 2.0], [3.0, 4.5]]
-    path.write_bytes(b"a,b\n")
-    assert _read(path) == []
+    assert _read(_committed(tmp_path, "a,b\r\n1,2\r\n3,4.5\r\n")) == [[1.0, 2.0], [3.0, 4.5]]
+    assert _read(_committed(tmp_path, "a,b\n")) == []
 
 
 @pytest.mark.parametrize("data, needle", [
-    (b"", "bad header"),
-    (b"a,c\n1,2\n", "bad header"),
-    (b"a,b\n1,2\n3\n", "line 3: 1 fields, header has 2"),
-    (b"a,b\n1,2\n1,2,3\n", "line 3: 3 fields, header has 2"),
-    (b"a,b\n1,2\n3,4\n5,x\n6,7\n", "line 4: could not convert string to float: 'x'"),
-    (b"a,b\n1,x\ny,2\n", "line 2: could not convert string to float: 'x'"),
-    (b"a,b\n" + b"1,2\n" * 40 + b"3,\xff\n" + b"1,2\n" * 9, "line 42: "),
-    (b'a,b\n"1,2\n3,x\n', "line 2: could not convert string to float: '\"1'"),
-], ids=["empty", "header", "short_row", "long_row", "parse_error", "first_bad_row_wins",
-        "not_utf8", "quote_is_a_character"])
-def test_read_csv_error_names_path_and_line(tmp_path, data, needle):
-    path = tmp_path / "t.csv"
-    path.write_bytes(data)
+    ("", "bad header"),
+    ("a,c\n1,2\n", "bad header"),
+    ("a,b\n1,2\n3,4\n5,x\n6,7\n", "could not convert string to float: 'x'"),
+    ("a,b\n1,x\ny,2\n", "could not convert string to float: 'x'"),
+    ('a,b\n"1,2\n3,x\n', "could not convert string to float: '\"1'"),
+], ids=["empty", "header", "parse_error", "first_bad_row_wins", "quote_is_a_character"])
+def test_read_csv_error_names_path(tmp_path, data, needle):
+    path = _committed(tmp_path, data)
     with pytest.raises(IntegrityError) as info:
         _read(path)
-    assert str(info.value).startswith(f"corrupt test file {path}: {needle}"), info.value
+    assert str(info.value) == f"corrupt test file {path}: {needle}", info.value
 
 
 def test_read_csv_missing_or_unreadable(tmp_path):
+    commit(str(tmp_path / "d"), {"nope.csv": "a,b\n", "dir.csv": "a,b\n"})
+    os.remove(tmp_path / "d" / "nope.csv")
+    os.remove(tmp_path / "d" / "dir.csv")
+    os.mkdir(tmp_path / "d" / "dir.csv")
     with pytest.raises(IntegrityError, match="^missing run artifact: .*nope.csv$"):
-        _read(tmp_path / "nope.csv")
-    os.mkdir(tmp_path / "dir.csv")
+        _read(tmp_path / "d" / "nope.csv")
     with pytest.raises(IntegrityError, match="^cannot read .*dir.csv: "):
-        _read(tmp_path / "dir.csv")
+        _read(tmp_path / "d" / "dir.csv")
 
 
-@pytest.mark.parametrize("error", [ConfigError, IntegrityError])
-def test_read_json_errors_name_the_path(tmp_path, error):
+def _listing(directory):
+    with open(os.path.join(directory, MANIFEST), encoding="utf-8") as fh:
+        return json.load(fh)["files"]
+
+
+def _entry(data):
+    return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data)}
+
+
+def test_commit_lists_each_directory_s_regular_files_in_its_manifest(tmp_path):
+    """The manifest's bytes depend on the files alone: keys sorted, no time, no pid."""
+    path = str(tmp_path / "run")
+    commit(path, {"trace": _dir_writer("a.npy", "A"), "t.csv": "x\r\ny\r\n", "b.json": "{}"})
+    assert _listing(path) == {"t.csv": _entry(b"x\r\ny\r\n"), "b.json": _entry(b"{}")}
+    assert _listing(os.path.join(path, "trace")) == {"a.npy": _entry(b"A")}
+    with open(os.path.join(path, MANIFEST), "rb") as fh:
+        text = fh.read().decode()
+    assert text == json.dumps({"files": _listing(path)}, indent=2, sort_keys=True) + "\n"
+
+
+def test_commit_merges_the_manifest_of_an_existing_directory(tmp_path):
+    path = str(tmp_path / "run")
+    commit(path, {"trace": _dir_writer("old.npy", "O"), "t.csv": "old", "keep.csv": "K"})
+    commit(path, {"trace": _dir_writer("new.npy", "N"), "t.csv": "new", "add.csv": "A"})
+    assert _listing(path) == {"t.csv": _entry(b"new"), "keep.csv": _entry(b"K"),
+                              "add.csv": _entry(b"A")}
+    assert _listing(os.path.join(path, "trace")) == {"new.npy": _entry(b"N")}
+    assert read_artifacts(path, ["keep.csv", "t.csv"]) == [b"K", b"new"]
+
+
+def test_a_merge_cut_short_before_its_manifest_reads_as_a_mismatch(tmp_path, monkeypatch):
+    path = str(tmp_path / "run")
+    commit(path, {"t.csv": "old", "keep.csv": "K"})
+    replace = os.replace
+
+    def fail_on_the_manifest(src, dst):
+        if os.path.basename(dst) == MANIFEST:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src)
+        replace(src, dst)
+
+    monkeypatch.setattr(artifacts.os, "replace", fail_on_the_manifest)
+    with pytest.raises(OSError):
+        commit(path, {"t.csv": "new"})
+    with pytest.raises(IntegrityError, match=f"^corrupt file {path}/t.csv: its bytes do not "
+                                             f"match those listed in {path}/{MANIFEST}$"):
+        read_artifacts(path, ["t.csv"])
+    assert read_artifacts(path, ["keep.csv"]) == [b"K"]
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda d: os.remove(os.path.join(d, MANIFEST)),
+     "missing {d}/manifest.json: rerun to write it (a directory written before fedaudit "
+     "kept manifests has none)"),
+    (lambda d: write_text(os.path.join(d, MANIFEST), "[]"), "corrupt file {d}/manifest.json: "),
+    (lambda d: write_text(os.path.join(d, MANIFEST), '{"files": []}'),
+     "corrupt file {d}/manifest.json: files is not an object"),
+    (lambda d: os.remove(os.path.join(d, "t.csv")), "missing run artifact: {d}/t.csv"),
+    (lambda d: write_text(os.path.join(d, "t.csv"), "a,c\n"),
+     "corrupt file {d}/t.csv: its bytes do not match those listed in {d}/manifest.json"),
+    (lambda d: write_text(os.path.join(d, "t.csv"), "a,b\n\n"),
+     "corrupt file {d}/t.csv: its bytes do not match those listed in {d}/manifest.json"),
+    (lambda d: write_text(os.path.join(d, "u.csv"), "a,b\n"),
+     "corrupt file {d}/u.csv: not listed in {d}/manifest.json"),
+], ids=["no_manifest", "manifest_a_list", "files_a_list", "file_missing", "file_edited",
+        "file_grown", "file_unlisted"])
+def test_read_artifacts_exits_3_naming_the_file(tmp_path, edit, needle):
+    d = str(tmp_path / "d")
+    commit(d, {"t.csv": "a,b\n"})
+    edit(d)
+    with pytest.raises(IntegrityError) as info:
+        read_artifacts(d, ["t.csv", "u.csv"])  # u.csv exists only where the edit made it
+    assert str(info.value).startswith(needle.format(d=d)), info.value
+
+
+def test_read_json_errors_name_the_path(tmp_path):
     path = tmp_path / "c.json"
-    with pytest.raises(error, match=f"^cannot read {path}: "):
-        read_json(str(path), error)
+    with pytest.raises(ConfigError, match=f"^cannot read {path}: "):
+        read_json(str(path))
     path.write_bytes(b"{\xff}")
-    with pytest.raises(error, match=f"^{path} is not valid JSON: "):
-        read_json(str(path), error)
+    with pytest.raises(ConfigError, match=f"^{path} is not valid JSON: "):
+        read_json(str(path))
     path.write_text('{"a": [1, 2.5]}')
-    assert read_json(str(path), error) == {"a": [1, 2.5]}
+    assert read_json(str(path)) == {"a": [1, 2.5]}
+
+
+def test_read_json_artifact_reads_through_the_manifest(tmp_path):
+    path = _committed(tmp_path, '{"a": [1, 2.5]}', "c.json")
+    assert read_json_artifact(str(path), lambda obj: obj["a"]) == [1, 2.5]
+    with pytest.raises(IntegrityError, match=f"^corrupt file {path}: no key 'b'$"):
+        read_json_artifact(str(path), lambda obj: obj["b"])
+    path.write_text('{"a": [1, 2.6]}')
+    with pytest.raises(IntegrityError, match=f"^corrupt file {path}: its bytes do not match"):
+        read_json_artifact(str(path), lambda obj: obj)

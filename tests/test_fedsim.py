@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fedaudit import data as dat
 from fedaudit import fedsim as fed
 from fedaudit import model as mdl
+from fedaudit.artifacts import commit
 from fedaudit.errors import ConfigError, FedAuditError, IntegrityError
 from fedaudit.numstat import RngStream
 from helpers import federation_loop, scaled_updates, trace_prefix
@@ -316,6 +317,23 @@ def _stack_partition(kind, dataset):
     return dat.Partition(np.split(perm[: cuts[-1]], cuts[:-1]), perm[cuts[-1] : cuts[-1] + 20])
 
 
+@pytest.mark.parametrize("defense", STACK_DEFENSES, ids=lambda d: d.kind)
+def test_every_defense_trains_a_fedavg_chain(defense):
+    """Each round's ``aggregate`` is the next global model, or the final one, bit
+    for bit, and each round's accuracy lies in [0, 1]: the writer's guarantee,
+    which ``load_trace`` no longer re-checks."""
+    ds = dat.synth_blobs(RngStream(60), 3, 4, 60, 1.5)
+    ds = dat.Dataset(ds.features, ds.labels, 3, (2, 2))
+    spec = mdl.ModelSpec("mlp", 4, 3, 3, 0.1)
+    config = fed.FedConfig(rounds=3, local_epochs=1, lr=0.3, lr_decay=0.9, batch_size=8)
+    trace = fed.run_federation(ds, _stack_partition("grouped", ds), spec, config, defense, 65)
+    nexts = [r.global_before for r in trace.rounds[1:]] + [trace.final_model]
+    for r, after in zip(trace.rounds, nexts):
+        chained = fed.aggregate(r.updates, r.global_before, r.lr_effective)
+        assert chained.tobytes() == after.tobytes()
+    assert len(trace.round_accuracy) == 3 and all(0 <= a <= 1 for a in trace.round_accuracy)
+
+
 class TestStackedTrainerMatchesLoop:
     """``run_federation`` trains clients of equal size as one stack; its trace
     must equal the client-by-client loop of 2-D products bit for bit."""
@@ -367,10 +385,20 @@ def _negate(arr):
     arr *= -1.0
 
 
+def _committed(trace, tmp_path):
+    """The trace directory of a run directory ``artifacts.commit`` wrote."""
+    commit(str(tmp_path / "run"), {"trace": lambda p: fed.save_trace(trace, p)})
+    return tmp_path / "run" / "trace"
+
+
+def _mismatch(name):
+    """The start of the error of an edited trace file ``name``."""
+    return rf"^corrupt file .*/trace/{re.escape(name)}: its bytes do not match those listed"
+
+
 class TestTracePersistence:
     def test_roundtrip(self, tiny_trace, tmp_path):
-        fed.save_trace(tiny_trace, str(tmp_path / "t"))
-        loaded = fed.load_trace(str(tmp_path / "t"))
+        loaded = fed.load_trace(str(_committed(tiny_trace, tmp_path)))
         assert loaded.num_rounds == tiny_trace.num_rounds
         assert loaded.model_spec == tiny_trace.model_spec
         assert loaded.defense == tiny_trace.defense
@@ -381,26 +409,32 @@ class TestTracePersistence:
         assert np.array_equal(loaded.final_model, tiny_trace.final_model)
 
     def test_missing_file(self, tiny_trace, tmp_path):
-        fed.save_trace(tiny_trace, str(tmp_path / "t"))
-        os.remove(tmp_path / "t" / "round_0002_updates.npy")
-        with pytest.raises(IntegrityError, match="round_0002_updates"):
-            fed.load_trace(str(tmp_path / "t"))
+        trace_dir = _committed(tiny_trace, tmp_path)
+        os.remove(trace_dir / "round_0002_updates.npy")
+        with pytest.raises(IntegrityError, match="^missing run artifact: .*round_0002_updates"):
+            fed.load_trace(str(trace_dir))
 
     def test_truncated_file(self, tiny_trace, tmp_path):
-        fed.save_trace(tiny_trace, str(tmp_path / "t"))
-        path = tmp_path / "t" / "round_0001_updates.npy"
+        trace_dir = _committed(tiny_trace, tmp_path)
+        path = trace_dir / "round_0001_updates.npy"
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match=_mismatch("round_0001_updates.npy")):
+            fed.load_trace(str(trace_dir))
+
+    def test_directory_without_a_manifest_rejected(self, tiny_trace, tmp_path):
+        """A trace written before manifests were kept, or by ``save_trace`` alone."""
+        fed.save_trace(tiny_trace, str(tmp_path / "t"))
+        with pytest.raises(IntegrityError, match=f"^missing {tmp_path / 't'}/manifest.json: rerun"):
             fed.load_trace(str(tmp_path / "t"))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64, ">f8"])
     def test_array_not_float64_rejected(self, tiny_trace, tmp_path, dtype):
-        fed.save_trace(tiny_trace, str(tmp_path / "t"))
-        path = tmp_path / "t" / "round_0001_updates.npy"
+        trace_dir = _committed(tiny_trace, tmp_path)
+        path = trace_dir / "round_0001_updates.npy"
         np.save(path, np.load(path).astype(dtype))
-        with pytest.raises(IntegrityError, match="round_0001_updates.npy is .*, not float64"):
-            fed.load_trace(str(tmp_path / "t"))
+        with pytest.raises(IntegrityError, match=_mismatch("round_0001_updates.npy")):
+            fed.load_trace(str(trace_dir))
 
     @pytest.mark.parametrize("name, cut", [("round_0001_updates.npy", np.s_[:, 1:]),
                                            ("round_0001_global.npy", np.s_[1:]),
@@ -408,29 +442,29 @@ class TestTracePersistence:
     def test_array_of_another_shape_rejected(self, tiny_trace, tmp_path, name, cut):
         """The door of the trace's shapes: ``aggregate`` and the model kernels
         take what ``load_trace`` passes them unchecked."""
-        fed.save_trace(tiny_trace, str(tmp_path / "t"))
-        path = tmp_path / "t" / name
+        trace_dir = _committed(tiny_trace, tmp_path)
+        path = trace_dir / name
         np.save(path, np.load(path)[cut])
-        with pytest.raises(IntegrityError, match=f"{name} is float64 .*, not float64 "):
-            fed.load_trace(str(tmp_path / "t"))
+        with pytest.raises(IntegrityError, match=_mismatch(name)):
+            fed.load_trace(str(trace_dir))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_array_not_finite_rejected(self, tiny_trace, tmp_path, value):
-        fed.save_trace(tiny_trace, str(tmp_path / "t"))
-        path = tmp_path / "t" / "round_0001_updates.npy"
+        trace_dir = _committed(tiny_trace, tmp_path)
+        path = trace_dir / "round_0001_updates.npy"
         updates = np.load(path)
         updates[1, 2] = value
         np.save(path, updates)
-        with pytest.raises(IntegrityError, match="round_0001_updates.npy holds a non-finite value"):
-            fed.load_trace(str(tmp_path / "t"))
+        with pytest.raises(IntegrityError, match=_mismatch("round_0001_updates.npy")):
+            fed.load_trace(str(trace_dir))
 
     @pytest.mark.parametrize("value", [7.5, float("nan"), -0.1])
     def test_round_accuracy_outside_unit_interval_rejected(self, tiny_trace, tmp_path, value):
-        fed.save_trace(tiny_trace, str(tmp_path / "t"))
-        path = tmp_path / "t" / "trace_meta.json"
-        _edit_meta(path, lambda meta: meta["round_accuracy"].__setitem__(-1, value))
-        with pytest.raises(IntegrityError, match=re.escape(f"corrupt file {path}: round_accuracy")):
-            fed.load_trace(str(tmp_path / "t"))
+        trace_dir = _committed(tiny_trace, tmp_path)
+        _edit_meta(trace_dir / "trace_meta.json",
+                   lambda meta: meta["round_accuracy"].__setitem__(-1, value))
+        with pytest.raises(IntegrityError, match=_mismatch("trace_meta.json")):
+            fed.load_trace(str(trace_dir))
 
     @pytest.mark.parametrize("name, edit, round_index", [
         ("trace_meta.json", _scale_second_lr, 1),
@@ -438,23 +472,11 @@ class TestTracePersistence:
         ("final_model.npy", _negate, 5),
     ])
     def test_edit_breaks_the_fedavg_chain(self, tiny_trace, tmp_path, name, edit, round_index):
-        fed.save_trace(tiny_trace, str(tmp_path / "t"))
-        (_edit_meta if name.endswith(".json") else _edit_array)(tmp_path / "t" / name, edit)
-        chain = f"trace {tmp_path / 't'} breaks the FedAvg chain at round {round_index}:"
-        with pytest.raises(IntegrityError, match=re.escape(chain)):
-            fed.load_trace(str(tmp_path / "t"))
-
-    @pytest.mark.parametrize("defense", STACK_DEFENSES, ids=lambda d: d.kind)
-    def test_trace_of_every_defense_passes_the_chain(self, defense, tmp_path):
-        ds = dat.synth_blobs(RngStream(60), 3, 4, 60, 1.5)
-        ds = dat.Dataset(ds.features, ds.labels, 3, (2, 2))
-        spec = mdl.ModelSpec("mlp", 4, 3, 3, 0.1)
-        config = fed.FedConfig(rounds=3, local_epochs=1, lr=0.3, lr_decay=0.9, batch_size=8)
-        trace = fed.run_federation(ds, _stack_partition("grouped", ds), spec, config, defense, 65)
-        fed.save_trace(trace, str(tmp_path / "t"))
-        loaded = fed.load_trace(str(tmp_path / "t"))
-        assert loaded.final_model.tobytes() == trace.final_model.tobytes()
-        assert loaded.round_accuracy == trace.round_accuracy
+        """An edit that breaks the chain at ``round_index`` is rejected as an edit."""
+        trace_dir = _committed(tiny_trace, tmp_path)
+        (_edit_meta if name.endswith(".json") else _edit_array)(trace_dir / name, edit)
+        with pytest.raises(IntegrityError, match=_mismatch(name)):
+            fed.load_trace(str(trace_dir))
 
     def test_prefix(self, tiny_trace):
         p = trace_prefix(tiny_trace, 3)

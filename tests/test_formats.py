@@ -75,7 +75,8 @@ PLOTS = ("hist_blackbox_loss_none.csv", "hist_fedmia_ii_none.csv", "pareto_black
 
 def test_plots_bytes(golden_run):
     hns.emit_plots(golden_run)
-    assert sorted(os.listdir(os.path.join(golden_run, "plots"))) == list(PLOTS)
+    listed = sorted(os.listdir(os.path.join(golden_run, "plots")))
+    assert listed == sorted(PLOTS + ("manifest.json",))
     for name in PLOTS:
         got = _run_bytes(golden_run, "plots", name)
         assert got == _golden_bytes(os.path.join("plots", name)), name

@@ -121,6 +121,20 @@ def _tree_bytes(root):
     }
 
 
+CREATED = re.compile(rb'\n  "created_utc": "[^"]*",')
+
+
+def _untimed(tree):
+    """A report directory's ``_tree_bytes`` without report.json's timestamp and the
+    manifest entry that hashes it."""
+    assert CREATED.search(tree["report.json"])
+    tree["report.json"] = CREATED.sub(b"", tree["report.json"])
+    listing = json.loads(tree["manifest.json"])
+    del listing["files"]["report.json"]
+    tree["manifest.json"] = listing
+    return tree
+
+
 class TestConfig:
     def test_roundtrip_identity(self):
         cfg = ExperimentConfig.from_dict(micro_config_dict())
@@ -346,14 +360,12 @@ class TestRunExperiment:
         """Every file of the default and of a 2-worker pool equals --jobs 1's,
         report.json apart from its timestamp (a 1-core default is serial)."""
         cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2]))
-        created = re.compile(rb'\n  "created_utc": "[^"]*",')
         trees = []
         for jobs in (1, None, 2):
             tree = _tree_bytes(hns.run_experiment(cfg, str(tmp_path / str(jobs)), jobs=jobs))
-            assert len(tree) == 2 + 2 * 9  # per seed: 3 run files and 6 trace files
-            assert created.search(tree["report.json"])
-            tree["report.json"] = created.sub(b"", tree["report.json"])
-            trees.append(tree)
+            # Per seed 3 run files and 6 trace files, and a manifest in each directory.
+            assert len(tree) == 3 + 2 * 11
+            trees.append(_untimed(tree))
         assert trees[1] == trees[0]
         assert trees[2] == trees[0]
 
@@ -406,10 +418,7 @@ class TestRunExperiment:
             hns.run_experiment(cfg, root + "/pool", jobs=2)
             """, json.dumps(d), str(tmp_path), blas=None)
         assert done.returncode == 0, done.stderr
-        created = re.compile(rb'\n  "created_utc": "[^"]*",')
-        trees = [_tree_bytes(tmp_path / name) for name in ("serial", "pool")]
-        for tree in trees:
-            tree["report.json"] = created.sub(b"", tree["report.json"])
+        trees = [_untimed(_tree_bytes(tmp_path / name)) for name in ("serial", "pool")]
         assert trees[1] == trees[0]
 
     def test_pool_pickles_what_it_maps_when_run_single_is_wrapped(self, tmp_path, monkeypatch):
@@ -493,14 +502,16 @@ class TestReplay:
 
     def test_replay_into_its_run_dir_keeps_the_trace(self, completed_run):
         """``replay --out <run dir>`` replaces only the files it writes, here with
-        the same bytes, and adds metrics.csv."""
+        the same bytes, and adds metrics.csv, to the files and to the manifest."""
         cfg, out = completed_run
         run_dir = os.path.join(out, "runs", "none", "seed1")
         before = _tree_bytes(run_dir)
         hns.replay_attack(os.path.join(run_dir, "trace"), cfg.attack, run_dir)
         after = _tree_bytes(run_dir)
         assert after.pop("metrics.csv").startswith(hns.METRICS_HEADER.encode())
-        assert after == before
+        listed, was = (json.loads(tree.pop("manifest.json"))["files"] for tree in (after, before))
+        assert listed.pop("metrics.csv")["size"] > len(hns.METRICS_HEADER)
+        assert (after, listed) == (before, was)
 
     def test_replay_new_delta_grid_same_scores(self, completed_run, tmp_path):
         cfg, out = completed_run
@@ -509,10 +520,13 @@ class TestReplay:
             {**cfg.attack.to_dict(), "delta_grid": [0.25, 0.75]}
         )
         hns.replay_attack(trace_dir, ac2, str(tmp_path / "replay2"))
-        inline = open(os.path.join(out, "runs", "none", "seed1", "attack_scores.csv"), "rb").read()
-        replayed = open(os.path.join(tmp_path, "replay2", "attack_scores.csv"), "rb").read()
+        with open(os.path.join(out, "runs", "none", "seed1", "attack_scores.csv"), "rb") as fh:
+            inline = fh.read()
+        with open(os.path.join(tmp_path, "replay2", "attack_scores.csv"), "rb") as fh:
+            replayed = fh.read()
         assert inline == replayed  # scores identical, only decisions differ
-        sidecar = json.load(open(os.path.join(tmp_path, "replay2", "attack_rounds.json")))
+        with open(os.path.join(tmp_path, "replay2", "attack_rounds.json"), encoding="utf-8") as fh:
+            sidecar = json.load(fh)
         assert set(sidecar["inclusion_checks"]["fedmia_ii"]) == {"0.25", "0.75"}
 
     def test_replay_missing_trace(self, tmp_path):
@@ -806,6 +820,13 @@ def _write_text(text):
     return mangle
 
 
+def _mismatch(path):
+    """The stderr of a command that read ``path`` after it was edited."""
+    manifest = os.path.join(os.path.dirname(path), "manifest.json")
+    return (f"integrity error: corrupt file {path}: its bytes do not match those listed "
+            f"in {manifest}\n")
+
+
 def _edit_json(edit):
     """An artifact mangler that applies ``edit`` to the parsed JSON in place."""
     def mangle(path):
@@ -833,7 +854,7 @@ def _swap_first_member_and_nonmember(rows):
     rows[1], rows[j] = rows[j], rows[1]
 
 
-RUN_ENTRIES = ["attack_rounds.json", "attack_scores.csv", "targets.csv", "trace"]
+RUN_ENTRIES = ["attack_rounds.json", "attack_scores.csv", "manifest.json", "targets.csv", "trace"]
 _TRIALS = np.random.default_rng(22)
 # Caps from below the smallest trace file (4.8 kB) to above the sidecar (42 kB),
 # and kills from interpreter start-up into the run, which ends after 0.3-0.5 s.
@@ -1077,6 +1098,8 @@ class TestExitCodeContract:
         (("sweep",), {"defense": "quantize", "bits": [2, 2]}, "sweep.bits"),
         (("attack", "delta_grid"), [0.5, 0.5], "attack.delta_grid"),
         (("attack", "delta_grid"), [], "attack.delta_grid"),
+        # The fedmia scores lie in [0, 1]: a threshold outside (0, 1) decides nothing.
+        (("attack", "delta_grid"), [0.5, 1.5], "attack.delta_grid[1]"),
     ], ids=["rounds_str", "rounds_float", "seed_float", "fpr_cap_str", "delta_grid_scalar",
             "hidden_dim_str", "targets_per_class_str", "target_client_float", "geometry_scalar",
             "leave_one_out_str", "lr_nan", "per_class_zero", "class_sep_negative",
@@ -1092,7 +1115,7 @@ class TestExitCodeContract:
             "unknown_nonmember_source", "target_client_is_clients", "mixup_alpha_zero",
             "sample_portion_zero", "sample_portion_above_one", "fpr_cap_one",
             "methods_repeated", "seeds_repeated", "sweep_value_repeated", "delta_grid_repeated",
-            "delta_grid_empty"])
+            "delta_grid_empty", "delta_grid_outside_unit_interval"])
     def test_quick_config_mistyped_value_exits_2(self, tmp_path, capsys, path, value, key_path):
         with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
             d = json.load(fh)
@@ -1235,18 +1258,18 @@ class TestExitCodeContract:
         ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
         assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("integrity error: trace ") and "FedAvg chain at round 1" in err, err
+        assert err == _mismatch(os.path.join(copy, "trace", "trace_meta.json")), err
 
-    @pytest.mark.parametrize("mangle, line", [
-        (lambda rows: rows[1].__setitem__(0, "x"), 2),
-        (lambda rows: rows[2].__delitem__(slice(2, None)), 3),
-        (lambda rows: rows[2].__setitem__(3, "nan"), 3),
-        (lambda rows: rows[1].__setitem__(1, "7"), 2),
-        (lambda rows: rows[2].__setitem__(4, rows[2][4] + "\udcff"), 3),
-        (lambda rows: rows[3].__setitem__(0, "9" * 30), 4),
+    @pytest.mark.parametrize("mangle", [
+        lambda rows: rows[1].__setitem__(0, "x"),
+        lambda rows: rows[2].__delitem__(slice(2, None)),
+        lambda rows: rows[2].__setitem__(3, "nan"),
+        lambda rows: rows[1].__setitem__(1, "7"),
+        lambda rows: rows[2].__setitem__(4, rows[2][4] + "\udcff"),
+        lambda rows: rows[3].__setitem__(0, "9" * 30),
     ], ids=["first_id_not_int", "short_row", "nan_feature", "is_member_not_0_or_1",
             "feature_not_utf8", "id_too_large_for_int64"])
-    def test_malformed_targets_csv_exits_3(self, run_dir, tmp_path, capsys, mangle, line):
+    def test_malformed_targets_csv_exits_3(self, run_dir, tmp_path, capsys, mangle):
         copy = str(tmp_path / "run")
         shutil.copytree(run_dir, copy)
         path = os.path.join(copy, "targets.csv")
@@ -1258,8 +1281,7 @@ class TestExitCodeContract:
             csv.writer(fh).writerows(rows)
         ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
         assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("integrity error:") and f"{path}: line {line}:" in err, err
+        assert capsys.readouterr().err == _mismatch(path)
 
     @pytest.mark.parametrize("mangle", [
         lambda rows: [row.__setitem__(1, "1") for row in rows[1:]],
@@ -1273,20 +1295,23 @@ class TestExitCodeContract:
         _edit_csv(mangle)(path)
         ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
         assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
-        err = capsys.readouterr().err
-        assert err == (f"integrity error: corrupt targets file {path}: is_member needs at "
-                       f"least one member and one non-member\n"), err
+        assert capsys.readouterr().err == _mismatch(path)
 
     def test_targets_csv_feature_count_differs_exits_3(self, run_dir, tmp_path, capsys):
+        """Each file matches its manifest, but the trace is another run's, whose
+        model takes 5 features: the one check between two inputs that stays."""
+        cfg = ExperimentConfig.from_dict(micro_config_dict(dataset={"input_dim": 5}))
+        other = hns.run_experiment(cfg, str(tmp_path / "other"))
         copy = str(tmp_path / "run")
-        shutil.copytree(run_dir, copy)
-        path = os.path.join(copy, "targets.csv")
-        _edit_csv(lambda rows: [row.pop() for row in rows])(path)
+        shutil.copytree(run_dir, copy, ignore=shutil.ignore_patterns("trace"))
+        shutil.copytree(os.path.join(other, "runs", "none", "seed1", "trace"),
+                        os.path.join(copy, "trace"))
         ac = write_config(tmp_path, {"methods": ["fedmia_ii"]}, "attack.json")
         assert hns.main(["replay", os.path.join(copy, "trace"), ac]) == 3
         err = capsys.readouterr().err
-        assert err == (f"integrity error: corrupt targets file {path}: 5 features, "
-                       f"the trace's model takes 6\n"), err
+        path = os.path.join(copy, "targets.csv")
+        assert err == (f"integrity error: corrupt targets file {path}: 6 features, "
+                       f"the trace's model takes 5\n"), err
 
     @pytest.fixture(scope="class")
     def report_dir(self, tmp_path_factory):
@@ -1370,6 +1395,87 @@ class TestExitCodeContract:
         rc, err = _main_captured([command, copy])
         assert rc == 3, err
         assert err.startswith("integrity error:") and path in err, err
+
+
+FLOAT = re.compile(rb"-?\d+\.\d+(?:e-?\d+)?")
+
+
+def _seeded_edits(data, rng, count):
+    """``count`` edited copies of an artifact's bytes: one byte XORed with a nonzero
+    byte, or one float64 value with a low mantissa bit flipped (in an ``.npy``, a
+    value of the array; in a text file, a number, written back with ``repr``)."""
+    header = data.index(b"\n") + 1 if data.startswith(b"\x93NUMPY") else None
+    floats = None if header else list(FLOAT.finditer(data))
+    edits = []
+    for i in range(count):
+        edit = bytearray(data)
+        if i % 2 == 0:
+            edit[rng.integers(len(data))] ^= int(rng.integers(1, 256))
+        elif header:
+            value = header + 8 * int(rng.integers((len(data) - header) // 8))
+            edit[value] ^= 1 << int(rng.integers(8))  # little-endian: the lowest mantissa byte
+        else:
+            m = floats[rng.integers(len(floats))]
+            bits = np.array(float(m[0])).view(np.int64) ^ (1 << int(rng.integers(4)))
+            edit[m.start():m.end()] = repr(float(bits.view(np.float64))).encode()
+        edits.append(bytes(edit))
+    return edits
+
+
+class TestSeededCorruption:
+    """Seeded edits of every artifact a command reads: each exits 3 naming the
+    edited file or leaves the command's output as it was, byte for byte."""
+
+    EDITS = 36
+
+    @pytest.fixture(scope="class")
+    def report_dir(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("trial")
+        d = micro_config_dict(attack={"methods": ["fedmia_ii", "blackbox_loss", "grad_norm"]})
+        (tmp / "attack.json").write_text(json.dumps(d["attack"]))
+        return hns.run_experiment(ExperimentConfig.from_dict(d), str(tmp / "report"))
+
+    def _outputs(self, report_dir, command):
+        """(exit code, stdout, stderr, bytes of the files written) of ``command``."""
+        out, err = io.StringIO(), io.StringIO()
+        written = os.path.join(report_dir, "..", "replay" if command == "replay" else "")
+        argv = {"replay": ["replay", os.path.join(report_dir, "runs", "none", "seed1", "trace"),
+                           os.path.join(report_dir, "..", "attack.json"), "--out", written],
+                "plots": ["plots", report_dir], "report": ["report", report_dir]}[command]
+        shutil.rmtree(written if command == "replay" else os.path.join(report_dir, "plots"),
+                      ignore_errors=True)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            rc = hns.main(argv)
+        files = {"replay": written, "plots": os.path.join(report_dir, "plots")}.get(command)
+        tree = _tree_bytes(files) if files and os.path.isdir(files) else {}
+        return rc, out.getvalue(), err.getvalue(), tree
+
+    @pytest.mark.parametrize("seed, artifact, command", [
+        (1, "runs/none/seed1/targets.csv", "replay"),
+        (2, "runs/none/seed1/trace/round_0001_updates.npy", "replay"),
+        (3, "runs/none/seed1/trace/trace_meta.json", "replay"),
+        (4, "runs/none/seed1/attack_rounds.json", "plots"),
+        (5, "runs/none/seed1/attack_scores.csv", "plots"),
+        (6, "report.json", "plots"),
+        (7, "metrics.csv", "report"),
+    ])
+    def test_each_edit_exits_3_naming_the_file_or_changes_nothing(
+            self, report_dir, seed, artifact, command):
+        path = os.path.join(report_dir, *artifact.split("/"))
+        original = pathlib.Path(path).read_bytes()
+        reference = self._outputs(report_dir, command)
+        assert reference[0] == 0, reference[2]
+        silent = []
+        try:
+            for i, edit in enumerate(_seeded_edits(original, np.random.default_rng(seed),
+                                                   self.EDITS)):
+                pathlib.Path(path).write_bytes(edit)
+                rc, out, err, tree = self._outputs(report_dir, command)
+                if not ((rc == 3 and path in err) or (rc, out, err, tree) == reference):
+                    silent.append((i, rc, err))
+        finally:
+            pathlib.Path(path).write_bytes(original)
+        assert silent == [], silent
 
 
 @pytest.mark.parametrize("method, poison", [
