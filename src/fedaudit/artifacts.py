@@ -17,23 +17,27 @@ from .errors import ConfigError, IntegrityError
 MANIFEST = "manifest.json"
 
 
-def write_text(path: str, text: str) -> None:
-    """``text`` as the whole of the file ``path``: UTF-8, its line ends as given."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def write_text(path: str, text: str) -> bytes:
+    """``text`` as the whole of the file ``path``: UTF-8, its line ends as given.
+    Returns the bytes written."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return data
 
 
 def commit(path: str, files: dict) -> None:
     """Write the directory ``path`` from ``files``: entry name -> text, or a function
-    that writes the path it is given. A new ``path`` is written as the sibling
-    ``<path>.partial-<pid>`` and renamed into place, so it appears whole. Into an
-    existing ``path`` the entries are written in ``<path>/.partial-<pid>``, so on
-    its filesystem whatever its parent is, then each replaces its namesake in turn
-    and the others stay. Each directory written gets a MANIFEST of its regular
-    files; into an existing ``path`` it keeps the entries of the files that stay
-    and replaces the directory's MANIFEST last, so a merge cut short reads as a
-    mismatch. The staging directory never outlives the call, and an OSError
-    names the entry's path under ``path``."""
+    that writes the directory at the path it is given. A new ``path`` is written as
+    the sibling ``<path>.partial-<pid>`` and renamed into place, so it appears whole.
+    Into an existing ``path`` the entries are written in ``<path>/.partial-<pid>``,
+    so on its filesystem whatever its parent is, then each replaces its namesake in
+    turn and the others stay. Each directory written gets a MANIFEST of its regular
+    files: a text is hashed from the bytes written, and only the files under a
+    function's directory are read back. Into an existing ``path`` it keeps the
+    entries of the files that stay and replaces the directory's MANIFEST last, so a
+    merge cut short reads as a mismatch. The staging directory never outlives the
+    call, and an OSError names the entry's path under ``path``."""
     fresh = not os.path.exists(path)
     stage = (f"{os.path.normpath(path)}.partial-{os.getpid()}" if fresh
              else os.path.join(path, f".partial-{os.getpid()}"))
@@ -41,18 +45,19 @@ def commit(path: str, files: dict) -> None:
     target = path
     try:
         os.makedirs(stage)
+        listing = {}  # the top MANIFEST's entries
         for name, entry in files.items():
-            target = os.path.join(path, name)
+            target, staged = os.path.join(path, name), os.path.join(stage, name)
             if callable(entry):
-                entry(os.path.join(stage, name))
+                entry(staged)
+                _write_manifests(staged)
             else:
-                write_text(os.path.join(stage, name), entry)
+                listing[name] = _entry(write_text(staged, entry))
         target = os.path.join(path, MANIFEST)
-        kept = {}
         if not fresh:
             with contextlib.suppress(IntegrityError):  # an entry it cannot vouch for is dropped
-                kept = {k: v for k, v in _manifest(path).items() if k not in files}
-        _write_manifests(stage, kept)
+                listing.update({k: v for k, v in _manifest(path).items() if k not in files})
+        _write_manifest(stage, listing)
         target = path
         if fresh:
             os.rename(stage, path)
@@ -71,17 +76,22 @@ def commit(path: str, files: dict) -> None:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _write_manifests(stage: str, kept: dict) -> None:
-    """A MANIFEST in every directory under ``stage``: each regular file's sha256 and
-    size by name, and at the top also ``kept``; keys sorted, so the bytes depend on
-    the files alone."""
-    for top, _, names in os.walk(stage):
-        listing = dict(kept) if top == stage else {}
+def _write_manifests(top: str) -> None:
+    """A MANIFEST in ``top`` and in every directory under it, listing its regular
+    files as read back."""
+    for directory, _, names in os.walk(top):
+        listing = {}
         for name in names:
-            with open(os.path.join(top, name), "rb") as fh:
+            with open(os.path.join(directory, name), "rb") as fh:
                 listing[name] = _entry(fh.read())
-        write_text(os.path.join(top, MANIFEST),
-                   json.dumps({"files": listing}, indent=2, sort_keys=True) + "\n")
+        _write_manifest(directory, listing)
+
+
+def _write_manifest(directory: str, listing: dict) -> None:
+    """The MANIFEST of ``directory``: entry by file name, keys sorted, so the bytes
+    depend on the files alone."""
+    write_text(os.path.join(directory, MANIFEST),
+               json.dumps({"files": listing}, indent=2, sort_keys=True) + "\n")
 
 
 def _entry(data: bytes) -> dict:

@@ -203,12 +203,12 @@ def run_attacks(
         if not (np.isfinite(scores[method]).all() and np.isfinite(audited).all()):
             raise FedAuditError(f"{where}, method {method}: non-finite attack score")
     scores = {m: scores[m] for m in ac.methods}
-    rows = []
-    for method, values in scores.items():
-        auc, tpr, achieved = met.roc_metrics(values, cohort.is_member, ac.fpr_cap)
-        rows.append(dict(zip(METRIC_KEYS, (
-            trace.seed, method, trace.defense.kind, _param_label(param), auc, tpr, ac.fpr_cap,
-            achieved, 1.0 - trace.round_accuracy[-1]))))
+    aucs, tprs, achieved = (a.tolist() for a in met.roc_metrics(
+        np.stack(list(scores.values())), cohort.is_member, ac.fpr_cap))
+    rows = [dict(zip(METRIC_KEYS, (
+        trace.seed, method, trace.defense.kind, _param_label(param), auc, tpr, ac.fpr_cap,
+        fpr, 1.0 - trace.round_accuracy[-1])))
+        for method, auc, tpr, fpr in zip(scores, aucs, tprs, achieved)]
     files = {SCORES_CSV: _render_scores(cohort, scores),
              SIDECAR: _render_sidecar(audit, cohort, ac.delta_grid, checks)} if render else {}
     return rows, checks, files
@@ -500,6 +500,13 @@ def _read_metrics_csv(path: str) -> list[dict]:
         dict(zip(METRIC_KEYS, row[:4] + [float(v) for v in row[4:]])) for row in rows])
 
 
+def _seed_mean(per_seed: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(T,) mean over the seeds of each round's values, one (T,) array per seed: the
+    bits of ``np.mean`` of the round's list, because the (T, S) array is reduced
+    along its contiguous axis, which sums each row pairwise as a 1-D sum does."""
+    return np.stack(per_seed, axis=1).mean(axis=1)
+
+
 def emit_plots(report_dir: str) -> str:
     """Write plot-ready CSV series (histograms, round curves, Pareto fronts)."""
     config, report = _read_report(os.path.join(report_dir, "report.json"))
@@ -527,15 +534,17 @@ def emit_plots(report_dir: str) -> str:
                           for i, c in enumerate(counts)]
             files[f"hist_{method}_{label}.csv"] = "".join(lines)
 
-        # Attack strength vs communication round (seed-mean AUC / TPR).
+        # Attack strength vs communication round (seed-mean AUC / TPR): each
+        # seed's (T, n) matrix of round scores goes through one ROC pass.
         lines = ["method,round,auc,tpr_at_fpr\n"]
+        rounds = range(config.federation.rounds)
         for method in methods:
-            for t in range(config.federation.rounds):
-                aucs, tprs, _ = zip(*(  # one (auc, tpr, achieved fpr) per seed
-                    met.roc_metrics(audit.scores(method, t), is_member, config.attack.fpr_cap)
-                    for audit, is_member, _ in runs))
-                lines.append(f"{method},{t},{_fmt(float(np.mean(aucs)))},"
-                             f"{_fmt(float(np.mean(tprs)))}\n")
+            aucs, tprs, _ = zip(*(  # one (auc, tpr, achieved fpr) of (T,) arrays per seed
+                met.roc_metrics(np.stack([audit.scores(method, t) for t in rounds]), is_member,
+                                config.attack.fpr_cap)
+                for audit, is_member, _ in runs))
+            lines += [f"{method},{t},{_fmt(auc)},{_fmt(tpr)}\n" for t, auc, tpr in zip(
+                rounds, _seed_mean(aucs).tolist(), _seed_mean(tprs).tolist())]
         files[f"rounds_{label}.csv"] = "".join(lines)
 
     # Pareto fronts per method, sorted by utility loss.
@@ -554,17 +563,14 @@ def emit_plots(report_dir: str) -> str:
 def summarize_report(report_dir: str) -> str:
     """Human-readable summary of a report directory."""
     rows = _read_metrics_csv(os.path.join(report_dir, "metrics.csv"))
-    report_path = os.path.join(report_dir, "report.json")
+    _, report = _read_report(os.path.join(report_dir, "report.json"))
     hv_lines = []
-    if os.path.exists(report_path):
-        _, report = _read_report(report_path)
-        checks = [ok for per_method in report["inclusion_checks"].values()
-                  for per_delta in per_method.values() for ok in per_delta.values()]
-        if checks:
-            hv_lines.append(
-                f"aggregate-decision inclusion checks: {sum(checks)}/{len(checks)} passed")
-        for method, block in sorted(report["per_method"].items()):
-            hv_lines.append(f"hypervolume[{method}] = {block['hypervolume']:.4f}")
+    checks = [ok for per_method in report["inclusion_checks"].values()
+              for per_delta in per_method.values() for ok in per_delta.values()]
+    if checks:
+        hv_lines.append(f"aggregate-decision inclusion checks: {sum(checks)}/{len(checks)} passed")
+    for method, block in sorted(report["per_method"].items()):
+        hv_lines.append(f"hypervolume[{method}] = {block['hypervolume']:.4f}")
     lines = [f"{'defense':<20}{'param':<10}{'method':<16}{'auc':>8}{'tpr':>8}{'util_loss':>11}"]
     for (defense, param, method), mean in sorted(
             _group_means(rows, "defense", "param", "method").items()):

@@ -10,6 +10,7 @@ lines and timings.
 import csv
 import json
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -44,8 +45,13 @@ def load_default_dict():
         return json.load(fh)
 
 
+def read_json(path):
+    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+
+
 def mean_metric(report_dir, method, column="auc", where=None):
-    rows = list(csv.DictReader(open(os.path.join(report_dir, "metrics.csv"))))
+    with open(os.path.join(report_dir, "metrics.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
     vals = [
         float(r[column])
         for r in rows
@@ -79,7 +85,7 @@ def sweep_reports(tmp_path_factory):
     reports = {}
     for name in ("perturb_sweep", "sparsify_sweep"):
         path = os.path.join(os.path.dirname(CONFIG_PATH), f"{name}.json")
-        cfg_dict = json.load(open(path))
+        cfg_dict = read_json(path)
         cfg_dict["attack"]["methods"] = ["fedmia_ii"]
         cfg = ExperimentConfig.from_dict(cfg_dict)
         out = str(tmp_path_factory.mktemp(name))
@@ -117,7 +123,7 @@ def test_criterion_1_aggregate_inclusion(baseline_report, sweep_reports):
 
     end_to_end = 0
     for report_dir in [baseline_report[0]] + list(sweep_reports.values()):
-        report = json.load(open(os.path.join(report_dir, "report.json")))
+        report = read_json(os.path.join(report_dir, "report.json"))
         for per_method in report["inclusion_checks"].values():
             for per_delta in per_method.values():
                 for ok in per_delta.values():
@@ -198,9 +204,8 @@ def test_criterion_4_temporal_aggregation(baseline_report, default_config):
     report_dir, _ = baseline_report
     details = []
     for seed in default_config.seeds:
-        sidecar = json.load(
-            open(os.path.join(report_dir, "runs", "none", f"seed{seed}", "attack_rounds.json"))
-        )
+        sidecar = read_json(
+            os.path.join(report_dir, "runs", "none", f"seed{seed}", "attack_rounds.json"))
         per_round = np.array(sidecar["fedmia_ii"]["per_round"])
         members = np.array(sidecar["is_member"], dtype=bool)
         auc_10 = met.auc(per_round[:, :10].mean(axis=1), members)
@@ -266,15 +271,15 @@ def test_criterion_8_determinism_and_replay(tmp_path_factory, default_config):
     out_b = str(tmp_path_factory.mktemp("det_b"))
     hns.run_experiment(default_config, out_a, seed_override=1)
     hns.run_experiment(default_config, out_b, seed_override=1)
-    bytes_a = open(os.path.join(out_a, "metrics.csv"), "rb").read()
-    bytes_b = open(os.path.join(out_b, "metrics.csv"), "rb").read()
+    bytes_a = pathlib.Path(out_a, "metrics.csv").read_bytes()
+    bytes_b = pathlib.Path(out_b, "metrics.csv").read_bytes()
     assert bytes_a == bytes_b
 
     trace_dir = os.path.join(out_a, "runs", "none", "seed1", "trace")
     replay_dir = str(tmp_path_factory.mktemp("replay"))
     hns.replay_attack(trace_dir, default_config.attack, replay_dir)
-    inline = open(os.path.join(out_a, "runs", "none", "seed1", "attack_scores.csv"), "rb").read()
-    replayed = open(os.path.join(replay_dir, "attack_scores.csv"), "rb").read()
+    inline = pathlib.Path(out_a, "runs", "none", "seed1", "attack_scores.csv").read_bytes()
+    replayed = pathlib.Path(replay_dir, "attack_scores.csv").read_bytes()
     assert inline == replayed
     _report(8, "rerun metric CSVs byte-identical; replayed scores bit-exact "
                f"({len(inline)} bytes)")

@@ -5,6 +5,7 @@ import errno
 import hashlib
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -190,6 +191,28 @@ def test_commit_lists_each_directory_s_regular_files_in_its_manifest(tmp_path):
     with open(os.path.join(path, MANIFEST), "rb") as fh:
         text = fh.read().decode()
     assert text == json.dumps({"files": _listing(path)}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fresh", [True, False], ids=["new_dir", "merge"])
+def test_commit_lists_the_bytes_on_disk_of_each_text(tmp_path, fresh):
+    """A text's entry is hashed from the bytes written, not read back: it must be the
+    file on disk, CRLF line ends and multi-byte UTF-8 characters included."""
+    path = str(tmp_path / "run")
+    if not fresh:
+        commit(path, {"crlf.csv": "old\n"})
+    texts = {"crlf.csv": "a,b\r\n1,2\r\n", "utf8.json": '{"\u00e9": "\u00fc\u20ac\U0001f600"}\n'}
+    commit(path, {"trace": _dir_writer("a.npy", "\u00e9\r\n"), **texts})
+    for directory, names in ((path, texts), (os.path.join(path, "trace"), ["a.npy"])):
+        listing = _listing(directory)
+        for name in names:
+            on_disk = pathlib.Path(directory, name).read_bytes()
+            assert listing[name] == _entry(on_disk), name
+        assert read_artifacts(directory, list(names)) == [
+            pathlib.Path(directory, n).read_bytes() for n in names]
+    for name, text in texts.items():
+        assert pathlib.Path(path, name).read_bytes() == text.encode("utf-8")
+    assert _listing(path)["crlf.csv"]["size"] == 10
+    assert _listing(path)["utf8.json"]["size"] == 20  # 9 ASCII bytes; 2, 2, 3 and 4 bytes
 
 
 def test_commit_merges_the_manifest_of_an_existing_directory(tmp_path):

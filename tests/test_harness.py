@@ -33,6 +33,17 @@ from fedaudit.config import (AUGMENT_KEYS, SWEEP_TYPES, AttackSuiteConfig, Datas
                              ExperimentConfig, SweepConfig, config_hash)
 from fedaudit.errors import ConfigError, IntegrityError
 from fedaudit.schema import FloatOrInf, dump_value, field_types
+from helpers import area_loop, best_point_loop, roc_sweep_loop
+
+
+def _rows(path):
+    """The rows of a CSV file as dicts."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _json(path):
+    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
 
 
 def micro_config_dict(**overrides):
@@ -282,12 +293,12 @@ class TestRunExperiment:
     def test_minimal_run_shape(self, tmp_path):
         cfg = ExperimentConfig.from_dict(micro_config_dict())
         out = hns.run_experiment(cfg, str(tmp_path / "out"))
-        rows = list(csv.DictReader(open(os.path.join(out, "metrics.csv"))))
+        rows = _rows(os.path.join(out, "metrics.csv"))
         assert len(rows) == 1  # one seed, one method, one sweep point
         row = rows[0]
         assert row["method"] == "fedmia_ii"
         assert 0.0 <= float(row["auc"]) <= 1.0
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = _json(os.path.join(out, "report.json"))
         assert report["config_hash"] == config_hash(cfg)
         assert "fedmia_ii" in report["per_method"]
 
@@ -295,11 +306,11 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[3]))
         a = hns.run_experiment(cfg, str(tmp_path / "a"))
         b = hns.run_experiment(cfg, str(tmp_path / "b"))
-        bytes_a = open(os.path.join(a, "metrics.csv"), "rb").read()
-        bytes_b = open(os.path.join(b, "metrics.csv"), "rb").read()
+        bytes_a = pathlib.Path(a, "metrics.csv").read_bytes()
+        bytes_b = pathlib.Path(b, "metrics.csv").read_bytes()
         assert bytes_a == bytes_b
-        sa = open(os.path.join(a, "runs", "none", "seed3", "attack_scores.csv"), "rb").read()
-        sb = open(os.path.join(b, "runs", "none", "seed3", "attack_scores.csv"), "rb").read()
+        sa = pathlib.Path(a, "runs", "none", "seed3", "attack_scores.csv").read_bytes()
+        sb = pathlib.Path(b, "runs", "none", "seed3", "attack_scores.csv").read_bytes()
         assert sa == sb
 
     def test_report_groups_rows_by_point_in_first_seen_order(self):
@@ -332,26 +343,26 @@ class TestRunExperiment:
         )
         cfg = ExperimentConfig.from_dict(d)
         out = hns.run_experiment(cfg, str(tmp_path / "out"))
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = _json(os.path.join(out, "report.json"))
         block = report["per_method"]["fedmia_ii"]
         assert len(block["points"]) == 3
         assert isinstance(block["hypervolume"], float)
-        rows = list(csv.DictReader(open(os.path.join(out, "metrics.csv"))))
+        rows = _rows(os.path.join(out, "metrics.csv"))
         assert len(rows) == 3
 
     def test_seed_override(self, tmp_path):
         cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2, 3]))
         out = hns.run_experiment(cfg, str(tmp_path / "out"), seed_override=7)
-        rows = list(csv.DictReader(open(os.path.join(out, "metrics.csv"))))
+        rows = _rows(os.path.join(out, "metrics.csv"))
         assert [r["seed"] for r in rows] == ["7"]
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = _json(os.path.join(out, "report.json"))
         assert report["config"]["seeds"] == [7]  # the seeds that ran
         assert hns.main(["plots", out]) == 0
 
     def test_inclusion_checks_recorded(self, tmp_path):
         cfg = ExperimentConfig.from_dict(micro_config_dict())
         out = hns.run_experiment(cfg, str(tmp_path / "out"))
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = _json(os.path.join(out, "report.json"))
         checks = report["inclusion_checks"]["none::seed1"]["fedmia_ii"]
         assert set(checks) == {"0.5", "0.9"}
         assert all(checks.values())
@@ -492,10 +503,10 @@ class TestReplay:
         cfg, out = completed_run
         trace_dir = os.path.join(out, "runs", "none", "seed1", "trace")
         rows = hns.replay_attack(trace_dir, cfg.attack, str(tmp_path / "replay"))
-        inline = open(os.path.join(out, "runs", "none", "seed1", "attack_scores.csv"), "rb").read()
-        replayed = open(os.path.join(tmp_path, "replay", "attack_scores.csv"), "rb").read()
+        inline = pathlib.Path(out, "runs", "none", "seed1", "attack_scores.csv").read_bytes()
+        replayed = pathlib.Path(tmp_path, "replay", "attack_scores.csv").read_bytes()
         assert inline == replayed
-        metric_rows = list(csv.DictReader(open(os.path.join(out, "metrics.csv"))))
+        metric_rows = _rows(os.path.join(out, "metrics.csv"))
         for got, want in zip(rows, metric_rows):
             assert got["method"] == want["method"]
             assert repr(got["auc"]) == want["auc"]
@@ -536,9 +547,9 @@ class TestReplay:
     def test_replay_corrupt_trace(self, completed_run, tmp_path):
         cfg, out = completed_run
         trace_dir = os.path.join(out, "runs", "none", "seed1", "trace")
-        victim = os.path.join(trace_dir, "round_0001_updates.npy")
-        data = open(victim, "rb").read()
-        open(victim, "wb").write(data[: len(data) // 2])
+        victim = pathlib.Path(trace_dir, "round_0001_updates.npy")
+        data = victim.read_bytes()
+        victim.write_bytes(data[: len(data) // 2])
         with pytest.raises(IntegrityError):
             hns.replay_attack(trace_dir, cfg.attack)
 
@@ -558,7 +569,7 @@ class TestPlots:
 
     def test_histogram_counts_sum_to_cohort(self, run_with_plots):
         cfg, out = run_with_plots
-        rows = list(csv.DictReader(open(os.path.join(out, "plots", "hist_fedmia_ii_none.csv"))))
+        rows = _rows(os.path.join(out, "plots", "hist_fedmia_ii_none.csv"))
         total = sum(int(r["count"]) for r in rows)
         assert total == 2 * 2 * 15  # seeds x classes x targets_per_class
         classes = {r["cls"] for r in rows}
@@ -566,7 +577,7 @@ class TestPlots:
 
     def test_round_curve_has_t_rows_per_method(self, run_with_plots):
         cfg, out = run_with_plots
-        rows = list(csv.DictReader(open(os.path.join(out, "plots", "rounds_none.csv"))))
+        rows = _rows(os.path.join(out, "plots", "rounds_none.csv"))
         per_method = {}
         for r in rows:
             per_method.setdefault(r["method"], []).append(int(r["round"]))
@@ -576,7 +587,7 @@ class TestPlots:
 
     def test_pareto_sorted(self, run_with_plots):
         _, out = run_with_plots
-        rows = list(csv.DictReader(open(os.path.join(out, "plots", "pareto_fedmia_ii.csv"))))
+        rows = _rows(os.path.join(out, "plots", "pareto_fedmia_ii.csv"))
         utils = [float(r["utility_loss"]) for r in rows]
         assert utils == sorted(utils)
 
@@ -1347,6 +1358,7 @@ class TestExitCodeContract:
             lambda s: s.update(is_member=[True] * len(s["is_member"])))),
         ("plots", "report.json", _write_text("not json")),
         ("plots", "report.json", _write_text("{}")),
+        ("report", "report.json", os.remove),
         ("report", "report.json", _write_text("[1, 2]")),
         ("report", "report.json", _write_text("not json")),
         ("report", "report.json", _edit_json(
@@ -1378,7 +1390,7 @@ class TestExitCodeContract:
             "series_key_missing", "sample_id_not_int", "sample_id_too_large",
             "per_round_nan", "series_minus_inf", "shared_series_inf", "sidecar_one_class",
             "plots_report_not_json",
-            "plots_report_empty_object", "report_a_list", "report_not_json", "hypervolume_not_a_number",
+            "plots_report_empty_object", "report_missing", "report_a_list", "report_not_json", "hypervolume_not_a_number",
             "per_method_block_missing", "inclusion_check_not_bool", "inclusion_checks_missing",
             "pareto_front_not_numbers", "pareto_front_short_point", "report_config_mistyped",
             "scores_missing",
@@ -1517,3 +1529,27 @@ def test_final_scores_are_the_last_round_of_the_curve(tmp_path):
     methods = [m for m in cfg.attack.methods if m != "blackbox_loss"]
     assert len(methods) == 7
     assert {m: curve[m] for m in methods} == {m: final[m] for m in methods}
+
+
+@pytest.mark.parametrize("seeds", [3, 9])
+def test_round_curves_are_the_seed_means_of_the_scalar_roc(tmp_path, seeds):
+    """Each rounds_*.csv row is np.mean over the seeds of the AUC and the TPR that the
+    scalar loops give the round's scores, read from each run's sidecar. 8 or more
+    seeds is where NumPy's pairwise mean departs from a running sum."""
+    d = _json(os.path.join(CONFIG_DIR, "quick.json"))
+    d["attack"]["targets_per_class"] = 20
+    d["seeds"] = list(range(1, seeds + 1))
+    out = str(tmp_path / "out")
+    assert hns.main(["run", write_config(tmp_path, d), "--out", out]) == 0
+    assert hns.main(["plots", out]) == 0
+    cfg = ExperimentConfig.from_dict(d)
+    runs = [hns._read_sidecar(os.path.join(out, "runs", "none", f"seed{s}"), cfg.attack.methods,
+                              cfg.federation.rounds) for s in cfg.seeds]
+    lines = ["method,round,auc,tpr_at_fpr\n"]
+    for method in cfg.attack.methods:
+        for t in range(cfg.federation.rounds):
+            pts = [roc_sweep_loop(audit.scores(method, t), is_member) for audit, is_member in runs]
+            auc = np.mean([area_loop(p) for p in pts])
+            tpr = np.mean([best_point_loop(p, cfg.attack.fpr_cap)[0] for p in pts])
+            lines.append(f"{method},{t},{float(auc)!r},{float(tpr)!r}\n")
+    assert pathlib.Path(out, "plots", "rounds_none.csv").read_text(encoding="utf-8") == "".join(lines)

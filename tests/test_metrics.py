@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fedaudit import metrics as met
 from fedaudit.errors import FedAuditError
+from fedaudit.harness import _seed_mean
 from helpers import (area_loop, best_point_loop, mc_hypervolume, pairwise_auc, roc_sweep_loop,
                      roc_threshold_loop)
 
@@ -69,22 +70,82 @@ class TestRoc:
             assert points(*c) == roc_threshold_loop(*c)
 
 
+def assert_rows_match_loops(scores, is_member, cap):
+    """Each row's (AUC, TPR, achieved FPR) of ``roc_metrics`` has the bits of the
+    scalar loops over the row's points."""
+    got = np.stack(met.roc_metrics(scores, is_member, cap), axis=1)
+    assert got.shape == (len(scores), 3)
+    for row, values in zip(scores, got):
+        pts = roc_sweep_loop(row, is_member)
+        want = np.array([area_loop(pts), *best_point_loop(pts, cap)])
+        assert values.tobytes() == want.tobytes(), (row, cap)
+
+
+def membership(n, members):
+    is_member = np.zeros(n, dtype=bool)
+    is_member[members] = True
+    return is_member
+
+
 class TestRocMetrics:
     def test_equals_separate_calls(self):
         for seed in range(50):
-            c = random_cohort(seed)
+            scores, members = random_cohort(seed)
             for cap in (0.0, 0.01, 0.1, 0.5):
-                assert met.roc_metrics(*c, cap) == (met.auc(*c), *met.operating_point(*c, cap))
+                got = [a.tolist() for a in met.roc_metrics(scores[None], members, cap)]
+                want = [met.auc(scores, members), *met.operating_point(scores, members, cap)]
+                assert got == [[v] for v in want]
 
     @given(members=score_lists | tied_lists, nonmembers=score_lists | tied_lists)
     @settings(max_examples=300)
     def test_equals_scalar_loops_bit_for_bit(self, members, nonmembers):
-        c = cohort(members, nonmembers)
-        pts = roc_sweep_loop(*c)
+        scores, is_member = cohort(members, nonmembers)
         for cap in (0.0, 0.01, 0.1):
-            got = met.roc_metrics(*c, cap)
-            want = (area_loop(pts), *best_point_loop(pts, cap))
-            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert_rows_match_loops(scores[None], is_member, cap)
+
+    @pytest.mark.parametrize("cap", [0.0, 0.01, 0.1, 1.0])
+    def test_rows_equal_scalar_loops_bit_for_bit(self, cap):
+        g = np.random.default_rng(11)
+        n = 40
+        mixed = membership(n, g.permutation(n)[:15])
+        tied = g.choice([-1.0, -0.0, 0.0, 0.25, 3.0], size=(6, n))
+        equal = np.stack([np.full(n, 0.7), np.zeros(n), np.ones(n)])
+        saturated = g.choice([0.0, 1.0], size=(4, n))  # fedmia scores at their bounds
+        saturated[1, :20] = g.random(20)
+        continuous = g.normal(size=(5, n))
+        for scores in (tied, equal, saturated, continuous, np.vstack([tied, equal, continuous])):
+            for is_member in (mixed, membership(n, [3]), ~membership(n, [3])):
+                assert_rows_match_loops(scores, is_member, cap)
+                assert_rows_match_loops(scores[:1], is_member, cap)  # m = 1
+
+    @given(rows=st.lists(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0, 3.0]),
+                                  min_size=12, max_size=12), min_size=1, max_size=6),
+           members=st.sets(st.integers(0, 11), min_size=1, max_size=11),
+           cap=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    @settings(max_examples=200)
+    def test_tied_rows_equal_scalar_loops_bit_for_bit(self, rows, members, cap):
+        assert_rows_match_loops(np.array(rows), membership(12, sorted(members)), cap)
+
+    def test_roc_rows_repeat_the_point_before_inside_a_tie_group(self):
+        g = np.random.default_rng(3)
+        scores = g.choice([0.0, 0.5, 1.0], size=(5, 30))
+        is_member = membership(30, range(12))
+        fpr, tpr = met.roc(scores, is_member)
+        assert fpr.shape == tpr.shape == (5, 31)
+        for row, f, t in zip(scores, fpr, tpr):
+            pts = list(zip(f.tolist(), t.tolist()))
+            distinct = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+            assert tuple(distinct) == points(row, is_member) == roc_sweep_loop(row, is_member)
+
+
+@pytest.mark.parametrize("num_seeds", range(1, 13))
+def test_seed_mean_equals_np_mean_of_each_round_bit_for_bit(num_seeds):
+    """8 or more seeds is where NumPy's pairwise sum departs from a running sum, so
+    a reduction along the wrong axis would show there."""
+    g = np.random.default_rng(num_seeds)
+    per_seed = tuple(g.random(50) for _ in range(num_seeds))  # (T,) values per seed
+    want = np.array([np.mean([v[t] for v in per_seed]) for t in range(50)])
+    assert _seed_mean(per_seed).tobytes() == want.tobytes()
 
 
 class TestAuc:
