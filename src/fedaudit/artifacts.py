@@ -108,6 +108,8 @@ def _manifest(directory: str) -> dict:
         if not isinstance(listing, dict):
             raise TypeError("files is not an object")
     except FileNotFoundError:
+        if not os.path.isdir(directory):
+            raise IntegrityError(f"missing directory {directory}") from None
         raise IntegrityError(f"missing {path}: rerun to write it (a directory written "
                              "before fedaudit kept manifests has none)") from None
     except OSError as exc:
@@ -120,14 +122,12 @@ def _manifest(directory: str) -> dict:
 def read_artifacts(directory: str, names: list[str]) -> list[bytes]:
     """The bytes of each of ``names`` in ``directory``, the only way the CLI reads a
     file it wrote. Each is read once and must be the file the directory's MANIFEST
-    lists, by sha256 and size; a missing MANIFEST or a file that is missing,
-    unlisted or does not match raises IntegrityError naming it."""
+    lists, by sha256 and size; a missing directory or MANIFEST, or a file that is
+    missing, unlisted or does not match, raises IntegrityError naming it."""
     listing, manifest = _manifest(directory), os.path.join(directory, MANIFEST)
     out = []
     for name in names:
         path = os.path.join(directory, name)
-        if name not in listing:
-            raise IntegrityError(f"corrupt file {path}: not listed in {manifest}")
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -135,6 +135,8 @@ def read_artifacts(directory: str, names: list[str]) -> list[bytes]:
             raise IntegrityError(f"missing run artifact: {path}") from None
         except OSError as exc:
             raise IntegrityError(f"cannot read {path}: {exc.strerror}") from None
+        if name not in listing:
+            raise IntegrityError(f"corrupt file {path}: not listed in {manifest}")
         if _entry(data) != listing[name]:
             raise IntegrityError(f"corrupt file {path}: its bytes do not match those listed "
                                  f"in {manifest}")

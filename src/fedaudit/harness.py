@@ -3,19 +3,8 @@
 A run executes, for every (defense sweep value, seed) pair: build the
 dataset and partition, train the federation, run every configured attack
 against its update trace, and score the attacks. Artifacts land in one
-report directory:
-
-  report_dir/
-    report.json          provenance, Pareto fronts, hypervolumes, inclusion checks
-    metrics.csv          a METRICS_HEADER row per seed, method and sweep point
-    runs/<defense>_<param>/seed<seed>/
-      trace/             persisted update trace (see fedsim)
-      targets.csv        the targets under TARGETS_HEADER + f1,...,fd; CRLF line ends
-      attack_scores.csv  a SCORES_HEADER row per method and target
-      attack_rounds.json per-round audit scores and series
-    plots/               CSV series emitted by the plots command
-
-with a ``manifest.json`` in each directory that holds files (``artifacts.commit``).
+report directory, laid out as README's artifact tree shows, with a
+``manifest.json`` in each directory that holds files (``artifacts.commit``).
 
 Each file is rendered before any is written, and ``artifacts.commit`` writes
 each directory: a new run directory appears whole, once its attack has run. A
@@ -29,7 +18,8 @@ bit-exactly. The config and its checks are ``fedaudit.config``.
 
 ``main`` is the CLI. Each exit code has one error class (``fedaudit.errors``);
 an ``OSError`` or ``MemoryError`` (the environment failed) exits 4 too.
-The ``FEDAUDIT_OUT`` environment variable supplies the default output root.
+The ``FEDAUDIT_OUT`` environment variable, when set and not empty, supplies
+the default output root.
 """
 
 from __future__ import annotations
@@ -358,13 +348,9 @@ def _job(args: tuple) -> tuple[list[dict], dict]:
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str,
-    seed_override: int | None = None,
     jobs: int | None = None,
 ) -> str:
     """Execute the full sweep x seeds grid and write the report directory.
-
-    With ``seed_override`` the report records that seed as the only one,
-    so ``plots`` finds the runs that exist.
 
     The (defense, seed) jobs are independent. They run in up to ``jobs``
     worker processes (default: the usable cores), never more than there
@@ -376,17 +362,17 @@ def run_experiment(
     no job and holds no thread of its own when it forks (the attack joins
     its helper thread before it returns), OpenBLAS stops its own threads
     around a fork, and the pool forks every worker before it starts its
-    manager thread. A forked worker flushes its copy of this process's
-    buffered stdout and stderr when it exits, so multiprocessing flushes
-    both before each fork, and no text is written twice. Elsewhere the
-    workers are spawned, with this process's environment. The first
-    failed job's error is raised, as in a serial run, jobs not yet started
-    are cancelled, and every directory made for ``out_dir`` is removed if empty.
+    manager thread; Python 3.12 and later may still warn
+    (``DeprecationWarning``) on a fork while OpenBLAS threads are live. A
+    forked worker flushes its copy of this process's buffered stdout and
+    stderr when it exits, so multiprocessing flushes both before each fork,
+    and no text is written twice. Elsewhere the workers are spawned, with
+    this process's environment. The first failed job's error is raised, as
+    in a serial run, jobs not yet started are cancelled, and every directory
+    made for ``out_dir`` is removed if empty.
     """
     if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if seed_override is not None:
-        config = replace(config, seeds=(seed_override,))
     job_args = [
         (config, defense, value, seed, run_dir)
         for value, defense, _, run_dirs in _run_grid(config, out_dir)
@@ -585,7 +571,7 @@ def summarize_report(report_dir: str) -> str:
 
 
 def _default_out() -> str:
-    return os.environ.get(ENV_OUT, "fedaudit_out")
+    return os.environ.get(ENV_OUT) or "fedaudit_out"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -595,7 +581,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a full experiment from a config file")
     run.add_argument("config")
     run.add_argument("--out", default=None, help=f"output dir (default ${ENV_OUT} or ./fedaudit_out)")
-    run.add_argument("--seed-override", type=int, default=None)
     run.add_argument("--jobs", type=int, default=None,
                      help="worker processes (default: one per job, up to the usable cores)")
 
@@ -618,7 +603,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             config = load_config(args.config)
             out = args.out or _default_out()
-            run_experiment(config, out, args.seed_override, args.jobs)
+            run_experiment(config, out, args.jobs)
             print(f"report written to {out}")
         elif args.command == "replay":
             ac = AttackSuiteConfig.from_dict(read_json(args.attack_config), "attack")

@@ -8,6 +8,7 @@ lines and timings.
 """
 
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -269,8 +270,9 @@ def test_criterion_7_scale_invariance(baseline_report, default_config):
 def test_criterion_8_determinism_and_replay(tmp_path_factory, default_config):
     out_a = str(tmp_path_factory.mktemp("det_a"))
     out_b = str(tmp_path_factory.mktemp("det_b"))
-    hns.run_experiment(default_config, out_a, seed_override=1)
-    hns.run_experiment(default_config, out_b, seed_override=1)
+    one_seed = dataclasses.replace(default_config, seeds=(1,))
+    hns.run_experiment(one_seed, out_a)
+    hns.run_experiment(one_seed, out_b)
     bytes_a = pathlib.Path(out_a, "metrics.csv").read_bytes()
     bytes_b = pathlib.Path(out_b, "metrics.csv").read_bytes()
     assert bytes_a == bytes_b

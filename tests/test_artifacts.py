@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 
 import pytest
 
@@ -258,8 +259,10 @@ def test_a_merge_cut_short_before_its_manifest_reads_as_a_mismatch(tmp_path, mon
      "corrupt file {d}/t.csv: its bytes do not match those listed in {d}/manifest.json"),
     (lambda d: write_text(os.path.join(d, "u.csv"), "a,b\n"),
      "corrupt file {d}/u.csv: not listed in {d}/manifest.json"),
+    (lambda d: None, "missing run artifact: {d}/u.csv"),
+    (shutil.rmtree, "missing directory {d}"),
 ], ids=["no_manifest", "manifest_a_list", "files_a_list", "file_missing", "file_edited",
-        "file_grown", "file_unlisted"])
+        "file_grown", "file_unlisted", "unlisted_file_missing", "directory_missing"])
 def test_read_artifacts_exits_3_naming_the_file(tmp_path, edit, needle):
     d = str(tmp_path / "d")
     commit(d, {"t.csv": "a,b\n"})

@@ -1,9 +1,13 @@
+import argparse
+import ast
+import builtins
 import concurrent.futures
 import contextlib
 import csv
 import dataclasses
 import errno
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -27,6 +31,7 @@ from hypothesis import strategies as st
 from fedaudit import attack as atk
 from fedaudit import config as fcfg
 from fedaudit import data as dat
+from fedaudit import errors
 from fedaudit import fedsim as fed
 from fedaudit import harness as hns
 from fedaudit.config import (AUGMENT_KEYS, SWEEP_TYPES, AttackSuiteConfig, DatasetConfig,
@@ -350,15 +355,6 @@ class TestRunExperiment:
         rows = _rows(os.path.join(out, "metrics.csv"))
         assert len(rows) == 3
 
-    def test_seed_override(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(micro_config_dict(seeds=[1, 2, 3]))
-        out = hns.run_experiment(cfg, str(tmp_path / "out"), seed_override=7)
-        rows = _rows(os.path.join(out, "metrics.csv"))
-        assert [r["seed"] for r in rows] == ["7"]
-        report = _json(os.path.join(out, "report.json"))
-        assert report["config"]["seeds"] == [7]  # the seeds that ran
-        assert hns.main(["plots", out]) == 0
-
     def test_inclusion_checks_recorded(self, tmp_path):
         cfg = ExperimentConfig.from_dict(micro_config_dict())
         out = hns.run_experiment(cfg, str(tmp_path / "out"))
@@ -625,11 +621,14 @@ class TestCli:
         ac.write_text(json.dumps({"methods": ["fedmia_ii"]}))
         assert hns.main(["replay", str(tmp_path / "ghost"), str(ac)]) == 3
 
-    def test_env_var_default_out(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(hns.ENV_OUT, str(tmp_path / "env_out"))
+    @pytest.mark.parametrize("env, out", [("env_out", "env_out"), ("", "fedaudit_out")],
+                             ids=["set", "empty"])
+    def test_env_var_default_out(self, tmp_path, monkeypatch, env, out):
+        monkeypatch.setenv(hns.ENV_OUT, env)
+        monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, micro_config_dict())
         assert hns.main(["run", path]) == 0
-        assert os.path.exists(tmp_path / "env_out" / "metrics.csv")
+        assert os.path.exists(tmp_path / out / "report.json")
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
@@ -773,6 +772,119 @@ def test_readme_config_table_matches_the_config_classes():
             default if default is REQUIRED else dump_value(default)
         for path, _, default in _config_keys()
     }
+
+
+def _readme_section(heading):
+    """README's text under ``heading`` up to the next section."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_block(heading):
+    """The first fenced block of README's section ``heading``."""
+    return _readme_section(heading).split("```\n")[1]
+
+
+def test_readme_synopsis_is_the_parser():
+    """Each synopsis line lists a subcommand's positionals, in order, and its options."""
+    documented = {}
+    for line in _readme_block("## CLI").splitlines():
+        prog, command, *args = line.split()
+        assert prog == "fedaudit" and command not in documented, line
+        documented[command] = ([re.sub(r"\.json$", "", a.strip("<>")) for a in args
+                                if a.startswith("<")], sorted(re.findall(r"\[(--[\w-]+)", line)))
+    (sub,) = [a for a in hns._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert documented == {
+        command: ([a.dest for a in p._actions if not a.option_strings],
+                  sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")))
+        for command, p in sub.choices.items()}
+
+
+def test_readme_exit_codes_are_mains():
+    """README's exit-code list holds each code ``main`` returns, each class an ``except``
+    of ``main`` names with the code it returns, and each class of ``fedaudit.errors``
+    with the code of the first ``except`` that catches it."""
+    documented = [(int(code), re.findall(r"`(\w+)`", classes)) for code, classes
+                  in re.findall(r"^- (\d+)([^:]*):", _readme_section("## CLI"), re.M)]
+    tree = ast.parse(inspect.getsource(hns.main))
+    returned = {n.value.value for n in ast.walk(tree) if isinstance(n, ast.Return)}
+    handlers = []  # (classes, code) of each except clause, in order
+    for h in (n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)):
+        names = h.type.elts if isinstance(h.type, ast.Tuple) else [h.type]
+        (code,) = [n.value.value for n in ast.walk(h) if isinstance(n, ast.Return)]
+        handlers.append((tuple(vars(hns).get(n.id) or getattr(builtins, n.id) for n in names),
+                         code))
+    codes = {c.__name__: code for classes, code in handlers for c in classes}
+    for c in vars(errors).values():
+        if isinstance(c, type) and c.__module__ == errors.__name__:
+            codes[c.__name__] = next(code for classes, code in handlers if issubclass(c, classes))
+    assert {code for code, _ in documented} == returned
+    assert {name: code for code, names in documented for name in names} == codes
+    assert sum(len(names) for _, names in documented) == len(codes)  # each listed once
+
+
+# What each placeholder of README's artifact tree stands for; "[...]" is optional.
+TREE_PLACEHOLDERS = {
+    "<N>": r"\d+", "TTTT": r"\d{4}", "<param>": r"[^/]+", "[": "(?:", "]": ")?",
+    "<method>": f"(?:{'|'.join(atk.ALL_METHODS)})",
+    "<defense>": f"(?:{'|'.join(fed.DEFENSE_PARAMS)})",
+}
+
+
+def _readme_tree():
+    """{root: [(pattern, regex)]} of README's artifact tree: each file, and each
+    directory with a trailing slash, by its path under its root. A line indented
+    more than one level past the entry above it continues that entry's text."""
+    tree, names, last = {}, [], 0
+    for line in _readme_block("## Artifacts").splitlines():
+        indent = len(line) - len(line.lstrip())
+        if indent > last + 2:
+            continue
+        last, name = indent, line.split()[0]
+        if indent == 0:
+            names = tree[name.rstrip("/")] = []
+            parents = []
+            continue
+        del parents[indent // 2 - 1:]
+        steps = re.findall(r"[^/]+/?", name)
+        names += ["".join(parents + steps[:i + 1]) for i in range(len(steps))]
+        parents.append(name)
+    split = "(" + "|".join(map(re.escape, TREE_PLACEHOLDERS)) + ")"
+    return {root: [(p, re.compile("".join(TREE_PLACEHOLDERS.get(t, re.escape(t))
+                                          for t in re.split(split, p)))) for p in patterns]
+            for root, patterns in tree.items()}
+
+
+def _written(root):
+    """Every file, and every directory with a trailing slash, under ``root``."""
+    paths = []
+    for d, dirs, files in os.walk(root):
+        rel = os.path.relpath(d, root).replace(os.sep, "/")
+        prefix = "" if rel == "." else rel + "/"
+        paths += [prefix + name + "/" for name in dirs] + [prefix + name for name in files]
+    return paths
+
+
+def test_readme_artifact_tree_is_what_the_cli_writes(tmp_path):
+    """``run``, ``plots`` and ``replay --out`` of a copy of quick.json with a sweep
+    point write a file or directory for each entry of the tree, and nothing else."""
+    with open(os.path.join(CONFIG_DIR, "quick.json"), encoding="utf-8") as fh:
+        d = json.load(fh)
+    d["sweep"] = {"defense": "sparsify", "rate": [0.5]}
+    roots = {"report_dir": str(tmp_path / "report"), "replay_dir": str(tmp_path / "replay")}
+    attack = write_config(tmp_path, d["attack"], "attack.json")
+    trace = os.path.join(roots["report_dir"], "runs", "sparsify_0.5", "seed1", "trace")
+    for argv in (["run", write_config(tmp_path, d), "--out", roots["report_dir"]],
+                 ["plots", roots["report_dir"]],
+                 ["replay", trace, attack, "--out", roots["replay_dir"]]):
+        assert _main_captured(argv) == (0, "")
+    tree = _readme_tree()
+    assert tree.keys() == roots.keys()
+    for root, entries in tree.items():
+        written = _written(roots[root])
+        assert [w for w in written if not any(r.fullmatch(w) for _, r in entries)] == []
+        assert [p for p, r in entries if not any(map(r.fullmatch, written))] == []
 
 
 WRONG_VALUES = {
@@ -1407,6 +1519,17 @@ class TestExitCodeContract:
         rc, err = _main_captured([command, copy])
         assert rc == 3, err
         assert err.startswith("integrity error:") and path in err, err
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["report", "{tmp}/nope"], "missing directory {tmp}/nope"),
+        (["plots", "{tmp}/nope"], "missing directory {tmp}/nope"),
+        (["replay", "{run}", "{tmp}/attack.json"], "missing run artifact: {run}/trace_meta.json"),
+    ], ids=["report_of_no_directory", "plots_of_no_directory", "replay_of_the_run_dir"])
+    def test_what_is_missing_is_named(self, report_dir, tmp_path, argv, needle):
+        (tmp_path / "attack.json").write_text(json.dumps({"methods": ["fedmia_ii"]}))
+        names = {"tmp": tmp_path, "run": os.path.join(report_dir, "runs", "none", "seed1")}
+        rc, err = _main_captured([a.format(**names) for a in argv])
+        assert (rc, err) == (3, f"integrity error: {needle.format(**names)}\n")
 
 
 FLOAT = re.compile(rb"-?\d+\.\d+(?:e-?\d+)?")
