@@ -23,19 +23,21 @@ The main attack scores a target record in three steps, per round:
 rounds, each vectorised over (records x non-target clients). The loss
 chain measures each record's loss under every client's rebuilt model,
 through the stacked loss kernel of ``model``, and scores variant I. The
-gradient chain takes one gradient product per round, which feeds the
-cosine and grad_diff measurements, scores variant II and keeps the target
-client's series. The chains share no array, so when the process may run
-on two cores (its affinity mask, in a pool worker too) the loss chain
-runs on a helper thread; on one core they run in turn, which is faster
-there. The bits are those of one pass over the rounds, and so is the
-first error raised. A row whose 3-sigma test keeps every value takes the
-population fit as its null, exactly. Rows with a drop are grouped by
-survivor count, and each group's survivors, gathered in client order
-into one contiguous block, are fitted row by row with the same
-reductions; leave-one-out builds its keep mask one column at a time.
-No step loops over rows. The scalar rule, applied record by record, lives
-in ``tests/helpers.py`` as the reference the engine matches bit for bit.
+gradient chain's one forward pass per round gives each record's gradient
+and its loss at the global model (the loss_global series); one gradient
+product feeds the cosine and grad_diff measurements. It scores variant
+II and keeps the target client's series. The chains share no array, so
+when the process may run on two cores (its affinity mask, in a pool
+worker too) the loss chain runs on a helper thread; on one core they run
+in turn, which is faster there. The bits are those of one pass over the
+rounds, and so is the first error raised. A row whose 3-sigma test keeps
+every value takes the population fit as its null, exactly. Rows with a
+drop are grouped by survivor count, and each group's survivors, gathered
+in client order into one contiguous block, are fitted row by row with
+the same reductions; leave-one-out builds its keep mask one column at a
+time. No step loops over rows. The scalar rule, applied record by record,
+lives in ``tests/helpers.py`` as the reference the engine matches bit for
+bit.
 
 Every score is a NumPy array aligned with the cohort: row i scores the
 i-th record of ``x``/``y``, (n, T) per round or (n,) in aggregate. A
@@ -155,15 +157,18 @@ def _measure_round(
     spec: mdl.ModelSpec, rec: RoundRecord, x: np.ndarray, y: np.ndarray, kinds: set[str],
     ws: dict | None = None,
 ) -> dict[str, np.ndarray]:
-    """The requested (n, K) measurements of one round; cosine and grad_diff share one gemm."""
-    updates = rec.updates
+    """The requested (n, K) measurements of one round, and (n,) ``loss_global`` at its global
+    model. cosine and grad_diff share one gemm, and loss_global comes from the forward pass
+    of their gradients; without them, from ``loss_many``, not from gradients no one reads."""
     out: dict[str, np.ndarray] = {}
     if "loss" in kinds:
         out["loss"] = _client_losses(spec, rec, x, y, ws)
     if kinds & {"cosine", "grad_diff"}:
+        out["loss_global"] = _scratch(ws, "loss_global", (len(y),))
         grads = mdl.grad_samples(spec, rec.global_before, x, y,
-                                 _scratch(ws, "grads", (len(y), spec.param_count())))
-        dots = grads @ updates.T
+                                 _scratch(ws, "grads", (len(y), spec.param_count())),
+                                 out["loss_global"])
+        dots = grads @ rec.updates.T
         out["grad_diff"] = dots
         if "cosine" in kinds:
             gnorm = _row_norms(grads, ws)
@@ -174,11 +179,11 @@ def _measure_round(
                     "gradient at the round's global model (stationary point)",
                     row=int(zero[0]),
                 )
-            unorm = _row_norms(updates, ws)
-            cos = np.zeros_like(dots)
-            nz = unorm > 0.0
-            cos[:, nz] = dots[:, nz] / (gnorm[:, None] * unorm[None, nz])
-            out["cosine"] = cos
+            unorm = _row_norms(rec.updates, ws)
+            out["cosine"] = np.divide(dots, gnorm[:, None] * unorm, out=np.zeros_like(dots),
+                                      where=unorm > 0.0)
+    elif "loss_global" in kinds:
+        out["loss_global"] = mdl.loss_many(spec, rec.global_before, x, y)
     return out
 
 
@@ -322,7 +327,7 @@ def audit_cohort(
     shape = (len(y), trace.num_rounds)
     per_round = {m: np.empty(shape) for m in fedmia}
     series = {k: np.empty(shape) for k, readers in SERIES_READERS.items() if readers & set(methods)}
-    kinds = ({FEDMIA_KIND[m] for m in fedmia} | series.keys()) & {"cosine", "grad_diff"}
+    kinds = ({FEDMIA_KIND[m] for m in fedmia} | series.keys()) - {"loss", "update_norm"}
     spec = trace.model_spec
     # A step's place in one pass over a round: measuring (0), then scoring in method order.
     place = {m: i + 1 for i, m in enumerate(fedmia)}
@@ -348,12 +353,10 @@ def audit_cohort(
                 yield t, place["fedmia_ii"]
                 score("fedmia_ii", t, measured["cosine"])
             for k, out in series.items():
-                if k == "loss_global":
-                    out[:, t] = mdl.loss_many(spec, rec.global_before, x, y)
-                elif k == "update_norm":
+                if k == "update_norm":
                     out[:, t] = np.linalg.norm(rec.updates[target_client])
                 else:
-                    out[:, t] = measured[k][:, target_client]
+                    out[:, t] = measured[k] if k == "loss_global" else measured[k][:, target_client]
 
     chains = [chain() for chain, work in ((loss_chain, "fedmia_i" in place),
                                           (gradient_chain, bool(kinds or series))) if work]

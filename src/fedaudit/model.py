@@ -11,15 +11,17 @@ Every routine runs a (K, P) stack of models through one forward pass,
 Each of its products is the 2-D gemm a lone model issues, written into that
 model's strided columns, so each model's result is bitwise what it computes
 alone. Per-sample losses (``loss_many``) and gradients (``grad_samples``)
-are its one-model case. ``_stacked_loss`` gives each record's loss under
-every client's rebuilt model in blocks of ``_LOSS_BLOCK`` models, a few
-large NumPy calls that release the GIL. Local SGD in ``fedsim`` trains a
-group of clients as one stack: ``grad_batch`` takes a (K, b, d) batch and
-returns one flat (K, P) gradient, laid out as the parameters are, whose
-products are written straight into its per-layer views; ``sgd_step``
-applies it to the (K, P) parameters in two whole-array operations. Both
-reuse the arrays of a workspace dict that the caller keeps for the whole
-loop; ``grad_batch``'s result aliases it until its next call.
+are its one-model case; ``grad_samples`` builds its outer products by einsum
+and can return each record's loss from its forward pass. ``_stacked_loss``
+gives each record's loss under every client's rebuilt model in blocks of
+``_LOSS_BLOCK`` models, a few large NumPy calls that release the GIL.
+Local SGD in ``fedsim`` trains a group of clients as one stack:
+``grad_batch`` takes a (K, b, d) batch and returns one flat (K, P)
+gradient, laid out as the parameters are, whose products are written
+straight into its per-layer views; ``sgd_step`` applies it to the (K, P)
+parameters in two whole-array operations. Both reuse the arrays of a
+workspace dict that the caller keeps for the whole loop; ``grad_batch``'s
+result aliases it until its next call.
 
 Layout of the flat parameter vector:
 
@@ -122,12 +124,23 @@ def _row_max(logits: np.ndarray, ws: dict | None, name: str) -> np.ndarray:
     return top
 
 
-def _softmax(logits: np.ndarray, ws: dict | None = None) -> np.ndarray:
-    """Softmax over the last axis, in place."""
-    logits -= _row_max(logits, ws, "softmax.top")[..., None]
+def _exp_rows(logits: np.ndarray, ws: dict | None, name: str, picked: np.ndarray | None = None,
+              loss: np.ndarray | None = None) -> np.ndarray:
+    """The step softmax and cross-entropy share: shift each row (last axis) of ``logits`` by
+    its ``_row_max`` and exponentiate it in place, returning the rows' sums. Given each
+    row's unshifted logit at its label (``picked``, overwritten), it also writes the
+    cross-entropy into ``loss``, clamped at -log(PROB_FLOOR)."""
+    top = _row_max(logits, ws, name + ".top")
+    logits -= top[..., None]
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+    sums = np.add.reduce(logits, axis=-1, out=_scratch(ws, name + ".sum", top.shape))
+    if picked is not None:
+        picked -= top
+        # -(picked - log sum) as log sum - picked: the sum is at least its max term,
+        # exp(0) = 1, so a zero loss is 0.0 - 0.0, which is +0.0, not -0.0.
+        np.subtract(np.log(sums), picked, out=loss)
+        np.minimum(loss, _LOSS_CAP, out=loss)
+    return sums
 
 
 def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
@@ -149,45 +162,39 @@ def _stacked_loss(spec: ModelSpec, stack: np.ndarray, x: np.ndarray, y: np.ndarr
                   out: np.ndarray, ws: dict | None = None) -> np.ndarray:
     """``loss_many`` of every row of a (K, P) stack, into the columns of ``out`` (n, K).
 
-    ``x`` and ``y`` are checked float64 and int64 arrays; ``_forward`` gives the
-    (n, B, C) logits of a block. The softmax max is ``_row_max``, which equals a
-    row-wise max; each row's exp-sum is the same contiguous reduction as for one
-    model.
+    ``x`` and ``y`` are checked float64 and int64 arrays. ``_exp_rows`` takes each
+    row of a block's (n, B, C) logits through the steps of one model's row.
     """
     rows = np.arange(len(y))
     for lo in range(0, len(stack), _LOSS_BLOCK):
         logits, _ = _forward(spec, stack[lo : lo + _LOSS_BLOCK], x, ws)
-        top = _row_max(logits, ws, "loss.top")
-        picked = logits[rows, :, y]
-        picked -= top
-        logits -= top[..., None]
-        np.exp(logits, out=logits)
-        logsum = np.add.reduce(logits, axis=-1, out=_scratch(ws, "loss.sum", logits.shape[:2]))
-        np.log(logsum, out=logsum)
-        # -(picked - logsum), up to the sign of a zero loss, which the +0.0 below clears.
-        np.subtract(logsum, picked, out=out[:, lo : lo + _LOSS_BLOCK])
-    np.minimum(out, _LOSS_CAP, out=out)
-    out += 0.0  # normalizes -0.0
+        _exp_rows(logits, ws, "loss", logits[rows, :, y], out[:, lo : lo + _LOSS_BLOCK])
     return out
 
 
 def grad_samples(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None, losses: np.ndarray | None = None) -> np.ndarray:
     """Per-sample gradients, one flat row per sample (n x param_count), written into
-    ``out`` when given, a C-contiguous float64 array of that shape; its contents do not matter."""
+    ``out`` when given, a C-contiguous float64 array of that shape; its contents do not matter.
+    With ``losses`` (n,), the forward pass also writes each record's loss into it, bitwise
+    ``loss_many``. The outer products are einsums, which add each product to zeros, so a
+    -0.0 product reads +0.0: no reader sees it, as a gemm's sums start at +0.0 and a norm
+    squares."""
     n, shape = len(y), (len(y), spec.param_count())
     out = np.empty(shape) if out is None else out
     logits, a1 = _forward(spec, params[None], x)
-    delta = _softmax(logits[:, 0])
-    delta[np.arange(n), y] -= 1.0
+    delta, rows = logits[:, 0], np.arange(n)
+    picked = None if losses is None else delta[rows, y]
+    delta /= _exp_rows(delta, None, "softmax", picked, losses)[:, None]
+    delta[rows, y] -= 1.0
     *hidden, gw, gb = _unpack(spec, out)
     gb[...] = delta
     a1 = None if a1 is None else a1[:, 0]
-    np.multiply(delta[:, :, None], (x if a1 is None else a1)[:, None, :], out=gw)
+    np.einsum("ic,ih->ich", delta, x if a1 is None else a1, out=gw)
     if hidden:
         gw1, d1 = hidden
         np.multiply(delta @ _unpack(spec, params)[2], 1.0 - a1 * a1, out=d1)
-        np.multiply(d1[:, :, None], x[:, None, :], out=gw1)
+        np.einsum("ia,ib->iab", d1, x, out=gw1)
     return out
 
 
@@ -209,8 +216,8 @@ def grad_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nd
         return np.concatenate([
             grad_batch(spec, params[j : j + 1], x[j : j + 1], labels[:, j : j + 1],
                        None if lam is None else lam[j : j + 1]) for j in range(k)])
-    logits, a1 = _forward(spec, params, x, ws)
-    probs = _softmax(logits, ws)
+    probs, a1 = _forward(spec, params, x, ws)
+    probs /= _exp_rows(probs, ws, "softmax")[..., None]
     if a1 is not None:
         dtanh = np.multiply(a1, a1, out=_scratch(ws, "dtanh", a1.shape))
         np.subtract(1.0, dtanh, out=dtanh)

@@ -6,7 +6,8 @@ counting instead of a threshold sweep, a threshold-by-threshold ROC
 instead of one sort, point-by-point loops for the ROC's points, area and
 operating point instead of array operations, Monte Carlo instead of the
 sweep line, central differences instead of backprop, a model-by-model
-2-D loss instead of the stacked loss kernel, a client-by-client FedAvg
+2-D loss instead of the stacked loss kernel, broadcast multiplies instead
+of the per-sample gradients' einsums, a client-by-client FedAvg
 loop of 2-D products instead of the stacked group trainer, a record-by-record
 flip and shift instead of the batch gather of ``augment_batch``, and the
 attack's null fit applied record by record and round by round instead of
@@ -196,6 +197,27 @@ def batch_grad_2d(
     return np.concatenate(
         [(d1.T @ x).ravel(), d1.sum(axis=0), (delta.T @ a1).ravel(), delta.sum(axis=0)]
     )
+
+
+def sample_grads_2d(
+    spec: mdl.ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Per-sample cross-entropy gradients of one model on one (n, d) batch, one
+    flat row each, every outer product a broadcast multiply, which keeps the
+    sign of a zero product."""
+    n = len(y)
+    logits, a1, w2 = _forward_2d(spec, params, x)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[np.arange(n), y] -= 1.0
+
+    def outer(a, b):
+        return (a[:, :, None] * b[:, None, :]).reshape(n, -1)
+
+    if spec.kind == "linear_softmax":
+        return np.concatenate([outer(delta, x), delta], axis=1)
+    d1 = (delta @ w2) * (1.0 - a1 * a1)
+    return np.concatenate([outer(d1, x), d1, outer(delta, a1), delta], axis=1)
 
 
 def flip_horizontal(x: np.ndarray, geometry: tuple[int, int]) -> np.ndarray:

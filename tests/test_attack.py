@@ -631,6 +631,30 @@ class TestChains:
             assert exc.value.row == 1
         assert _threads_left(before) == []
 
+    @pytest.mark.parametrize("methods, gradient", [
+        ([m for m in atk.ALL_METHODS if m != "blackbox_loss"], True),
+        (["loss_series", "grad_diff"], True),
+        (["loss_series"], False),
+        (["fedmia_i", "loss_series", "grad_norm"], False),
+    ], ids=["all_but_blackbox_loss", "grad_diff", "loss_series", "no_gradient_method"])
+    def test_loss_global_shares_the_gradient_forward_pass(self, monkeypatch, methods, gradient):
+        """The loss_global series is bitwise ``loss_many`` at each round's global
+        model. With a gradient measured, it comes from ``grad_samples``' forward
+        pass and ``loss_many`` is never called; with none, no gradient is built."""
+        trace, x, y = _chain_trace(3)
+        want = np.stack([mdl.loss_many(trace.model_spec, rec.global_before, x, y)
+                         for rec in trace.rounds], axis=1)
+        calls = collections.Counter()
+
+        def counted(name):
+            fn = getattr(mdl, name)
+            return lambda *args: calls.update([name]) or fn(*args)
+        for name in ("loss_many", "grad_samples"):
+            monkeypatch.setattr(mdl, name, counted(name))
+        audit = atk.audit_cohort(trace, x, y, 0, methods)
+        assert calls == ({"grad_samples": 3} if gradient else {"loss_many": 3})
+        assert audit.series["loss_global"].tobytes() == want.tobytes()
+
     def test_public_calls_stay_on_the_calling_thread(self, monkeypatch):
         """A tracer of public calls keeps one span stack per process, so an
         audit on two cores makes every public call on the calling thread;

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedaudit import attack as atk
 from fedaudit import fedsim as fed
 from fedaudit import model as mdl
 from fedaudit.errors import ConfigError
 from fedaudit.numstat import RngStream
-from helpers import batch_grad_2d, finite_diff_grad, loss_2d
+from helpers import batch_grad_2d, finite_diff_grad, loss_2d, sample_grads_2d
 
 LINEAR = mdl.ModelSpec("linear_softmax", input_dim=3, num_classes=4, init_std=0.1)
 MLP = mdl.ModelSpec("mlp", input_dim=3, hidden_dim=5, num_classes=4, init_std=0.1)
@@ -325,6 +326,81 @@ def test_grad_samples_into_a_used_buffer_equals_a_fresh_call(spec):
     out = np.full((7, spec.param_count()), np.nan)
     assert mdl.grad_samples(spec, params, x, y, out) is out
     assert out.tobytes() == mdl.grad_samples(spec, params, x, y).tobytes()
+
+
+# Models with an input or a hidden layer one unit wide.
+WIDTH_ONE = NARROW + [mdl.ModelSpec("mlp", input_dim=1, hidden_dim=4, num_classes=3)]
+
+
+@pytest.mark.parametrize("n", [1, 9])
+@pytest.mark.parametrize("spec", [LINEAR, MLP] + BENCH_SPECS + WIDTH_ONE,
+                         ids=["linear_softmax", "mlp", "bench_mlp", "bench_linear", "narrow_mlp",
+                              "narrow_linear", "narrow_input_mlp"])
+def test_grad_samples_equals_the_broadcast_multiply(spec, n):
+    """``grad_samples``' einsum outer products equal the 2-D broadcast
+    multiplies of ``helpers.sample_grads_2d`` by value, so only the sign of a
+    zero may differ."""
+    g = RngStream(27).generator()
+    params = 0.5 * g.standard_normal(spec.param_count())
+    x, y = g.standard_normal((n, spec.input_dim)), g.integers(spec.num_classes, size=n)
+    assert np.array_equal(mdl.grad_samples(spec, params, x, y), sample_grads_2d(spec, params, x, y))
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear_softmax", "mlp"])
+def test_saturated_gradients_differ_from_the_multiply_only_where_no_reader_looks(
+        monkeypatch, spec):
+    """Class 0's bias of 800 makes every other class's softmax delta exactly 0;
+    times a negative input or activation, the multiply gives -0.0 where einsum
+    gives +0.0. ``_row_norms`` and ``_measure_round``'s cosine, grad_diff and
+    loss_global read the same bytes from either block, a zero-norm upload
+    included. No record is labelled 0, so no gradient is zero."""
+    g = RngStream(28).generator()
+    n, k = 12, 5
+    params = 0.5 * g.standard_normal(spec.param_count())
+    mdl._unpack(spec, params)[-1][0] = 800.0
+    x = g.standard_normal((n, spec.input_dim))
+    y = 1 + g.integers(spec.num_classes - 1, size=n)
+    got, want = mdl.grad_samples(spec, params, x, y), sample_grads_2d(spec, params, x, y)
+    negative_zero = (want == 0.0) & np.signbit(want)
+    assert negative_zero.any() and not np.signbit(got[negative_zero]).any()
+    assert np.array_equal(got, want)
+    assert atk._row_norms(got, None).tobytes() == atk._row_norms(want, None).tobytes()
+    updates = g.standard_normal((k, spec.param_count()))
+    updates[2] = 0.0
+    rec = fed.RoundRecord(0, params, updates, 0.1)
+    kinds = {"cosine", "grad_diff", "loss_global"}
+    einsum = atk._measure_round(spec, rec, x, y, kinds)
+
+    def multiply(spec, params, x, y, out, losses):
+        out[...] = sample_grads_2d(spec, params, x, y)
+        losses[...] = mdl.loss_many(spec, params, x, y)
+        return out
+    monkeypatch.setattr(mdl, "grad_samples", multiply)
+    multiplied = atk._measure_round(spec, rec, x, y, kinds)
+    assert {name: a.tobytes() for name, a in einsum.items()} == {
+        name: a.tobytes() for name, a in multiplied.items()}
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear_softmax", "mlp"])
+def test_grad_samples_losses_are_loss_many(spec):
+    """The losses of ``grad_samples``' forward pass are bitwise ``loss_many``,
+    at random parameters and where class 0's bias of 200 makes class-0 records
+    lose -0.0, which reads 0.0, and caps the others at -log(PROB_FLOOR)."""
+    g = RngStream(29).generator()
+    n = 40
+    x, y = g.standard_normal((n, spec.input_dim)), g.integers(spec.num_classes, size=n)
+    params = 0.5 * g.standard_normal(spec.param_count())
+    saturated = params.copy()
+    mdl._unpack(spec, saturated)[-1][0] = 200.0
+    for p in (params, saturated):
+        losses = np.full(n, np.nan)
+        grads = mdl.grad_samples(spec, p, x, y, losses=losses)
+        assert losses.tobytes() == mdl.loss_many(spec, p, x, y).tobytes()
+        assert grads.tobytes() == mdl.grad_samples(spec, p, x, y).tobytes()
+    favoured = y == 0
+    assert 0 < favoured.sum() < n
+    assert losses[favoured].tobytes() == np.zeros(favoured.sum()).tobytes()  # not -0.0
+    assert np.all(losses[~favoured] == -math.log(mdl.PROB_FLOOR))
 
 
 class TestSgd:
